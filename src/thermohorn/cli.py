@@ -289,14 +289,10 @@ def _cmd_reachable(argv) -> str:
     return _reachable_csv(rset) if args.format == "csv" else _reachable_json(rset)
 
 
-def _mixture_marginal(comb: ConvexCombination, setup: ThermalSetup, p) -> np.ndarray:
-    v = setup.joint_input(p)
-    mixed = np.zeros_like(v)
-    for w, perm in zip(comb.weights, comb.items):
-        shuffled = np.zeros_like(v)
-        shuffled[list(perm)] = v
-        mixed += w * shuffled
-    return mixed.reshape(setup.dim_a, setup.dim_b).sum(axis=1)
+def _achieved_marginal(unitary, setup: ThermalSetup, p) -> list[float]:
+    """System marginal of ``|U|² (p ⊗ gamma_B)``: what the unitary delivers."""
+    mixed = np.abs(unitary) ** 2 @ setup.joint_input(probability_vector(p))
+    return _real_list(mixed.reshape(setup.dim_a, setup.dim_b).sum(axis=1))
 
 
 def _cmd_synthesize(argv) -> str:
@@ -329,7 +325,7 @@ def _cmd_synthesize(argv) -> str:
             "U": matrix_to_json(unitary),
             "gadget": None if gadget is None else realization_to_json(gadget),
             "classification": found.classification,
-            "achieved": _real_list(_mixture_marginal(comb, setup, p)),
+            "achieved": _achieved_marginal(unitary, setup, p),
         }
     )
 
@@ -434,16 +430,13 @@ def _cmd_realize(argv) -> str:
     if result is None:
         return dump_json({"found": False})
     setup, unitary, gadget = result
-    joint = setup.joint_input(probability_vector(p))
-    mixed = np.abs(unitary) ** 2 @ joint
-    achieved = mixed.reshape(setup.dim_a, setup.dim_b).sum(axis=1)
     return dump_json(
         {
             "found": True,
             "bath": hamiltonian_to_json(setup.ham_b),
             "U": matrix_to_json(unitary),
             "gadget": None if gadget is None else realization_to_json(gadget),
-            "achieved": _real_list(achieved),
+            "achieved": _achieved_marginal(unitary, setup, p),
         }
     )
 

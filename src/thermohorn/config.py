@@ -34,9 +34,6 @@ TOL = _tol_from_env()
 #: Residual tolerance for eigendecompositions.
 EIGEN_TOL = 1e-8
 
-#: Negative entries in [-CLAMP_TOL, 0) are treated as exact zeros on output.
-CLAMP_TOL = 1e-12
-
 #: Two reachable-set points closer than this in max-norm are one point.
 DEDUP_TOL = 1e-10
 

@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -216,9 +216,6 @@ class ThermalSetup:
         for k, block in enumerate(self.blocks):
             out[list(block)] = k
         return out
-
-    def system_label_of_joint(self, joint_index: int) -> int:
-        return joint_index // self.dim_b
 
     def gibbs_b(self) -> ProbabilityVector:
         return gibbs_vector(self.ham_b)

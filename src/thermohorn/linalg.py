@@ -49,16 +49,6 @@ def is_square(mat: ComplexMatrix) -> bool:
     return mat.ndim == 2 and mat.shape[0] == mat.shape[1]
 
 
-def is_hermitian(mat: ComplexMatrix, tol: float = 1e-10) -> bool:
-    return is_square(mat) and np.max(np.abs(mat - mat.conj().T)) <= tol
-
-
-def is_unitary(mat: ComplexMatrix, tol: float = 1e-10) -> bool:
-    if not is_square(mat):
-        return False
-    return unitarity_defect(mat) <= tol
-
-
 def unitarity_defect(mat: ComplexMatrix) -> float:
     """Max-norm of ``U† U − I``; 0 for an exact unitary."""
     eye = np.eye(mat.shape[0])

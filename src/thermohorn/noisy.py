@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .errors import PreconditionError
 from .linalg import (
@@ -32,7 +31,6 @@ from .linalg import (
     cyclic_shift,
     density_matrix,
     diag_embedding,
-    partial_trace_b,
     probability_vector,
     spectrum_sorted,
     tensor,
@@ -53,10 +51,18 @@ __all__ = [
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> ComplexMatrix:
-    """Haar-distributed random unitary (dim 1 is a random phase)."""
+    """Haar-distributed random unitary (dim 1 is a random phase).
+
+    QR of a complex Ginibre matrix with the phases of ``diag(R)`` moved into
+    ``Q`` (Mezzadri, Notices AMS 54, 2007), drawing from ``rng`` in the same
+    order as ``scipy.stats.unitary_group``, so seeded draws agree with it.
+    """
     if dim == 1:
         return np.array([[np.exp(2j * np.pi * rng.random())]])
-    return np.asarray(unitary_group.rvs(dim, random_state=rng), dtype=np.complex128)
+    z = (1 / np.sqrt(2.0)) * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    return q * (d / np.abs(d))
 
 
 @dataclass(frozen=True)
@@ -270,54 +276,3 @@ def max_output_rank_bound(n: int, m: int, trials: int, *, seed: int = 0) -> int:
             )
         best = max(best, rank)
     return best
-
-
-def search_noisy_realization(
-    d, m: int, *, seed: int = 0, starts: int = 8, iterations: int = 400
-) -> NoisyRealization | None:
-    """Randomized, non-certifying search for a noisy realization of ``D``.
-
-    Parameterizes ``U = expm(iH)`` over Hermitian ``H`` on the joint space
-    and polishes random starts with Nelder-Mead on the channel error
-    ``max_j ||diag(C(|j><j|)) - D e_j||_inf``. Success below 1e-6 returns
-    the realization; exhausting the budget returns None, which proves
-    nothing.
-    """
-    from scipy.linalg import expm
-    from scipy.optimize import minimize
-
-    target = stochastic_matrix(d)
-    n = target.shape[0]
-    dim = n * m
-    rng = np.random.default_rng(seed)
-    bath = np.eye(m, dtype=np.complex128) / m
-    tri = np.triu_indices(dim, k=1)
-
-    def unpack(params: np.ndarray) -> ComplexMatrix:
-        herm = np.zeros((dim, dim), dtype=np.complex128)
-        k = len(tri[0])
-        herm[tri] = params[:k] + 1j * params[k : 2 * k]
-        herm += herm.conj().T
-        herm[np.diag_indices(dim)] = params[2 * k :]
-        return expm(1j * herm)
-
-    def channel_error(params: np.ndarray) -> float:
-        u = unpack(params)
-        worst = 0.0
-        for j in range(n):
-            basis = np.zeros((n, n), dtype=np.complex128)
-            basis[j, j] = 1.0
-            out = partial_trace_b(u @ tensor(basis, bath) @ u.conj().T, n, m)
-            worst = max(worst, float(np.max(np.abs(np.real(np.diag(out)) - target[:, j]))))
-        return worst
-
-    nparams = dim * dim
-    for _ in range(starts):
-        x0 = rng.normal(scale=0.8, size=nparams)
-        res = minimize(
-            channel_error, x0, method="Nelder-Mead",
-            options={"maxiter": iterations, "fatol": 1e-9, "xatol": 1e-9},
-        )
-        if res.fun < 1e-6:
-            return NoisyRealization(n, m, unpack(res.x))
-    return None

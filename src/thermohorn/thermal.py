@@ -31,7 +31,6 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
-from sympy.utilities.iterables import multiset_permutations
 
 from .config import DEDUP_TOL, ENUMERATION_CAP, SAMPLE_COUNT
 from .energy import (
@@ -185,6 +184,28 @@ def _block_permutation_targets(block: tuple[int, ...]) -> np.ndarray:
     return np.array(list(itertools.permutations(block)), dtype=np.int64)
 
 
+def _multiset_permutations(items):
+    """Yield the distinct arrangements of ``items`` in lexicographic order.
+
+    Classic next-permutation walk from the sorted arrangement: find the
+    rightmost ascent ``i``, swap ``seq[i]`` with the rightmost larger entry,
+    and reverse the tail. Repeated items never produce duplicate rows.
+    """
+    seq = sorted(items)
+    while True:
+        yield list(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = reversed(seq[i + 1 :])
+
+
 def _block_class_targets(block: tuple[int, ...], dim_b: int) -> np.ndarray:
     """One representative permutation per distinct position -> system-label map.
 
@@ -200,7 +221,7 @@ def _block_class_targets(block: tuple[int, ...], dim_b: int) -> np.ndarray:
     for idx in block:
         slots.setdefault(idx // dim_b, []).append(idx)
     rows = []
-    for arrangement in multiset_permutations(sorted(labels)):
+    for arrangement in _multiset_permutations(labels):
         cursor = dict.fromkeys(slots, 0)
         images = []
         for lab in arrangement:
@@ -252,6 +273,8 @@ def enumerate_classical(
     total = math.prod(math.factorial(len(b)) for b in setup.blocks)
     if mode not in ("auto", "exhaustive", "reduced", "sampled"):
         raise PreconditionError("bad-mode", f"unknown enumeration mode {mode!r}")
+    if sample_count < 0:
+        raise PreconditionError("bad-sample-count", f"need sample_count >= 0, got {sample_count}")
     if mode == "auto":
         if total <= cap:
             mode = "exhaustive"
@@ -317,10 +340,6 @@ class ReachableSet:
     initial: ProbabilityVector
     representatives: np.ndarray  # (count, dim_joint)
     mode: str
-
-    @property
-    def origin(self) -> tuple[ThermalSetup, ProbabilityVector]:
-        return self.setup, self.initial
 
     @property
     def sampled(self) -> bool:
@@ -544,6 +563,8 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> Membershi
     approximation: "interior"/"boundary" remain trustworthy, "exterior" does
     not — callers treating sampled exteriors as proofs are on their own.
     """
+    if not tol > 0:
+        raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
     p_prime = probability_vector(p_prime)
     if p_prime.size != rset.setup.dim_a:
         raise PreconditionError(

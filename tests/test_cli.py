@@ -167,6 +167,24 @@ def test_synthesize_vertex_target(capsys):
     assert np.abs(np.array(payload["achieved"]) - [2 / 3, 1 / 3]).max() < 1e-9
 
 
+def test_synthesize_rejects_nonpositive_tolerance(capsys):
+    code, out = _run(
+        capsys, "synthesize", "--ham-a", QUBIT, "--ham-b", OSC3,
+        "--p", "0.7,0.3", "--target", "0.7,0.3", "--tol", "-1",
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == "bad-tolerance"
+
+
+def test_reachable_rejects_negative_sample_count(capsys):
+    code, out = _run(
+        capsys, "reachable", "--ham-a", QUBIT, "--ham-b", OSC3,
+        "--p", "0.7,0.3", "--mode", "sampled", "--samples", "-3",
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == "bad-sample-count"
+
+
 def test_synthesize_rejects_exterior_target(capsys):
     code, out = _run(
         capsys, "synthesize", "--ham-a", QUBIT, "--ham-b", OSC2,
@@ -325,3 +343,18 @@ def test_tolerance_env_override_is_validated():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True
     )
     assert out.returncode != 0
+
+
+def test_import_and_help_load_neither_sympy_nor_scipy_stats():
+    probe = (
+        "import sys, contextlib, io\n"
+        "import thermohorn\n"
+        "from thermohorn.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['--help'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'"
+        " or m == 'scipy.stats' or m.startswith('scipy.stats.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

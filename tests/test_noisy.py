@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from thermohorn import (
     NoisyRealization,
@@ -13,7 +14,7 @@ from thermohorn import (
     spectrum_sorted,
     support_pattern_obstructs_unistochasticity,
 )
-from thermohorn.linalg import partial_trace_b, tensor
+from thermohorn.linalg import partial_trace_b
 
 
 def _random_density(dim, rng):
@@ -156,3 +157,13 @@ def test_noisy_witness_rejects_small_dims():
 def test_output_rank_never_exceeds_bath_squared():
     assert max_output_rank_bound(4, 2, trials=50, seed=1) <= 4
     assert max_output_rank_bound(5, 2, trials=50, seed=2) <= 4
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 9, 16, 27, 40])
+def test_haar_unitary_reproduces_scipy_draws(dim):
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = haar_unitary(dim, rng)
+        ref = unitary_group.rvs(dim, random_state=ref_rng)
+        assert np.array_equal(u, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

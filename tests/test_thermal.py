@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermohorn import (
     ConvexCombination,
@@ -29,6 +32,7 @@ from thermohorn import (
     zero_hamiltonian,
 )
 from thermohorn.energy import EnergyLabel
+from thermohorn.thermal import _multiset_permutations
 
 
 def _qubit_oscillator(m, beta_de=math.log(2.0)):
@@ -77,6 +81,20 @@ def test_enumeration_cap_requires_explicit_sampling():
     assert enum.sampled
     assert enum.permutations.shape == (51, 27)
     assert np.array_equal(enum.permutations[0], np.arange(27))
+
+
+def test_enumeration_rejects_negative_sample_count():
+    setup, _ = _two_copy_preset()
+    with pytest.raises(PreconditionError) as err:
+        enumerate_classical(setup, mode="sampled", sample_count=-3)
+    assert err.value.code == "bad-sample-count"
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=7))
+def test_multiset_permutations_are_the_sorted_distinct_arrangements(items):
+    expected = [list(row) for row in sorted(set(itertools.permutations(items)))]
+    assert list(_multiset_permutations(items)) == expected
 
 
 def test_enumeration_reduced_zero_hamiltonian_count():
@@ -276,6 +294,15 @@ def test_membership_extreme_cooling_point_is_exterior():
         found = hull_membership(star, rset)
         assert found.classification == "exterior"
         assert found.combination is None
+
+
+def test_membership_rejects_nonpositive_tolerance():
+    setup = _qubit_oscillator(3)
+    rset = classical_reachable_set(np.array([0.7, 0.3]), setup)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(PreconditionError) as err:
+            hull_membership(np.array([0.7, 0.3]), rset, tol)
+        assert err.value.code == "bad-tolerance"
 
 
 def test_membership_dimension_check():
