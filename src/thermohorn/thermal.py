@@ -17,8 +17,9 @@ block unitaries fills in exactly the convex hull:
 * *decompose*: conversely, read any energy-preserving unitary as per-block
   bistochastic matrices, Birkhoff-decompose each block, and keep the product
   form (expanding the product is exponential and almost never needed);
-* *membership / realize*: LP classification against the hull, and a search
-  over growing bath families that turns a thermomajorization witness into an
+* *membership / realize*: classification against the hull's facets (linear
+  programs for exterior targets and hulls Qhull refuses), and a search over
+  growing bath families that turns a thermomajorization witness into an
   explicit finite-bath realization.
 """
 
@@ -28,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .energy import (
     trivial_hamiltonian,
 )
 from .errors import PreconditionError
-from .geometry import classify_membership, hull_vertex_indices
+from .geometry import Polytope, classify_membership, hull_vertex_indices
 from .linalg import ComplexMatrix, ProbabilityVector, probability_vector, unitarity_defect
 from .majorization import birkhoff_decompose, schur_horn_unitary, thermomajorizes
 from .noisy import NoisyRealization, haar_unitary
@@ -348,6 +349,11 @@ class ReachableSet:
     def hull_vertices(self) -> np.ndarray:
         return self.points[list(self.hull_vertex_indices)]
 
+    @cached_property
+    def polytope(self) -> Polytope:
+        """Facet form of the hull, built on the first membership query and kept."""
+        return Polytope(self.hull_vertices(), DEDUP_TOL)
+
 
 def _marginal_outputs(
     perms: np.ndarray, v: np.ndarray, dim_a: int, dim_b: int, chunk: int = 1 << 15
@@ -556,12 +562,20 @@ class MembershipResult:
 
 
 def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> MembershipResult:
-    """LP membership of a state in the hull of the classical reachable set.
+    """Membership of a state in the hull of the classical reachable set.
 
     Interior/boundary is relative to the hull's own affine span (a segment
-    has an open interior). For a sampled reachable set the hull is an inner
-    approximation: "interior"/"boundary" remain trustworthy, "exterior" does
-    not — callers treating sampled exteriors as proofs are on their own.
+    has an open interior). A target inside every facet of the hull is
+    decided by the set's cached :class:`Polytope`: ``distance`` is its
+    Euclidean margin to the nearest facet within the span, and the witness
+    mixes at most rank+1 hull vertices. Every other target is decided by
+    linear programming: ``distance`` is the max-norm residual for exterior
+    targets and the LP positivity margin for inside ones. Witness terms
+    below ``geometry.WITNESS_PRUNE_TOL`` are dropped when the rest still
+    rebuilds the target within ``tol``. For a sampled reachable set the hull
+    is an inner approximation: "interior"/"boundary" remain trustworthy,
+    "exterior" does not — callers treating sampled exteriors as proofs are
+    on their own.
     """
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
@@ -571,15 +585,13 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> Membershi
             "dimension-mismatch",
             f"target dim {p_prime.size} does not match system dim {rset.setup.dim_a}",
         )
-    verts = list(rset.hull_vertex_indices)
-    status, dist, weights = classify_membership(p_prime, rset.points[verts], tol)
+    verts = rset.hull_vertex_indices
+    status, dist, weights = classify_membership(p_prime, rset.polytope, tol)
     if weights is None:
         return MembershipResult(status, dist, None, ())
-    keep = [k for k, w in enumerate(weights) if w > 1e-12]
-    kept_weights = np.array([weights[k] for k in keep])
-    kept_weights /= kept_weights.sum()
+    keep = [k for k, w in enumerate(weights) if w > 0]
     comb = ConvexCombination(
-        tuple(float(w) for w in kept_weights),
+        tuple(float(weights[k]) for k in keep),
         tuple(rset.points[verts[k]] for k in keep),
     )
     return MembershipResult(status, dist, comb, tuple(verts[k] for k in keep))

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -153,6 +152,18 @@ def test_membership_classifications(capsys):
     payload = json.loads(out)
     assert payload["classification"] == "exterior"
     assert payload["weights"] is None and payload["distance"] > 0.01
+
+
+def test_membership_vertex_target_has_a_single_term_witness(capsys):
+    code, out = _run(
+        capsys, "membership", "--ham-a", QUBIT, "--ham-b", QUBIT,
+        "--p", "0.7,0.3", "--target", "0.7,0.3",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["classification"] == "boundary"
+    assert payload["weights"] == [1.0]
+    assert len(payload["vertex_indices"]) == 1
 
 
 def test_synthesize_vertex_target(capsys):
@@ -329,20 +340,6 @@ def test_fig4_preset_summary(capsys):
     assert payload["mode"] == "reduced"
     assert len(payload["points"]) == 1344
     assert len(payload["hull_vertices"]) == 6
-
-
-def test_tolerance_env_override_is_validated():
-    env = {**os.environ, "THERMO_HORN_TOL": "1e-06"}
-    probe = "import thermohorn.config as config; print(config.TOL)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0 and out.stdout.strip() == "1e-06"
-    env["THERMO_HORN_TOL"] = "2.0"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-    assert out.returncode != 0
 
 
 def test_import_and_help_load_neither_sympy_nor_scipy_stats():

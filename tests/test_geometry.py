@@ -1,11 +1,25 @@
+import itertools
+
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from thermohorn.geometry import (
+    INTERIOR_MARGIN,
+    Polytope,
+    _facet_classification,
+    _positivity_margin,
     affine_rank,
     classify_membership,
     hull_vertex_indices,
     min_slack_combination,
 )
+
+TOL = 1e-8
+#: HiGHS solves to a primal feasibility tolerance of 1e-7, so an LP
+#: positivity margin below this cannot tell a vertex from an interior point.
+LP_NOISE = 1e-6
 
 
 def test_affine_rank_of_simplex_corners():
@@ -76,3 +90,113 @@ def test_near_vertex_point_is_not_promoted_to_interior():
     gens = np.array([[0.0, 1.0], [1.0, 0.0]])
     status, _, _ = classify_membership(np.array([1e-11, 1.0 - 1e-11]), gens)
     assert status == "boundary"
+
+
+def _lp_verdict(target, gens, tol=TOL):
+    """Reference (classification, margin): the min-slack LP, then the positivity LP."""
+    slack, _ = min_slack_combination(target, gens)
+    if slack > tol:
+        return "exterior", slack
+    found = _positivity_margin(target, gens, max(1.01 * slack, 1e-12))
+    margin = 0.0 if found is None else found[0]
+    return ("interior" if margin > INTERIOR_MARGIN else "boundary"), margin
+
+
+def _local_points(kind, rank, extra, rng):
+    """Points in R^rank: Gaussian, on the unit sphere, or a permutohedron."""
+    if kind == "gaussian":
+        return rng.normal(size=(rank + 1 + extra, rank))
+    if kind == "sphere":
+        pts = rng.normal(size=(rank + 1 + extra, rank))
+        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    # Every rearrangement of one vector: co-spherical, like the hexagons of a
+    # zero-Hamiltonian reachable set; ties on the 1/20 grid shrink it.
+    base = rng.integers(0, 21, size=rank + 1) / 20
+    perms = np.array(sorted(set(itertools.permutations(base))))
+    centered = perms - perms.mean(axis=0)
+    return centered @ np.linalg.svd(centered)[2][:rank].T
+
+
+def _check_against_lp(poly, target, expected):
+    """Compare one target's verdict with its construction and the LP oracle.
+
+    ``expected`` is the true verdict of an inside target, or None for a
+    target outside a facet or off the span, which the facet route must
+    leave to the LPs.
+    """
+    gens = poly.vertices
+    status, _, weights = classify_membership(target, poly, TOL)
+    lp_status, lp_margin = _lp_verdict(target, gens)
+    facet = _facet_classification(poly, target, TOL)
+    if expected is None:
+        assert facet is None
+        assert status == lp_status
+        return
+    assert facet is not None and status == expected
+    # At a vertex HiGHS can report a positivity margin of a few 1e-9.
+    assert lp_status == status or (lp_status == "interior" and lp_margin < LP_NOISE)
+    assert np.count_nonzero(weights) <= affine_rank(gens) + 1
+    assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) < 1e-12
+    assert np.abs(weights @ gens - target).max() <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "sphere", "permutohedron"]),
+    dim=st.integers(2, 5),
+    rank=st.integers(1, 3),
+    extra=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_facet_route_agrees_with_lp_oracle(kind, dim, rank, extra, seed):
+    assume(rank <= dim)
+    rng = np.random.default_rng(seed)
+    local = _local_points(kind, rank, extra, rng)
+    frame = np.linalg.qr(rng.normal(size=(dim, rank)))[0]
+    pts = rng.normal(size=dim) + local @ frame.T
+    verts = list(hull_vertex_indices(pts))
+    assume(len(verts) >= 2)
+    poly = Polytope(pts[verts])
+    gens, k = poly.vertices, len(verts)
+    targets = [(vertex, "boundary") for vertex in gens]
+    for weights in 0.5 * rng.dirichlet(np.ones(k), size=3) + 0.5 / k:
+        targets.append((weights @ gens, "interior"))
+    # Facets found by Qhull in the local frame, independently of the
+    # polytope's own projection: (point on the facet, unit outward normal).
+    centered = local[verts] - local[verts][0]
+    span = np.linalg.svd(centered)[2][: affine_rank(local[verts])]
+    if span.shape[0] == 1:
+        coord = centered @ span[0]
+        lo, hi = int(np.argmin(coord)), int(np.argmax(coord))
+        targets.append((0.5 * (gens[lo] + gens[hi]), "interior"))
+        facets = [(gens[hi], frame @ span[0]), (gens[lo], -(frame @ span[0]))]
+    else:
+        hull = ConvexHull(centered @ span.T)
+        facets = []
+        for simplex, equation in zip(hull.simplices[:3], hull.equations[:3]):
+            targets.append((gens[simplex[:2]].mean(axis=0), "boundary"))
+            facets.append((gens[simplex].mean(axis=0), frame @ (span.T @ equation[:-1])))
+    for on_facet, outward in facets:
+        for push in (2 * TOL, 10 * TOL):
+            targets.append((on_facet + push * outward, None))
+    if dim > rank:  # off the affine span by less than tol: still left to the LPs
+        off_span = rng.normal(size=dim)
+        off_span -= frame @ (frame.T @ off_span)
+        targets.append((gens.mean(axis=0) + 0.5 * TOL * off_span / np.linalg.norm(off_span), None))
+    for target, expected in targets:
+        _check_against_lp(poly, target, expected)
+
+
+def test_hull_qhull_refuses_is_classified_by_lp():
+    # A sliver 1e-15 thick: an SVD at rank tolerance 1e-16 counts two
+    # dimensions, but Qhull finds the initial simplex flat.
+    gens = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15], [0.25, -5e-16]])
+    poly = Polytope(gens, tol=1e-16)
+    assert poly.rank == 2 and poly.normals is None
+    for target in ([0.4, 0.0], [1.0, 0.0], [1.5, 0.0], [0.5, 0.1]):
+        target = np.array(target)
+        assert _facet_classification(poly, target, TOL) is None
+        status, _, weights = classify_membership(target, poly, TOL)
+        assert status == _lp_verdict(target, gens)[0]
+        if weights is not None:
+            assert np.abs(weights @ gens - target).max() <= TOL
