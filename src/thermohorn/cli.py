@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 precondition violation (error JSON on stdout),
 1 internal fault, 64 unknown subcommand, 65 malformed JSON input.
-Identical invocations (inputs + seed) produce byte-identical output.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import ENUMERATION_CAP
 from .energy import Hamiltonian, ThermalSetup, build_setup, weight_hamiltonian
 from .errors import PreconditionError
 from .linalg import probability_vector
@@ -147,25 +148,18 @@ def _reachable_json(rset: ReachableSet) -> str:
         {
             "points": real_rows(rset.points),
             "hull_vertices": real_rows(rset.hull_vertices()),
-            "mode": rset.mode,
+            "mode": "reduced",  # the listing's only mode; the key stays in the schema
         }
     )
 
 
-def _add_enumeration_flags(parser: _Parser):
-    parser.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "reduced", "sampled"])
-    parser.add_argument("--cap", type=int, default=None, help="enumeration cap (default 10^6)")
-    parser.add_argument("--samples", type=int, default=None, help="sample count for mode=sampled")
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _enumeration_kwargs(args) -> dict:
-    kwargs = {"mode": args.mode, "seed": args.seed}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    if args.samples is not None:
-        kwargs["sample_count"] = args.samples
-    return kwargs
+def _add_cap_flag(parser: _Parser):
+    parser.add_argument(
+        "--cap",
+        type=int,
+        default=ENUMERATION_CAP,
+        help="most candidate outputs the listing may form for one energy block (default 10^6)",
+    )
 
 
 def _setup_from_args(args) -> ThermalSetup:
@@ -284,10 +278,10 @@ def _cmd_reachable(argv) -> str:
     parser.add_argument("--ham-b", required=True)
     parser.add_argument("--p", required=True)
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
-    _add_enumeration_flags(parser)
+    _add_cap_flag(parser)
     args = parser.parse_args(argv)
     setup = _setup_from_args(args)
-    rset = classical_reachable_set(parse_vector(args.p), setup, **_enumeration_kwargs(args))
+    rset = classical_reachable_set(parse_vector(args.p), setup, cap=args.cap)
     return _reachable_csv(rset) if args.format == "csv" else _reachable_json(rset)
 
 
@@ -309,11 +303,11 @@ def _cmd_synthesize(argv) -> str:
     parser.add_argument("--p", required=True)
     parser.add_argument("--target", required=True)
     parser.add_argument("--tol", type=float, default=1e-8)
-    _add_enumeration_flags(parser)
+    _add_cap_flag(parser)
     args = parser.parse_args(argv)
     setup = _setup_from_args(args)
     p = parse_vector(args.p)
-    rset = classical_reachable_set(p, setup, **_enumeration_kwargs(args))
+    rset = classical_reachable_set(p, setup, cap=args.cap)
     found = hull_membership(parse_vector(args.target), rset, args.tol)
     if found.classification == "exterior":
         raise PreconditionError(
@@ -397,10 +391,10 @@ def _cmd_membership(argv) -> str:
     parser.add_argument("--p", required=True)
     parser.add_argument("--target", required=True)
     parser.add_argument("--tol", type=float, default=1e-8)
-    _add_enumeration_flags(parser)
+    _add_cap_flag(parser)
     args = parser.parse_args(argv)
     setup = _setup_from_args(args)
-    rset = classical_reachable_set(parse_vector(args.p), setup, **_enumeration_kwargs(args))
+    rset = classical_reachable_set(parse_vector(args.p), setup, cap=args.cap)
     found = hull_membership(parse_vector(args.target), rset, args.tol)
     return dump_json(
         {
@@ -408,7 +402,7 @@ def _cmd_membership(argv) -> str:
             "distance": _real_list([found.distance])[0],
             "weights": None if found.combination is None else _real_list(found.combination.weights),
             "vertex_indices": list(found.vertex_indices) or None,
-            "mode": rset.mode,
+            "mode": "reduced",
         }
     )
 
@@ -427,14 +421,11 @@ def _cmd_realize(argv) -> str:
     parser.add_argument("--bath-family", default="copies", choices=["copies", "oscillator"])
     parser.add_argument("--budget", type=int, default=256, help="largest bath dimension tried")
     parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     ham_a = hamiltonian_from_json(_json_argument(args.ham_a))
     p = parse_vector(args.p)
     target = parse_vector(args.target)
-    result = realize_interior(
-        p, ham_a, target, args.bath_family, args.budget, tol=args.tol, seed=args.seed
-    )
+    result = realize_interior(p, ham_a, target, args.bath_family, args.budget, tol=args.tol)
     if result is None:
         return dump_json({"found": False})
     setup, unitary, gadget = result

@@ -13,8 +13,6 @@ EIGEN_TOL = 1e-8
 #: Two reachable-set points closer than this in max-norm are one point.
 DEDUP_TOL = 1e-10
 
-#: Exhaustive permutation enumeration refuses above this count.
+#: The reachable-set listing refuses a block step forming more candidate
+#: outputs than this; the brute-force enumeration, more permutations.
 ENUMERATION_CAP = 10**6
-
-#: Sample size used when an enumeration falls back to seeded sampling.
-SAMPLE_COUNT = 10**4

@@ -5,10 +5,13 @@ the exact total-energy blocks of system ⊗ bath. Within the classical
 (permutation) subset this makes the reachable set finite; allowing arbitrary
 block unitaries fills in exactly the convex hull:
 
-* *enumerate / reach*: walk the per-block permutations (exhaustively, one
-  representative per distinct-output class, or by seeded sampling), apply
-  them to the joint input ``p ⊗ gamma_B``, and take the hull of the
-  marginals;
+* *reach*: the marginal map acts block by block, so the classical outputs
+  of ``p ⊗ gamma_B`` are a Minkowski sum over energy blocks of each block's
+  contributions. ``classical_reachable_set`` lists every distinct output
+  (one system-label arrangement per block, deduplicated after each block);
+  the bath search keeps only each block's greedy beta-orderings (input
+  weights, largest first, filling the system labels in every order), whose
+  sum has the same hull (Lostaglio, Alhambra & Perry, Quantum 2, 52 (2018));
 * *synthesize*: for a convex mixture of classical outcomes, build per-block
   Schur-Horn rotations carrying the joint diagonal to the mixed one — a
   single exactly energy-preserving unitary, plus (for degenerate system
@@ -33,7 +36,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import DEDUP_TOL, ENUMERATION_CAP, SAMPLE_COUNT
+from .config import DEDUP_TOL, ENUMERATION_CAP
 from .energy import (
     EnergyLabel,
     Hamiltonian,
@@ -165,24 +168,19 @@ class ProductConvexCombination:
 
 @dataclass(frozen=True)
 class ClassicalEnumeration:
-    """Energy-preserving permutations, one per row, plus how they were produced."""
+    """Every energy-preserving permutation of the joint basis, one per row."""
 
     permutations: np.ndarray  # (count, dim_joint) images
-    mode: str  # "exhaustive" | "reduced" | "sampled"
     total_count: int  # exact number of energy-preserving permutations
 
     @property
-    def sampled(self) -> bool:
-        return self.mode == "sampled"
+    def mode(self) -> str:
+        """Always ``"exhaustive"``; the benchmark's span recorder reads it."""
+        return "exhaustive"
 
 
 def _block_system_labels(block: tuple[int, ...], dim_b: int) -> list[int]:
     return [idx // dim_b for idx in block]
-
-
-def _block_permutation_targets(block: tuple[int, ...]) -> np.ndarray:
-    """All |block|! permutations as rows of joint-index images."""
-    return np.array(list(itertools.permutations(block)), dtype=np.int64)
 
 
 def _multiset_permutations(items):
@@ -232,13 +230,6 @@ def _block_class_targets(block: tuple[int, ...], dim_b: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _multinomial(counts: list[int]) -> int:
-    total = math.factorial(sum(counts))
-    for c in counts:
-        total //= math.factorial(c)
-    return total
-
-
 def _assemble_joint(setup: ThermalSetup, per_block: list[np.ndarray]) -> np.ndarray:
     sizes = [t.shape[0] for t in per_block]
     count = math.prod(sizes)
@@ -253,86 +244,29 @@ def _assemble_joint(setup: ThermalSetup, per_block: list[np.ndarray]) -> np.ndar
     return perms
 
 
-def enumerate_classical(
-    setup: ThermalSetup,
-    cap: int = ENUMERATION_CAP,
-    *,
-    mode: str = "auto",
-    seed: int = 0,
-    sample_count: int = SAMPLE_COUNT,
-) -> ClassicalEnumeration:
-    """Enumerate energy-preserving permutations of the joint basis.
+def enumerate_classical(setup: ThermalSetup, cap: int = ENUMERATION_CAP) -> ClassicalEnumeration:
+    """All ``prod |block|!`` energy-preserving permutations, refused above ``cap``.
 
-    Modes: ``exhaustive`` walks all ``prod |block|!`` permutations (refused
-    above ``cap``); ``reduced`` walks one representative per distinct-output
-    class (exact for reachable-set purposes, much smaller, refused above
-    ``cap``); ``sampled`` draws ``sample_count`` seeded uniform block
-    permutations (identity always included) and flags itself; ``auto`` picks
-    exhaustive when it fits, else reduced when it fits, else raises — it
-    never silently samples.
+    Rows run over each block's ``itertools.permutations`` order, the last
+    block fastest. This brute-force walk is the reference that the
+    reachable-set constructions are checked against, not a route to them.
     """
     total = math.prod(math.factorial(len(b)) for b in setup.blocks)
-    if mode not in ("auto", "exhaustive", "reduced", "sampled"):
-        raise PreconditionError("bad-mode", f"unknown enumeration mode {mode!r}")
-    if sample_count < 0:
-        raise PreconditionError("bad-sample-count", f"need sample_count >= 0, got {sample_count}")
-    if mode == "auto":
-        if total <= cap:
-            mode = "exhaustive"
-        else:
-            reduced_total = math.prod(
-                _multinomial(
-                    [
-                        _block_system_labels(b, setup.dim_b).count(lab)
-                        for lab in sorted(set(_block_system_labels(b, setup.dim_b)))
-                    ]
-                )
-                for b in setup.blocks
-            )
-            if reduced_total <= cap:
-                mode = "reduced"
-            else:
-                raise PreconditionError(
-                    "enumeration-cap",
-                    f"{total} permutations ({reduced_total} output classes) exceed the cap "
-                    f"{cap}; pass mode='sampled' to sample instead",
-                )
-    if mode == "exhaustive":
-        if total > cap:
-            raise PreconditionError(
-                "enumeration-cap",
-                f"{total} permutations exceed the cap {cap}; "
-                "use mode='reduced' or mode='sampled'",
-            )
-        per_block = [_block_permutation_targets(b) for b in setup.blocks]
-        return ClassicalEnumeration(_assemble_joint(setup, per_block), "exhaustive", total)
-    if mode == "reduced":
-        per_block = [_block_class_targets(b, setup.dim_b) for b in setup.blocks]
-        count = math.prod(t.shape[0] for t in per_block)
-        if count > cap:
-            raise PreconditionError(
-                "enumeration-cap",
-                f"{count} output classes exceed the cap {cap}; use mode='sampled'",
-            )
-        return ClassicalEnumeration(_assemble_joint(setup, per_block), "reduced", total)
-    # sampled
-    rng = np.random.default_rng(seed)
-    picks = np.empty((sample_count + 1, setup.dim_joint), dtype=np.int64)
-    picks[0] = np.arange(setup.dim_joint)
-    for row in range(1, sample_count + 1):
-        for block in setup.blocks:
-            idx = np.asarray(block)
-            picks[row, idx] = idx[rng.permutation(len(block))]
-    return ClassicalEnumeration(picks, "sampled", total)
+    if total > cap:
+        raise PreconditionError("enumeration-cap", f"{total} permutations exceed the cap {cap}")
+    per_block = [np.array(list(itertools.permutations(b)), dtype=np.int64) for b in setup.blocks]
+    return ClassicalEnumeration(_assemble_joint(setup, per_block), total)
 
 
 @dataclass(frozen=True)
 class ReachableSet:
-    """Deduplicated classical outputs, their hull vertices, and provenance.
+    """Exact classical outputs, one representative each, and their hull vertices.
 
-    ``representatives[k]`` is one energy-preserving permutation producing
-    ``points[k]`` exactly. Points are sorted lexicographically (on the
-    1e-10 dedup grid), so equal inputs give byte-equal outputs.
+    ``representatives[k]`` is an energy-preserving permutation producing
+    ``points[k]`` exactly. :func:`classical_reachable_set` lists every
+    distinct output, sorted lexicographically on the 1e-10 dedup grid, so
+    equal inputs give byte-equal outputs; the set :func:`realize_interior`
+    searches keeps only the hull candidates.
     """
 
     points: np.ndarray  # (count, dim_a)
@@ -340,11 +274,6 @@ class ReachableSet:
     setup: ThermalSetup
     initial: ProbabilityVector
     representatives: np.ndarray  # (count, dim_joint)
-    mode: str
-
-    @property
-    def sampled(self) -> bool:
-        return self.mode == "sampled"
 
     def hull_vertices(self) -> np.ndarray:
         return self.points[list(self.hull_vertex_indices)]
@@ -368,34 +297,122 @@ def _marginal_outputs(
     return out
 
 
+def _first_distinct(points: np.ndarray) -> np.ndarray:
+    """Ascending indices of each point's first occurrence on the dedup grid."""
+    _, keep = np.unique(np.round(points, 10), axis=0, return_index=True)
+    return np.sort(keep)
+
+
+def _hull_candidates(points: np.ndarray) -> np.ndarray:
+    """Ascending indices of the distinct points that are hull vertices."""
+    keep = _first_distinct(points)
+    return keep[list(hull_vertex_indices(points[keep], tol=DEDUP_TOL))]
+
+
+def _blockwise_sum(setup: ThermalSetup, v: np.ndarray, candidates, prune) -> np.ndarray:
+    """Joint representatives of a Minkowski sum of per-block contributions.
+
+    ``candidates(block, running)`` gives in-block permutations as rows of
+    joint-index images, ``running`` being the number of partial outputs
+    they will be added to; a row contributes the input weight it sends to
+    each system level. Every partial output is extended by every row, in
+    (partial output, row) order, and ``prune`` picks the ascending indices
+    of the sums to keep. Only back-pointers are kept along the way; the
+    joint permutation behind each final sum is rebuilt at the end.
+    """
+    dim_a, dim_b = setup.dim_a, setup.dim_b
+    partial = np.zeros((1, dim_a))
+    steps = []
+    for block in setup.blocks:
+        targets = candidates(block, len(partial))
+        labels = targets // dim_b
+        weights = v[list(block)]
+        gains = np.stack([(labels == a) @ weights for a in range(dim_a)], axis=1)
+        sums = (partial[:, None, :] + gains[None, :, :]).reshape(-1, dim_a)
+        keep = prune(sums)
+        steps.append((block, targets, keep // len(targets), keep % len(targets)))
+        partial = sums[keep]
+    reps = np.empty((len(partial), setup.dim_joint), dtype=np.int64)
+    state = np.arange(len(partial))
+    for block, targets, parent, row in reversed(steps):
+        reps[:, list(block)] = targets[row[state]]
+        state = parent[state]
+    return reps
+
+
 def classical_reachable_set(
-    p,
-    setup: ThermalSetup,
-    *,
-    cap: int = ENUMERATION_CAP,
-    mode: str = "auto",
-    seed: int = 0,
-    sample_count: int = SAMPLE_COUNT,
+    p, setup: ThermalSetup, *, cap: int = ENUMERATION_CAP, mode: str = "reduced"
 ) -> ReachableSet:
-    """All classical outputs from ``p`` with this setup, plus their hull."""
+    """Every distinct classical output from ``p`` with this setup, plus their hull.
+
+    Each block contributes one row per arrangement of its system labels;
+    the partial outputs are deduplicated after every block, each keeping
+    its first (partial output, arrangement) pair, so ``representatives[k]``
+    is the lexicographically first energy-preserving permutation producing
+    ``points[k]``. ``cap`` bounds the rows formed in any one block step;
+    ``mode`` accepts only ``"reduced"``.
+    """
+    if mode != "reduced":
+        raise PreconditionError("bad-mode", f"unknown enumeration mode {mode!r}")
     p = probability_vector(p)
-    enum = enumerate_classical(setup, cap, mode=mode, seed=seed, sample_count=sample_count)
     v = setup.joint_input(p)
-    raw = _marginal_outputs(enum.permutations, v, setup.dim_a, setup.dim_b)
-    rounded = np.round(raw, 10)
-    _, keep = np.unique(rounded, axis=0, return_index=True)
+
+    def arrangements(block, running):
+        labels = _block_system_labels(block, setup.dim_b)
+        count = math.factorial(len(labels))
+        for lab in set(labels):
+            count //= math.factorial(labels.count(lab))
+        if running * count > cap:
+            raise PreconditionError(
+                "enumeration-cap",
+                f"{running * count} candidate outputs in one block step exceed the cap {cap}",
+            )
+        return _block_class_targets(block, setup.dim_b)
+
+    reps = _blockwise_sum(setup, v, arrangements, _first_distinct)
+    raw = _marginal_outputs(reps, v, setup.dim_a, setup.dim_b)
+    keep = _first_distinct(raw)
     order = keep[np.lexsort(np.round(raw[keep], 10).T[::-1])]
     points = raw[order]
-    representatives = enum.permutations[order]
     verts = hull_vertex_indices(points, tol=DEDUP_TOL)
-    return ReachableSet(
-        points=points,
-        hull_vertex_indices=verts,
-        setup=setup,
-        initial=p,
-        representatives=representatives,
-        mode=enum.mode,
-    )
+    return ReachableSet(points, verts, setup, p, reps[order])
+
+
+def _greedy_block_targets(block: tuple[int, ...], v: np.ndarray, dim_b: int) -> np.ndarray:
+    """In-block permutations whose contributions include every extreme one.
+
+    For each order of the system labels present, the block's entries of the
+    joint input ``v``, largest first, fill the labels' slots in that order
+    (each label's slots ascending). A linear functional of the contribution
+    is maximized by filling labels in descending order of their
+    coefficients, so these at most L! rows (L labels present) cover every
+    vertex of the block's contribution hull.
+    """
+    slots: dict[int, list[int]] = {}
+    for idx in block:
+        slots.setdefault(idx // dim_b, []).append(idx)
+    heaviest_first = np.argsort(-v[list(block)], kind="stable")
+    rows = np.empty((math.factorial(len(slots)), len(block)), dtype=np.int64)
+    for r, order in enumerate(itertools.permutations(slots)):
+        rows[r, heaviest_first] = [idx for lab in order for idx in slots[lab]]
+    return rows
+
+
+def _greedy_reachable_set(p: ProbabilityVector, setup: ThermalSetup) -> ReachableSet:
+    """Hull candidates of the classical outputs: sums of greedy block orderings.
+
+    The vertices of a Minkowski sum are sums of the summands' vertices, so
+    pruning to hull vertices after every block loses nothing; each point's
+    representative is its greedy assignment.
+    """
+    v = setup.joint_input(p)
+
+    def greedy(block, _running):
+        return _greedy_block_targets(block, v, setup.dim_b)
+
+    reps = _blockwise_sum(setup, v, greedy, _hull_candidates)
+    points = _marginal_outputs(reps, v, setup.dim_a, setup.dim_b)
+    return ReachableSet(points, hull_vertex_indices(points, tol=DEDUP_TOL), setup, p, reps)
 
 
 def energy_preservation_defect(u: ComplexMatrix, setup: ThermalSetup) -> float:
@@ -572,10 +589,7 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> Membershi
     linear programming: ``distance`` is the max-norm residual for exterior
     targets and the LP positivity margin for inside ones. Witness terms
     below ``geometry.WITNESS_PRUNE_TOL`` are dropped when the rest still
-    rebuilds the target within ``tol``. For a sampled reachable set the hull
-    is an inner approximation: "interior"/"boundary" remain trustworthy,
-    "exterior" does not — callers treating sampled exteriors as proofs are
-    on their own.
+    rebuilds the target within ``tol``.
     """
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
@@ -654,9 +668,7 @@ def realize_interior(
     bath_family: str = "copies",
     budget: int = 256,
     *,
-    cap: int = ENUMERATION_CAP,
     tol: float = 1e-8,
-    seed: int = 0,
 ) -> tuple[ThermalSetup, ComplexMatrix, NoisyRealization | None] | None:
     """Search growing baths for an exact realization of a feasible target.
 
@@ -664,9 +676,11 @@ def realize_interior(
     the necessary condition). Bath families: ``copies`` walks k-fold tensor
     powers of the system Hamiltonian, ``oscillator`` walks equally spaced
     truncations with the gcd of the system gaps as spacing; both start at
-    the trivial one-dimensional bath and stop at dimension ``budget``.
-    Returns ``(setup, unitary, gadget)`` on success and None when the budget
-    runs out — which proves nothing about larger baths.
+    the trivial one-dimensional bath and stop at dimension ``budget``. Each
+    bath is decided on its exact classical hull, built from greedy block
+    orderings. Returns ``(setup, unitary, gadget)`` for the first bath whose
+    hull holds the target, and None when no bath of the family up to
+    ``budget`` does — which proves nothing about larger baths.
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
@@ -678,12 +692,7 @@ def realize_interior(
         )
     for ham_b in _bath_family(ham_a, bath_family, budget):
         setup = build_setup(ham_a, ham_b)
-        try:
-            rset = classical_reachable_set(p, setup, cap=cap, seed=seed)
-        except PreconditionError as exc:
-            if exc.code != "enumeration-cap":
-                raise
-            rset = classical_reachable_set(p, setup, cap=cap, mode="sampled", seed=seed)
+        rset = _greedy_reachable_set(p, setup)
         found = hull_membership(p_prime, rset, tol)
         if found.classification == "exterior":
             continue

@@ -3,10 +3,14 @@
 The library decides thermomajorization with a feasibility LP; the oracle
 here uses the piecewise-linear dominance-curve characterization instead, so
 agreement between the two is a real consistency check rather than the same
-code called twice.
+code called twice. Likewise the reachable-set listing, built block by block
+as a Minkowski sum, is checked against the marginals of every
+energy-preserving permutation.
 """
 
 import numpy as np
+
+from thermohorn import enumerate_classical
 
 
 def dominance_curve(p, gamma):
@@ -42,3 +46,18 @@ def majorizes_oracle(p, q, slack=1e-11):
     """Majorization as thermomajorization with the uniform fixed point."""
     n = len(np.asarray(p))
     return thermomajorizes_oracle(p, q, np.full(n, 1.0 / n), slack)
+
+
+def reachable_listing(p, setup):
+    """Distinct marginals of all energy-preserving permutations, brute force.
+
+    Keeps the first permutation producing each output (on the 1e-10 grid)
+    and sorts the outputs lexicographically; returns (points, permutations).
+    """
+    perms = enumerate_classical(setup).permutations
+    shuffled = np.zeros(perms.shape)
+    shuffled[np.arange(len(perms))[:, None], perms] = setup.joint_input(p)
+    raw = shuffled.reshape(len(perms), setup.dim_a, setup.dim_b).sum(axis=2)
+    _, first = np.unique(np.round(raw, 10), axis=0, return_index=True)
+    order = first[np.lexsort(np.round(raw[first], 10).T[::-1])]
+    return raw[order], perms[order]

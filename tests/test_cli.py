@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from thermohorn.cli import main
 from thermohorn.serialize import format_float, realization_from_json
 
 LN2 = math.log(2.0)
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 
 
 def _osc_json(m, beta):
@@ -136,7 +138,7 @@ def test_reachable_json_structure(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["mode"] == "exhaustive"
+    assert payload["mode"] == "reduced"
     assert len(payload["points"]) == 2 and len(payload["hull_vertices"]) == 2
 
 
@@ -187,13 +189,17 @@ def test_synthesize_rejects_nonpositive_tolerance(capsys):
     assert json.loads(out)["error"] == "bad-tolerance"
 
 
-def test_reachable_rejects_negative_sample_count(capsys):
-    code, out = _run(
-        capsys, "reachable", "--ham-a", QUBIT, "--ham-b", OSC3,
-        "--p", "0.7,0.3", "--mode", "sampled", "--samples", "-3",
-    )
-    assert code == 2
-    assert json.loads(out)["error"] == "bad-sample-count"
+def test_removed_enumeration_flags_exit_2(capsys):
+    base = ("--ham-a", QUBIT, "--p", "0.7,0.3")
+    for argv in (
+        ("reachable", "--ham-b", OSC3, *base, "--mode", "exhaustive"),
+        ("membership", "--ham-b", OSC3, *base, "--target", "0.7,0.3", "--samples", "10"),
+        ("synthesize", "--ham-b", OSC3, *base, "--target", "0.7,0.3", "--seed", "1"),
+        ("realize", *base, "--target", "0.7,0.3", "--seed", "1"),
+    ):
+        code, out = _run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "usage"
 
 
 def test_synthesize_rejects_exterior_target(capsys):
@@ -340,6 +346,16 @@ def test_fig4_preset_summary(capsys):
     assert payload["mode"] == "reduced"
     assert len(payload["points"]) == 1344
     assert len(payload["hull_vertices"]) == 6
+
+
+def test_fig4_matches_benchmark_goldens(capsys):
+    with open(GOLDENS, encoding="utf-8") as handle:
+        goldens = json.load(handle)
+    for key in ("fig4-json/0", "fig4-csv/0"):
+        golden = goldens[key]
+        code, out = _run(capsys, *golden["argv"])
+        assert code == 0
+        assert out == golden["stdout"], key
 
 
 def test_import_and_help_load_neither_sympy_nor_scipy_stats():

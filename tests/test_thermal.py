@@ -1,9 +1,10 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermohorn import (
@@ -11,6 +12,7 @@ from thermohorn import (
     Hamiltonian,
     PreconditionError,
     ProductConvexCombination,
+    alpha_max_achievable,
     alpha_max_oscillator,
     build_setup,
     classical_reachable_set,
@@ -32,7 +34,10 @@ from thermohorn import (
     zero_hamiltonian,
 )
 from thermohorn.energy import EnergyLabel
-from thermohorn.thermal import _multiset_permutations
+from thermohorn.geometry import hull_vertex_indices
+from thermohorn.thermal import _greedy_reachable_set, _multiset_permutations
+
+from oracles import reachable_listing
 
 
 def _qubit_oscillator(m, beta_de=math.log(2.0)):
@@ -63,31 +68,12 @@ def test_enumeration_count_qubit_oscillator():
 
 
 def test_enumeration_modes_on_two_copy_preset():
-    setup, _ = _two_copy_preset()
-    enum = enumerate_classical(setup)
-    assert enum.mode == "reduced"
-    assert enum.total_count == 33592320
-    assert enum.permutations.shape[0] == 90 * 3**6
+    setup, p = _two_copy_preset()
     with pytest.raises(PreconditionError) as err:
-        enumerate_classical(setup, mode="exhaustive")
+        enumerate_classical(setup)
     assert err.value.code == "enumeration-cap"
-
-
-def test_enumeration_cap_requires_explicit_sampling():
-    setup, _ = _two_copy_preset()
-    with pytest.raises(PreconditionError):
-        enumerate_classical(setup, cap=1000)
-    enum = enumerate_classical(setup, cap=1000, mode="sampled", sample_count=50)
-    assert enum.sampled
-    assert enum.permutations.shape == (51, 27)
-    assert np.array_equal(enum.permutations[0], np.arange(27))
-
-
-def test_enumeration_rejects_negative_sample_count():
-    setup, _ = _two_copy_preset()
-    with pytest.raises(PreconditionError) as err:
-        enumerate_classical(setup, mode="sampled", sample_count=-3)
-    assert err.value.code == "bad-sample-count"
+    assert "33592320 permutations" in err.value.detail
+    assert classical_reachable_set(p, setup).points.shape == (1344, 3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,20 +83,54 @@ def test_multiset_permutations_are_the_sorted_distinct_arrangements(items):
     assert list(_multiset_permutations(items)) == expected
 
 
-def test_enumeration_reduced_zero_hamiltonian_count():
-    setup = build_setup(zero_hamiltonian(3), zero_hamiltonian(3))
-    enum = enumerate_classical(setup, mode="reduced")
-    assert enum.permutations.shape[0] == math.factorial(9) // 6**3
-    assert enum.total_count == math.factorial(9)
+@st.composite
+def _small_setups(draw):
+    """System dim 2-3, bath dim 1-5, quanta 0-2, at most 10^5 permutations."""
+    beta = draw(st.sampled_from([0.5, 1.0, math.log(2.0)]))
+
+    def hamiltonian(min_dim, max_dim):
+        quanta = draw(st.lists(st.integers(0, 2), min_size=min_dim, max_size=max_dim))
+        return Hamiltonian(tuple(EnergyLabel(q) for q in quanta), beta, 1.0)
+
+    setup = build_setup(hamiltonian(2, 3), hamiltonian(1, 5))
+    assume(math.prod(math.factorial(len(b)) for b in setup.blocks) <= 10**5)
+    n = setup.dim_a
+    kind = draw(st.sampled_from(["weights", "zero-entry", "one-hot", "uniform"]))
+    if kind == "one-hot":
+        return setup, np.eye(n)[draw(st.integers(0, n - 1))]
+    if kind == "uniform":
+        return setup, np.full(n, 1.0 / n)
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), dtype=float)
+    if kind == "zero-entry":
+        weights[draw(st.integers(0, n - 1))] = 0.0
+    return setup, weights / weights.sum()
 
 
-def test_reduced_enumeration_covers_same_outputs_as_exhaustive():
-    setup = build_setup(zero_hamiltonian(2), zero_hamiltonian(3))
-    p = np.array([0.7, 0.3])
-    exhaustive = classical_reachable_set(p, setup, mode="exhaustive")
-    reduced = classical_reachable_set(p, setup, mode="reduced")
-    assert exhaustive.points.shape == reduced.points.shape
-    assert np.abs(exhaustive.points - reduced.points).max() < 1e-12
+@settings(max_examples=80, deadline=None)
+@given(case=_small_setups())
+def test_listing_matches_exhaustive_reference(case):
+    setup, p = case
+    rset = classical_reachable_set(p, setup)
+    points, representatives = reachable_listing(p, setup)
+    assert np.array_equal(rset.points, points)
+    assert np.array_equal(rset.representatives, representatives)
+    assert rset.hull_vertex_indices == hull_vertex_indices(points, tol=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_small_setups())
+def test_greedy_hull_is_the_listing_hull(case):
+    # Vertex lists are not compared for equality: Qhull keeps or drops points
+    # on an edge depending on float noise. Each listing vertex must be a
+    # greedy point, and no greedy point may lie outside the listing hull.
+    setup, p = case
+    listing = classical_reachable_set(p, setup)
+    greedy = _greedy_reachable_set(p, setup)
+    for vertex in listing.hull_vertices():
+        assert np.abs(greedy.points - vertex).max(axis=1).min() < 1e-12
+    for point, perm in zip(greedy.points, greedy.representatives):
+        assert hull_membership(point, listing).classification != "exterior"
+        assert np.abs(_classical_marginal(setup, perm, p) - point).max() < 1e-12
 
 
 def test_reachable_points_match_extraction_closed_form():
@@ -349,6 +369,41 @@ def test_realize_extreme_point_exhausts_budget():
     p = np.array([0.0, 1.0])
     star = p_star(p, qubit_gibbs(1.0, beta_de))
     assert realize_interior(p, ham_a, star, "oscillator", budget=5) is None
+
+
+def _qubit_copies(k, beta):
+    ham_a = qubit_hamiltonian(beta=beta)
+    levels = (EnergyLabel(),)
+    for _ in range(k):
+        levels = tuple(a + b for a in levels for b in ham_a.levels)
+    return ham_a, Hamiltonian(levels, beta, 1.0)
+
+
+def test_realize_copies_reaches_the_bath_the_closed_form_allows():
+    # Bath 32 has a 20-slot block with 184,756 label arrangements, too many
+    # to list per bath; the greedy hull decides it exactly.
+    ham_a, bath_16 = _qubit_copies(4, math.log(2.0))
+    _, bath_32 = _qubit_copies(5, math.log(2.0))
+    p, a = np.array([1.0, 0.0]), 0.425
+    assert alpha_max_achievable(bath_16, 1) < a <= alpha_max_achievable(bath_32, 1)
+    result = realize_interior(p, ham_a, np.array([1 - a, a]), "copies", budget=64)
+    assert result is not None
+    setup, u, _ = result
+    assert setup.dim_b == 32
+    achieved = ((np.abs(u) ** 2) @ setup.joint_input(p)).reshape(2, 32).sum(axis=1)
+    assert np.abs(achieved - [1 - a, a]).max() < 1e-8
+
+
+def test_greedy_hull_decides_six_copy_bath_exactly():
+    ham_a, ham_b = _qubit_copies(6, math.log(2.0))
+    setup = build_setup(ham_a, ham_b)
+    assert setup.dim_joint == 128 and max(setup.block_sizes()) == 35
+    start = time.perf_counter()
+    rset = _greedy_reachable_set(np.array([1.0, 0.0]), setup)
+    elapsed = time.perf_counter() - start
+    assert rset.points[:, 1].max() == pytest.approx(alpha_max_achievable(ham_b, 1), abs=1e-12)
+    assert rset.points[:, 1].min() == 0.0
+    assert elapsed < 0.5
 
 
 def test_random_block_unitary_preserves_energy():
