@@ -10,6 +10,9 @@ from __future__ import annotations
 #: Residual tolerance for eigendecompositions.
 EIGEN_TOL = 1e-8
 
+#: A matrix is unitary when the max-norm of ``U†U − I`` is at most this.
+UNITARITY_TOL = 1e-10
+
 #: Two reachable-set points closer than this in max-norm are one point.
 DEDUP_TOL = 1e-10
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .config import EIGEN_TOL
+from .config import EIGEN_TOL, UNITARITY_TOL
 from .errors import PreconditionError
 
 ComplexMatrix = npt.NDArray[np.complex128]
@@ -53,6 +53,13 @@ def unitarity_defect(mat: ComplexMatrix) -> float:
     """Max-norm of ``U† U − I``; 0 for an exact unitary."""
     eye = np.eye(mat.shape[0])
     return float(np.max(np.abs(mat.conj().T @ mat - eye)))
+
+
+def require_unitary(mat: ComplexMatrix) -> None:
+    """Raise ``not-unitary`` unless ``mat`` is unitary to ``UNITARITY_TOL``."""
+    defect = unitarity_defect(mat)
+    if defect > UNITARITY_TOL:
+        raise PreconditionError("not-unitary", f"max-norm of U†U − I is {defect}")
 
 
 def probability_vector(entries, *, tol: float = 1e-10) -> ProbabilityVector:
@@ -160,8 +167,9 @@ def partial_trace_b(mat: ComplexMatrix, dim_a: int, dim_b: int) -> ComplexMatrix
 def apply_channel(u: ComplexMatrix, rho_a: DensityMatrix, sigma_b: DensityMatrix) -> DensityMatrix:
     """Apply ``rho_a -> Tr_B[U (rho_a ⊗ sigma_b) U†]``.
 
-    ``u`` must be unitary on the joint space to 1e-10; the defect is reported
-    on failure. The output is validated as a density matrix (PSD up to 1e-9).
+    ``u`` must be unitary on the joint space to ``UNITARITY_TOL``; the defect
+    is reported on failure. The output is validated as a density matrix (PSD
+    up to 1e-9).
     """
     u = np.asarray(u, dtype=np.complex128)
     rho_a = density_matrix(rho_a)
@@ -172,11 +180,14 @@ def apply_channel(u: ComplexMatrix, rho_a: DensityMatrix, sigma_b: DensityMatrix
             "dimension-mismatch",
             f"unitary shape {u.shape} does not match joint dimension {dim_a * dim_b}",
         )
-    defect = unitarity_defect(u)
-    if defect > 1e-10:
-        raise PreconditionError("not-unitary", f"max-norm of U†U − I is {defect}")
+    require_unitary(u)
+    return channel_output(u, rho_a, sigma_b)
+
+
+def channel_output(u: ComplexMatrix, rho_a: DensityMatrix, sigma_b: DensityMatrix) -> DensityMatrix:
+    """Unchecked kernel of :func:`apply_channel`: the caller vouches for ``u`` and the states."""
     joint = tensor(rho_a, sigma_b)
-    out = partial_trace_b(u @ joint @ u.conj().T, dim_a, dim_b)
+    out = partial_trace_b(u @ joint @ u.conj().T, rho_a.shape[0], sigma_b.shape[0])
     return density_matrix(out, herm_tol=1e-9, trace_tol=1e-9, psd_tol=1e-9)
 
 
@@ -188,9 +199,7 @@ def hadamard_square(u: ComplexMatrix) -> RealMatrix:
     diagonal is exactly this linear map.
     """
     u = np.asarray(u, dtype=np.complex128)
-    defect = unitarity_defect(u)
-    if defect > 1e-10:
-        raise PreconditionError("not-unitary", f"max-norm of U†U − I is {defect}")
+    require_unitary(u)
     return (u.real**2 + u.imag**2).astype(np.float64)
 
 
@@ -231,11 +240,8 @@ def spectrum_sorted(rho: DensityMatrix) -> tuple[ProbabilityVector, ComplexMatri
     if np.count_nonzero(offdiag) == 0:
         values = np.real(np.diag(rho))
         order = np.argsort(-values, kind="stable")
-        lam = probability_vector(values[order])
         # V with columns e_{order[k]}: V† rho V = diag sorted.
-        v = np.zeros((dim, dim), dtype=np.complex128)
-        v[order, np.arange(dim)] = 1.0
-        return lam, v
+        return probability_vector(values[order]), permutation_matrix(order)
     try:
         values, vectors = np.linalg.eigh(rho)
     except np.linalg.LinAlgError as exc:

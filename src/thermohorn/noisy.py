@@ -28,13 +28,16 @@ from .linalg import (
     DensityMatrix,
     ProbabilityVector,
     apply_channel,
+    channel_output,
     cyclic_shift,
     density_matrix,
     diag_embedding,
+    partial_trace_b,
+    permutation_matrix,
     probability_vector,
+    require_unitary,
     spectrum_sorted,
     tensor,
-    unitarity_defect,
 )
 from .majorization import StochasticMatrix, majorizes, schur_horn_unitary, stochastic_matrix
 
@@ -70,8 +73,9 @@ class NoisyRealization:
     """A unitary on system ⊗ bath together with the maximally mixed bath.
 
     When ``input_state``/``output_state`` are declared, construction verifies
-    that the channel actually carries the one to the other (diagonal states,
-    compared entrywise to 1e-9).
+    that the channel actually carries the one to the other: the whole output
+    matrix, off-diagonals included, must match ``diag(output_state)``
+    entrywise to 1e-9.
     """
 
     system_dim: int
@@ -87,13 +91,12 @@ class NoisyRealization:
             raise PreconditionError(
                 "dimension-mismatch", f"unitary shape {u.shape}, expected {(n * m, n * m)}"
             )
-        defect = unitarity_defect(u)
-        if defect > 1e-10:
-            raise PreconditionError("not-unitary", f"max-norm of U†U − I is {defect}")
+        require_unitary(u)
         object.__setattr__(self, "unitary", u)
         if self.input_state is not None and self.output_state is not None:
-            achieved = self.apply(diag_embedding(probability_vector(self.input_state)))
-            err = float(np.max(np.abs(np.real(np.diag(achieved)) - self.output_state)))
+            rho = diag_embedding(probability_vector(self.input_state))
+            achieved = channel_output(u, rho, self.bath_state())
+            err = float(np.max(np.abs(achieved - diag_embedding(self.output_state))))
             if err > 1e-9:
                 raise PreconditionError(
                     "realization-mismatch",
@@ -113,6 +116,12 @@ class NoisyRealization:
         return probability_vector(np.real(np.diag(out)), tol=1e-9)
 
 
+def _conditional_shift(powers, bath_dim: int) -> ComplexMatrix:
+    """``sum_i |i><i| ⊗ pi^(powers[i])``: the permutation ``(i, b) -> (i, b + powers[i])``."""
+    d = bath_dim
+    return permutation_matrix([i * d + (b + k) % d for i, k in enumerate(powers) for b in range(d)])
+
+
 def decoherence_gadget(n: int) -> NoisyRealization:
     """Conditional-shift unitary whose channel zeroes all off-diagonals.
 
@@ -123,12 +132,7 @@ def decoherence_gadget(n: int) -> NoisyRealization:
     """
     if n < 1:
         raise PreconditionError("bad-dimension", f"need n >= 1, got {n}")
-    w = np.zeros((n * n, n * n), dtype=np.complex128)
-    for k in range(n):
-        proj = np.zeros((n, n), dtype=np.complex128)
-        proj[k, k] = 1.0
-        w += tensor(proj, cyclic_shift(n, k))
-    return NoisyRealization(n, n, w)
+    return NoisyRealization(n, n, _conditional_shift(range(n), n))
 
 
 def horn_transition_unitary(p, p_prime) -> NoisyRealization:
@@ -143,15 +147,13 @@ def horn_transition_unitary(p, p_prime) -> NoisyRealization:
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
-    if p.size != p_prime.size:
-        raise PreconditionError("dimension-mismatch", f"dims {p.size} and {p_prime.size} differ")
-    if not majorizes(p, p_prime):
+    if not majorizes(p, p_prime):  # raises dimension-mismatch first
         raise PreconditionError(
             "majorization-failure", "initial state must majorize the target"
         )
     n = p.size
     v = schur_horn_unitary(p, p_prime)
-    u = decoherence_gadget(n).unitary @ tensor(v, np.eye(n, dtype=np.complex128))
+    u = _conditional_shift(range(n), n) @ tensor(v, np.eye(n, dtype=np.complex128))
     return NoisyRealization(n, n, u, input_state=p, output_state=p_prime)
 
 
@@ -170,7 +172,9 @@ def marginal_transition_unitary(
     powers make every cross term traceless (this is where ``dim_a <= dim_b``
     is needed), so the B-trace of ``U_0 λ̂ U_0†`` is ``diag(|u|² t)``.
     Diagonalizing unitaries of ``rho_ab`` and ``sigma_a`` are composed in to
-    handle general inputs.
+    handle general inputs. The result is checked before it is returned: it
+    must be unitary to ``UNITARITY_TOL`` and carry ``rho_ab`` to within 1e-8
+    of ``sigma_a`` (max-norm); a miss raises ``RuntimeError``.
     """
     if dim_a > dim_b:
         raise PreconditionError(
@@ -193,13 +197,16 @@ def marginal_transition_unitary(
             "block-summed sorted spectrum of the joint state must majorize the target spectrum",
         )
     u_small = schur_horn_unitary(blocked, spec_sigma)
+    i, j, b = np.ogrid[:dim_a, :dim_a, :dim_b]
     core = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=np.complex128)
-    for i in range(dim_a):
-        for j in range(dim_a):
-            proj = np.zeros((dim_a, dim_a), dtype=np.complex128)
-            proj[i, j] = u_small[i, j]
-            core += tensor(proj, cyclic_shift(dim_b, j - i))
-    full = tensor(v_sigma, np.eye(dim_b, dtype=np.complex128)) @ core @ v_rho.conj().T
+    core[i * dim_b + (b + j - i) % dim_b, j * dim_b + b] = u_small[:, :, None]
+    # + 0.0 turns a -0.0 entry of u_small into +0.0, as summing did.
+    full = tensor(v_sigma, np.eye(dim_b, dtype=np.complex128)) @ (core + 0.0) @ v_rho.conj().T
+    require_unitary(full)
+    out = partial_trace_b(full @ rho_ab @ full.conj().T, dim_a, dim_b)
+    err = float(np.max(np.abs(out - sigma_a)))
+    if err > 1e-8:
+        raise RuntimeError(f"marginal transition missed its target by {err}")
     return full
 
 
@@ -212,14 +219,8 @@ def support_pattern_obstructs_unistochasticity(d, *, zero_tol: float = 1e-12) ->
     modulus ``sqrt(D_ij D_kj) > 0`` — impossible. True means certified
     non-unistochastic; False is inconclusive.
     """
-    mat = np.asarray(d, dtype=np.float64)
-    support = mat > zero_tol
-    n = mat.shape[0]
-    for i in range(n):
-        for k in range(i + 1, n):
-            if int(np.sum(support[i] & support[k])) == 1:
-                return True
-    return False
+    support = (np.asarray(d, dtype=np.float64) > zero_tol).astype(np.int64)
+    return bool(np.any(np.triu(support @ support.T, 1) == 1))
 
 
 def noisy_not_unistochastic_witness(n: int) -> tuple[StochasticMatrix, NoisyRealization]:
@@ -239,11 +240,9 @@ def noisy_not_unistochastic_witness(n: int) -> tuple[StochasticMatrix, NoisyReal
         )
     shift = cyclic_shift(n).real
     d = stochastic_matrix((1.0 - 1.0 / n) * np.eye(n) + (1.0 / n) * shift)
-    pick_first = np.zeros((n, n), dtype=np.complex128)
-    pick_first[0, 0] = 1.0
-    rest = np.eye(n, dtype=np.complex128) - pick_first
-    u = tensor(np.eye(n, dtype=np.complex128), rest) + tensor(cyclic_shift(n), pick_first)
-    realization = NoisyRealization(n, n, u)
+    # (i, 0) -> (i + 1 mod n, 0); every (i, b) with b > 0 stays put.
+    images = [((i + 1) % n) * n if b == 0 else i * n + b for i in range(n) for b in range(n)]
+    realization = NoisyRealization(n, n, permutation_matrix(images))
     if not support_pattern_obstructs_unistochasticity(d):
         raise RuntimeError("witness construction lost its support certificate")
     return d, realization

@@ -47,9 +47,9 @@ from .energy import (
 )
 from .errors import PreconditionError
 from .geometry import Polytope, classify_membership, hull_vertex_indices
-from .linalg import ComplexMatrix, ProbabilityVector, probability_vector, unitarity_defect
+from .linalg import ComplexMatrix, ProbabilityVector, probability_vector, require_unitary
 from .majorization import birkhoff_decompose, schur_horn_unitary, thermomajorizes
-from .noisy import NoisyRealization, haar_unitary
+from .noisy import NoisyRealization, _conditional_shift, haar_unitary
 
 __all__ = [
     "ConvexCombination",
@@ -516,9 +516,7 @@ def decompose_channel_to_classical(
     exactly (to float). Off-block leakage above ``block_tol`` is rejected.
     """
     u = np.asarray(u, dtype=np.complex128)
-    defect = unitarity_defect(u)
-    if defect > 1e-10:
-        raise PreconditionError("not-unitary", f"max-norm of U†U − I is {defect}")
+    require_unitary(u)
     leak = energy_preservation_defect(u, setup)
     if leak > block_tol:
         raise PreconditionError(
@@ -556,16 +554,8 @@ def thermal_decoherence_gadget(ham_a: Hamiltonian, indices=None) -> NoisyRealiza
             "index-out-of-range", f"indices {chosen} not within 0..{n - 1}"
         )
     dim_c = len(chosen) + 1
-    u = np.zeros((n * dim_c, n * dim_c), dtype=np.complex128)
-    for i in range(n):
-        proj = np.zeros((n, n), dtype=np.complex128)
-        proj[i, i] = 1.0
-        power = chosen.index(i) + 1 if i in chosen else 0
-        cyc = np.zeros((dim_c, dim_c), dtype=np.complex128)
-        for col in range(dim_c):
-            cyc[(col + power) % dim_c, col] = 1.0
-        u += np.kron(proj, cyc)
-    return NoisyRealization(n, dim_c, u)
+    powers = [chosen.index(i) + 1 if i in chosen else 0 for i in range(n)]
+    return NoisyRealization(n, dim_c, _conditional_shift(powers, dim_c))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ here uses the piecewise-linear dominance-curve characterization instead, so
 agreement between the two is a real consistency check rather than the same
 code called twice. Likewise the reachable-set listing, built block by block
 as a Minkowski sum, is checked against the marginals of every
-energy-preserving permutation.
+energy-preserving permutation, and the gadget unitaries, built from index
+images, against dense sums of Kronecker products.
 """
 
 import numpy as np
 
-from thermohorn import enumerate_classical
+from thermohorn import cyclic_shift, enumerate_classical
 
 
 def dominance_curve(p, gamma):
@@ -61,3 +62,42 @@ def reachable_listing(p, setup):
     _, first = np.unique(np.round(raw, 10), axis=0, return_index=True)
     order = first[np.lexsort(np.round(raw[first], 10).T[::-1])]
     return raw[order], perms[order]
+
+
+def conditional_shift(powers, bath_dim):
+    """Dense ``sum_i |i><i| ⊗ pi^(powers[i])``, summed term by term."""
+    n = len(powers)
+    u = np.zeros((n * bath_dim, n * bath_dim), dtype=np.complex128)
+    for i, power in enumerate(powers):
+        proj = np.zeros((n, n), dtype=np.complex128)
+        proj[i, i] = 1.0
+        u += np.kron(proj, cyclic_shift(bath_dim, power))
+    return u
+
+
+def witness_unitary(n):
+    """Dense ``1 ⊗ (1 - |0><0|) + pi ⊗ |0><0|``: shift the system when the bath is in 0."""
+    pick_first = np.zeros((n, n), dtype=np.complex128)
+    pick_first[0, 0] = 1.0
+    rest = np.eye(n, dtype=np.complex128) - pick_first
+    return np.kron(np.eye(n, dtype=np.complex128), rest) + np.kron(cyclic_shift(n), pick_first)
+
+
+def shares_one_support_column(d, zero_tol=1e-12):
+    """Pair-by-pair search for two rows whose supports overlap in exactly one column."""
+    support = np.asarray(d, dtype=np.float64) > zero_tol
+    n = support.shape[0]
+    return any(
+        int(np.sum(support[i] & support[k])) == 1 for i in range(n) for k in range(i + 1, n)
+    )
+
+
+def bit_equal(a, b):
+    """Equal entries and equal sign bits of the real and imaginary parts (-0.0 != 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
+    )

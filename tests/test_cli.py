@@ -351,7 +351,9 @@ def test_fig4_preset_summary(capsys):
 def test_fig4_matches_benchmark_goldens(capsys):
     with open(GOLDENS, encoding="utf-8") as handle:
         goldens = json.load(handle)
-    for key in ("fig4-json/0", "fig4-csv/0"):
+    keys = [k for k in goldens if k.split("/")[0] in ("fig4-json", "fig4-csv", "horn", "decohere")]
+    assert len(keys) == 10
+    for key in keys:
         golden = goldens[key]
         code, out = _run(capsys, *golden["argv"])
         assert code == 0

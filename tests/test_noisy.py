@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -14,7 +16,10 @@ from thermohorn import (
     spectrum_sorted,
     support_pattern_obstructs_unistochasticity,
 )
+from thermohorn import linalg
 from thermohorn.linalg import partial_trace_b
+
+from oracles import bit_equal, conditional_shift, shares_one_support_column, witness_unitary
 
 
 def _random_density(dim, rng):
@@ -26,6 +31,42 @@ def _random_density(dim, rng):
 def test_realization_validates_unitary():
     with pytest.raises(PreconditionError):
         NoisyRealization(2, 2, np.ones((4, 4), dtype=complex))
+
+
+def test_realization_checks_the_whole_declared_output():
+    # The Hadamard carries (1, 0) to |+><+|: right diagonal, off-diagonals 1/2.
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    with pytest.raises(PreconditionError) as excinfo:
+        NoisyRealization(2, 1, hadamard, input_state=(1, 0), output_state=(0.5, 0.5))
+    assert excinfo.value.code == "realization-mismatch"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_decoherence_gadget_matches_dense_formula(n):
+    assert bit_equal(decoherence_gadget(n).unitary, conditional_shift(range(n), n))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_witness_unitary_matches_dense_formula(n):
+    _, realization = noisy_not_unistochastic_witness(n)
+    assert bit_equal(realization.unitary, witness_unitary(n))
+
+
+def test_horn_checks_its_joint_unitary_once(monkeypatch):
+    original = linalg.unitarity_defect
+    shapes = []
+
+    def counting(mat):
+        shapes.append(np.shape(mat))
+        return original(mat)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thermohorn" and getattr(module, "unitarity_defect", None) is original:
+            monkeypatch.setattr(module, "unitarity_defect", counting)
+    p = np.random.default_rng(6).dirichlet(np.ones(6))
+    horn_transition_unitary(p, np.full(6, 1 / 6))
+    assert shapes.count((36, 36)) == 1
+    assert all(shape == (6, 6) for shape in shapes if shape != (36, 36))
 
 
 def test_decoherence_gadget_kills_all_coherences_exactly():
@@ -90,6 +131,18 @@ def test_marginal_transition_achieves_target():
         assert np.abs(out - sigma).max() < 1e-8
 
 
+def test_marginal_transition_verifies_its_result(monkeypatch):
+    # Every spectrum majorizes the maximally mixed target, which the identity
+    # rotation misses unless the block sums are already uniform.
+    rho = _random_density(6, np.random.default_rng(8))
+    sigma = np.eye(2, dtype=complex) / 2
+    monkeypatch.setattr(
+        "thermohorn.noisy.schur_horn_unitary", lambda p, q: np.eye(len(p), dtype=complex)
+    )
+    with pytest.raises(RuntimeError, match="missed its target"):
+        marginal_transition_unitary(rho, sigma, 2, 3)
+
+
 def test_marginal_transition_rejects_dim_order():
     rng = np.random.default_rng(9)
     rho = _random_density(6, rng)
@@ -126,6 +179,15 @@ def test_support_pattern_certificate():
     assert not support_pattern_obstructs_unistochasticity(np.full((3, 3), 1 / 3))
     rotation = np.array([[0.75, 0.25], [0.25, 0.75]])
     assert not support_pattern_obstructs_unistochasticity(rotation)
+
+
+def test_support_pattern_certificate_matches_pairwise_search():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        mat = rng.random((n, n)) * (rng.random((n, n)) < rng.random())
+        expected = shares_one_support_column(mat)
+        assert support_pattern_obstructs_unistochasticity(mat) is expected
 
 
 def test_noisy_witness_realizes_its_matrix():

@@ -37,7 +37,7 @@ from thermohorn.energy import EnergyLabel
 from thermohorn.geometry import hull_vertex_indices
 from thermohorn.thermal import _greedy_reachable_set, _multiset_permutations
 
-from oracles import reachable_listing
+from oracles import bit_equal, conditional_shift, reachable_listing
 
 
 def _qubit_oscillator(m, beta_de=math.log(2.0)):
@@ -273,6 +273,20 @@ def test_thermal_decoherence_gadget_structure():
                 assert abs(out[i, j]) < 1e-15 and abs(out[j, i]) < 1e-15
     assert abs(out[0, 2] - rho[0, 2]) < 1e-12
     assert np.abs(np.diag(out) - np.diag(rho)).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levels=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_thermal_decoherence_gadget_matches_dense_formula(levels, data):
+    ham_a = Hamiltonian(tuple(EnergyLabel(a) for a in levels), 1.0, 1.0)
+    chosen = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=len(levels) - 1))))
+    powers = [chosen.index(i) + 1 if i in chosen else 0 for i in range(len(levels))]
+    gadget = thermal_decoherence_gadget(ham_a, chosen)
+    assert gadget.bath_dim == len(chosen) + 1
+    assert bit_equal(gadget.unitary, conditional_shift(powers, len(chosen) + 1))
 
 
 def test_thermal_decoherence_gadget_defaults_to_degenerate_spaces():
