@@ -380,11 +380,12 @@ def _cmd_membership(argv) -> str:
         "Classify a target against the hull of the classical reachable set. Output: "
         "{\"classification\", \"distance\", \"weights\", \"vertex_indices\", \"mode\"}. "
         "distance: for exterior targets the max-norm residual of the best convex "
-        "combination (LP); for inside targets the Euclidean margin to the nearest "
-        "hull facet within the hull's affine span (the LP positivity margin when "
-        "the facets cannot decide). weights: a convex witness over at most rank+1 "
-        "hull vertices on the facet route; terms below 1e-9 are dropped when the "
-        "rest still rebuilds the target within --tol.",
+        "combination (LP); for the rest the Euclidean margin of the target's "
+        "projection onto the hull's affine span to the nearest hull facet, "
+        "interior when above 1e-9, else boundary with distance 0. weights: a "
+        "convex witness over hull vertices, at most rank+1 of them when the "
+        "projection lies inside the facets; terms below 1e-9 are dropped when "
+        "the rest still rebuilds the target within --tol.",
     )
     parser.add_argument("--ham-a", required=True)
     parser.add_argument("--ham-b", required=True)

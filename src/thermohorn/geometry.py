@@ -1,27 +1,29 @@
 """Convex geometry for finite point clouds in the probability simplex.
 
 Small, dense, low-dimensional problems only. Every routine works in the
-cloud's own affine span, found by one centred SVD. Vertices are found by an
-incremental hull (Qhull) in that span, with a per-point LP redundancy
-fallback for geometry Qhull refuses.
+cloud's own affine span, found by one centred SVD, and hulls are built by
+Qhull in that span. When Qhull refuses a projection as flat, the weakest
+span direction is dropped and the hull retried, but only while every point
+lies within ``FACET_TOL`` of the reduced span; any other refusal is raised.
 
 Membership goes through a :class:`Polytope`: the hull's facet equations in
 its affine span (Qhull ``equations``; the two endpoints at rank 1) and a
-lazily built Delaunay triangulation of its vertices. A target that lies on
-the span and inside every facet is classified by that one matrix product;
-its witness is the barycentric combination of the at most rank+1 vertices
-of the Delaunay simplex holding it, and is accepted only after it rebuilds
-the target within the caller's tolerance. Every other case -- targets the
-facets do not place inside, hulls Qhull refuses, witnesses that fail the
-rebuild -- is decided by linear programs, so an "exterior" verdict is always
-an LP certificate.
+lazily built Delaunay triangulation of its vertices. The facets alone give
+the verdict for every target that is not exterior: it is interior exactly
+when its projection onto the span clears every facet by more than
+``INTERIOR_MARGIN``, and that margin (clipped at 0) is its distance. A
+target whose projection lies inside the facets gets, as witness, the
+barycentric combination of the at most rank+1 vertices of the Delaunay
+simplex holding it, accepted only after it rebuilds the target within the
+caller's tolerance. Every other target -- outside a facet, or with a
+witness that fails the rebuild -- is decided by one linear program, the
+min-slack combination, so an "exterior" verdict is always an LP
+certificate and its distance the max-norm residual of the best convex
+combination.
 
 Classification is relative to the affine span of the cloud: a segment in a
 2-simplex has two boundary points and an open-interval interior, matching
-the relative-interior notion the thermal pipeline needs. The reported
-distance is, for exterior targets, the max-norm residual of the best convex
-combination; for inside targets, the Euclidean margin to the nearest facet
-within the span (facet route) or the LP positivity margin (LP route).
+the relative-interior notion the thermal pipeline needs.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ __all__ = [
 #: Margin below which an inside point counts as boundary.
 INTERIOR_MARGIN = 1e-9
 
-#: A target is inside the facets when it lies within this of the hull's
-#: affine span (Euclidean) and of the inner side of every facet.
+#: A target's projection onto the hull's affine span is inside the facets
+#: when it lies within this of the inner side of every facet; a flat span
+#: may drop a direction only if every point lies within this of the rest.
 FACET_TOL = 1e-12
 
 #: Witness weights below this are dropped when the renormalized witness
@@ -72,64 +75,72 @@ def affine_rank(points: np.ndarray, tol: float = 1e-10) -> int:
     return _affine_frame(pts, tol)[1].shape[0]
 
 
-def _lp_is_redundant(index: int, pts: np.ndarray, tol: float) -> bool:
-    others = np.delete(pts, index, axis=0)
-    slack, _ = min_slack_combination(pts[index], others)
-    return slack <= tol
+def _hull_frame(
+    points: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, ConvexHull | None]:
+    """Centred points, a basis of their span, and the hull of their projection.
+
+    The hull is built at rank >= 2 and is None below. When Qhull refuses
+    the projection, the weakest span direction is dropped and the hull
+    retried; this is allowed only while every point lies within
+    ``FACET_TOL`` of the reduced span, and the refusal is raised otherwise.
+    """
+    centered, basis = _affine_frame(points, tol)
+    while basis.shape[0] >= 2:
+        try:
+            return centered, basis, ConvexHull(centered @ basis.T)
+        except QhullError:
+            reduced = basis[:-1]
+            off_span = centered - (centered @ reduced.T) @ reduced
+            if float(np.linalg.norm(off_span, axis=1).max()) > FACET_TOL:
+                raise
+            basis = reduced
+    return centered, basis, None
 
 
 def hull_vertex_indices(points: np.ndarray, tol: float = 1e-10) -> tuple[int, ...]:
     """Indices of the extreme points of a (deduplicated) point cloud.
 
-    Degenerate clouds (rank 0 or 1, or Qhull rejections) are handled by
-    direct extremes / LP redundancy removal. Indices are returned ascending.
+    Rank 0 and 1 clouds give their first point and their two extremes;
+    flat clouds Qhull refuses are handled as in :func:`_hull_frame`.
+    Indices are returned ascending.
     """
     pts = np.asarray(points, dtype=np.float64)
-    k = pts.shape[0]
-    if k == 1:
+    if pts.shape[0] == 1:
         return (0,)
-    centered, basis = _affine_frame(pts, tol)
-    rank = basis.shape[0]
-    if rank == 0:
-        return (0,)
-    if rank == 1:
-        coord = centered @ basis[0]
-        return tuple(sorted({int(np.argmin(coord)), int(np.argmax(coord))}))
-    try:
-        hull = ConvexHull(centered @ basis.T)
+    centered, basis, hull = _hull_frame(pts, tol)
+    if hull is not None:
         return tuple(sorted(int(v) for v in hull.vertices))
-    except QhullError:
-        verts = [i for i in range(k) if not _lp_is_redundant(i, pts, tol)]
-        return tuple(verts)
+    if basis.shape[0] == 0:
+        return (0,)
+    coord = centered @ basis[0]
+    return tuple(sorted({int(np.argmin(coord)), int(np.argmax(coord))}))
 
 
 class Polytope:
     """``conv(vertices)`` as facet inequalities inside its affine span.
 
     ``origin + basis.T @ y`` parametrizes the span, and the hull is
-    ``normals @ y + offsets <= 0`` there, with unit ``normals``. ``normals``
-    is None when the span is a single point or Qhull refuses the hull; such
-    a polytope is classified by linear programming alone. ``vertices``
-    should be the extreme points, though extra generators do no harm.
+    ``normals @ y + offsets <= 0`` there, with unit ``normals``; both are
+    None when the span is a single point. A flat span that Qhull refuses
+    loses its weakest direction (see :func:`_hull_frame`), so ``rank`` is
+    the dimension the facets live in. ``vertices`` should be the extreme
+    points, though extra generators do no harm.
     """
 
     def __init__(self, vertices: np.ndarray, tol: float = 1e-10):
         self.vertices = np.asarray(vertices, dtype=np.float64)
-        centered, self.basis = _affine_frame(self.vertices, tol)
+        centered, self.basis, hull = _hull_frame(self.vertices, tol)
         self.origin = self.vertices[0]
         self.rank = self.basis.shape[0]
         self.projected = centered @ self.basis.T
         self.normals = self.offsets = None
-        if self.rank == 1:
+        if hull is not None:
+            self.normals, self.offsets = hull.equations[:, :-1], hull.equations[:, -1]
+        elif self.rank == 1:
             coord = self.projected[:, 0]
             self.normals = np.array([[-1.0], [1.0]])
             self.offsets = np.array([coord.min(), -coord.max()])
-        elif self.rank >= 2:
-            try:
-                equations = ConvexHull(self.projected).equations
-            except QhullError:
-                return
-            self.normals, self.offsets = equations[:, :-1], equations[:, -1]
 
     @cached_property
     def delaunay(self) -> Delaunay | None:
@@ -198,48 +209,6 @@ def min_slack_combination(
     return float(res.fun), res.x[:k]
 
 
-def _positivity_margin(
-    target: np.ndarray, generators: np.ndarray, feas_tol: float
-) -> tuple[float, np.ndarray] | None:
-    """Maximize ``t`` with ``lam_i >= t`` over representations of ``target``.
-
-    A polytope point lies in the relative interior iff it is a strictly
-    positive convex combination of all the extreme points, so ``t* > 0``
-    separates interior from boundary. Feasibility of the representation is
-    relaxed to ``feas_tol`` per coordinate to absorb floating-point error.
-    """
-    gens = np.asarray(generators, dtype=np.float64)
-    tgt = np.asarray(target, dtype=np.float64)
-    k, d = gens.shape
-    nvar = k + 1  # weights, then t
-    rows = []
-    rhs = []
-    for c in range(d):
-        row = np.zeros(nvar)
-        row[:k] = gens[:, c]
-        rows.append(row)
-        rhs.append(tgt[c] + feas_tol)
-        rows.append(-row)
-        rhs.append(-(tgt[c] - feas_tol))
-    for i in range(k):  # t - lam_i <= 0
-        row = np.zeros(nvar)
-        row[i] = -1.0
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    a_eq = np.zeros((1, nvar))
-    a_eq[0, :k] = 1.0
-    cost = np.zeros(nvar)
-    cost[-1] = -1.0  # maximize t
-    res = linprog(
-        cost, A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=a_eq, b_eq=[1.0],
-        bounds=(0, None), method="highs",
-    )
-    if not res.success:
-        return None
-    return float(res.x[-1]), res.x[:k]
-
-
 def _rebuild_error(weights: np.ndarray, gens: np.ndarray, tgt: np.ndarray) -> float:
     return float(np.max(np.abs(weights @ gens - tgt)))
 
@@ -262,47 +231,6 @@ def _pruned(
     return weights, _rebuild_error(weights, gens, tgt)
 
 
-def _facet_classification(
-    poly: Polytope, tgt: np.ndarray, tol: float
-) -> tuple[str, float, np.ndarray] | None:
-    """Classify a target the facets place inside; None defers to the LPs."""
-    if poly.normals is None:
-        return None
-    shifted = tgt - poly.origin
-    y = poly.basis @ shifted
-    if np.linalg.norm(shifted - y @ poly.basis) > FACET_TOL:
-        return None
-    slack = float(np.max(poly.normals @ y + poly.offsets))
-    if slack > FACET_TOL:
-        return None
-    weights = poly.barycentric(y)
-    if weights is None:
-        return None
-    weights, err = _pruned(weights, poly.vertices, tgt, tol)
-    if err > tol:
-        return None
-    margin = max(0.0, -slack)
-    return ("interior" if margin > INTERIOR_MARGIN else "boundary"), margin, weights
-
-
-def _lp_classification(
-    tgt: np.ndarray, gens: np.ndarray, tol: float
-) -> tuple[str, float, np.ndarray | None]:
-    """Classify by the min-slack LP, then the positivity-margin LP."""
-    slack, weights = min_slack_combination(tgt, gens)
-    if slack > tol:
-        return "exterior", slack, None
-    # Tighten the representation tolerance to just above the achieved slack,
-    # so near-vertex targets cannot buy a fake positive margin out of it.
-    feas = max(1.01 * slack, 1e-12)
-    margin = _positivity_margin(tgt, gens, feas)
-    if margin is None:
-        return "boundary", 0.0, _pruned(weights, gens, tgt, tol)[0]
-    t_star, pos_weights = margin
-    status = "interior" if t_star > INTERIOR_MARGIN else "boundary"
-    return status, t_star, _pruned(pos_weights, gens, tgt, tol)[0]
-
-
 def classify_membership(
     target: np.ndarray, hull: Polytope | np.ndarray, tol: float = 1e-8
 ) -> tuple[str, float, np.ndarray | None]:
@@ -313,21 +241,40 @@ def classify_membership(
     weights)`` with status one of ``"interior"``, ``"boundary"``,
     ``"exterior"``; interiority means relative interior of the hull.
     ``weights`` is a convex witness over the generators that rebuilds the
-    target within ``tol`` (None for exterior targets). Targets the facets
-    place inside get at most rank+1 nonzero weights and, as ``distance``,
-    their Euclidean margin to the nearest facet; all others are decided by
-    LP, with ``distance`` the max-norm residual (exterior) or the
-    positivity margin (inside).
+    target within ``tol`` (None for exterior targets).
+
+    A target that is not exterior is interior exactly when its projection
+    onto the hull's affine span clears every facet by more than
+    ``INTERIOR_MARGIN``; ``distance`` is that Euclidean margin, clipped at
+    0. When the projection lies inside the facets, the witness mixes at
+    most rank+1 vertices and no LP runs. Every other target -- outside a
+    facet, or with a witness that fails its rebuild -- solves the min-slack
+    LP once: above ``tol`` the target is exterior with the max-norm
+    residual as ``distance``, otherwise the LP supplies the witness. A hull
+    of rank 0 is a point, inside which a target within ``tol`` (max-norm)
+    is interior, with that gap as ``distance``.
     """
     poly = hull if isinstance(hull, Polytope) else Polytope(hull)
     gens = poly.vertices
     tgt = np.asarray(target, dtype=np.float64)
-    if gens.shape[0] == 1:
+    if poly.normals is None:
         gap = float(np.max(np.abs(gens[0] - tgt)))
-        if gap <= tol:
-            return "interior", gap, np.array([1.0])
-        return "exterior", gap, None
-    found = _facet_classification(poly, tgt, tol)
-    if found is not None:
-        return found
-    return _lp_classification(tgt, gens, tol)
+        if gap > tol:
+            return "exterior", gap, None
+        weights = np.zeros(gens.shape[0])
+        weights[0] = 1.0
+        return "interior", gap, weights
+    y = poly.basis @ (tgt - poly.origin)
+    slack = float(np.max(poly.normals @ y + poly.offsets))
+    margin = max(0.0, -slack)
+    status = "interior" if margin > INTERIOR_MARGIN else "boundary"
+    if slack <= FACET_TOL:
+        weights = poly.barycentric(y)
+        if weights is not None:
+            weights, err = _pruned(weights, gens, tgt, tol)
+            if err <= tol:
+                return status, margin, weights
+    residual, weights = min_slack_combination(tgt, gens)
+    if residual > tol:
+        return "exterior", residual, None
+    return status, margin, _pruned(weights, gens, tgt, tol)[0]

@@ -181,21 +181,40 @@ def thermomajorizes(p, q, gamma, *, tol: float = 1e-8) -> StochasticMatrix | Non
 
 
 def _perfect_matching(support: np.ndarray) -> list[int] | None:
-    """Column -> row perfect matching in a boolean support grid, or None."""
+    """Column -> row perfect matching in a boolean support grid, or None.
+
+    Kuhn's augmenting paths, one depth-first search per column with an
+    explicit stack: each column scans its support rows in ascending order,
+    and a row already matched hands the search on to its column.
+    """
     n = support.shape[0]
+    rows_of = [[i for i, s in enumerate(col) if s] for col in support.T.tolist()]
     row_match = [-1] * n  # row -> column currently assigned
-
-    def try_column(j: int, seen: list[bool]) -> bool:
-        for i in range(n):
-            if support[i, j] and not seen[i]:
-                seen[i] = True
-                if row_match[i] == -1 or try_column(row_match[i], seen):
-                    row_match[i] = j
-                    return True
-        return False
-
-    for j in range(n):
-        if not try_column(j, [False] * n):
+    for start in range(n):
+        seen = [False] * n
+        cols = [start]  # the columns on the search path
+        scans = [iter(rows_of[start])]  # each one's remaining support rows
+        path: list[int] = []  # the row taken from each column but the last
+        while scans:
+            for i in scans[-1]:
+                if not seen[i]:
+                    break
+            else:
+                scans.pop()
+                cols.pop()
+                if path:
+                    path.pop()
+                continue
+            seen[i] = True
+            path.append(i)
+            j = row_match[i]
+            if j == -1:
+                for row, col in zip(path, cols):
+                    row_match[row] = col
+                break
+            cols.append(j)
+            scans.append(iter(rows_of[j]))
+        else:
             return None
     col_to_row = [-1] * n
     for i, j in enumerate(row_match):
@@ -210,10 +229,11 @@ def birkhoff_decompose(
 
     Greedy: find a permutation inside the support (perfect matching via
     augmenting paths), subtract its minimum entry, repeat; entries below
-    ``zero_tol`` count as zero. Weights are normalized at the end. If the
-    greedy chain ever exceeds the Birkhoff-Caratheodory bound
-    ``(n-1)^2 + 1``, the weights are re-solved by LP over the permutations
-    found, whose basic solution respects the bound.
+    ``zero_tol`` count as zero. Weights are normalized at the end. Each
+    step zeroes at least one entry and so lowers the dimension of the
+    Birkhoff face holding the residual, which bounds the chain by
+    ``(n-1)^2 + 1`` terms (Marcus-Ree); a longer chain raises
+    ``RuntimeError``.
     """
     mat = np.asarray(d, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -250,7 +270,7 @@ def birkhoff_decompose(
 
     bound = (n - 1) ** 2 + 1
     if len(raw_terms) > bound:
-        raw_terms = _reweight_terms(mat, raw_terms)
+        raise RuntimeError(f"greedy chain took {len(raw_terms)} terms, above the bound {bound}")
 
     total = sum(w for w, _ in raw_terms)
     terms = tuple((w / total, perm) for w, perm in raw_terms if w / total > 0.0)
@@ -261,24 +281,6 @@ def birkhoff_decompose(
             "reconstruction-failure", f"residual mass left behind: reconstruction error {err}"
         )
     return deco
-
-
-def _reweight_terms(
-    mat: np.ndarray, raw_terms: list[tuple[float, tuple[int, ...]]]
-) -> list[tuple[float, tuple[int, ...]]]:
-    """LP re-weighting over found permutations; basic solutions are sparse."""
-    n = mat.shape[0]
-    k = len(raw_terms)
-    a_eq = np.zeros((n * n + 1, k))
-    for t, (_, perm) in enumerate(raw_terms):
-        for j in range(n):
-            a_eq[perm[j] * n + j, t] = 1.0
-    a_eq[-1, :] = 1.0
-    b_eq = np.concatenate([mat.reshape(-1), [1.0]])
-    res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        return raw_terms
-    return [(float(w), perm) for w, (_, perm) in zip(res.x, raw_terms) if w > 1e-12]
 
 
 def schur_horn_unitary(lam, mu) -> ComplexMatrix:

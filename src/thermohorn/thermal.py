@@ -20,10 +20,10 @@ block unitaries fills in exactly the convex hull:
 * *decompose*: conversely, read any energy-preserving unitary as per-block
   bistochastic matrices, Birkhoff-decompose each block, and keep the product
   form (expanding the product is exponential and almost never needed);
-* *membership / realize*: classification against the hull's facets (linear
-  programs for exterior targets and hulls Qhull refuses), and a search over
-  growing bath families that turns a thermomajorization witness into an
-  explicit finite-bath realization.
+* *membership / realize*: classification against the hull's facets (one
+  linear program for each target the facets do not place inside), and a
+  search over growing bath families that turns a thermomajorization
+  witness into an explicit finite-bath realization.
 """
 
 from __future__ import annotations
@@ -215,19 +215,15 @@ def _block_class_targets(block: tuple[int, ...], dim_b: int) -> np.ndarray:
     loss. Representative: positions claiming label ``l`` are matched, in
     ascending order, to the block's label-``l`` slots in ascending order.
     """
-    labels = _block_system_labels(block, dim_b)
-    slots: dict[int, list[int]] = {}
-    for idx in block:
-        slots.setdefault(idx // dim_b, []).append(idx)
-    rows = []
-    for arrangement in _multiset_permutations(labels):
-        cursor = dict.fromkeys(slots, 0)
-        images = []
-        for lab in arrangement:
-            images.append(slots[lab][cursor[lab]])
-            cursor[lab] += 1
-        rows.append(images)
-    return np.array(rows, dtype=np.int64)
+    labels = np.array(_block_system_labels(block, dim_b), dtype=np.int64)
+    arrangements = np.array(list(_multiset_permutations(labels.tolist())), dtype=np.int64)
+    slots = np.asarray(block, dtype=np.int64)
+    images = np.empty_like(arrangements)
+    for lab in np.unique(labels):
+        claims = arrangements == lab
+        nth = np.cumsum(claims, axis=1) - 1
+        images[claims] = slots[labels == lab][nth[claims]]
+    return images
 
 
 def _assemble_joint(setup: ThermalSetup, per_block: list[np.ndarray]) -> np.ndarray:
@@ -572,14 +568,17 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> Membershi
     """Membership of a state in the hull of the classical reachable set.
 
     Interior/boundary is relative to the hull's own affine span (a segment
-    has an open interior). A target inside every facet of the hull is
-    decided by the set's cached :class:`Polytope`: ``distance`` is its
-    Euclidean margin to the nearest facet within the span, and the witness
-    mixes at most rank+1 hull vertices. Every other target is decided by
-    linear programming: ``distance`` is the max-norm residual for exterior
-    targets and the LP positivity margin for inside ones. Witness terms
-    below ``geometry.WITNESS_PRUNE_TOL`` are dropped when the rest still
-    rebuilds the target within ``tol``.
+    has an open interior), and is read off the set's cached
+    :class:`Polytope`: a target that is not exterior is interior exactly
+    when its projection onto the span clears every facet by more than
+    ``geometry.INTERIOR_MARGIN``, and ``distance`` is that Euclidean margin
+    (0 on the boundary). A target whose projection lies inside the facets
+    gets a witness mixing at most rank+1 hull vertices and solves no LP;
+    every other target solves one min-slack LP, which decides exterior
+    targets (``distance`` is then the max-norm residual of the best convex
+    combination) and supplies the witness of the rest. Witness terms below
+    ``geometry.WITNESS_PRUNE_TOL`` are dropped when the rest still rebuilds
+    the target within ``tol``.
     """
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")

@@ -6,12 +6,17 @@ agreement between the two is a real consistency check rather than the same
 code called twice. Likewise the reachable-set listing, built block by block
 as a Minkowski sum, is checked against the marginals of every
 energy-preserving permutation, and the gadget unitaries, built from index
-images, against dense sums of Kronecker products.
+images, against dense sums of Kronecker products. Membership verdicts,
+decided by facet margins, are checked against a positivity-margin LP, and
+the iterative and vectorized internals against the plain recursive and
+looped forms they replace.
 """
 
 import numpy as np
+from scipy.optimize import linprog
 
 from thermohorn import cyclic_shift, enumerate_classical
+from thermohorn.thermal import _multiset_permutations
 
 
 def dominance_curve(p, gamma):
@@ -101,3 +106,87 @@ def bit_equal(a, b):
         and np.array_equal(np.signbit(a.real), np.signbit(b.real))
         and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
     )
+
+
+def positivity_margin(target, generators, feas_tol):
+    """Maximize ``t`` with ``lam_i >= t`` over representations of ``target``.
+
+    A polytope point lies in the relative interior iff it is a strictly
+    positive convex combination of all the extreme points, so ``t* > 0``
+    separates interior from boundary. Feasibility of the representation is
+    relaxed to ``feas_tol`` per coordinate. HiGHS solves to a primal
+    feasibility tolerance of 1e-7, so a margin of a few 1e-9 is noise: the
+    LP can report it at a hull vertex. Returns ``(t*, weights)`` or None.
+    """
+    gens = np.asarray(generators, dtype=np.float64)
+    tgt = np.asarray(target, dtype=np.float64)
+    k, d = gens.shape
+    nvar = k + 1  # weights, then t
+    rows = []
+    rhs = []
+    for c in range(d):
+        row = np.zeros(nvar)
+        row[:k] = gens[:, c]
+        rows.append(row)
+        rhs.append(tgt[c] + feas_tol)
+        rows.append(-row)
+        rhs.append(-(tgt[c] - feas_tol))
+    for i in range(k):  # t - lam_i <= 0
+        row = np.zeros(nvar)
+        row[i] = -1.0
+        row[-1] = 1.0
+        rows.append(row)
+        rhs.append(0.0)
+    a_eq = np.zeros((1, nvar))
+    a_eq[0, :k] = 1.0
+    cost = np.zeros(nvar)
+    cost[-1] = -1.0  # maximize t
+    # HiGHS's presolve has declared a strictly interior point of a triangle
+    # in R^4 infeasible; the solve itself finds its margin.
+    res = linprog(
+        cost, A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=a_eq, b_eq=[1.0],
+        bounds=(0, None), method="highs", options={"presolve": False},
+    )
+    if not res.success:
+        return None
+    return float(res.x[-1]), res.x[:k]
+
+
+def perfect_matching(support):
+    """Column -> row perfect matching by recursive augmenting paths, or None."""
+    n = support.shape[0]
+    row_match = [-1] * n
+
+    def try_column(j, seen):
+        for i in range(n):
+            if support[i, j] and not seen[i]:
+                seen[i] = True
+                if row_match[i] == -1 or try_column(row_match[i], seen):
+                    row_match[i] = j
+                    return True
+        return False
+
+    for j in range(n):
+        if not try_column(j, [False] * n):
+            return None
+    col_to_row = [-1] * n
+    for i, j in enumerate(row_match):
+        col_to_row[j] = i
+    return col_to_row
+
+
+def block_class_targets(block, dim_b):
+    """Per-arrangement slot matching: the k-th claim on label l takes its k-th slot."""
+    labels = [idx // dim_b for idx in block]
+    slots = {}
+    for idx in block:
+        slots.setdefault(idx // dim_b, []).append(idx)
+    rows = []
+    for arrangement in _multiset_permutations(labels):
+        cursor = dict.fromkeys(slots, 0)
+        images = []
+        for lab in arrangement:
+            images.append(slots[lab][cursor[lab]])
+            cursor[lab] += 1
+        rows.append(images)
+    return np.array(rows, dtype=np.int64)

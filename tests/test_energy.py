@@ -56,6 +56,12 @@ def test_gibbs_vector_rejects_overflow_spread():
     ham = Hamiltonian((EnergyLabel(0), EnergyLabel(10**4)), 1.0, 1.0)
     with pytest.raises(PreconditionError):
         gibbs_vector(ham)
+    # At the 700 log-weight edge: just under it every occupation stays positive.
+    under = Hamiltonian((EnergyLabel(0), EnergyLabel(1), EnergyLabel(Fraction(6999, 10))), 1.0, 1.0)
+    assert gibbs_vector(under).min() > 0.0
+    over = Hamiltonian((EnergyLabel(0), EnergyLabel(1), EnergyLabel(Fraction(7001, 10))), 1.0, 1.0)
+    with pytest.raises(PreconditionError):
+        gibbs_vector(over)
 
 
 def test_free_energy_matches_log_partition():

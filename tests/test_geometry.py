@@ -1,15 +1,18 @@
 import itertools
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull
+from oracles import positivity_margin
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
+from thermohorn import geometry
 from thermohorn.geometry import (
     INTERIOR_MARGIN,
     Polytope,
-    _facet_classification,
-    _positivity_margin,
     affine_rank,
     classify_membership,
     hull_vertex_indices,
@@ -50,21 +53,34 @@ def test_min_slack_combination_exact_for_member():
     assert np.abs(weights - np.array([0.3, 0.7])).max() < 1e-8
 
 
+def _classify_counting_lps(target, hull):
+    """``classify_membership`` at ``TOL``, and the number of LPs it solved."""
+    with mock.patch.object(geometry, "linprog", wraps=linprog) as lp:
+        found = classify_membership(target, hull, TOL)
+    return found, lp.call_count
+
+
 def test_classify_membership_triangle():
+    # Targets the facets place inside solve no LP; every other one solves one.
     gens = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    status, margin, weights = classify_membership(np.full(3, 1 / 3), gens)
-    assert status == "interior"
+    (status, margin, weights), calls = _classify_counting_lps(np.full(3, 1 / 3), gens)
+    assert status == "interior" and calls == 0
     assert margin > 0.3
     assert np.abs(weights - 1 / 3).max() < 1e-8
 
-    status, _, _ = classify_membership(np.array([1.0, 0.0, 0.0]), gens)
-    assert status == "boundary"
+    for target in (gens[0], np.array([0.5, 0.5, 0.0])):
+        (status, _, _), calls = _classify_counting_lps(target, gens)
+        assert status == "boundary" and calls == 0
 
-    status, _, _ = classify_membership(np.array([0.5, 0.5, 0.0]), gens)
-    assert status == "boundary"
+    # Outside an edge by 2e-9, within tol: the LP supplies the witness.
+    edge_normal = np.array([-0.5, -0.5, 1.0]) / np.linalg.norm([-0.5, -0.5, 1.0])
+    target = np.array([0.5, 0.5, 0.0]) - 2e-9 * edge_normal
+    (status, margin, weights), calls = _classify_counting_lps(target, gens)
+    assert status == "boundary" and margin == 0.0 and calls == 1
+    assert np.abs(weights @ gens - target).max() <= TOL
 
-    status, dist, weights = classify_membership(np.array([1.2, -0.1, -0.1]), gens)
-    assert status == "exterior"
+    (status, dist, weights), calls = _classify_counting_lps(np.array([1.2, -0.1, -0.1]), gens)
+    assert status == "exterior" and calls == 1
     assert dist > 1e-8
     assert weights is None
 
@@ -97,7 +113,7 @@ def _lp_verdict(target, gens, tol=TOL):
     slack, _ = min_slack_combination(target, gens)
     if slack > tol:
         return "exterior", slack
-    found = _positivity_margin(target, gens, max(1.01 * slack, 1e-12))
+    found = positivity_margin(target, gens, max(1.01 * slack, 1e-12))
     margin = 0.0 if found is None else found[0]
     return ("interior" if margin > INTERIOR_MARGIN else "boundary"), margin
 
@@ -117,22 +133,25 @@ def _local_points(kind, rank, extra, rng):
     return centered @ np.linalg.svd(centered)[2][:rank].T
 
 
-def _check_against_lp(poly, target, expected):
-    """Compare one target's verdict with its construction and the LP oracle.
+def _check_against_lp(poly, target, expected, on_span):
+    """Compare one target's verdict with its construction, its route and the LP oracle.
 
-    ``expected`` is the true verdict of an inside target, or None for a
-    target outside a facet or off the span, which the facet route must
-    leave to the LPs.
+    ``expected`` is the true verdict of a target whose projection lies
+    inside the facets, which must be decided without an LP. The oracle
+    judges ``on_span``, that projection: off the span by less than its 1e-7
+    feasibility tolerance, HiGHS can neither place a target nor find it a
+    positive representation. None marks a target outside a facet, which
+    must solve exactly one LP and is exterior exactly when the oracle says
+    so, and boundary otherwise.
     """
     gens = poly.vertices
-    status, _, weights = classify_membership(target, poly, TOL)
-    lp_status, lp_margin = _lp_verdict(target, gens)
-    facet = _facet_classification(poly, target, TOL)
+    (status, _, weights), calls = _classify_counting_lps(target, poly)
+    lp_status, lp_margin = _lp_verdict(on_span, gens)
     if expected is None:
-        assert facet is None
-        assert status == lp_status
+        assert calls == 1
+        assert status == ("exterior" if lp_status == "exterior" else "boundary")
         return
-    assert facet is not None and status == expected
+    assert calls == 0 and status == expected
     # At a vertex HiGHS can report a positivity margin of a few 1e-9.
     assert lp_status == status or (lp_status == "interior" and lp_margin < LP_NOISE)
     assert np.count_nonzero(weights) <= affine_rank(gens) + 1
@@ -179,24 +198,48 @@ def test_facet_route_agrees_with_lp_oracle(kind, dim, rank, extra, seed):
     for on_facet, outward in facets:
         for push in (2 * TOL, 10 * TOL):
             targets.append((on_facet + push * outward, None))
-    if dim > rank:  # off the affine span by less than tol: still left to the LPs
+    moved = []
+    if dim > rank:  # off the affine span by less than tol: decided by the projection
         off_span = rng.normal(size=dim)
         off_span -= frame @ (frame.T @ off_span)
-        targets.append((gens.mean(axis=0) + 0.5 * TOL * off_span / np.linalg.norm(off_span), None))
+        off_span /= np.linalg.norm(off_span)
+        moved.append((gens.mean(axis=0), 0.5 * TOL, "interior"))
+        # A vertex moved off the span stays on the boundary, however far
+        # inside the LP's feasibility tolerance the move is.
+        for push in (2e-9, 5e-9):
+            moved.extend((vertex, push, "boundary") for vertex in gens[:3])
     for target, expected in targets:
-        _check_against_lp(poly, target, expected)
+        _check_against_lp(poly, target, expected, target)
+    for on_span, push, expected in moved:
+        _check_against_lp(poly, on_span + push * off_span, expected, on_span)
 
 
-def test_hull_qhull_refuses_is_classified_by_lp():
+def test_hull_qhull_refusal_drops_only_a_flat_direction():
     # A sliver 1e-15 thick: an SVD at rank tolerance 1e-16 counts two
-    # dimensions, but Qhull finds the initial simplex flat.
+    # dimensions, but Qhull finds the initial simplex flat. Every point lies
+    # within FACET_TOL of the strongest direction, so the hull is a segment.
     gens = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15], [0.25, -5e-16]])
     poly = Polytope(gens, tol=1e-16)
-    assert poly.rank == 2 and poly.normals is None
-    for target in ([0.4, 0.0], [1.0, 0.0], [1.5, 0.0], [0.5, 0.1]):
+    assert poly.rank == 1
+    assert hull_vertex_indices(gens, tol=1e-16) == (0, 1)
+    for target, verdict in (
+        ([0.4, 0.0], "interior"),
+        ([1.0, 0.0], "boundary"),
+        ([1.5, 0.0], "exterior"),
+        ([0.5, 0.1], "exterior"),
+    ):
         target = np.array(target)
-        assert _facet_classification(poly, target, TOL) is None
         status, _, weights = classify_membership(target, poly, TOL)
-        assert status == _lp_verdict(target, gens)[0]
+        assert status == verdict == _lp_verdict(target, gens)[0]
         if weights is not None:
             assert np.abs(weights @ gens - target).max() <= TOL
+
+    # A refusal on a cloud that is not flat is raised.
+    def refuse(*args, **kwargs):
+        raise QhullError("QH6154 initial simplex is flat")
+
+    with mock.patch.object(geometry, "ConvexHull", refuse):
+        with pytest.raises(QhullError):
+            Polytope(np.eye(3))
+        with pytest.raises(QhullError):
+            hull_vertex_indices(np.eye(3))

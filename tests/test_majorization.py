@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import majorizes_oracle, thermomajorizes_oracle
+from oracles import majorizes_oracle, perfect_matching, thermomajorizes_oracle
+from thermohorn import majorization
 from thermohorn import (
     PreconditionError,
     birkhoff_decompose,
@@ -114,12 +117,28 @@ def test_birkhoff_rejects_non_bistochastic():
 
 def test_birkhoff_random_matrices_reconstruct_within_term_bound():
     rng = np.random.default_rng(5)
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        d = random_bistochastic(n, rng)
+    matrices = [random_bistochastic(int(rng.integers(2, 7)), rng) for _ in range(40)]
+    matrices += [random_bistochastic(n, rng) for n in (8, 12, 16, 20, 25, 30)]
+    # A dense 30x30 support: the greedy chain meets the bound of 842 terms.
+    matrices.append(random_bistochastic(30, rng, 900))
+    for d in matrices:
+        n = d.shape[0]
         deco = birkhoff_decompose(d)
         assert len(deco.terms) <= (n - 1) ** 2 + 1
         assert np.abs(deco.to_matrix() - d).max() < 1e-7
+        if n <= 16:  # the iterative matching explores in the recursive order
+            with mock.patch.object(majorization, "_perfect_matching", perfect_matching):
+                assert birkhoff_decompose(d).terms == deco.terms
+
+
+def test_birkhoff_matching_depth_is_not_bounded_by_the_recursion_limit():
+    # Matching the shifted identity walks one augmenting path through
+    # every column: past 1000 levels for a recursive search.
+    eye = np.eye(1100)
+    d = 0.5 * eye + 0.5 * np.roll(eye, 1, axis=0)
+    deco = birkhoff_decompose(d)
+    assert [w for w, _ in deco.terms] == [0.5, 0.5]
+    assert np.array_equal(deco.to_matrix(), d)
 
 
 def test_schur_horn_frozen_pair():
@@ -155,12 +174,23 @@ def test_schur_horn_rejects_non_majorized_and_names_prefix():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_schur_horn_random_majorized_pairs(seed):
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    kind=st.sampled_from(["dirichlet", "ties", "zeros"]),
+)
+def test_schur_horn_random_majorized_pairs(seed, kind):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
-    lam = rng.dirichlet(np.ones(n))
-    mu = random_bistochastic(n, rng) @ lam
-    v = schur_horn_unitary(lam, mu)
-    assert np.abs(v @ v.conj().T - np.eye(n)).max() < 1e-9
-    assert np.abs(hadamard_square(v) @ lam - mu).max() < 1e-9
+    if kind == "dirichlet":
+        lam = rng.dirichlet(np.ones(n))
+    else:  # entries on a 1/k grid repeat, and with "zeros" some vanish
+        counts = rng.integers(0 if kind == "zeros" else 1, 3, size=n)
+        counts[int(rng.integers(n))] += 1
+        lam = counts / counts.sum()
+    mus = [random_bistochastic(n, rng) @ lam]
+    if kind != "dirichlet":
+        mus.append(lam[rng.permutation(n)])
+    for mu in mus:
+        v = schur_horn_unitary(lam, mu)
+        assert np.abs(v @ v.conj().T - np.eye(n)).max() < 1e-9
+        assert np.abs(hadamard_square(v) @ lam - mu).max() < 1e-9

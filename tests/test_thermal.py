@@ -35,9 +35,13 @@ from thermohorn import (
 )
 from thermohorn.energy import EnergyLabel
 from thermohorn.geometry import hull_vertex_indices
-from thermohorn.thermal import _greedy_reachable_set, _multiset_permutations
+from thermohorn.thermal import (
+    _block_class_targets,
+    _greedy_reachable_set,
+    _multiset_permutations,
+)
 
-from oracles import bit_equal, conditional_shift, reachable_listing
+from oracles import bit_equal, block_class_targets, conditional_shift, reachable_listing
 
 
 def _qubit_oscillator(m, beta_de=math.log(2.0)):
@@ -81,6 +85,20 @@ def test_enumeration_modes_on_two_copy_preset():
 def test_multiset_permutations_are_the_sorted_distinct_arrangements(items):
     expected = [list(row) for row in sorted(set(itertools.permutations(items)))]
     assert list(_multiset_permutations(items)) == expected
+
+
+def test_block_class_targets_match_the_slot_loop():
+    degenerate = Hamiltonian(tuple(EnergyLabel(k) for k in (0, 1, 1, 10)), 1.0, 1.0)
+    for setup in (
+        build_setup(zero_hamiltonian(3), zero_hamiltonian(3)),
+        build_setup(degenerate, oscillator_hamiltonian(3, 1.0)),
+        _qubit_oscillator(5),
+        _two_copy_preset()[0],
+    ):
+        for block in setup.blocks:
+            fast = _block_class_targets(block, setup.dim_b)
+            loop = block_class_targets(block, setup.dim_b)
+            assert fast.dtype == loop.dtype and np.array_equal(fast, loop)
 
 
 @st.composite
@@ -328,6 +346,24 @@ def test_membership_extreme_cooling_point_is_exterior():
         found = hull_membership(star, rset)
         assert found.classification == "exterior"
         assert found.combination is None
+
+
+def test_hull_vertices_moved_off_the_span_stay_on_the_boundary():
+    # The moves lie inside HiGHS's 1e-7 feasibility tolerance, where a
+    # positivity-margin LP called 242 of these 480 targets interior.
+    ham_a = Hamiltonian(tuple(EnergyLabel(k) for k in (0, 1, 1, 10)), 1.0, 1.0)
+    setup = build_setup(ham_a, oscillator_hamiltonian(3, 1.0))
+    rng = np.random.default_rng(3)
+    verdicts = []
+    for _ in range(40):
+        rset = classical_reachable_set(rng.dirichlet(np.ones(4)), setup)
+        poly = rset.polytope
+        assert poly.rank == 2
+        off_span = np.linalg.svd(np.vstack([poly.basis, np.ones(4)]))[2][-1]
+        for vertex in rset.hull_vertices():
+            for push in (2e-9, 5e-9):
+                verdicts.append(hull_membership(vertex + push * off_span, rset).classification)
+    assert len(verdicts) == 480 and set(verdicts) == {"boundary"}
 
 
 def test_membership_rejects_nonpositive_tolerance():
