@@ -13,6 +13,19 @@ EIGEN_TOL = 1e-8
 #: A matrix is unitary when the max-norm of ``U†U − I`` is at most this.
 UNITARITY_TOL = 1e-10
 
+#: A channel output is a density matrix when it is Hermitian, of unit trace
+#: and PSD to this (max-norm defect, trace error, smallest eigenvalue).
+CHANNEL_OUTPUT_TOL = 1e-9
+
+#: A noisy realization's achieved output matches its declared diagonal
+#: state when the max-norm of their difference is at most this; a classical
+#: output read off a channel is a probability vector to this.
+REALIZATION_TOL = 1e-9
+
+#: A marginal transition unitary must carry the joint state to within this
+#: (max-norm) of the target marginal.
+MARGINAL_TOL = 1e-8
+
 #: Two reachable-set points closer than this in max-norm are one point.
 DEDUP_TOL = 1e-10
 

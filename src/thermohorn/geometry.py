@@ -19,7 +19,11 @@ caller's tolerance. Every other target -- outside a facet, or with a
 witness that fails the rebuild -- is decided by one linear program, the
 min-slack combination, so an "exterior" verdict is always an LP
 certificate and its distance the max-norm residual of the best convex
-combination.
+combination. HiGHS solves to a feasibility tolerance of 1e-7, so an LP
+witness can miss a target just outside the hull by more than the caller's
+tolerance; such an LP is solved once more at ``TIGHT_LP_TOL`` and decides
+the target, and no witness that misses by more than the tolerance is ever
+returned.
 
 Classification is relative to the affine span of the cloud: a segment in a
 2-simplex has two boundary points and an open-interval interior, matching
@@ -53,6 +57,11 @@ FACET_TOL = 1e-12
 #: Witness weights below this are dropped when the renormalized witness
 #: still rebuilds the target within the caller's tolerance.
 WITNESS_PRUNE_TOL = 1e-9
+
+#: HiGHS's primal and dual feasibility tolerances for the re-solve of a
+#: min-slack LP whose witness missed (its defaults are 1e-7, ten times the
+#: default membership ``tol``).
+TIGHT_LP_TOL = 1e-10
 
 
 def _affine_frame(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -180,12 +189,13 @@ class Polytope:
 
 
 def min_slack_combination(
-    target: np.ndarray, generators: np.ndarray
+    target: np.ndarray, generators: np.ndarray, *, feasibility_tol: float | None = None
 ) -> tuple[float, np.ndarray]:
     """Best convex combination of ``generators`` approximating ``target``.
 
     Minimizes the max-norm residual ``s`` over weights ``lam >= 0`` with
-    ``sum(lam) = 1``; returns ``(s*, lam*)``.
+    ``sum(lam) = 1``; returns ``(s*, lam*)``. ``feasibility_tol`` sets
+    HiGHS's primal and dual feasibility tolerances (default: HiGHS's own).
     """
     gens = np.asarray(generators, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
@@ -203,7 +213,14 @@ def min_slack_combination(
     a_eq[0, :k] = 1.0
     cost = np.zeros(nvar)
     cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs")
+    options = {} if feasibility_tol is None else {
+        "primal_feasibility_tolerance": feasibility_tol,
+        "dual_feasibility_tolerance": feasibility_tol,
+    }
+    res = linprog(
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs",
+        options=options,
+    )
     if not res.success:
         raise RuntimeError(f"membership LP did not solve cleanly: {res.message}")
     return float(res.fun), res.x[:k]
@@ -249,8 +266,11 @@ def classify_membership(
     0. When the projection lies inside the facets, the witness mixes at
     most rank+1 vertices and no LP runs. Every other target -- outside a
     facet, or with a witness that fails its rebuild -- solves the min-slack
-    LP once: above ``tol`` the target is exterior with the max-norm
-    residual as ``distance``, otherwise the LP supplies the witness. A hull
+    LP: above ``tol`` the target is exterior with the max-norm residual as
+    ``distance``, otherwise the LP supplies the witness. If that witness
+    misses the target by more than ``tol``, the LP is solved again with
+    HiGHS's feasibility tolerances at ``TIGHT_LP_TOL`` and the re-solve
+    decides; a witness that still misses raises ``RuntimeError``. A hull
     of rank 0 is a point, inside which a target within ``tol`` (max-norm)
     is interior, with that gap as ``distance``.
     """
@@ -274,7 +294,11 @@ def classify_membership(
             weights, err = _pruned(weights, gens, tgt, tol)
             if err <= tol:
                 return status, margin, weights
-    residual, weights = min_slack_combination(tgt, gens)
-    if residual > tol:
-        return "exterior", residual, None
-    return status, margin, _pruned(weights, gens, tgt, tol)[0]
+    for feasibility_tol in (None, TIGHT_LP_TOL):
+        residual, weights = min_slack_combination(tgt, gens, feasibility_tol=feasibility_tol)
+        if residual > tol:
+            return "exterior", residual, None
+        weights, err = _pruned(weights, gens, tgt, tol)
+        if err <= tol:
+            return status, margin, weights
+    raise RuntimeError(f"membership LP witness misses the target by {err} (tolerance {tol})")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .config import EIGEN_TOL, UNITARITY_TOL
+from .config import CHANNEL_OUTPUT_TOL, EIGEN_TOL, UNITARITY_TOL
 from .errors import PreconditionError
 
 ComplexMatrix = npt.NDArray[np.complex128]
@@ -168,8 +168,8 @@ def apply_channel(u: ComplexMatrix, rho_a: DensityMatrix, sigma_b: DensityMatrix
     """Apply ``rho_a -> Tr_B[U (rho_a ⊗ sigma_b) U†]``.
 
     ``u`` must be unitary on the joint space to ``UNITARITY_TOL``; the defect
-    is reported on failure. The output is validated as a density matrix (PSD
-    up to 1e-9).
+    is reported on failure. The output is validated as a density matrix to
+    ``CHANNEL_OUTPUT_TOL``.
     """
     u = np.asarray(u, dtype=np.complex128)
     rho_a = density_matrix(rho_a)
@@ -188,7 +188,13 @@ def channel_output(u: ComplexMatrix, rho_a: DensityMatrix, sigma_b: DensityMatri
     """Unchecked kernel of :func:`apply_channel`: the caller vouches for ``u`` and the states."""
     joint = tensor(rho_a, sigma_b)
     out = partial_trace_b(u @ joint @ u.conj().T, rho_a.shape[0], sigma_b.shape[0])
-    return density_matrix(out, herm_tol=1e-9, trace_tol=1e-9, psd_tol=1e-9)
+    return channel_state(out)
+
+
+def channel_state(out: ComplexMatrix) -> DensityMatrix:
+    """Validate a channel output as a density matrix to ``CHANNEL_OUTPUT_TOL``."""
+    tol = CHANNEL_OUTPUT_TOL
+    return density_matrix(out, herm_tol=tol, trace_tol=tol, psd_tol=tol)
 
 
 def hadamard_square(u: ComplexMatrix) -> RealMatrix:

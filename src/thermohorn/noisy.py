@@ -10,6 +10,13 @@ and with it two exact constructions become available:
 * a *transition unitary*: any majorized target diagonal is reached by first
   rotating the diagonal where it belongs (Schur-Horn) and then decohering.
 
+Both are held factored as ``U = W_k (V ⊗ 1)``, a conditional shift after a
+system rotation ``V`` (the identity for the gadget); see
+:class:`NoisyRealization`. Only ``V`` is checked unitary, to
+``UNITARITY_TOL``, never the ``(n m)²`` product, the channel is applied as
+"decohere ``V rho V†``", and declared outputs are checked to
+``REALIZATION_TOL``.
+
 Also here: the same-trick construction solving the one-sided quantum
 marginal problem (system no larger than bath), an explicit bistochastic
 matrix realizable by a noisy operation but by no single unitary's
@@ -18,17 +25,20 @@ entrywise square, and a randomized check of the output-rank ceiling ``m²``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MARGINAL_TOL, REALIZATION_TOL
 from .errors import PreconditionError
 from .linalg import (
+    MAX_TOTAL_DIM,
     ComplexMatrix,
     DensityMatrix,
     ProbabilityVector,
     apply_channel,
     channel_output,
+    channel_state,
     cyclic_shift,
     density_matrix,
     diag_embedding,
@@ -72,54 +82,129 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> ComplexMatrix:
 class NoisyRealization:
     """A unitary on system ⊗ bath together with the maximally mixed bath.
 
-    When ``input_state``/``output_state`` are declared, construction verifies
-    that the channel actually carries the one to the other: the whole output
-    matrix, off-diagonals included, must match ``diag(output_state)``
-    entrywise to 1e-9.
+    The unitary is given in one of two forms.
+
+    * *Dense*: ``unitary`` is an ``(n m) × (n m)`` matrix, checked unitary
+      to ``UNITARITY_TOL``; ``apply`` traces out the bath of
+      ``U (rho ⊗ 1/m) U†``.
+    * *Factored*: ``unitary`` is None and ``U = W_k (V ⊗ 1)`` with the
+      conditional shift ``W_k = sum_i |i><i| ⊗ pi^(k_i)`` (``k`` =
+      ``shift_powers``) and the system rotation ``V`` = ``rotation`` (None
+      for the identity). Only ``V`` is checked unitary, to
+      ``UNITARITY_TOL``, and the shift images ``(i, b) -> (i, b + k_i mod
+      m)`` are checked to be a bijection; the ``(n m)²`` product ``U†U`` is
+      never formed. The channel is the exact identity ``Tr_B[W_k (X ⊗ 1/m)
+      W_k†] = X ∘ [k_i ≡ k_j mod m]`` with ``X = V rho V†``, which costs
+      ``O(n³)``. ``unitary`` is then filled with the dense matrix, built
+      as the rows of ``V ⊗ 1`` moved by the shift (no matrix product);
+      its zero entries are all +0.0.
+
+    Every channel output is validated as a density matrix to
+    ``CHANNEL_OUTPUT_TOL``. When ``input_state``/``output_state`` are
+    declared, construction verifies that the channel carries the one to
+    the other: the whole output matrix, off-diagonals included, must match
+    ``diag(output_state)`` entrywise to ``REALIZATION_TOL``. The achieved
+    max-norm miss is kept as ``residual`` (None with no declared states).
     """
 
     system_dim: int
     bath_dim: int
-    unitary: ComplexMatrix
+    unitary: ComplexMatrix | None
     input_state: ProbabilityVector | None = None
     output_state: ProbabilityVector | None = None
+    rotation: ComplexMatrix | None = None
+    shift_powers: tuple[int, ...] | None = None
+    residual: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         n, m = self.system_dim, self.bath_dim
-        u = np.asarray(self.unitary, dtype=np.complex128)
-        if u.shape != (n * m, n * m):
-            raise PreconditionError(
-                "dimension-mismatch", f"unitary shape {u.shape}, expected {(n * m, n * m)}"
-            )
-        require_unitary(u)
+        if self.shift_powers is None:
+            u = np.asarray(self.unitary, dtype=np.complex128)
+            if u.shape != (n * m, n * m):
+                raise PreconditionError(
+                    "dimension-mismatch", f"unitary shape {u.shape}, expected {(n * m, n * m)}"
+                )
+            require_unitary(u)
+        else:
+            if self.unitary is not None:
+                raise PreconditionError(
+                    "conflicting-unitary", "give a dense unitary or shift powers, not both"
+                )
+            powers = np.asarray(self.shift_powers)
+            if powers.shape != (n,) or powers.dtype.kind not in "iu" or m < 1:
+                raise PreconditionError(
+                    "bad-shift-powers",
+                    f"need {n} integer shift powers on a bath of dim >= 1, "
+                    f"got {self.shift_powers!r} with bath dim {m}",
+                )
+            object.__setattr__(self, "shift_powers", tuple(int(k) for k in powers))
+            if self.rotation is not None:
+                v = np.asarray(self.rotation, dtype=np.complex128)
+                if v.shape != (n, n):
+                    raise PreconditionError(
+                        "dimension-mismatch", f"rotation shape {v.shape}, expected {(n, n)}"
+                    )
+                require_unitary(v)
+                object.__setattr__(self, "rotation", v)
+            u = self._dense_shifted()
         object.__setattr__(self, "unitary", u)
         if self.input_state is not None and self.output_state is not None:
-            rho = diag_embedding(probability_vector(self.input_state))
-            achieved = channel_output(u, rho, self.bath_state())
+            achieved = self._output(diag_embedding(probability_vector(self.input_state)))
             err = float(np.max(np.abs(achieved - diag_embedding(self.output_state))))
-            if err > 1e-9:
+            object.__setattr__(self, "residual", err)
+            if err > REALIZATION_TOL:
                 raise PreconditionError(
                     "realization-mismatch",
-                    f"declared output missed by {err} (tolerance 1e-9)",
+                    f"declared output missed by {err} (tolerance {REALIZATION_TOL})",
                 )
+
+    def _dense_shifted(self) -> ComplexMatrix:
+        """``W_k (V ⊗ 1)`` with ``U[(i, b + k_i), (j, b)] = V[i, j]``, after the bijection check."""
+        n, m = self.system_dim, self.bath_dim
+        if (n * m) ** 2 > MAX_TOTAL_DIM:
+            raise PreconditionError(
+                "dimension-overflow",
+                f"joint unitary would have {(n * m) ** 2} entries, above the {MAX_TOTAL_DIM} cap",
+            )
+        powers = np.asarray(self.shift_powers, dtype=np.intp)[:, None]
+        images = np.arange(n)[:, None] * m + (np.arange(m) + powers) % m
+        if np.any(np.bincount(images.ravel(), minlength=n * m) != 1):
+            raise PreconditionError("not-a-permutation", "shift images are not a bijection")
+        u = np.zeros((n * m, n * m), dtype=np.complex128)
+        if self.rotation is None:
+            u[images.ravel(), np.arange(n * m)] = 1
+            return u
+        u[images[:, None, :], np.arange(n * m).reshape(1, n, m)] = self.rotation[:, :, None]
+        u += 0.0  # a -0.0 entry of V becomes +0.0, like every other zero
+        return u
+
+    def _output(self, rho: DensityMatrix) -> DensityMatrix:
+        """Channel output for a validated system state."""
+        if self.shift_powers is None:
+            return channel_output(self.unitary, rho, self.bath_state())
+        x = rho if self.rotation is None else self.rotation @ rho @ self.rotation.conj().T
+        k = np.asarray(self.shift_powers) % self.bath_dim
+        return channel_state(np.where(k[:, None] == k[None, :], x, 0.0))
 
     def bath_state(self) -> DensityMatrix:
         return np.eye(self.bath_dim, dtype=np.complex128) / self.bath_dim
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Channel action ``Tr_B[U (rho ⊗ I/m) U†]``."""
-        return apply_channel(self.unitary, rho, self.bath_state())
+        if self.shift_powers is None:
+            return apply_channel(self.unitary, rho, self.bath_state())
+        rho = density_matrix(rho)
+        if rho.shape[0] != self.system_dim:
+            raise PreconditionError(
+                "dimension-mismatch",
+                f"state of dim {rho.shape[0]} for a system of dim {self.system_dim}",
+            )
+        return self._output(rho)
 
     def apply_classical(self, p) -> ProbabilityVector:
         """Diagonal-to-diagonal action on a classical state."""
         out = self.apply(diag_embedding(probability_vector(p)))
-        return probability_vector(np.real(np.diag(out)), tol=1e-9)
-
-
-def _conditional_shift(powers, bath_dim: int) -> ComplexMatrix:
-    """``sum_i |i><i| ⊗ pi^(powers[i])``: the permutation ``(i, b) -> (i, b + powers[i])``."""
-    d = bath_dim
-    return permutation_matrix([i * d + (b + k) % d for i, k in enumerate(powers) for b in range(d)])
+        return probability_vector(np.real(np.diag(out)), tol=REALIZATION_TOL)
 
 
 def decoherence_gadget(n: int) -> NoisyRealization:
@@ -132,7 +217,7 @@ def decoherence_gadget(n: int) -> NoisyRealization:
     """
     if n < 1:
         raise PreconditionError("bad-dimension", f"need n >= 1, got {n}")
-    return NoisyRealization(n, n, _conditional_shift(range(n), n))
+    return NoisyRealization(n, n, None, shift_powers=range(n))
 
 
 def horn_transition_unitary(p, p_prime) -> NoisyRealization:
@@ -144,6 +229,12 @@ def horn_transition_unitary(p, p_prime) -> NoisyRealization:
     targets are reached to floating-point accuracy — something no finite
     uniform-bath permutation family can do, since those only produce
     rational outputs from rational inputs.
+
+    The result is held factored (see :class:`NoisyRealization`): ``V`` is
+    checked unitary to ``UNITARITY_TOL`` and the declared output is checked
+    as ``decohere(V diag(p) V†)`` against ``diag(p')`` to
+    ``REALIZATION_TOL``, so the ``n² × n²`` matrix is built but never
+    multiplied.
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
@@ -153,8 +244,9 @@ def horn_transition_unitary(p, p_prime) -> NoisyRealization:
         )
     n = p.size
     v = schur_horn_unitary(p, p_prime)
-    u = _conditional_shift(range(n), n) @ tensor(v, np.eye(n, dtype=np.complex128))
-    return NoisyRealization(n, n, u, input_state=p, output_state=p_prime)
+    return NoisyRealization(
+        n, n, None, input_state=p, output_state=p_prime, rotation=v, shift_powers=range(n)
+    )
 
 
 def marginal_transition_unitary(
@@ -173,8 +265,8 @@ def marginal_transition_unitary(
     is needed), so the B-trace of ``U_0 λ̂ U_0†`` is ``diag(|u|² t)``.
     Diagonalizing unitaries of ``rho_ab`` and ``sigma_a`` are composed in to
     handle general inputs. The result is checked before it is returned: it
-    must be unitary to ``UNITARITY_TOL`` and carry ``rho_ab`` to within 1e-8
-    of ``sigma_a`` (max-norm); a miss raises ``RuntimeError``.
+    must be unitary to ``UNITARITY_TOL`` and carry ``rho_ab`` to within
+    ``MARGINAL_TOL`` of ``sigma_a`` (max-norm); a miss raises ``RuntimeError``.
     """
     if dim_a > dim_b:
         raise PreconditionError(
@@ -205,7 +297,7 @@ def marginal_transition_unitary(
     require_unitary(full)
     out = partial_trace_b(full @ rho_ab @ full.conj().T, dim_a, dim_b)
     err = float(np.max(np.abs(out - sigma_a)))
-    if err > 1e-8:
+    if err > MARGINAL_TOL:
         raise RuntimeError(f"marginal transition missed its target by {err}")
     return full
 

@@ -49,7 +49,7 @@ from .errors import PreconditionError
 from .geometry import Polytope, classify_membership, hull_vertex_indices
 from .linalg import ComplexMatrix, ProbabilityVector, probability_vector, require_unitary
 from .majorization import birkhoff_decompose, schur_horn_unitary, thermomajorizes
-from .noisy import NoisyRealization, _conditional_shift, haar_unitary
+from .noisy import NoisyRealization, haar_unitary
 
 __all__ = [
     "ConvexCombination",
@@ -538,7 +538,9 @@ def thermal_decoherence_gadget(ham_a: Hamiltonian, indices=None) -> NoisyRealiza
     off-diagonal among the untouched levels survives unchanged; the unitary
     commutes with the system Hamiltonian by construction. With ``indices``
     omitted, all-but-one index of each degenerate eigenspace is decohered
-    (a non-degenerate system yields the trivial one-dimensional bath).
+    (a non-degenerate system yields the trivial one-dimensional bath). The
+    realization is held factored, with no rotation (see
+    :class:`~thermohorn.noisy.NoisyRealization`).
     """
     n = ham_a.dim
     if indices is None:
@@ -551,7 +553,7 @@ def thermal_decoherence_gadget(ham_a: Hamiltonian, indices=None) -> NoisyRealiza
         )
     dim_c = len(chosen) + 1
     powers = [chosen.index(i) + 1 if i in chosen else 0 for i in range(n)]
-    return NoisyRealization(n, dim_c, _conditional_shift(powers, dim_c))
+    return NoisyRealization(n, dim_c, None, shift_powers=powers)
 
 
 @dataclass(frozen=True)

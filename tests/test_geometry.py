@@ -12,6 +12,7 @@ from scipy.spatial import ConvexHull, QhullError
 from thermohorn import geometry
 from thermohorn.geometry import (
     INTERIOR_MARGIN,
+    TIGHT_LP_TOL,
     Polytope,
     affine_rank,
     classify_membership,
@@ -108,9 +109,9 @@ def test_near_vertex_point_is_not_promoted_to_interior():
     assert status == "boundary"
 
 
-def _lp_verdict(target, gens, tol=TOL):
+def _lp_verdict(target, gens, tol=TOL, feasibility_tol=None):
     """Reference (classification, margin): the min-slack LP, then the positivity LP."""
-    slack, _ = min_slack_combination(target, gens)
+    slack, _ = min_slack_combination(target, gens, feasibility_tol=feasibility_tol)
     if slack > tol:
         return "exterior", slack
     found = positivity_margin(target, gens, max(1.01 * slack, 1e-12))
@@ -141,16 +142,21 @@ def _check_against_lp(poly, target, expected, on_span):
     judges ``on_span``, that projection: off the span by less than its 1e-7
     feasibility tolerance, HiGHS can neither place a target nor find it a
     positive representation. None marks a target outside a facet, which
-    must solve exactly one LP and is exterior exactly when the oracle says
-    so, and boundary otherwise.
+    must solve one LP, or a second one at ``TIGHT_LP_TOL`` when the first
+    one's witness misses; it is exterior exactly when the oracle at the
+    same solver tolerance says so, and otherwise boundary with a witness
+    that rebuilds it within ``TOL``.
     """
     gens = poly.vertices
     (status, _, weights), calls = _classify_counting_lps(target, poly)
-    lp_status, lp_margin = _lp_verdict(on_span, gens)
     if expected is None:
-        assert calls == 1
+        assert calls in (1, 2)
+        lp_status, _ = _lp_verdict(on_span, gens, feasibility_tol=TIGHT_LP_TOL if calls == 2 else None)
         assert status == ("exterior" if lp_status == "exterior" else "boundary")
+        if status != "exterior":
+            assert np.abs(weights @ gens - target).max() <= TOL
         return
+    lp_status, lp_margin = _lp_verdict(on_span, gens)
     assert calls == 0 and status == expected
     # At a vertex HiGHS can report a positivity margin of a few 1e-9.
     assert lp_status == status or (lp_status == "interior" and lp_margin < LP_NOISE)
@@ -243,3 +249,29 @@ def test_hull_qhull_refusal_drops_only_a_flat_direction():
             Polytope(np.eye(3))
         with pytest.raises(QhullError):
             hull_vertex_indices(np.eye(3))
+
+
+def test_band_targets_never_get_a_witness_that_misses():
+    # Targets 5e-9 to 1e-7 outside a facet: HiGHS's default feasibility
+    # tolerance (1e-7) can call them non-exterior with an LP witness that
+    # misses by more than TOL; such a target is re-solved at TIGHT_LP_TOL.
+    rng = np.random.default_rng(7)
+    resolved = 0
+    for _ in range(40):
+        dim = int(rng.integers(3, 6))
+        pts = rng.normal(size=(dim + 1 + int(rng.integers(0, 6)), dim))
+        poly = Polytope(pts[list(hull_vertex_indices(pts))])
+        gens = poly.vertices
+        hull = ConvexHull(gens)
+        for simplex, equation in zip(hull.simplices[:4], hull.equations[:4]):
+            for push in np.geomspace(5e-9, 1e-7, 4):
+                target = gens[simplex].mean(axis=0) + push * equation[:-1]
+                (status, distance, weights), calls = _classify_counting_lps(target, poly)
+                assert calls in (1, 2)
+                resolved += calls == 2
+                if status == "exterior":
+                    assert distance > TOL and weights is None
+                else:
+                    assert status == "boundary"
+                    assert np.abs(weights @ gens - target).max() <= TOL
+    assert resolved > 0

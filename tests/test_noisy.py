@@ -5,6 +5,8 @@ import pytest
 from scipy.stats import unitary_group
 
 from thermohorn import (
+    EnergyLabel,
+    Hamiltonian,
     NoisyRealization,
     PreconditionError,
     decoherence_gadget,
@@ -15,9 +17,11 @@ from thermohorn import (
     noisy_not_unistochastic_witness,
     spectrum_sorted,
     support_pattern_obstructs_unistochasticity,
+    thermal_decoherence_gadget,
 )
-from thermohorn import linalg
-from thermohorn.linalg import partial_trace_b
+from thermohorn import linalg, noisy
+from thermohorn.config import REALIZATION_TOL
+from thermohorn.linalg import apply_channel, partial_trace_b
 
 from oracles import bit_equal, conditional_shift, shares_one_support_column, witness_unitary
 
@@ -41,18 +45,13 @@ def test_realization_checks_the_whole_declared_output():
     assert excinfo.value.code == "realization-mismatch"
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_decoherence_gadget_matches_dense_formula(n):
-    assert bit_equal(decoherence_gadget(n).unitary, conditional_shift(range(n), n))
-
-
 @pytest.mark.parametrize("n", range(3, 7))
 def test_witness_unitary_matches_dense_formula(n):
     _, realization = noisy_not_unistochastic_witness(n)
     assert bit_equal(realization.unitary, witness_unitary(n))
 
 
-def test_horn_checks_its_joint_unitary_once(monkeypatch):
+def test_horn_checks_its_rotation_not_the_joint_unitary(monkeypatch):
     original = linalg.unitarity_defect
     shapes = []
 
@@ -63,10 +62,118 @@ def test_horn_checks_its_joint_unitary_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "thermohorn" and getattr(module, "unitarity_defect", None) is original:
             monkeypatch.setattr(module, "unitarity_defect", counting)
+    checked = []
+
+    def recording(mat):
+        checked.append(mat)
+        linalg.require_unitary(mat)
+
+    monkeypatch.setattr(noisy, "require_unitary", recording)
     p = np.random.default_rng(6).dirichlet(np.ones(6))
-    horn_transition_unitary(p, np.full(6, 1 / 6))
-    assert shapes.count((36, 36)) == 1
-    assert all(shape == (6, 6) for shape in shapes if shape != (36, 36))
+    realization = horn_transition_unitary(p, np.full(6, 1 / 6))
+    assert len(checked) == 1 and checked[0] is realization.rotation
+    # The other 6 × 6 check is schur_horn_unitary's own, on its result; no
+    # 36 × 36 matrix is checked.
+    assert shapes == [(6, 6), (6, 6)]
+
+
+def test_horn_rejects_a_unitary_rotation_that_misses_the_target(monkeypatch):
+    p = np.random.default_rng(6).dirichlet(np.ones(4))
+    monkeypatch.setattr(noisy, "schur_horn_unitary", lambda a, b: np.eye(len(a), dtype=complex))
+    with pytest.raises(PreconditionError) as excinfo:
+        horn_transition_unitary(p, np.full(4, 1 / 4))
+    assert excinfo.value.code == "realization-mismatch"
+
+
+def test_horn_rejects_a_rotation_that_is_not_unitary(monkeypatch):
+    p = np.random.default_rng(6).dirichlet(np.ones(4))
+    good = noisy.schur_horn_unitary
+    monkeypatch.setattr(noisy, "schur_horn_unitary", lambda a, b: good(a, b) * (1 + 1e-6))
+    with pytest.raises(PreconditionError) as excinfo:
+        horn_transition_unitary(p, np.full(4, 1 / 4))
+    assert excinfo.value.code == "not-unitary"
+
+
+def test_factored_realization_rejects_bad_shift_data():
+    for kwargs, code in (
+        (dict(unitary=np.eye(4)), "conflicting-unitary"),
+        (dict(unitary=None, shift_powers=(0, 1, 2)), "bad-shift-powers"),
+        (dict(unitary=None, shift_powers=(0.0, 1.0)), "bad-shift-powers"),
+        (dict(unitary=None, shift_powers=(0, 1), rotation=np.eye(3)), "dimension-mismatch"),
+    ):
+        kwargs.setdefault("shift_powers", (0, 1))
+        with pytest.raises(PreconditionError) as excinfo:
+            NoisyRealization(2, 2, **kwargs)
+        assert excinfo.value.code == code
+
+
+def test_factored_realization_refuses_an_oversized_joint_space():
+    # 33 × 33 joint states: the (n m)² entries exceed linalg.MAX_TOTAL_DIM.
+    with pytest.raises(PreconditionError) as excinfo:
+        decoherence_gadget(33)
+    assert excinfo.value.code == "dimension-overflow"
+    with pytest.raises(PreconditionError) as excinfo:
+        horn_transition_unitary(np.eye(33)[0], np.full(33, 1 / 33))
+    assert excinfo.value.code == "dimension-overflow"
+
+
+def _horn_input(n, kind, rng):
+    """A classical state of one of four kinds, and a majorized target."""
+    if kind == "dirichlet":
+        p = rng.dirichlet(np.ones(n))
+    elif kind == "one-hot":
+        p = np.zeros(n)
+        p[rng.integers(n)] = 1.0
+    elif kind == "ties":
+        p = rng.integers(1, 4, size=n).astype(float)
+        p /= p.sum()
+    else:  # zero entries
+        p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+        p[rng.integers(n)] += 0.5
+        p /= p.sum()
+    mix = sum(w * np.eye(n)[rng.permutation(n)] for w in rng.dirichlet(np.ones(3)))
+    return p, mix @ p
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_horn_unitary_is_the_dense_product_up_to_signed_zeros(n):
+    rng = np.random.default_rng(n)
+    p, q = _horn_input(n, ("dirichlet", "one-hot", "ties", "zeros")[n % 4], rng)
+    realization = horn_transition_unitary(p, q)
+    product = conditional_shift(range(n), n) @ np.kron(realization.rotation, np.eye(n))
+    # The BLAS product leaves -0.0 in some zero entries, depending on its
+    # kernel; the factored form writes +0.0 for every zero entry.
+    assert bit_equal(realization.unitary, product + 0.0)
+    assert 0.0 <= realization.residual <= REALIZATION_TOL
+
+
+def _realizations(rng):
+    """Factored realizations of every kind: Horn, decoherence, thermal gadget."""
+    for n in (1, 2, 3, 5, 8):
+        p, q = _horn_input(max(n, 2), "dirichlet", rng)
+        yield horn_transition_unitary(p, q)
+        yield decoherence_gadget(n)
+        levels = rng.integers(0, 3, size=n)
+        yield thermal_decoherence_gadget(
+            Hamiltonian(tuple(EnergyLabel(int(x)) for x in levels), 1.0, 1.0),
+            np.flatnonzero(rng.random(n) < 0.5),
+        )
+
+
+def test_factored_apply_matches_the_dense_channel():
+    rng = np.random.default_rng(21)
+    for realization in _realizations(rng):
+        for _ in range(3):
+            rho = _random_density(realization.system_dim, rng)
+            dense = apply_channel(realization.unitary, rho, realization.bath_state())
+            assert np.abs(realization.apply(rho) - dense).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_decoherence_gadget_matches_dense_formula(n):
+    gadget = decoherence_gadget(n)
+    assert bit_equal(gadget.unitary, conditional_shift(range(n), n))
+    assert gadget.rotation is None and gadget.residual is None
 
 
 def test_decoherence_gadget_kills_all_coherences_exactly():
@@ -76,7 +183,9 @@ def test_decoherence_gadget_kills_all_coherences_exactly():
         assert gadget.bath_dim == n
         rho = _random_density(n, rng)
         out = gadget.apply(rho)
-        assert np.abs(out - np.diag(np.diag(out))).max() == 0.0
+        off = out - np.diag(np.diag(out))
+        assert np.abs(off).max() == 0.0
+        assert not np.any(np.signbit(off.real) | np.signbit(off.imag))
         assert np.abs(np.diag(out) - np.diag(rho)).max() < 1e-12
 
 
