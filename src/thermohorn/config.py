@@ -26,6 +26,15 @@ REALIZATION_TOL = 1e-9
 #: (max-norm) of the target marginal.
 MARGINAL_TOL = 1e-8
 
+#: ``p`` majorizes ``q`` when no sorted prefix sum of ``p`` falls more than
+#: this below that of ``q``.
+MAJORIZATION_SLACK = 1e-10
+
+#: A convex permutation decomposition must rebuild its bistochastic matrix
+#: to this (max-norm); a residual no larger, whose support admits no perfect
+#: matching, is left behind rather than refused.
+DECOMPOSITION_TOL = 1e-7
+
 #: Two reachable-set points closer than this in max-norm are one point.
 DEDUP_TOL = 1e-10
 

@@ -28,6 +28,12 @@ returned.
 Classification is relative to the affine span of the cloud: a segment in a
 2-simplex has two boundary points and an open-interval interior, matching
 the relative-interior notion the thermal pipeline needs.
+
+scipy is imported on first use, not with the package: :func:`linprog` and
+:func:`ConvexHull` load HiGHS and Qhull on their first call, and the
+Delaunay triangulation loads with the first one built. ``majorization``
+solves its LP through this same :func:`linprog`. Both names are looked up
+as module attributes at call time, so a caller may replace them.
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 __all__ = [
     "Polytope",
@@ -64,6 +68,20 @@ WITNESS_PRUNE_TOL = 1e-9
 TIGHT_LP_TOL = 1e-10
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
+def ConvexHull(points: np.ndarray):
+    """``scipy.spatial.ConvexHull(points)``, imported on the first call."""
+    from scipy.spatial import ConvexHull as qhull
+
+    return qhull(points)
+
+
 def _affine_frame(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Points centred on the first one, and an orthonormal basis of their span.
 
@@ -86,7 +104,7 @@ def affine_rank(points: np.ndarray, tol: float = 1e-10) -> int:
 
 def _hull_frame(
     points: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, ConvexHull | None]:
+) -> tuple[np.ndarray, np.ndarray, "scipy.spatial.ConvexHull | None"]:
     """Centred points, a basis of their span, and the hull of their projection.
 
     The hull is built at rank >= 2 and is None below. When Qhull refuses
@@ -96,6 +114,8 @@ def _hull_frame(
     """
     centered, basis = _affine_frame(points, tol)
     while basis.shape[0] >= 2:
+        from scipy.spatial import QhullError
+
         try:
             return centered, basis, ConvexHull(centered @ basis.T)
         except QhullError:
@@ -152,8 +172,10 @@ class Polytope:
             self.offsets = np.array([coord.min(), -coord.max()])
 
     @cached_property
-    def delaunay(self) -> Delaunay | None:
+    def delaunay(self) -> "scipy.spatial.Delaunay | None":
         """Triangulation of the projected vertices (rank >= 2), or None if refused."""
+        from scipy.spatial import Delaunay, QhullError
+
         try:
             return Delaunay(self.projected)
         except QhullError:

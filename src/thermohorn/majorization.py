@@ -19,9 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
+from .config import DECOMPOSITION_TOL, MAJORIZATION_SLACK
 from .errors import PreconditionError
+from .geometry import linprog
 from .linalg import (
     ComplexMatrix,
     ProbabilityVector,
@@ -107,7 +108,7 @@ def _sorted_prefix_sums(vec: ProbabilityVector) -> np.ndarray:
     return np.cumsum(np.sort(np.asarray(vec, dtype=np.float64))[::-1])
 
 
-def majorizes(p, q, *, slack: float = 1e-10) -> bool:
+def majorizes(p, q, *, slack: float = MAJORIZATION_SLACK) -> bool:
     """Whether every sorted prefix sum of ``p`` dominates that of ``q``.
 
     Comparison allows a numerical slack of ``-slack`` per prefix.
@@ -119,7 +120,7 @@ def majorizes(p, q, *, slack: float = 1e-10) -> bool:
     return bool(np.all(_sorted_prefix_sums(p) >= _sorted_prefix_sums(q) - slack))
 
 
-def first_failing_prefix(p, q, *, slack: float = 1e-10) -> int | None:
+def first_failing_prefix(p, q, *, slack: float = MAJORIZATION_SLACK) -> int | None:
     """1-based index of the first violated prefix-sum inequality, or None."""
     gaps = _sorted_prefix_sums(probability_vector(p)) - _sorted_prefix_sums(probability_vector(q))
     bad = np.nonzero(gaps < -slack)[0]
@@ -229,8 +230,11 @@ def birkhoff_decompose(
 
     Greedy: find a permutation inside the support (perfect matching via
     augmenting paths), subtract its minimum entry, repeat; entries below
-    ``zero_tol`` count as zero. Weights are normalized at the end. Each
-    step zeroes at least one entry and so lowers the dimension of the
+    ``zero_tol`` count as zero. That cut can leave a residual of a few
+    ``zero_tol`` whose support admits no perfect matching: it is dropped
+    when no entry exceeds ``DECOMPOSITION_TOL``, which also bounds the
+    reconstruction error checked at the end. Weights are normalized at the
+    end. Each step zeroes at least one entry and so lowers the dimension of the
     Birkhoff face holding the residual, which bounds the chain by
     ``(n-1)^2 + 1`` terms (Marcus-Ree); a longer chain raises
     ``RuntimeError``.
@@ -256,6 +260,8 @@ def birkhoff_decompose(
             break
         perm = _perfect_matching(residual > zero_tol)
         if perm is None:
+            if float(residual.max()) <= DECOMPOSITION_TOL:
+                break  # left behind; the reconstruction check below bounds it
             raise PreconditionError(
                 "matching-failure",
                 f"support of residual mass {float(residual.sum())} admits no perfect matching",
@@ -276,7 +282,7 @@ def birkhoff_decompose(
     terms = tuple((w / total, perm) for w, perm in raw_terms if w / total > 0.0)
     deco = ConvexPermutationDecomposition(terms)
     err = float(np.max(np.abs(deco.to_matrix() - mat)))
-    if err > 1e-7:
+    if err > DECOMPOSITION_TOL:
         raise PreconditionError(
             "reconstruction-failure", f"residual mass left behind: reconstruction error {err}"
         )

@@ -373,3 +373,66 @@ def test_import_and_help_load_neither_sympy_nor_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
+    # One interpreter runs the commands in turn and lists, after each, the
+    # deferred scipy packages loaded so far; fig4 goes last, as the first hull.
+    steps = [
+        ("import", None),
+        ("help", ["--help"]),
+        ("majorize", ["majorize", "--p", "0.7,0.3", "--q", "0.5,0.5"]),
+        ("horn", ["horn", "--p", "0.5,0.3,0.2", "--target", "0.4,0.35,0.25"]),
+        ("decohere", ["decohere", "--ham-a", OSC3]),
+        ("qubit-alpha", ["qubit-alpha", "--m", "3", "--beta-de", "ln2"]),
+        ("third-law", ["third-law", "--temperature", "1.0", "--delta-e", "1.0", "--m", "10"]),
+        ("fig4", ["fig4", "--preset", "paper", "--format", "csv"]),
+    ]
+    probe = (
+        "import sys, contextlib, io, json\n"
+        "import thermohorn\n"
+        "from thermohorn.cli import main\n"
+        f"for name, argv in {steps!r}:\n"
+        "    if argv is not None:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            main(argv)\n"
+        "    print(json.dumps([name, sorted(m for m in ('scipy.optimize', 'scipy.spatial')"
+        " if m in sys.modules)]))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = dict(json.loads(line) for line in out.stdout.splitlines())
+    assert loaded == {name: [] for name, _ in steps[:-1]} | {"fig4": ["scipy.spatial"]}
+
+
+@pytest.mark.parametrize(
+    "argv, deferred",
+    [
+        (["fig4", "--preset", "paper", "--format", "csv"], "scipy.spatial"),
+        (
+            ["membership", "--ham-a", QUBIT, "--ham-b", OSC2, "--p", "0,1", "--target", "1,0"],
+            "scipy.optimize",
+        ),
+        (
+            ["thermomajorize", "--p", "0,1", "--q", "1/2,1/2", "--gamma", "2/3,1/3"],
+            "scipy.optimize",
+        ),
+    ],
+    ids=["fig4-first-hull", "membership-first-geometry-lp", "thermomajorize-first-majorization-lp"],
+)
+def test_first_hull_or_lp_in_a_fresh_interpreter_matches_in_process(capsys, argv, deferred):
+    # In-process, the test modules have loaded scipy already; a fresh
+    # interpreter runs the deferred import inside the command itself.
+    probe = (
+        "import sys\n"
+        "from thermohorn.cli import main\n"
+        f"assert {deferred!r} not in sys.modules\n"
+        f"code = main({argv!r})\n"
+        f"assert {deferred!r} in sys.modules\n"
+        "sys.exit(code)"
+    )
+    cold = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert cold.returncode == 0, cold.stderr
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert cold.stdout == out

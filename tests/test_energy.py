@@ -1,8 +1,12 @@
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermohorn import (
     EnergyLabel,
@@ -95,6 +99,40 @@ def test_build_setup_warns_on_near_coincident_distinct_labels():
     with pytest.warns(UserWarning):
         setup = build_setup(ham_a, trivial_hamiltonian(beta))
     assert len(setup.blocks) == 3
+
+
+# With beta = ln 2 a weight factor 2^-k shifts a level by exactly k quanta in
+# real arithmetic, so these labels are distinct but often tie in floats.
+_NEAR_TIE_LEVELS = st.builds(
+    EnergyLabel,
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]),
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 4)]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    levels_a=st.lists(_NEAR_TIE_LEVELS, min_size=1, max_size=4),
+    levels_b=st.lists(_NEAR_TIE_LEVELS, min_size=1, max_size=4),
+    beta=st.sampled_from([math.log(2.0), 0.7]),
+)
+def test_build_setup_near_tie_labels(levels_a, levels_b, beta):
+    ham_a = Hamiltonian(tuple(levels_a), beta, 1.0)
+    ham_b = Hamiltonian(tuple(levels_b), beta, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        setup = build_setup(ham_a, ham_b)
+    joint = [la + lb for la in levels_a for lb in levels_b]
+    assert sorted(i for block in setup.blocks for i in block) == list(range(setup.dim_joint))
+    block_labels = [{joint[i] for i in block} for block in setup.blocks]
+    assert all(len(labels) == 1 for labels in block_labels)
+    distinct = [labels.pop() for labels in block_labels]
+    assert len(set(distinct)) == len(distinct)  # so near-tie labels stay apart
+    energies = [label.energy(beta, 1.0) for label in distinct]
+    near_tie = any(
+        abs(e1 - e2) < 1e-12 for e1, e2 in itertools.combinations(energies, 2)
+    )
+    assert any(issubclass(w.category, UserWarning) for w in caught) == near_tie
 
 
 def test_two_thermal_copies_block_structure():

@@ -13,6 +13,7 @@ from thermohorn import (
     first_failing_prefix,
     hadamard_square,
     majorizes,
+    permutation_matrix,
     random_bistochastic,
     schur_horn_unitary,
     stochastic_matrix,
@@ -129,6 +130,27 @@ def test_birkhoff_random_matrices_reconstruct_within_term_bound():
         if n <= 16:  # the iterative matching explores in the recursive order
             with mock.patch.object(majorization, "_perfect_matching", perfect_matching):
                 assert birkhoff_decompose(d).terms == deco.terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=7),
+    seed=st.integers(min_value=0, max_value=10**6),
+    big=st.integers(min_value=1, max_value=8),
+    small=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=8),
+)
+def test_birkhoff_weights_near_zero_tol(n, seed, big, small):
+    # Permutations weighted 0.5 to 2 zero_tol leave entries on either side of
+    # the cut, so the thresholded residual can lose its perfect matching.
+    zero_tol = 1e-10
+    rng = np.random.default_rng(seed)
+    tiny = zero_tol * np.array(small)
+    weights = np.concatenate([rng.dirichlet(np.ones(big)) * (1.0 - tiny.sum()), tiny])
+    d = sum(w * permutation_matrix(rng.permutation(n)).real for w in weights)
+    deco = birkhoff_decompose(d, zero_tol=zero_tol)
+    assert np.abs(deco.to_matrix() - d).max() <= 1e-7
+    assert min(w for w, _ in deco.terms) >= 0.0
+    assert len(deco.terms) <= (n - 1) ** 2 + 1
 
 
 def test_birkhoff_matching_depth_is_not_bounded_by_the_recursion_limit():
