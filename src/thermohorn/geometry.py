@@ -25,6 +25,14 @@ tolerance; such an LP is solved once more at ``TIGHT_LP_TOL`` and decides
 the target, and no witness that misses by more than the tolerance is ever
 returned.
 
+A :class:`Polytope` also bounds a target's Euclidean distance to the hull
+from below, by its facet violation and its component off the span
+(:meth:`Polytope.separation`); a bound above ``sqrt(dim)`` times a
+tolerance proves the target exterior at that tolerance with no LP. The
+bath search uses it to skip baths; :func:`classify_membership` still
+solves the LP for exterior targets, so that its distance stays the
+max-norm residual.
+
 Classification is relative to the affine span of the cloud: a segment in a
 2-simplex has two boundary points and an open-interval interior, matching
 the relative-interior notion the thermal pipeline needs.
@@ -38,6 +46,7 @@ as module attributes at call time, so a caller may replace them.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -155,6 +164,12 @@ class Polytope:
     loses its weakest direction (see :func:`_hull_frame`), so ``rank`` is
     the dimension the facets live in. ``vertices`` should be the extreme
     points, though extra generators do no harm.
+
+    :meth:`separation` bounds a target's distance to the hull from below
+    with no LP. Such a bound needs the room the vertices themselves take
+    off the span (an SVD direction below the rank tolerance, or one dropped
+    for Qhull) and beyond the facets (Qhull's rounding); both are measured
+    once here.
     """
 
     def __init__(self, vertices: np.ndarray, tol: float = 1e-10):
@@ -170,6 +185,30 @@ class Polytope:
             coord = self.projected[:, 0]
             self.normals = np.array([[-1.0], [1.0]])
             self.offsets = np.array([coord.min(), -coord.max()])
+        self._off_span = float(np.linalg.norm(centered - self.projected @ self.basis, axis=1).max())
+        self._facet_excess = 0.0
+        if self.normals is not None:
+            excess = float(np.max(self.projected @ self.normals.T + self.offsets))
+            self._facet_excess = max(0.0, excess)
+
+    def separation(self, target: np.ndarray) -> float:
+        """A lower bound on the Euclidean distance from ``target`` to the hull.
+
+        ``sqrt(v² + |w|²)``, where ``v`` is the largest facet violation of
+        the target's projection onto the span and ``w`` its component off
+        the span, each less the room the vertices take (see the class
+        docstring). Every hull point lies inside the facets and on the span
+        up to that room, so no convex combination of the vertices comes
+        closer; a value above ``sqrt(dim) * tol`` proves that the max-norm
+        residual of every one exceeds ``tol``.
+        """
+        rel = np.asarray(target, dtype=np.float64) - self.origin
+        y = self.basis @ rel
+        off = float(np.linalg.norm(rel - y @ self.basis))
+        violation = 0.0 if self.normals is None else float(np.max(self.normals @ y + self.offsets))
+        return math.hypot(
+            max(0.0, violation - self._facet_excess), max(0.0, off - self._off_span)
+        )
 
     @cached_property
     def delaunay(self) -> "scipy.spatial.Delaunay | None":

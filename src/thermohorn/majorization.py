@@ -4,7 +4,9 @@
 ``p`` dominates the corresponding prefix sum of sorted ``q``. The
 Hardy-Littlewood-Polya theorem makes this equivalent to ``q = D p`` for some
 bistochastic ``D``; thermomajorization replaces "bistochastic" by "stochastic
-and fixing a given Gibbs vector", which this module decides by a small LP.
+and fixing a given Gibbs vector". It is decided by thermo-Lorenz curves
+(Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013)), with no LP; a small
+LP builds the witness ``D`` only for a pair the curves accept.
 
 The constructive side: :func:`schur_horn_unitary` builds a unitary whose
 conjugation carries one diagonal to another prescribed majorized diagonal
@@ -20,9 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DECOMPOSITION_TOL, MAJORIZATION_SLACK
+from .config import (
+    DECOMPOSITION_TOL,
+    MAJORIZATION_SLACK,
+    THERMO_WITNESS_CHECK_FACTOR,
+    THERMO_WITNESS_COL_TOL,
+    THERMO_WITNESS_ENTRY_TOL,
+    THERMO_WITNESS_TOL,
+)
 from .errors import PreconditionError
-from .geometry import linprog
+from .geometry import TIGHT_LP_TOL, linprog
 from .linalg import (
     ComplexMatrix,
     ProbabilityVector,
@@ -37,6 +46,7 @@ __all__ = [
     "ConvexPermutationDecomposition",
     "stochastic_matrix",
     "majorizes",
+    "thermo_lorenz_dominates",
     "thermomajorizes",
     "birkhoff_decompose",
     "schur_horn_unitary",
@@ -127,25 +137,70 @@ def first_failing_prefix(p, q, *, slack: float = MAJORIZATION_SLACK) -> int | No
     return int(bad[0]) + 1 if bad.size else None
 
 
-def thermomajorizes(p, q, gamma, *, tol: float = 1e-8) -> StochasticMatrix | None:
-    """Witness search: a stochastic ``D`` with ``D p = q`` and ``D gamma = gamma``.
+def _thermo_lorenz_curve(vec: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elbows of the thermo-Lorenz curve: cumulative gamma and vec, largest vec/gamma first.
 
-    Solves ``min ||D p - q||_inf`` over column-stochastic matrices fixing
-    ``gamma`` (that feasible region is never empty: the rank-one matrix with
-    all columns ``gamma`` is in it), and accepts when the optimum is at most
-    ``tol``. Returns the witness matrix, or None when no Gibbs-preserving
-    stochastic map carries ``p`` to ``q``.
+    Ties in the ratio are broken by the larger entry first, so that for a
+    uniform ``gamma`` the ordinates are exactly the sorted prefix sums.
     """
+    order = np.lexsort((-vec, -(vec / gamma)))
+    return np.cumsum(gamma[order]), np.cumsum(vec[order])
+
+
+def _thermo_inputs(p, q, gamma) -> tuple[ProbabilityVector, ProbabilityVector, ProbabilityVector]:
     p = probability_vector(p)
     q = probability_vector(q)
     gamma = probability_vector(gamma)
-    n = p.size
-    if q.size != n or gamma.size != n:
+    if q.size != p.size or gamma.size != p.size:
         raise PreconditionError(
             "dimension-mismatch", f"dims {p.size}, {q.size}, {gamma.size} must agree"
         )
     if float(gamma.min()) <= 0.0:
         raise PreconditionError("gamma-zero-entry", "Gibbs vector must be strictly positive")
+    return p, q, gamma
+
+
+def thermo_lorenz_dominates(p, q, gamma, *, slack: float = MAJORIZATION_SLACK) -> bool:
+    """Whether ``p`` thermomajorizes ``q`` relative to the Gibbs vector ``gamma``.
+
+    Each vector's thermo-Lorenz curve joins the points (cumulative
+    ``gamma``, cumulative vector) taken in decreasing order of the ratio
+    ``vector / gamma`` (beta-ordering); it is concave and piecewise linear.
+    ``p`` thermomajorizes ``q`` exactly when its curve lies on or above that
+    of ``q`` (Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013)), which
+    is settled at the elbows of ``q``'s curve; each may exceed ``p``'s curve
+    by ``slack``. O(n log n), no LP. For a uniform ``gamma`` this is
+    :func:`majorizes`.
+    """
+    return _lorenz_dominates(*_thermo_inputs(p, q, gamma), slack)
+
+
+def _lorenz_dominates(p, q, gamma, slack: float) -> bool:
+    xp, yp = _thermo_lorenz_curve(p, gamma)
+    xq, yq = _thermo_lorenz_curve(q, gamma)
+    above = np.interp(xq, np.concatenate([[0.0], xp]), np.concatenate([[0.0], yp]))
+    return bool(np.all(above >= yq - slack))
+
+
+def thermomajorizes(p, q, gamma, *, tol: float = THERMO_WITNESS_TOL) -> StochasticMatrix | None:
+    """A stochastic ``D`` with ``D p = q`` and ``D gamma = gamma``, or None if there is none.
+
+    The verdict is :func:`thermo_lorenz_dominates` at its default slack;
+    no LP runs for a pair it rejects. For a pair it accepts, the witness
+    minimizes ``||D p - q||_inf`` over column-stochastic matrices fixing
+    ``gamma`` (a region never empty: the rank-one matrix with all columns
+    ``gamma`` is in it). The solution must be stochastic to
+    ``THERMO_WITNESS_COL_TOL`` and ``THERMO_WITNESS_ENTRY_TOL``, reach an
+    optimum of at most ``tol``, and meet ``D p = q`` and ``D gamma = gamma``
+    within ``THERMO_WITNESS_CHECK_FACTOR * tol``. HiGHS meets its
+    constraints only to its feasibility tolerance, 1e-7, so a solution that
+    fails is solved once more with that tolerance at
+    ``geometry.TIGHT_LP_TOL``; a second failure raises ``RuntimeError``.
+    """
+    p, q, gamma = _thermo_inputs(p, q, gamma)
+    if not _lorenz_dominates(p, q, gamma, MAJORIZATION_SLACK):
+        return None
+    n = p.size
 
     # Variables: D row-major (n*n), then the slack s.
     nvar = n * n + 1
@@ -168,17 +223,38 @@ def thermomajorizes(p, q, gamma, *, tol: float = 1e-8) -> StochasticMatrix | Non
         b_ub[n + i] = -q[i]
     cost = np.zeros(nvar)
     cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"thermomajorization LP did not solve cleanly: {res.message}")
-    if float(res.fun) > tol:
-        return None
-    witness = stochastic_matrix(res.x[:-1].reshape(n, n), col_tol=1e-7, entry_tol=1e-9)
-    for name, lhs, rhs in (("Dp=q", witness @ p, q), ("Dgamma=gamma", witness @ gamma, gamma)):
-        err = float(np.max(np.abs(lhs - rhs)))
-        if err > 10 * tol:
-            raise RuntimeError(f"LP witness violates {name} by {err}")
-    return witness
+    tight = {"primal_feasibility_tolerance": TIGHT_LP_TOL, "dual_feasibility_tolerance": TIGHT_LP_TOL}
+    for options in ({}, tight):
+        res = linprog(
+            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+            options=options,
+        )
+        if not res.success:
+            raise RuntimeError(f"thermomajorization LP did not solve cleanly: {res.message}")
+        witness, miss = _checked_witness(res, p, q, gamma, tol)
+        if miss is None:
+            return witness
+    raise RuntimeError(f"no thermomajorization witness for a pair the curves accept: {miss}")
+
+
+def _checked_witness(res, p, q, gamma, tol: float) -> tuple[StochasticMatrix | None, str | None]:
+    """The LP solution as a witness and None, or None and the first check it fails."""
+    n = p.size
+    try:
+        witness = stochastic_matrix(
+            res.x[:-1].reshape(n, n), col_tol=THERMO_WITNESS_COL_TOL, entry_tol=THERMO_WITNESS_ENTRY_TOL
+        )
+    except PreconditionError as exc:
+        return None, str(exc)
+    bound = THERMO_WITNESS_CHECK_FACTOR * tol
+    for name, err, limit in (
+        ("LP optimum", float(res.fun), tol),
+        ("Dp=q", float(np.max(np.abs(witness @ p - q))), bound),
+        ("Dgamma=gamma", float(np.max(np.abs(witness @ gamma - gamma))), bound),
+    ):
+        if err > limit:
+            return None, f"{name} off by {err} (tolerance {limit})"
+    return witness, None
 
 
 def _perfect_matching(support: np.ndarray) -> list[int] | None:

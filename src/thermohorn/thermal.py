@@ -22,8 +22,11 @@ block unitaries fills in exactly the convex hull:
   form (expanding the product is exponential and almost never needed);
 * *membership / realize*: classification against the hull's facets (one
   linear program for each target the facets do not place inside), and a
-  search over growing bath families that turns a thermomajorization
-  witness into an explicit finite-bath realization.
+  search over growing bath families for an explicit finite-bath
+  realization of a thermomajorized target. The search solves no LP to
+  reject: the target is checked on its thermo-Lorenz curves, and a bath
+  whose hull's facets and span keep it farther than ``sqrt(dim) * tol``
+  away is skipped; only the remaining baths are classified.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .energy import (
 from .errors import PreconditionError
 from .geometry import Polytope, classify_membership, hull_vertex_indices
 from .linalg import ComplexMatrix, ProbabilityVector, probability_vector, require_unitary
-from .majorization import birkhoff_decompose, schur_horn_unitary, thermomajorizes
+from .majorization import birkhoff_decompose, schur_horn_unitary, thermo_lorenz_dominates
 from .noisy import NoisyRealization, haar_unitary
 
 __all__ = [
@@ -663,27 +666,36 @@ def realize_interior(
 ) -> tuple[ThermalSetup, ComplexMatrix, NoisyRealization | None] | None:
     """Search growing baths for an exact realization of a feasible target.
 
-    The target must be thermomajorized by ``p`` (checked upfront; that is
-    the necessary condition). Bath families: ``copies`` walks k-fold tensor
-    powers of the system Hamiltonian, ``oscillator`` walks equally spaced
-    truncations with the gcd of the system gaps as spacing; both start at
-    the trivial one-dimensional bath and stop at dimension ``budget``. Each
-    bath is decided on its exact classical hull, built from greedy block
-    orderings. Returns ``(setup, unitary, gadget)`` for the first bath whose
-    hull holds the target, and None when no bath of the family up to
-    ``budget`` does — which proves nothing about larger baths.
+    The target must be thermomajorized by ``p``, the necessary condition;
+    it is checked up front on the thermo-Lorenz curves
+    (:func:`~thermohorn.majorization.thermo_lorenz_dominates`), with no LP.
+    Bath families: ``copies`` walks k-fold tensor powers of the system
+    Hamiltonian, ``oscillator`` walks equally spaced truncations with the
+    gcd of the system gaps as spacing; both start at the trivial
+    one-dimensional bath and stop at dimension ``budget``. Each bath is
+    decided on its exact classical hull, built from greedy block orderings.
+    A bath whose :meth:`~thermohorn.geometry.Polytope.separation` from the
+    target exceeds ``sqrt(dim) * tol`` cannot hold it within ``tol`` and is
+    skipped with no LP; every other bath goes to :func:`hull_membership`.
+    Returns ``(setup, unitary, gadget)`` for the first bath whose hull holds
+    the target, and None when no bath of the family up to ``budget`` does
+    — which proves nothing about larger baths.
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
-    gamma = gibbs_vector(ham_a)
-    if thermomajorizes(p, p_prime, gamma) is None:
+    if not thermo_lorenz_dominates(p, p_prime, gibbs_vector(ham_a)):
         raise PreconditionError(
             "not-thermomajorized",
             "target is not reachable by any Gibbs-preserving stochastic map",
         )
+    if not tol > 0:
+        raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
+    reach = math.sqrt(p_prime.size) * tol
     for ham_b in _bath_family(ham_a, bath_family, budget):
         setup = build_setup(ham_a, ham_b)
         rset = _greedy_reachable_set(p, setup)
+        if rset.polytope.separation(p_prime) > reach:
+            continue
         found = hull_membership(p_prime, rset, tol)
         if found.classification == "exterior":
             continue

@@ -1,22 +1,25 @@
 """Independent cross-check routes used by the tests.
 
-The library decides thermomajorization with a feasibility LP; the oracle
-here uses the piecewise-linear dominance-curve characterization instead, so
-agreement between the two is a real consistency check rather than the same
-code called twice. Likewise the reachable-set listing, built block by block
+The library decides thermomajorization on thermo-Lorenz curves; the
+oracles here are the same characterization written out separately
+(checked at the elbows of both curves, with plain stable ordering) and the
+min-residual feasibility LP over Gibbs-preserving stochastic maps, so
+agreement is a real consistency check rather than the same code called
+twice. Likewise the reachable-set listing, built block by block
 as a Minkowski sum, is checked against the marginals of every
 energy-preserving permutation, and the gadget unitaries, built from index
 images, against dense sums of Kronecker products. Membership verdicts,
-decided by facet margins, are checked against a positivity-margin LP, and
-the iterative and vectorized internals against the plain recursive and
+decided by facet margins, are checked against a positivity-margin LP, the
+bath search against a walk that asks ``hull_membership`` about every bath,
+and the iterative and vectorized internals against the plain recursive and
 looped forms they replace.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 
-from thermohorn import cyclic_shift, enumerate_classical
-from thermohorn.thermal import _multiset_permutations
+from thermohorn import build_setup, cyclic_shift, enumerate_classical, hull_membership
+from thermohorn.thermal import _bath_family, _greedy_reachable_set, _multiset_permutations
 
 
 def dominance_curve(p, gamma):
@@ -46,6 +49,51 @@ def thermomajorizes_oracle(p, q, gamma, slack=1e-11):
         if float(np.interp(t, xq, yq)) > float(np.interp(t, xp, yp)) + slack:
             return False
     return True
+
+
+def lorenz_margin(p, q, gamma):
+    """Smallest height of p's dominance curve above q's, over the elbows of both."""
+    xp, yp = dominance_curve(p, gamma)
+    xq, yq = dominance_curve(q, gamma)
+    at = np.concatenate([xp, xq])
+    return float(np.min(np.interp(at, xp, yp) - np.interp(at, xq, yq)))
+
+
+def thermomajorization_residual(p, q, gamma):
+    """``min ||D p - q||_inf`` over column-stochastic ``D`` with ``D gamma = gamma``, by LP."""
+    p, q, gamma = (np.asarray(v, dtype=np.float64) for v in (p, q, gamma))
+    n = p.size
+    nvar = n * n + 1  # D row-major, then the residual s
+    a_eq = np.zeros((2 * n, nvar))
+    for j in range(n):
+        a_eq[j, j : n * n : n] = 1.0
+    for i in range(n):
+        a_eq[n + i, i * n : (i + 1) * n] = gamma
+    a_ub = np.zeros((2 * n, nvar))
+    for i in range(n):
+        a_ub[i, i * n : (i + 1) * n] = p
+        a_ub[n + i, i * n : (i + 1) * n] = -p
+    a_ub[:, -1] = -1.0
+    cost = np.zeros(nvar)
+    cost[-1] = 1.0
+    res = linprog(
+        cost, A_ub=a_ub, b_ub=np.concatenate([q, -q]), A_eq=a_eq,
+        b_eq=np.concatenate([np.ones(n), gamma]), bounds=(0, None), method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def realize_reference(p, ham_a, p_prime, bath_family, budget, tol=1e-8):
+    """The first bath of the family whose greedy hull holds the target, or None.
+
+    Asks ``hull_membership`` about every bath, with no shortcut.
+    """
+    for ham_b in _bath_family(ham_a, bath_family, budget):
+        rset = _greedy_reachable_set(np.asarray(p, dtype=np.float64), build_setup(ham_a, ham_b))
+        if hull_membership(p_prime, rset, tol).classification != "exterior":
+            return ham_b
+    return None
 
 
 def majorizes_oracle(p, q, slack=1e-11):

@@ -377,7 +377,10 @@ def test_import_and_help_load_neither_sympy_nor_scipy_stats():
 
 def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
     # One interpreter runs the commands in turn and lists, after each, the
-    # deferred scipy packages loaded so far; fig4 goes last, as the first hull.
+    # deferred scipy packages loaded so far. A thermomajorize that prints
+    # false and a realize solve no LP; a qubit realize builds no Qhull hull
+    # either (its hulls are segments), and a qutrit realize is the first
+    # hull. fig4 goes last.
     steps = [
         ("import", None),
         ("help", ["--help"]),
@@ -386,6 +389,9 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
         ("decohere", ["decohere", "--ham-a", OSC3]),
         ("qubit-alpha", ["qubit-alpha", "--m", "3", "--beta-de", "ln2"]),
         ("third-law", ["third-law", "--temperature", "1.0", "--delta-e", "1.0", "--m", "10"]),
+        ("thermomajorize-false", ["thermomajorize", "--p", "2/3,1/3", "--q", "1/2,1/2", "--gamma", "2/3,1/3"]),
+        ("realize-qubit", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", "0.6,0.4"]),
+        ("realize-qutrit", ["realize", "--ham-a", OSC3, "--p", "1,0,0", "--target", "0.7,0.2,0.1"]),
         ("fig4", ["fig4", "--preset", "paper", "--format", "csv"]),
     ]
     probe = (
@@ -402,7 +408,8 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     loaded = dict(json.loads(line) for line in out.stdout.splitlines())
-    assert loaded == {name: [] for name, _ in steps[:-1]} | {"fig4": ["scipy.spatial"]}
+    hull = ["scipy.spatial"]
+    assert loaded == {name: [] for name, _ in steps[:-2]} | {"realize-qutrit": hull, "fig4": hull}
 
 
 @pytest.mark.parametrize(

@@ -275,3 +275,74 @@ def test_band_targets_never_get_a_witness_that_misses():
                     assert status == "boundary"
                     assert np.abs(weights @ gens - target).max() <= TOL
     assert resolved > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "sphere", "permutohedron", "sliver"]),
+    dim=st.integers(2, 5),
+    rank=st.integers(1, 3),
+    extra=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separation_is_a_lower_bound_that_certifies_exterior(kind, dim, rank, extra, seed):
+    # Each target is a hull point moved by a known distance, so the bound
+    # may not exceed that distance; wherever it exceeds sqrt(dim) * TOL, no
+    # convex combination comes within TOL in max-norm, and the LP agrees.
+    assume(rank <= dim)
+    rng = np.random.default_rng(seed)
+    if kind == "sliver":
+        # A segment 1e-15 thick, as in the Qhull refusal test: the SVD at
+        # rank tolerance 1e-16 keeps two directions (or more, from the
+        # rounding of the embedding), and Qhull mostly refuses all but one.
+        local = np.column_stack([rng.uniform(-1, 1, 3 + extra), rng.uniform(-1, 1, 3 + extra) * 1e-15])
+        local[:2, 1] = (1e-15, -1e-15)
+        span_tol = 1e-16
+    else:
+        local = _local_points(kind, rank, extra, rng)
+        span_tol = 1e-10
+    frame = np.linalg.qr(rng.normal(size=(dim, local.shape[1])))[0]
+    pts = rng.normal(size=dim) + local @ frame.T
+    # The sliver keeps every point, or the Qhull refusal would leave only
+    # the two endpoints, whose span is exactly a line.
+    verts = list(range(len(pts))) if kind == "sliver" else list(hull_vertex_indices(pts))
+    assume(len(verts) >= 2)
+    poly = Polytope(pts[verts], tol=span_tol)
+    gens = poly.vertices
+    if kind == "sliver":  # Qhull must have dropped a direction
+        assume(poly.rank < affine_rank(gens, tol=span_tol))
+    moved = []  # (target, its distance from a hull point)
+    on_hull = list(gens[:3]) + [rng.dirichlet(np.ones(len(gens))) @ gens]
+    for point in on_hull:
+        for push in (TOL, 3 * np.sqrt(dim) * TOL, 1e-4):
+            direction = rng.normal(size=dim)
+            moved.append((point + push * direction / np.linalg.norm(direction), push))
+    if poly.rank == 1:
+        coord = (gens - poly.origin) @ poly.basis[0]
+        ends = [(gens[np.argmax(coord)], poly.basis[0]), (gens[np.argmin(coord)], -poly.basis[0])]
+    else:
+        hull = ConvexHull(poly.projected)
+        ends = [
+            (gens[simplex].mean(axis=0), poly.basis.T @ equation[:-1])
+            for simplex, equation in zip(hull.simplices[:3], hull.equations[:3])
+        ]
+    if poly.rank < dim:  # straight off the span from a vertex
+        off_span = rng.normal(size=dim)
+        off_span -= poly.basis.T @ (poly.basis @ off_span)
+        ends += [(vertex, off_span / np.linalg.norm(off_span)) for vertex in gens[:2]]
+    for on_facet, outward in ends:
+        for push in (2 * TOL, 10 * TOL, 100 * TOL):
+            target = on_facet + push * outward
+            # Across a facet, or off the span, the bound is the push itself
+            # up to rounding.
+            assert poly.separation(target) >= push - 1e-13
+            moved.append((target, push))
+    reach = np.sqrt(dim) * TOL
+    certified = 0
+    for target, distance in moved:
+        bound = poly.separation(target)
+        assert 0.0 <= bound <= distance + 1e-13
+        if bound > reach:
+            certified += 1
+            assert classify_membership(target, poly, TOL)[0] == "exterior"
+    assert certified > 0

@@ -1,24 +1,44 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import majorizes_oracle, perfect_matching, thermomajorizes_oracle
+from oracles import (
+    lorenz_margin,
+    majorizes_oracle,
+    perfect_matching,
+    thermomajorization_residual,
+    thermomajorizes_oracle,
+)
 from thermohorn import majorization
 from thermohorn import (
+    Hamiltonian,
     PreconditionError,
     birkhoff_decompose,
     first_failing_prefix,
+    gibbs_vector,
     hadamard_square,
     majorizes,
     permutation_matrix,
     random_bistochastic,
     schur_horn_unitary,
     stochastic_matrix,
+    thermo_lorenz_dominates,
     thermomajorizes,
 )
+from thermohorn.config import MAJORIZATION_SLACK, THERMO_WITNESS_COL_TOL, THERMO_WITNESS_TOL
+from thermohorn.energy import EnergyLabel
+
+#: Curve margins within this of zero are the boundary band, where the LP's
+#: verdict at its 1e-8 residual tolerance and HiGHS's 1e-7 feasibility
+#: tolerance need not match the curves' at their 1e-10 slack.
+LP_BAND = 1e-6
+#: The LP is compared only where every nonzero entry of gamma and p is at
+#: least this, far above HiGHS's 1e-9 cut for small coefficients.
+LP_COEFFICIENT_FLOOR = 1e-6
 
 
 def _rational_simplex(dim, denominator=12):
@@ -101,6 +121,114 @@ def test_thermomajorizes_agrees_with_curve_oracle(p, q, g):
     gamma = np.array(g, dtype=np.float64) / sum(g)
     feasible = thermomajorizes(p, q, gamma) is not None
     assert feasible == thermomajorizes_oracle(p, q, gamma)
+
+
+@st.composite
+def _thermo_boundary_cases(draw):
+    """``(p, q, gamma)`` with ``q`` pushed ``k * 1e-7`` across the edge of what ``p`` reaches.
+
+    ``gamma`` is random, uniform, or has levels spanning 699.9 in
+    log-weight (just inside ``gibbs_vector``'s limit); ``p`` is random, has
+    zero entries, or has two entries tied in ``p / gamma``. The boundary
+    target mixes ``gamma`` with a state ``r``: the mixtures grow along the
+    thermomajorization order as the weight of ``r`` grows, so bisection
+    finds where ``p`` stops reaching them, and ``k`` moves that weight.
+    """
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma_kind = draw(st.sampled_from(["dirichlet", "uniform", "edge"]))
+    if gamma_kind == "uniform":
+        gamma = np.full(n, 1.0 / n)
+    elif gamma_kind == "edge":
+        tenths = [0, 6999] + [int(t) for t in rng.integers(0, 7000, size=n - 2)]
+        levels = tuple(EnergyLabel(Fraction(t, 10)) for t in rng.permutation(tenths))
+        gamma = gibbs_vector(Hamiltonian(levels, 1.0, 1.0))
+    else:
+        gamma = rng.dirichlet(np.ones(n))
+    p = rng.dirichlet(np.ones(n))
+    p_kind = draw(st.sampled_from(["dirichlet", "zeros", "ties"]))
+    if p_kind == "zeros":
+        p[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+    elif p_kind == "ties":
+        i, j = rng.choice(n, size=2, replace=False)
+        p[j] = p[i] * gamma[j] / gamma[i]
+    p /= p.sum()
+    r = 0.5 * np.eye(n)[rng.integers(n)] + 0.5 * rng.dirichlet(np.ones(n))
+    q = _pushed_boundary_target(
+        p, gamma, lambda t: (1.0 - t) * gamma + t * r,
+        draw(st.sampled_from([-100, -10, -3, -1, 0, 1, 3, 10, 100])),
+    )
+    assume(q is not None)
+    return p, q, gamma
+
+
+def _pushed_boundary_target(p, gamma, path, k):
+    """The last state ``path(t)`` that ``p`` reaches, with ``t`` moved by ``k * 1e-7``.
+
+    ``path`` must rise along the thermomajorization order from a state
+    ``p`` reaches at ``t = 0``. None when ``p`` also reaches ``path(1)``,
+    or the moved state has a negative entry.
+    """
+    if lorenz_margin(p, path(1.0), gamma) >= 0.0:
+        return None
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if lorenz_margin(p, path(mid), gamma) >= 0.0 else (lo, mid)
+    q = path(lo + k * 1e-7)
+    return q / q.sum() if q.min() >= 0.0 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_thermo_boundary_cases())
+def test_thermo_lorenz_verdict_agrees_with_oracle_and_lp(case):
+    p, q, gamma = case
+    verdict = thermo_lorenz_dominates(p, q, gamma)
+    assert verdict == thermomajorizes_oracle(p, q, gamma, MAJORIZATION_SLACK)
+    n = p.size
+    assert thermo_lorenz_dominates(p, q, np.full(n, 1.0 / n)) == majorizes(p, q)
+    if not verdict:
+        with mock.patch.object(majorization, "linprog", wraps=majorization.linprog) as lp:
+            assert thermomajorizes(p, q, gamma) is None
+        assert lp.call_count == 0
+    # HiGHS drops constraint coefficients below 1e-9, which makes the LP
+    # answer a different question once gamma or p has entries that small.
+    smallest = min(gamma.min(), p[p > 0].min())
+    if abs(lorenz_margin(p, q, gamma)) <= LP_BAND or smallest < LP_COEFFICIENT_FLOOR:
+        return
+    assert verdict == (thermomajorization_residual(p, q, gamma) <= THERMO_WITNESS_TOL)
+    if verdict:
+        witness = thermomajorizes(p, q, gamma)
+        assert np.abs(witness @ p - q).max() <= 10 * THERMO_WITNESS_TOL
+        assert np.abs(witness @ gamma - gamma).max() <= 10 * THERMO_WITNESS_TOL
+        stochastic_matrix(witness, col_tol=THERMO_WITNESS_COL_TOL)
+
+
+def test_thermomajorizes_resolves_witnesses_highs_leaves_inexact():
+    # Just inside the boundary HiGHS's 1e-7 feasibility tolerance can leave
+    # witness entries below -1e-9, or miss Dp=q by 1e-7; such a solution
+    # is solved once more at TIGHT_LP_TOL. Each target moves mass from the
+    # lowest to the highest q/gamma entry of a mixture of p and gamma.
+    rng = np.random.default_rng(11)
+    resolved = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        p, gamma = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        start = (lam := rng.uniform()) * p + (1.0 - lam) * gamma
+        order = np.argsort(-(start / gamma))
+        move = start[order[-1]] * (np.eye(n)[order[0]] - np.eye(n)[order[-1]])
+        for k in (-0.01, -0.1, -1.0):
+            q = _pushed_boundary_target(p, gamma, lambda t: start + t * move, k)
+            if q is None:
+                continue
+            with mock.patch.object(majorization, "linprog", wraps=majorization.linprog) as lp:
+                witness = thermomajorizes(p, q, gamma)
+            assert lp.call_count in (1, 2)
+            resolved += lp.call_count == 2
+            assert np.abs(witness @ p - q).max() <= 10 * THERMO_WITNESS_TOL
+            assert np.abs(witness @ gamma - gamma).max() <= 10 * THERMO_WITNESS_TOL
+            stochastic_matrix(witness, col_tol=THERMO_WITNESS_COL_TOL)
+    assert resolved > 0
 
 
 def test_birkhoff_decomposes_known_circulant():

@@ -1,6 +1,9 @@
+import contextlib
 import itertools
 import math
+import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,14 +37,20 @@ from thermohorn import (
     zero_hamiltonian,
 )
 from thermohorn.energy import EnergyLabel
-from thermohorn.geometry import hull_vertex_indices
+from thermohorn.geometry import hull_vertex_indices, linprog
 from thermohorn.thermal import (
     _block_class_targets,
     _greedy_reachable_set,
     _multiset_permutations,
 )
 
-from oracles import bit_equal, block_class_targets, conditional_shift, reachable_listing
+from oracles import (
+    bit_equal,
+    block_class_targets,
+    conditional_shift,
+    reachable_listing,
+    realize_reference,
+)
 
 
 def _qubit_oscillator(m, beta_de=math.log(2.0)):
@@ -442,6 +451,104 @@ def test_realize_copies_reaches_the_bath_the_closed_form_allows():
     assert setup.dim_b == 32
     achieved = ((np.abs(u) ** 2) @ setup.joint_input(p)).reshape(2, 32).sum(axis=1)
     assert np.abs(achieved - [1 - a, a]).max() < 1e-8
+
+
+@contextlib.contextmanager
+def _counting_lps():
+    """Count the LPs solved through every thermohorn module that binds ``linprog``."""
+    counter = mock.Mock(side_effect=linprog)
+    holders = [
+        module for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "thermohorn" and getattr(module, "linprog", None) is linprog
+    ]
+    assert {m.__name__ for m in holders} >= {"thermohorn.geometry", "thermohorn.majorization"}
+    with contextlib.ExitStack() as stack:
+        for module in holders:
+            stack.enter_context(mock.patch.object(module, "linprog", counter))
+        yield counter
+
+
+def _realize_search_cases():
+    """``(p, ham_a, target, family, budget)`` like the benchmark's bath searches.
+
+    A ground-state qubit (beta * gap = ln 2) against qubit copies up to 32
+    and oscillators up to 6 levels, with targets spread between the
+    closed-form thresholds of consecutive baths; and the (5, 7, 8) system
+    against its copies, with targets near the edge of the two-copy hull
+    that no smaller bath holds.
+    """
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    ground = np.array([1.0, 0.0])
+    ladders = {
+        "copies": [_qubit_copies(k, math.log(2.0))[1] for k in range(6)],
+        "oscillator": [oscillator_hamiltonian(m, math.log(2.0)) for m in range(1, 7)],
+    }
+    cases = []
+    for family, baths in ladders.items():
+        tops = [alpha_max_achievable(bath, 1) for bath in baths]
+        for lo, hi in zip(tops, tops[1:]):
+            if hi <= lo:
+                continue
+            for frac in (0.05, 0.5, 0.95):
+                a = lo + frac * (hi - lo)
+                cases.append((ground, qubit, np.array([1.0 - a, a]), family, baths[-1].dim))
+    setup, p = _two_copy_preset()
+    vertices = _greedy_reachable_set(p, setup).hull_vertices()
+    low = vertices[np.argsort(vertices[:, 0])[:2]]
+    for mu in (0.2, 0.5, 0.8):
+        target = 0.97 * (mu * low[0] + (1 - mu) * low[1]) + 0.03 * vertices.mean(axis=0)
+        cases.append((p, setup.ham_a, target / target.sum(), "copies", 27))
+    return cases
+
+
+def test_realize_search_solves_no_lp_and_finds_the_reference_bath():
+    # Baths whose hull misses the target are skipped on the separation bound
+    # and the target is checked up front on its thermo-Lorenz curves, so
+    # none of these searches solves an LP; each stops at the first bath
+    # that hull_membership, asked about every bath, finds holding it.
+    found = set()
+    for p, ham_a, target, family, budget in _realize_search_cases():
+        bath = realize_reference(p, ham_a, target, family, budget)
+        with _counting_lps() as lp:
+            result = realize_interior(p, ham_a, target, family, budget)
+        assert lp.call_count == 0
+        assert bath is not None and result[0].ham_b == bath
+        found.add((family, p.size, bath.dim))
+    # The 4- and 16-dimensional copies baths reach no further than the bath before each.
+    assert found == {("copies", 2, d) for d in (2, 8, 32)} | {
+        ("oscillator", 2, m) for m in range(2, 7)
+    } | {("copies", 3, 9)}
+
+
+def test_realize_stops_at_a_bath_that_holds_the_target_within_tol():
+    # A target 0.5 tol (max-norm) past an oscillator bath's closed-form
+    # threshold lies sqrt(2) * 0.5 tol away from that hull, under the
+    # separation cut of sqrt(2) * tol: the bath is classified, not skipped,
+    # and hull_membership calls it boundary. At 2 tol past, both agree the
+    # bath misses.
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    ground = np.array([1.0, 0.0])
+    for m in (2, 3, 5):
+        top = alpha_max_achievable(oscillator_hamiltonian(m, math.log(2.0)), 1)
+        for past, bath in ((0.5e-8, m), (2e-8, m + 1)):
+            target = np.array([1.0 - top - past, top + past])
+            assert realize_reference(ground, qubit, target, "oscillator", 8).dim == bath
+            setup, _, _ = realize_interior(ground, qubit, target, "oscillator", 8)
+            assert setup.dim_b == bath
+
+
+def test_realize_rejects_bad_targets_and_tolerances_without_an_lp():
+    ham_a = qubit_hamiltonian(beta=1.0)
+    gamma = gibbs_vector(ham_a)
+    with _counting_lps() as lp:
+        with pytest.raises(PreconditionError) as err:
+            realize_interior(gamma, ham_a, np.array([0.05, 0.95]), "copies", budget=4)
+        assert err.value.code == "not-thermomajorized"
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(PreconditionError) as err:
+                realize_interior(gamma, ham_a, gamma, "copies", budget=4, tol=tol)
+            assert err.value.code == "bad-tolerance"
+    assert lp.call_count == 0
 
 
 def test_greedy_hull_decides_six_copy_bath_exactly():
