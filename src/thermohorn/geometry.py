@@ -76,6 +76,20 @@ WITNESS_PRUNE_TOL = 1e-9
 #: default membership ``tol``).
 TIGHT_LP_TOL = 1e-10
 
+#: HiGHS's feasibility tolerance for the first solve of an LP (None: its own,
+#: 1e-7) and for its one re-solve when the first witness fails its check.
+FEASIBILITY_TOLS = (None, TIGHT_LP_TOL)
+
+
+def highs_options(feasibility_tol: float | None) -> dict:
+    """HiGHS options setting its primal and dual feasibility tolerances (None: its own)."""
+    if feasibility_tol is None:
+        return {}
+    return {
+        "primal_feasibility_tolerance": feasibility_tol,
+        "dual_feasibility_tolerance": feasibility_tol,
+    }
+
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call."""
@@ -274,13 +288,9 @@ def min_slack_combination(
     a_eq[0, :k] = 1.0
     cost = np.zeros(nvar)
     cost[-1] = 1.0
-    options = {} if feasibility_tol is None else {
-        "primal_feasibility_tolerance": feasibility_tol,
-        "dual_feasibility_tolerance": feasibility_tol,
-    }
     res = linprog(
         cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs",
-        options=options,
+        options=highs_options(feasibility_tol),
     )
     if not res.success:
         raise RuntimeError(f"membership LP did not solve cleanly: {res.message}")
@@ -355,7 +365,7 @@ def classify_membership(
             weights, err = _pruned(weights, gens, tgt, tol)
             if err <= tol:
                 return status, margin, weights
-    for feasibility_tol in (None, TIGHT_LP_TOL):
+    for feasibility_tol in FEASIBILITY_TOLS:
         residual, weights = min_slack_combination(tgt, gens, feasibility_tol=feasibility_tol)
         if residual > tol:
             return "exterior", residual, None

@@ -31,7 +31,7 @@ from .config import (
     THERMO_WITNESS_TOL,
 )
 from .errors import PreconditionError
-from .geometry import TIGHT_LP_TOL, linprog
+from .geometry import FEASIBILITY_TOLS, highs_options, linprog
 from .linalg import (
     ComplexMatrix,
     ProbabilityVector,
@@ -169,8 +169,9 @@ def thermo_lorenz_dominates(p, q, gamma, *, slack: float = MAJORIZATION_SLACK) -
     ``p`` thermomajorizes ``q`` exactly when its curve lies on or above that
     of ``q`` (Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013)), which
     is settled at the elbows of ``q``'s curve; each may exceed ``p``'s curve
-    by ``slack``. O(n log n), no LP. For a uniform ``gamma`` this is
-    :func:`majorizes`.
+    by ``slack``. A ``q`` within max-norm ``tol`` of a state ``p``
+    thermomajorizes passes at ``slack = n * tol``. O(n log n), no LP. For a
+    uniform ``gamma`` this is :func:`majorizes`.
     """
     return _lorenz_dominates(*_thermo_inputs(p, q, gamma), slack)
 
@@ -182,7 +183,7 @@ def _lorenz_dominates(p, q, gamma, slack: float) -> bool:
     return bool(np.all(above >= yq - slack))
 
 
-def thermomajorizes(p, q, gamma, *, tol: float = THERMO_WITNESS_TOL) -> StochasticMatrix | None:
+def thermomajorizes(p, q, gamma) -> StochasticMatrix | None:
     """A stochastic ``D`` with ``D p = q`` and ``D gamma = gamma``, or None if there is none.
 
     The verdict is :func:`thermo_lorenz_dominates` at its default slack;
@@ -191,11 +192,11 @@ def thermomajorizes(p, q, gamma, *, tol: float = THERMO_WITNESS_TOL) -> Stochast
     ``gamma`` (a region never empty: the rank-one matrix with all columns
     ``gamma`` is in it). The solution must be stochastic to
     ``THERMO_WITNESS_COL_TOL`` and ``THERMO_WITNESS_ENTRY_TOL``, reach an
-    optimum of at most ``tol``, and meet ``D p = q`` and ``D gamma = gamma``
-    within ``THERMO_WITNESS_CHECK_FACTOR * tol``. HiGHS meets its
-    constraints only to its feasibility tolerance, 1e-7, so a solution that
-    fails is solved once more with that tolerance at
-    ``geometry.TIGHT_LP_TOL``; a second failure raises ``RuntimeError``.
+    optimum of at most ``THERMO_WITNESS_TOL``, and meet ``D p = q`` and
+    ``D gamma = gamma`` within ``THERMO_WITNESS_CHECK_FACTOR`` times that.
+    HiGHS meets its constraints only to its feasibility tolerance, 1e-7, so
+    a solution that fails is solved once more at the tighter tolerance of
+    ``geometry.FEASIBILITY_TOLS``; a second failure raises ``RuntimeError``.
     """
     p, q, gamma = _thermo_inputs(p, q, gamma)
     if not _lorenz_dominates(p, q, gamma, MAJORIZATION_SLACK):
@@ -223,21 +224,20 @@ def thermomajorizes(p, q, gamma, *, tol: float = THERMO_WITNESS_TOL) -> Stochast
         b_ub[n + i] = -q[i]
     cost = np.zeros(nvar)
     cost[-1] = 1.0
-    tight = {"primal_feasibility_tolerance": TIGHT_LP_TOL, "dual_feasibility_tolerance": TIGHT_LP_TOL}
-    for options in ({}, tight):
+    for feasibility_tol in FEASIBILITY_TOLS:
         res = linprog(
             cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-            options=options,
+            options=highs_options(feasibility_tol),
         )
         if not res.success:
             raise RuntimeError(f"thermomajorization LP did not solve cleanly: {res.message}")
-        witness, miss = _checked_witness(res, p, q, gamma, tol)
+        witness, miss = _checked_witness(res, p, q, gamma)
         if miss is None:
             return witness
     raise RuntimeError(f"no thermomajorization witness for a pair the curves accept: {miss}")
 
 
-def _checked_witness(res, p, q, gamma, tol: float) -> tuple[StochasticMatrix | None, str | None]:
+def _checked_witness(res, p, q, gamma) -> tuple[StochasticMatrix | None, str | None]:
     """The LP solution as a witness and None, or None and the first check it fails."""
     n = p.size
     try:
@@ -246,9 +246,9 @@ def _checked_witness(res, p, q, gamma, tol: float) -> tuple[StochasticMatrix | N
         )
     except PreconditionError as exc:
         return None, str(exc)
-    bound = THERMO_WITNESS_CHECK_FACTOR * tol
+    bound = THERMO_WITNESS_CHECK_FACTOR * THERMO_WITNESS_TOL
     for name, err, limit in (
-        ("LP optimum", float(res.fun), tol),
+        ("LP optimum", float(res.fun), THERMO_WITNESS_TOL),
         ("Dp=q", float(np.max(np.abs(witness @ p - q))), bound),
         ("Dgamma=gamma", float(np.max(np.abs(witness @ gamma - gamma))), bound),
     ):

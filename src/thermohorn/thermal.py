@@ -666,9 +666,11 @@ def realize_interior(
 ) -> tuple[ThermalSetup, ComplexMatrix, NoisyRealization | None] | None:
     """Search growing baths for an exact realization of a feasible target.
 
-    The target must be thermomajorized by ``p``, the necessary condition;
-    it is checked up front on the thermo-Lorenz curves
-    (:func:`~thermohorn.majorization.thermo_lorenz_dominates`), with no LP.
+    The target must lie within max-norm ``tol`` of a state thermomajorized
+    by ``p``, or no bath's hull (a set of such states) holds it within
+    ``tol``; this is checked up front on the thermo-Lorenz curves at slack
+    ``dim * tol`` (:func:`~thermohorn.majorization.thermo_lorenz_dominates`),
+    with no LP.
     Bath families: ``copies`` walks k-fold tensor powers of the system
     Hamiltonian, ``oscillator`` walks equally spaced truncations with the
     gcd of the system gaps as spacing; both start at the trivial
@@ -683,13 +685,13 @@ def realize_interior(
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
-    if not thermo_lorenz_dominates(p, p_prime, gibbs_vector(ham_a)):
+    if not tol > 0:
+        raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
+    if not thermo_lorenz_dominates(p, p_prime, gibbs_vector(ham_a), slack=p_prime.size * tol):
         raise PreconditionError(
             "not-thermomajorized",
             "target is not reachable by any Gibbs-preserving stochastic map",
         )
-    if not tol > 0:
-        raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
     reach = math.sqrt(p_prime.size) * tol
     for ham_b in _bath_family(ham_a, bath_family, budget):
         setup = build_setup(ham_a, ham_b)

@@ -32,6 +32,7 @@ from thermohorn import (
     random_block_unitary,
     realize_interior,
     synthesize_unitary,
+    thermo_lorenz_dominates,
     thermal_decoherence_gadget,
     weight_hamiltonian,
     zero_hamiltonian,
@@ -535,6 +536,26 @@ def test_realize_stops_at_a_bath_that_holds_the_target_within_tol():
             assert realize_reference(ground, qubit, target, "oscillator", 8).dim == bath
             setup, _, _ = realize_interior(ground, qubit, target, "oscillator", 8)
             assert setup.dim_b == bath
+
+
+def test_realize_searches_a_target_within_tol_of_a_thermomajorized_state():
+    # The Gibbs state thermomajorizes only itself. A target 1e-9 (max-norm)
+    # away is not thermomajorized, but lies within tol of the trivial
+    # bath's one-point hull; the up-front curve check allows dim * tol, so
+    # the search reaches that bath. At tol = 1e-10 the curves refuse it.
+    for ham_a in (qubit_hamiltonian(beta=1.0), weight_hamiltonian((5, 7, 8), beta=0.7)):
+        gamma = gibbs_vector(ham_a)
+        target = gamma.copy()
+        target[0] += 1e-9
+        target[-1] -= 1e-9
+        assert not thermo_lorenz_dominates(gamma, target, gamma)
+        assert realize_reference(gamma, ham_a, target, "copies", 4).dim == 1
+        with _counting_lps() as lp:
+            setup, _, _ = realize_interior(gamma, ham_a, target, "copies", budget=4)
+        assert lp.call_count == 0 and setup.dim_b == 1
+        with pytest.raises(PreconditionError) as err:
+            realize_interior(gamma, ham_a, target, "copies", budget=4, tol=1e-10)
+        assert err.value.code == "not-thermomajorized"
 
 
 def test_realize_rejects_bad_targets_and_tolerances_without_an_lp():
