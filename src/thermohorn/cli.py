@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import ENUMERATION_CAP
+from .config import DECOMPOSITION_TOL, ENUMERATION_CAP
 from .energy import Hamiltonian, ThermalSetup, build_setup, weight_hamiltonian
 from .errors import PreconditionError
 from .linalg import probability_vector
@@ -330,8 +330,9 @@ def _cmd_decompose(argv) -> str:
     parser = _parser(
         "decompose",
         "Blockwise Birkhoff decomposition of an energy-preserving unitary. Output: "
-        "{\"blocks\", \"terms\": [[{\"w\", \"perm\"}...]...], \"term_count\"} with "
-        "in-block permutations.",
+        "{\"blocks\", \"terms\": [[{\"w\", \"perm\"}...]...], \"term_count\", "
+        "\"reconstruction_error\", \"tol\"} with in-block permutations; the worst "
+        "block's mixture rebuilds its squared moduli to reconstruction_error <= tol.",
     )
     parser.add_argument("--ham-a", required=True)
     parser.add_argument("--ham-b", required=True)
@@ -349,6 +350,8 @@ def _cmd_decompose(argv) -> str:
             "blocks": [list(b) for b in product.blocks],
             "terms": terms,
             "term_count": product.term_count,
+            "reconstruction_error": _real_list([product.reconstruction_error])[0],
+            "tol": DECOMPOSITION_TOL,
         }
     )
 

@@ -52,6 +52,24 @@ THERMO_WITNESS_ENTRY_TOL = 1e-9
 #: matching, is left behind rather than refused.
 DECOMPOSITION_TOL = 1e-7
 
+#: Birkhoff decomposition refuses an entry below ``-this`` as negative; one
+#: in ``[-this, 0)`` is rounding noise, clipped to 0.
+BISTOCHASTIC_ENTRY_TOL = 1e-9
+
+#: A matrix is bistochastic when every row and column sums to 1 within this.
+BISTOCHASTIC_SUM_TOL = 1e-8
+
+#: The greedy Birkhoff chain's default cut: a residual entry at most this is
+#: outside the support, and one below it is set to 0.
+BIRKHOFF_ZERO_TOL = 1e-10
+
+#: A mixture of permutations refuses a weight below ``-this``.
+MIXTURE_WEIGHT_FLOOR = 1e-12
+
+#: A mixture of permutations refuses weights whose sum misses 1 by more
+#: than this.
+MIXTURE_NORM_TOL = 1e-9
+
 #: Two reachable-set points closer than this in max-norm are one point.
 DEDUP_TOL = 1e-10
 

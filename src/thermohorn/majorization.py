@@ -12,7 +12,8 @@ The constructive side: :func:`schur_horn_unitary` builds a unitary whose
 conjugation carries one diagonal to another prescribed majorized diagonal
 (a chain of at most ``n - 1`` planar rotations), and
 :func:`birkhoff_decompose` peels a bistochastic matrix into a convex
-combination of permutations by repeated perfect matchings.
+combination of permutations along a greedy chain of perfect matchings: one
+matching, repaired by an augmenting path for each entry a step zeroes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    BIRKHOFF_ZERO_TOL,
+    BISTOCHASTIC_ENTRY_TOL,
+    BISTOCHASTIC_SUM_TOL,
     DECOMPOSITION_TOL,
     MAJORIZATION_SLACK,
+    MIXTURE_NORM_TOL,
+    MIXTURE_WEIGHT_FLOOR,
     THERMO_WITNESS_CHECK_FACTOR,
     THERMO_WITNESS_COL_TOL,
     THERMO_WITNESS_ENTRY_TOL,
@@ -81,9 +87,12 @@ class ConvexPermutationDecomposition:
 
     Each term is ``(weight, images)`` where ``images[j]`` is the image of
     basis index ``j`` (see :func:`thermohorn.linalg.permutation_matrix`).
+    ``reconstruction_error`` is the max-norm by which the mixture missed the
+    matrix it was decomposed from (None when it was not decomposed from one).
     """
 
     terms: tuple[tuple[float, tuple[int, ...]], ...]
+    reconstruction_error: float | None = None
 
     def __post_init__(self):
         if not self.terms:
@@ -91,14 +100,14 @@ class ConvexPermutationDecomposition:
         total = 0.0
         dim = len(self.terms[0][1])
         for weight, perm in self.terms:
-            if weight < -1e-12:
+            if weight < -MIXTURE_WEIGHT_FLOOR:
                 raise PreconditionError("negative-weight", f"weight {weight} below 0")
             if sorted(perm) != list(range(dim)):
                 raise PreconditionError(
                     "not-a-permutation", f"{perm} is not a bijection on 0..{dim - 1}"
                 )
             total += weight
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > MIXTURE_NORM_TOL:
             raise PreconditionError("weights-not-normalized", f"weights sum to {total}")
 
     @property
@@ -107,11 +116,7 @@ class ConvexPermutationDecomposition:
 
     def to_matrix(self) -> RealMatrix:
         """Reassemble the bistochastic matrix ``sum_k w_k P_k``."""
-        out = np.zeros((self.dim, self.dim))
-        cols = np.arange(self.dim)
-        for weight, perm in self.terms:
-            out[np.asarray(perm), cols] += weight
-        return out
+        return _mixture_matrix(self.terms, self.dim)
 
 
 def _sorted_prefix_sums(vec: ProbabilityVector) -> np.ndarray:
@@ -257,96 +262,117 @@ def _checked_witness(res, p, q, gamma) -> tuple[StochasticMatrix | None, str | N
     return witness, None
 
 
-def _perfect_matching(support: np.ndarray) -> list[int] | None:
-    """Column -> row perfect matching in a boolean support grid, or None.
+def _augment(masks: list[int], row_match: list[int], start: int) -> bool:
+    """Match the free column ``start`` along an augmenting path; False if there is none.
 
-    Kuhn's augmenting paths, one depth-first search per column with an
-    explicit stack: each column scans its support rows in ascending order,
-    and a row already matched hands the search on to its column.
+    ``masks[j]`` holds column ``j``'s support rows as bits, ``row_match``
+    the column each row is matched to (-1 when free); a found path is
+    flipped into ``row_match`` in place. Kuhn's depth-first search with an
+    explicit stack: each column takes the lowest support row this search has
+    not yet seen, and a row already matched hands the search on to its
+    column. By Berge's theorem a failure means the support admits no
+    perfect matching.
     """
-    n = support.shape[0]
-    rows_of = [[i for i, s in enumerate(col) if s] for col in support.T.tolist()]
-    row_match = [-1] * n  # row -> column currently assigned
-    for start in range(n):
-        seen = [False] * n
-        cols = [start]  # the columns on the search path
-        scans = [iter(rows_of[start])]  # each one's remaining support rows
-        path: list[int] = []  # the row taken from each column but the last
-        while scans:
-            for i in scans[-1]:
-                if not seen[i]:
-                    break
-            else:
-                scans.pop()
-                cols.pop()
-                if path:
-                    path.pop()
-                continue
-            seen[i] = True
-            path.append(i)
-            j = row_match[i]
-            if j == -1:
-                for row, col in zip(path, cols):
-                    row_match[row] = col
-                break
-            cols.append(j)
-            scans.append(iter(rows_of[j]))
-        else:
-            return None
-    col_to_row = [-1] * n
-    for i, j in enumerate(row_match):
-        col_to_row[j] = i
-    return col_to_row
+    seen = 0
+    cols = [start]  # the columns on the search path
+    path: list[int] = []  # the row taken from each column but the last
+    while cols:
+        free = masks[cols[-1]] & ~seen
+        if not free:
+            cols.pop()
+            if path:
+                path.pop()
+            continue
+        bit = free & -free
+        seen |= bit
+        i = bit.bit_length() - 1
+        path.append(i)
+        j = row_match[i]
+        if j == -1:
+            for row, col in zip(path, cols):
+                row_match[row] = col
+            return True
+        cols.append(j)
+    return False
+
+
+def _mixture_matrix(terms, n: int) -> RealMatrix:
+    """``sum_k w_k P_k``, each entry summed in term order."""
+    weights, perms = zip(*terms)
+    flat = np.asarray(perms) * n + np.arange(n)  # entry (images[j], j), row-major
+    return np.bincount(flat.ravel(), np.repeat(weights, n), n * n).reshape(n, n)
 
 
 def birkhoff_decompose(
-    d, require_bistochastic: bool = True, *, zero_tol: float = 1e-10
+    d, require_bistochastic: bool = True, *, zero_tol: float = BIRKHOFF_ZERO_TOL
 ) -> ConvexPermutationDecomposition:
     """Peel a bistochastic matrix into a convex combination of permutations.
 
-    Greedy: find a permutation inside the support (perfect matching via
-    augmenting paths), subtract its minimum entry, repeat; entries below
-    ``zero_tol`` count as zero. That cut can leave a residual of a few
-    ``zero_tol`` whose support admits no perfect matching: it is dropped
-    when no entry exceeds ``DECOMPOSITION_TOL``, which also bounds the
-    reconstruction error checked at the end. Weights are normalized at the
-    end. Each step zeroes at least one entry and so lowers the dimension of the
-    Birkhoff face holding the residual, which bounds the chain by
-    ``(n-1)^2 + 1`` terms (Marcus-Ree); a longer chain raises
-    ``RuntimeError``.
+    Greedy: take a permutation inside the support (entries above
+    ``zero_tol``), subtract its minimum entry, repeat; entries below
+    ``zero_tol`` are set to 0. One column -> row matching serves the whole
+    chain: a step changes only the entries of the permutation it used, so
+    every other matched edge stays in the support, and only the columns whose
+    matched entry fell to ``zero_tol`` or below are matched again, each by
+    one augmenting path from the previous matching. The cut can leave a
+    residual of a few ``zero_tol`` whose support admits no perfect matching:
+    it is dropped when no entry exceeds ``DECOMPOSITION_TOL``, which also
+    bounds the reconstruction error checked at the end (and kept as
+    ``reconstruction_error``). Weights are normalized at the end. Each step
+    zeroes at least one entry and so lowers the dimension of the Birkhoff
+    face holding the residual, which bounds the chain by ``(n-1)^2 + 1``
+    terms (Marcus-Ree); a longer chain raises ``RuntimeError``.
     """
     mat = np.asarray(d, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise PreconditionError("not-square", f"expected square matrix, got shape {mat.shape}")
     n = mat.shape[0]
-    if float(mat.min()) < -1e-9:
+    if float(mat.min()) < -BISTOCHASTIC_ENTRY_TOL:
         raise PreconditionError("negative-entry", f"entry {mat.min()} is negative")
     if require_bistochastic:
         row_err = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
         col_err = float(np.max(np.abs(mat.sum(axis=0) - 1.0)))
-        if max(row_err, col_err) > 1e-8:
+        if max(row_err, col_err) > BISTOCHASTIC_SUM_TOL:
             raise PreconditionError(
                 "not-bistochastic",
-                f"row sums off by {row_err}, column sums off by {col_err} (tolerance 1e-8)",
+                f"row sums off by {row_err}, column sums off by {col_err} "
+                f"(tolerance {BISTOCHASTIC_SUM_TOL})",
             )
     residual = np.clip(mat, 0.0, None)
+    residual[residual < zero_tol] = 0.0
+    support = residual > zero_tol
+    in_support = int(np.count_nonzero(support))
+    packed = np.packbits(support.T, axis=1, bitorder="little")
+    masks = [int.from_bytes(col.tobytes(), "little") for col in packed]
+    columns = residual.T.tolist()  # columns[j][i] is entry (i, j)
+    row_match = [-1] * n
+    free_cols = list(range(n))
     raw_terms: list[tuple[float, tuple[int, ...]]] = []
-    for _ in range(n * n):
-        if float(residual.max()) <= zero_tol:
-            break
-        perm = _perfect_matching(residual > zero_tol)
-        if perm is None:
-            if float(residual.max()) <= DECOMPOSITION_TOL:
+    while in_support:
+        if not all(_augment(masks, row_match, j) for j in free_cols):
+            if max(map(max, columns)) <= DECOMPOSITION_TOL:
                 break  # left behind; the reconstruction check below bounds it
             raise PreconditionError(
                 "matching-failure",
-                f"support of residual mass {float(residual.sum())} admits no perfect matching",
+                f"support of residual mass {sum(map(sum, columns))} admits no perfect matching",
             )
-        weight = float(min(residual[perm[j], j] for j in range(n)))
+        perm = [0] * n
+        for i, j in enumerate(row_match):
+            perm[j] = i
+        entries = [col[i] for col, i in zip(columns, perm)]
+        weight = min(entries)
         raw_terms.append((weight, tuple(perm)))
-        for j in range(n):
-            residual[perm[j], j] -= weight
-        residual[residual < zero_tol] = 0.0
+        free_cols = []
+        for j, i in enumerate(perm):
+            entry = entries[j] - weight
+            if entry <= zero_tol:  # leaves the support
+                free_cols.append(j)
+                masks[j] &= ~(1 << i)
+                row_match[i] = -1
+                if entry < zero_tol:
+                    entry = 0.0
+            columns[j][i] = entry
+        in_support -= len(free_cols)
     if not raw_terms:
         raise PreconditionError("empty-matrix", "input has no mass to decompose")
 
@@ -356,13 +382,12 @@ def birkhoff_decompose(
 
     total = sum(w for w, _ in raw_terms)
     terms = tuple((w / total, perm) for w, perm in raw_terms if w / total > 0.0)
-    deco = ConvexPermutationDecomposition(terms)
-    err = float(np.max(np.abs(deco.to_matrix() - mat)))
+    err = float(np.max(np.abs(_mixture_matrix(terms, n) - mat)))
     if err > DECOMPOSITION_TOL:
         raise PreconditionError(
             "reconstruction-failure", f"residual mass left behind: reconstruction error {err}"
         )
-    return deco
+    return ConvexPermutationDecomposition(terms, err)
 
 
 def schur_horn_unitary(lam, mu) -> ComplexMatrix:

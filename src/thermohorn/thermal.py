@@ -39,7 +39,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import DEDUP_TOL, ENUMERATION_CAP
+from .config import DEDUP_TOL, ENUMERATION_CAP, MIXTURE_NORM_TOL, MIXTURE_WEIGHT_FLOOR
 from .energy import (
     EnergyLabel,
     Hamiltonian,
@@ -101,10 +101,13 @@ class ProductConvexCombination:
     local images indexing positions inside ``blocks[i]``. The represented
     mixture is the product over blocks — term counts multiply, so keep the
     factored form unless the expansion is genuinely small.
+    ``reconstruction_error`` is the worst max-norm by which a block's mixture
+    missed its bistochastic matrix (None when not decomposed from one).
     """
 
     blocks: tuple[tuple[int, ...], ...]
     block_terms: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
+    reconstruction_error: float | None = None
 
     def __post_init__(self):
         if len(self.blocks) != len(self.block_terms):
@@ -116,12 +119,12 @@ class ProductConvexCombination:
             if not terms:
                 raise PreconditionError("bad-combination", f"block {block} has no terms")
             total = sum(w for w, _ in terms)
-            if abs(total - 1.0) > 1e-9:
+            if abs(total - 1.0) > MIXTURE_NORM_TOL:
                 raise PreconditionError(
                     "weights-not-normalized", f"block {block} weights sum to {total}"
                 )
             for w, perm in terms:
-                if w < -1e-12 or sorted(perm) != list(range(len(block))):
+                if w < -MIXTURE_WEIGHT_FLOOR or sorted(perm) != list(range(len(block))):
                     raise PreconditionError(
                         "bad-combination", f"invalid term ({w}, {perm}) on block of size {len(block)}"
                     )
@@ -513,6 +516,8 @@ def decompose_channel_to_classical(
     moduli on the joint diagonal; Birkhoff decomposition of each block and
     product weights across blocks reproduce the channel's classical output
     exactly (to float). Off-block leakage above ``block_tol`` is rejected.
+    The result keeps the worst block's reconstruction error, each block
+    checked against ``DECOMPOSITION_TOL``.
     """
     u = np.asarray(u, dtype=np.complex128)
     require_unitary(u)
@@ -522,13 +527,15 @@ def decompose_channel_to_classical(
             "not-energy-preserving", f"off-block mass {leak} exceeds {block_tol}"
         )
     groups = []
+    worst = 0.0
     for block in setup.blocks:
         idx = np.asarray(block)
         sub = u[np.ix_(idx, idx)]
         d = (sub.real**2 + sub.imag**2).astype(np.float64)
         deco = birkhoff_decompose(d)
-        groups.append(tuple((w, perm) for w, perm in deco.terms))
-    return ProductConvexCombination(setup.blocks, tuple(groups))
+        groups.append(deco.terms)
+        worst = max(worst, deco.reconstruction_error)
+    return ProductConvexCombination(setup.blocks, tuple(groups), worst)
 
 
 def thermal_decoherence_gadget(ham_a: Hamiltonian, indices=None) -> NoisyRealization:

@@ -11,14 +11,21 @@ energy-preserving permutation, and the gadget unitaries, built from index
 images, against dense sums of Kronecker products. Membership verdicts,
 decided by facet margins, are checked against a positivity-margin LP, the
 bath search against a walk that asks ``hull_membership`` about every bath,
-and the iterative and vectorized internals against the plain recursive and
-looped forms they replace.
+the iterative and vectorized internals against the plain recursive and
+looped forms they replace, and the Birkhoff chain's repaired matching
+against a chain that recomputes its support at every step.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 
 from thermohorn import build_setup, cyclic_shift, enumerate_classical, hull_membership
+from thermohorn.config import (
+    BIRKHOFF_ZERO_TOL,
+    BISTOCHASTIC_ENTRY_TOL,
+    BISTOCHASTIC_SUM_TOL,
+    DECOMPOSITION_TOL,
+)
 from thermohorn.thermal import _bath_family, _greedy_reachable_set, _multiset_permutations
 
 
@@ -200,27 +207,68 @@ def positivity_margin(target, generators, feas_tol):
     return float(res.x[-1]), res.x[:k]
 
 
-def perfect_matching(support):
-    """Column -> row perfect matching by recursive augmenting paths, or None."""
-    n = support.shape[0]
-    row_match = [-1] * n
+def augment_recursive(masks, row_match, start):
+    """``majorization._augment`` as Kuhn's recursive search; bit ``i`` of ``masks[j]`` is edge (i, j)."""
 
     def try_column(j, seen):
-        for i in range(n):
-            if support[i, j] and not seen[i]:
+        for i in range(len(row_match)):
+            if masks[j] >> i & 1 and not seen[i]:
                 seen[i] = True
                 if row_match[i] == -1 or try_column(row_match[i], seen):
                     row_match[i] = j
                     return True
         return False
 
-    for j in range(n):
-        if not try_column(j, [False] * n):
-            return None
-    col_to_row = [-1] * n
-    for i, j in enumerate(row_match):
-        col_to_row[j] = i
-    return col_to_row
+    return try_column(start, [False] * len(row_match))
+
+
+def birkhoff_chain_reference(d, zero_tol=BIRKHOFF_ZERO_TOL, require_bistochastic=True):
+    """``birkhoff_decompose(d, require_bistochastic, zero_tol=zero_tol).terms``, or its error code.
+
+    The same greedy chain, with the support recomputed as ``residual >
+    zero_tol`` over the whole residual at every step: matched edges that
+    left it are dropped, and every free column is matched again, in
+    ascending order, by the recursive augmenting search. A chain longer
+    than the Marcus-Ree bound gives ``"term-bound"``.
+    """
+    mat = np.asarray(d, dtype=np.float64)
+    n = mat.shape[0]
+    if mat.min() < -BISTOCHASTIC_ENTRY_TOL:
+        return "negative-entry"
+    sums = np.concatenate([mat.sum(axis=0), mat.sum(axis=1)])
+    if require_bistochastic and np.abs(sums - 1.0).max() > BISTOCHASTIC_SUM_TOL:
+        return "not-bistochastic"
+    residual = np.clip(mat, 0.0, None)
+    residual[residual < zero_tol] = 0.0
+    row_match = [-1] * n
+    raw = []
+    while (residual > zero_tol).any():
+        support = residual > zero_tol
+        masks = [sum(1 << int(i) for i in np.flatnonzero(support[:, j])) for j in range(n)]
+        row_match = [j if j != -1 and support[i, j] else -1 for i, j in enumerate(row_match)]
+        free = [j for j in range(n) if j not in row_match]
+        if not all(augment_recursive(masks, row_match, j) for j in free):
+            if residual.max() <= DECOMPOSITION_TOL:
+                break
+            return "matching-failure"
+        perm = [row_match.index(j) for j in range(n)]
+        weight = min(float(residual[perm[j], j]) for j in range(n))
+        for j in range(n):
+            residual[perm[j], j] -= weight
+        residual[residual < zero_tol] = 0.0
+        raw.append((weight, tuple(perm)))
+    if not raw:
+        return "empty-matrix"
+    if len(raw) > (n - 1) ** 2 + 1:
+        return "term-bound"
+    total = sum(w for w, _ in raw)
+    terms = tuple((w / total, perm) for w, perm in raw if w / total > 0.0)
+    rebuilt = np.zeros((n, n))
+    for w, perm in terms:
+        rebuilt[list(perm), range(n)] += w
+    if np.abs(rebuilt - mat).max() > DECOMPOSITION_TOL:
+        return "reconstruction-failure"
+    return terms
 
 
 def block_class_targets(block, dim_b):

@@ -9,6 +9,7 @@ import pytest
 
 from thermohorn import alpha_max_oscillator, d_alpha, qubit_gibbs
 from thermohorn.cli import main
+from thermohorn.config import DECOMPOSITION_TOL
 from thermohorn.serialize import format_float, realization_from_json
 
 LN2 = math.log(2.0)
@@ -233,6 +234,36 @@ def test_decompose_swap_permutation(capsys):
     assert len(middle) == 1
     assert middle[0]["perm"] == [1, 0]
     assert middle[0]["w"] == pytest.approx(1.0, abs=1e-12)
+    assert payload["reconstruction_error"] == 0.0
+    assert payload["tol"] == DECOMPOSITION_TOL
+
+
+def test_decompose_reports_the_worst_block_reconstruction_error(capsys):
+    # Qutrit against qutrit: blocks of sizes 1, 2, 3, 2, 1. A rotation on the
+    # first pair and the 3x3 Fourier matrix on the middle block give blocks
+    # of two and three terms.
+    u = np.eye(9, dtype=np.complex128)
+    c, s = math.cos(0.3), math.sin(0.3)
+    u[np.ix_([1, 3], [1, 3])] = [[c, -s], [s, c]]
+    middle = [2, 4, 6]
+    u[np.ix_(middle, middle)] = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3)
+    matrix = {"rows": 9, "cols": 9, "entries": [[z.real, z.imag] for z in u.ravel().tolist()]}
+    code, out = _run(capsys, "decompose", "--ham-a", OSC3, "--ham-b", OSC3, "--u", json.dumps(matrix))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["blocks"] == [[0], [1, 3], [2, 4, 6], [5, 7], [8]]
+    assert [len(group) for group in payload["terms"]] == [1, 2, 3, 1, 1]
+    assert payload["term_count"] == 6
+    worst = 0.0
+    for block, group in zip(payload["blocks"], payload["terms"]):
+        rebuilt = np.zeros((len(block), len(block)))
+        for term in group:
+            rebuilt[term["perm"], range(len(block))] += term["w"]
+        sub = u[np.ix_(block, block)]
+        worst = max(worst, float(np.abs(rebuilt - np.abs(sub) ** 2).max()))
+    assert 0.0 < payload["reconstruction_error"] <= payload["tol"] == DECOMPOSITION_TOL
+    # The printed weights carry 12 significant digits.
+    assert payload["reconstruction_error"] == pytest.approx(worst, abs=1e-12)
 
 
 def test_decohere_gadget_dimensions(capsys):

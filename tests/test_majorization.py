@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    augment_recursive,
+    birkhoff_chain_reference,
     lorenz_margin,
     majorizes_oracle,
-    perfect_matching,
     thermomajorization_residual,
     thermomajorizes_oracle,
 )
@@ -20,6 +21,7 @@ from thermohorn import (
     birkhoff_decompose,
     first_failing_prefix,
     gibbs_vector,
+    haar_unitary,
     hadamard_square,
     majorizes,
     permutation_matrix,
@@ -255,9 +257,10 @@ def test_birkhoff_random_matrices_reconstruct_within_term_bound():
         deco = birkhoff_decompose(d)
         assert len(deco.terms) <= (n - 1) ** 2 + 1
         assert np.abs(deco.to_matrix() - d).max() < 1e-7
-        if n <= 16:  # the iterative matching explores in the recursive order
-            with mock.patch.object(majorization, "_perfect_matching", perfect_matching):
-                assert birkhoff_decompose(d).terms == deco.terms
+        assert deco.reconstruction_error == np.abs(deco.to_matrix() - d).max()
+        # The iterative augmenting search explores in the recursive order.
+        with mock.patch.object(majorization, "_augment", augment_recursive):
+            assert birkhoff_decompose(d).terms == deco.terms
 
 
 @settings(max_examples=120, deadline=None)
@@ -279,6 +282,64 @@ def test_birkhoff_weights_near_zero_tol(n, seed, big, small):
     assert np.abs(deco.to_matrix() - d).max() <= 1e-7
     assert min(w for w, _ in deco.terms) >= 0.0
     assert len(deco.terms) <= (n - 1) ** 2 + 1
+
+
+def _birkhoff_family(family, n, rng):
+    """An input matrix, its ``zero_tol`` and whether it must be bistochastic."""
+    if family == "mixture":  # 1 to 3n random permutations
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, 3 * n + 1))))
+        return sum(w * permutation_matrix(rng.permutation(n)).real for w in weights), 1e-10, True
+    if family == "haar":  # unistochastic: full support
+        u = haar_unitary(n, rng)
+        return u.real**2 + u.imag**2, 1e-10, True
+    if family == "near-zero-tol":  # as in test_birkhoff_weights_near_zero_tol
+        tiny = 1e-10 * rng.uniform(0.5, 2.0, size=int(rng.integers(1, 9)))
+        big = rng.dirichlet(np.ones(int(rng.integers(1, 9)))) * (1.0 - tiny.sum())
+        weights = np.concatenate([big, tiny])
+        return sum(w * permutation_matrix(rng.permutation(n)).real for w in weights), 1e-10, True
+    if family == "on-zero-tol":
+        # Weights are whole multiples of a power-of-two zero_tol, so every
+        # sum and difference is exact: weights of 1 and 2 units leave
+        # entries that land exactly on zero_tol and just above it.
+        unit = 2.0**-33
+        small = rng.integers(1, 3, size=int(rng.integers(1, 2 * n + 1)))
+        big = np.floor(rng.dirichlet(np.ones(int(rng.integers(1, n + 1)))) * (2**33 - small.sum()))
+        big[0] += 2**33 - small.sum() - big.sum()
+        weights = np.concatenate([big, small]) * unit
+        return sum(w * permutation_matrix(rng.permutation(n)).real for w in weights), unit, True
+    # "perturbed": a mixture with mass added off its support, not bistochastic,
+    # so the chain can end on a residual with no perfect matching.
+    d = sum(w * permutation_matrix(rng.permutation(n)).real for w in rng.dirichlet(np.ones(n)))
+    spots = rng.integers(0, n, size=(int(rng.integers(1, n + 1)), 2))
+    d[spots[:, 0], spots[:, 1]] += rng.uniform(0.0, 0.2, size=len(spots))
+    return d, 1e-10, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["mixture", "haar", "near-zero-tol", "on-zero-tol", "perturbed"]),
+    n=st.integers(min_value=2, max_value=30),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_birkhoff_chain_equals_a_chain_that_recomputes_its_support(family, n, seed):
+    # The library keeps one matching and repairs only the columns a step
+    # freed; the reference recomputes residual > zero_tol at every step.
+    rng = np.random.default_rng(seed)
+    if family in ("near-zero-tol", "on-zero-tol"):
+        n = 2 + n % 11  # small sizes, where tiny weights meet more often
+    d, zero_tol, bistochastic = _birkhoff_family(family, n, rng)
+    expected = birkhoff_chain_reference(d, zero_tol, bistochastic)
+    try:
+        deco = birkhoff_decompose(d, bistochastic, zero_tol=zero_tol)
+    except PreconditionError as exc:
+        assert exc.code == expected
+        return
+    except RuntimeError:
+        assert expected == "term-bound"
+        return
+    assert deco.terms == expected
+    assert len(deco.terms) <= (n - 1) ** 2 + 1
+    assert deco.reconstruction_error == np.abs(deco.to_matrix() - d).max() <= 1e-7
 
 
 def test_birkhoff_matching_depth_is_not_bounded_by_the_recursion_limit():
