@@ -386,9 +386,10 @@ def _cmd_membership(argv) -> str:
         "combination (LP); for the rest the Euclidean margin of the target's "
         "projection onto the hull's affine span to the nearest hull facet, "
         "interior when above 1e-9, else boundary with distance 0. weights: a "
-        "convex witness over hull vertices, at most rank+1 of them when the "
-        "projection lies inside the facets; terms below 1e-9 are dropped when "
-        "the rest still rebuilds the target within --tol.",
+        "convex witness over hull vertices; when the projection lies inside the "
+        "facets, a greedy walk mixing at most rank+1 of them, and only otherwise "
+        "the LP's; terms below 1e-9 are dropped when the rest still rebuilds the "
+        "target within --tol.",
     )
     parser.add_argument("--ham-a", required=True)
     parser.add_argument("--ham-b", required=True)

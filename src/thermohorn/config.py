@@ -2,7 +2,8 @@
 
 These constants encode how the package separates genuine structure from
 floating-point noise; changing them ad hoc would silently change which
-states count as reachable. Hull-membership tolerances live in ``geometry``.
+states count as reachable. The membership rule's own tolerances live in
+``geometry``.
 """
 
 from __future__ import annotations
@@ -76,3 +77,20 @@ DEDUP_TOL = 1e-10
 #: The reachable-set listing refuses a block step forming more candidate
 #: outputs than this; the brute-force enumeration, more permutations.
 ENUMERATION_CAP = 10**6
+
+#: The classical hull tabulates ``F`` over all ``2^n`` subsets of the
+#: ``n`` system levels and its ``n!`` greedy orders; more levels are refused.
+HULL_LEVEL_CAP = 8
+
+#: ``S`` is tight at a hull point ``y`` when ``F(S) - y(S)`` is at most this;
+#: a separator (``F(S) + F(N∖S) = F(N)`` within it) is tight everywhere and
+#: cuts down the hull's affine span.
+SEPARATOR_TOL = 1e-12
+
+#: A subset whose indicator, projected onto the span, is shorter than this
+#: gives no facet (its inequality is one of the span's equations).
+VANISHING_NORMAL_TOL = 1e-9
+
+#: The greedy walk stops at its vertex when no subset's sum rises by more
+#: than this along the move away from it.
+WALK_DIRECTION_TOL = 1e-12

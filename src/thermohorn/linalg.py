@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +126,19 @@ def permutation_matrix(perm: Sequence[int], *, dtype=np.complex128) -> ComplexMa
     mat = np.zeros((n, n), dtype=dtype)
     mat[images, np.arange(n)] = 1
     return mat
+
+
+def first_non_permutation(perms: Sequence[Sequence[int]], n: int) -> int | None:
+    """Index of a row of ``perms`` that is not a bijection on ``0..n-1``, or None.
+
+    The first row of another length, else the first bad one of the images
+    stacked into one array and sorted row by row at once.
+    """
+    if set(map(len, perms)) != {n}:
+        return next((k for k, perm in enumerate(perms) if len(perm) != n), None)
+    flat = np.fromiter(itertools.chain.from_iterable(perms), dtype=np.int64, count=len(perms) * n)
+    wrong = np.sort(flat.reshape(-1, n), axis=1) != np.arange(n)
+    return int(wrong.any(axis=1).argmax()) if wrong.any() else None
 
 
 def cyclic_shift(n: int, power: int = 1) -> ComplexMatrix:

@@ -42,6 +42,7 @@ from .linalg import (
     ComplexMatrix,
     ProbabilityVector,
     RealMatrix,
+    first_non_permutation,
     hadamard_square,
     permutation_matrix,
     probability_vector,
@@ -97,16 +98,16 @@ class ConvexPermutationDecomposition:
     def __post_init__(self):
         if not self.terms:
             raise PreconditionError("empty-decomposition", "need at least one term")
-        total = 0.0
-        dim = len(self.terms[0][1])
-        for weight, perm in self.terms:
-            if weight < -MIXTURE_WEIGHT_FLOOR:
-                raise PreconditionError("negative-weight", f"weight {weight} below 0")
-            if sorted(perm) != list(range(dim)):
-                raise PreconditionError(
-                    "not-a-permutation", f"{perm} is not a bijection on 0..{dim - 1}"
-                )
-            total += weight
+        weights, perms = zip(*self.terms)
+        if min(weights) < -MIXTURE_WEIGHT_FLOOR:
+            raise PreconditionError("negative-weight", f"weight {min(weights)} below 0")
+        dim = len(perms[0])
+        bad = first_non_permutation(perms, dim)
+        if bad is not None:
+            raise PreconditionError(
+                "not-a-permutation", f"{perms[bad]} is not a bijection on 0..{dim - 1}"
+            )
+        total = sum(weights)
         if abs(total - 1.0) > MIXTURE_NORM_TOL:
             raise PreconditionError("weights-not-normalized", f"weights sum to {total}")
 

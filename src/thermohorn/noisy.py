@@ -234,14 +234,12 @@ def horn_transition_unitary(p, p_prime) -> NoisyRealization:
     checked unitary to ``UNITARITY_TOL`` and the declared output is checked
     as ``decohere(V diag(p) V†)`` against ``diag(p')`` to
     ``REALIZATION_TOL``, so the ``n² × n²`` matrix is built but never
-    multiplied.
+    multiplied. :func:`schur_horn_unitary` refuses a target of another size
+    (``dimension-mismatch``) or one ``p`` does not majorize
+    (``majorization-failure``).
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
-    if not majorizes(p, p_prime):  # raises dimension-mismatch first
-        raise PreconditionError(
-            "majorization-failure", "initial state must majorize the target"
-        )
     n = p.size
     v = schur_horn_unitary(p, p_prime)
     return NoisyRealization(

@@ -5,13 +5,11 @@ the exact total-energy blocks of system ⊗ bath. Within the classical
 (permutation) subset this makes the reachable set finite; allowing arbitrary
 block unitaries fills in exactly the convex hull:
 
-* *reach*: the marginal map acts block by block, so the classical outputs
-  of ``p ⊗ gamma_B`` are a Minkowski sum over energy blocks of each block's
-  contributions. ``classical_reachable_set`` lists every distinct output
-  (one system-label arrangement per block, deduplicated after each block);
-  the bath search keeps only each block's greedy beta-orderings (input
-  weights, largest first, filling the system labels in every order), whose
-  sum has the same hull (Lostaglio, Alhambra & Perry, Quantum 2, 52 (2018));
+* *reach*: the classical outputs of ``p ⊗ gamma_B`` are a Minkowski sum
+  over energy blocks; ``classical_reachable_set`` lists every distinct one.
+  :class:`ClassicalHull` gives their hull in closed form, with no listing
+  and no Qhull: facets, span and vertices, the greedy beta-orderings
+  (Lostaglio, Alhambra & Perry, Quantum 2, 52 (2018));
 * *synthesize*: for a convex mixture of classical outcomes, build per-block
   Schur-Horn rotations carrying the joint diagonal to the mixed one — a
   single exactly energy-preserving unitary, plus (for degenerate system
@@ -20,13 +18,10 @@ block unitaries fills in exactly the convex hull:
 * *decompose*: conversely, read any energy-preserving unitary as per-block
   bistochastic matrices, Birkhoff-decompose each block, and keep the product
   form (expanding the product is exponential and almost never needed);
-* *membership / realize*: classification against the hull's facets (one
-  linear program for each target the facets do not place inside), and a
-  search over growing bath families for an explicit finite-bath
-  realization of a thermomajorized target. The search solves no LP to
-  reject: the target is checked on its thermo-Lorenz curves, and a bath
-  whose hull's facets and span keep it farther than ``sqrt(dim) * tol``
-  away is skipped; only the remaining baths are classified.
+* *membership / realize*: classification against the hull's facets (an LP
+  only for a target they do not place inside), and a search over growing
+  bath families for a finite-bath realization of a thermomajorized target,
+  skipping with no LP every bath the hull's separation bound excludes.
 """
 
 from __future__ import annotations
@@ -39,7 +34,16 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import DEDUP_TOL, ENUMERATION_CAP, MIXTURE_NORM_TOL, MIXTURE_WEIGHT_FLOOR
+from .config import (
+    DEDUP_TOL,
+    ENUMERATION_CAP,
+    HULL_LEVEL_CAP,
+    MIXTURE_NORM_TOL,
+    MIXTURE_WEIGHT_FLOOR,
+    SEPARATOR_TOL,
+    VANISHING_NORMAL_TOL,
+    WALK_DIRECTION_TOL,
+)
 from .energy import (
     EnergyLabel,
     Hamiltonian,
@@ -49,8 +53,14 @@ from .energy import (
     trivial_hamiltonian,
 )
 from .errors import PreconditionError
-from .geometry import Polytope, classify_membership, hull_vertex_indices
-from .linalg import ComplexMatrix, ProbabilityVector, probability_vector, require_unitary
+from .geometry import classify_membership
+from .linalg import (
+    ComplexMatrix,
+    ProbabilityVector,
+    first_non_permutation,
+    probability_vector,
+    require_unitary,
+)
 from .majorization import birkhoff_decompose, schur_horn_unitary, thermo_lorenz_dominates
 from .noisy import NoisyRealization, haar_unitary
 
@@ -58,6 +68,7 @@ __all__ = [
     "ConvexCombination",
     "ProductConvexCombination",
     "ClassicalEnumeration",
+    "ClassicalHull",
     "ReachableSet",
     "MembershipResult",
     "enumerate_classical",
@@ -84,10 +95,10 @@ class ConvexCombination:
             raise PreconditionError(
                 "bad-combination", f"{len(self.weights)} weights for {len(self.items)} items"
             )
-        if min(self.weights) < -1e-12:
+        if min(self.weights) < -MIXTURE_WEIGHT_FLOOR:
             raise PreconditionError("negative-weight", f"weight {min(self.weights)} below 0")
         total = float(sum(self.weights))
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > MIXTURE_NORM_TOL:
             raise PreconditionError("weights-not-normalized", f"weights sum to {total}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "items", tuple(self.items))
@@ -115,19 +126,25 @@ class ProductConvexCombination:
                 "bad-combination",
                 f"{len(self.block_terms)} term groups for {len(self.blocks)} blocks",
             )
+        width = max(map(len, self.blocks), default=0)
+        padded = []  # each term's images, then the positions its block lacks up to width
         for block, terms in zip(self.blocks, self.block_terms):
             if not terms:
                 raise PreconditionError("bad-combination", f"block {block} has no terms")
-            total = sum(w for w, _ in terms)
+            weights, perms = zip(*terms)
+            total = sum(weights)
             if abs(total - 1.0) > MIXTURE_NORM_TOL:
                 raise PreconditionError(
                     "weights-not-normalized", f"block {block} weights sum to {total}"
                 )
-            for w, perm in terms:
-                if w < -MIXTURE_WEIGHT_FLOOR or sorted(perm) != list(range(len(block))):
-                    raise PreconditionError(
-                        "bad-combination", f"invalid term ({w}, {perm}) on block of size {len(block)}"
-                    )
+            if min(weights) < -MIXTURE_WEIGHT_FLOOR:
+                raise PreconditionError("bad-combination", f"negative weight in block {block}")
+            tail = tuple(range(len(block), width))
+            padded += [tuple(perm) + tail for perm in perms]
+        bad = first_non_permutation(padded, width)
+        if bad is not None:
+            perm = [perm for terms in self.block_terms for _, perm in terms][bad]
+            raise PreconditionError("bad-combination", f"{perm} is not a permutation of its block")
 
     @property
     def dim_joint(self) -> int:
@@ -262,13 +279,14 @@ def enumerate_classical(setup: ThermalSetup, cap: int = ENUMERATION_CAP) -> Clas
 
 @dataclass(frozen=True)
 class ReachableSet:
-    """Exact classical outputs, one representative each, and their hull vertices.
+    """Exact classical outputs, one representative each, and their hull.
 
     ``representatives[k]`` is an energy-preserving permutation producing
-    ``points[k]`` exactly. :func:`classical_reachable_set` lists every
-    distinct output, sorted lexicographically on the 1e-10 dedup grid, so
-    equal inputs give byte-equal outputs; the set :func:`realize_interior`
-    searches keeps only the hull candidates.
+    ``points[k]``. :func:`classical_reachable_set` lists every distinct
+    output, sorted lexicographically on the 1e-10 dedup grid, so equal
+    inputs give byte-equal outputs; :func:`realize_interior` lists only the
+    hull's vertices. ``polytope`` is the hull membership queries read, its
+    vertices at ``hull_vertex_indices``.
     """
 
     points: np.ndarray  # (count, dim_a)
@@ -276,14 +294,10 @@ class ReachableSet:
     setup: ThermalSetup
     initial: ProbabilityVector
     representatives: np.ndarray  # (count, dim_joint)
+    polytope: ClassicalHull
 
     def hull_vertices(self) -> np.ndarray:
         return self.points[list(self.hull_vertex_indices)]
-
-    @cached_property
-    def polytope(self) -> Polytope:
-        """Facet form of the hull, built on the first membership query and kept."""
-        return Polytope(self.hull_vertices(), DEDUP_TOL)
 
 
 def _marginal_outputs(
@@ -305,41 +319,172 @@ def _first_distinct(points: np.ndarray) -> np.ndarray:
     return np.sort(keep)
 
 
-def _hull_candidates(points: np.ndarray) -> np.ndarray:
-    """Ascending indices of the distinct points that are hull vertices."""
-    keep = _first_distinct(points)
-    return keep[list(hull_vertex_indices(points[keep], tol=DEDUP_TOL))]
+class ClassicalHull:
+    """conv(T_C), the hull of the classical outputs of ``p ⊗ gamma_B``, in closed form.
 
+    ``F(S)``, for a set ``S`` of system levels, sums over the energy blocks
+    the block's ``k`` largest joint-input entries, ``k`` being its number of
+    slots with system label in ``S``. The hull, a Minkowski sum of the
+    blocks' permutohedra pushed forward to the labels, is the base polytope
+    ``{y : y(N) = F(N), y(S) <= F(S)}``; its vertices are the greedy vectors
+    (Edmonds, 1970), each level getting ``F`` of the prefix of an order
+    ending at it less ``F`` of the one before: the outputs of the greedy
+    beta-ordering permutations (:meth:`permutation`).
 
-def _blockwise_sum(setup: ThermalSetup, v: np.ndarray, candidates, prune) -> np.ndarray:
-    """Joint representatives of a Minkowski sum of per-block contributions.
-
-    ``candidates(block, running)`` gives in-block permutations as rows of
-    joint-index images, ``running`` being the number of partial outputs
-    they will be added to; a row contributes the input weight it sends to
-    each system level. Every partial output is extended by every row, in
-    (partial output, row) order, and ``prune`` picks the ascending indices
-    of the sums to keep. Only back-pointers are kept along the way; the
-    joint permutation behind each final sum is rebuilt at the end.
+    Built for at most ``HULL_LEVEL_CAP`` levels: ``table[S]``, ``F`` of
+    every bit mask ``S``; the affine span, ``origin`` plus ``rank``
+    orthonormal ``basis`` rows orthogonal to every separator's indicator
+    (``F(S) + F(N∖S) = F(N)``); the facets ``normals @ (y - origin) <=
+    offsets``, one per ``S`` whose indicator keeps a projection onto the
+    span, scaled to unit length; and ``vertices``, the distinct greedy
+    vectors, ``orders[k]`` the first order giving ``vertices[k]``. Given
+    ``points``, a listing of every output, each vertex is the listed point
+    within ``DEDUP_TOL`` of its greedy vector, at ``vertex_indices``.
     """
-    dim_a, dim_b = setup.dim_a, setup.dim_b
-    partial = np.zeros((1, dim_a))
-    steps = []
-    for block in setup.blocks:
-        targets = candidates(block, len(partial))
-        labels = targets // dim_b
-        weights = v[list(block)]
-        gains = np.stack([(labels == a) @ weights for a in range(dim_a)], axis=1)
-        sums = (partial[:, None, :] + gains[None, :, :]).reshape(-1, dim_a)
-        keep = prune(sums)
-        steps.append((block, targets, keep // len(targets), keep % len(targets)))
-        partial = sums[keep]
-    reps = np.empty((len(partial), setup.dim_joint), dtype=np.int64)
-    state = np.arange(len(partial))
-    for block, targets, parent, row in reversed(steps):
-        reps[:, list(block)] = targets[row[state]]
-        state = parent[state]
-    return reps
+
+    def __init__(self, p, setup: ThermalSetup, points: np.ndarray | None = None):
+        n = setup.dim_a
+        if n > HULL_LEVEL_CAP:
+            raise PreconditionError(
+                "hull-level-cap", f"{n} system levels exceed the cap {HULL_LEVEL_CAP}"
+            )
+        self.setup = setup
+        v = setup.joint_input(p)
+        self._block_of = setup.block_of()
+        self._labels = np.arange(setup.dim_joint) // setup.dim_b
+        # Joint indices block by block, heaviest input entry first.
+        self._heaviest = np.lexsort((-v, self._block_of))
+        masks = np.arange(1 << n)
+        self._members = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+        self.table = self._subset_table(v)
+        self._pick_vertices(points)
+        self._by_size = sorted(masks.tolist(), key=int.bit_count)
+        self._levels_of = [[a for a in range(n) if mask >> a & 1] for mask in masks.tolist()]
+
+        self.origin = self.vertices[0]
+        self._separators = np.abs(self.table + self.table[::-1] - self.table[-1]) <= SEPARATOR_TOL
+        separators = self._members[self._separators]
+        self.basis = np.linalg.svd(separators)[2][np.linalg.matrix_rank(separators) :]
+        self.rank = self.basis.shape[0]
+        self._projector = self.basis.T @ self.basis
+        projected = self._members @ self._projector
+        length = np.linalg.norm(projected, axis=1)
+        facet = length > VANISHING_NORMAL_TOL
+        self.normals = projected[facet] / length[facet, None]
+        self.offsets = (self.table[facet] - self._members[facet] @ self.origin) / length[facet]
+
+    def _subset_table(self, v: np.ndarray) -> np.ndarray:
+        """``F`` of every subset: per block, the sum of its ``k`` largest entries."""
+        nblocks = len(self.setup.blocks)
+        sizes = np.bincount(self._block_of, minlength=nblocks)
+        counts = np.zeros((nblocks, self.setup.dim_a), dtype=np.int64)
+        np.add.at(counts, (self._block_of, self._labels), 1)
+        sorted_block = self._block_of[self._heaviest]
+        rank_in_block = np.arange(self.setup.dim_joint) - (np.cumsum(sizes) - sizes)[sorted_block]
+        top = np.zeros((nblocks, int(sizes.max()) + 1))
+        top[sorted_block, rank_in_block + 1] = v[self._heaviest]
+        top = np.cumsum(top, axis=1)  # top[b, k]: the k largest entries of block b
+        taken = self._members.astype(np.int64) @ counts.T
+        return top[np.arange(nblocks), taken].sum(axis=1)
+
+    def _pick_vertices(self, points: np.ndarray | None) -> None:
+        """``vertices``, ``vertex_indices`` and ``orders`` from the greedy vector of every order."""
+        all_orders = np.array(list(itertools.permutations(range(self.setup.dim_a))), dtype=np.int64)
+        prefixes = np.cumsum(1 << all_orders, axis=1)
+        gains = np.diff(self.table[prefixes], axis=1, prepend=0.0)
+        greedy = np.zeros(all_orders.shape)
+        np.put_along_axis(greedy, all_orders, gains, axis=1)
+        rounded = np.round(greedy, 10)  # the dedup grid
+        _, first, inverse = np.unique(rounded, axis=0, return_index=True, return_inverse=True)
+        if points is None:
+            by_first = np.argsort(first)
+            vertex_of_order = np.argsort(by_first)[inverse.ravel()]
+            self.vertices = greedy[first[by_first]]
+            self.vertex_indices = tuple(range(len(first)))
+        else:
+            nearest = np.array([np.abs(points - g).max(axis=1).argmin() for g in greedy[first]])
+            miss = np.abs(points[nearest] - greedy[first]).max()
+            if miss >= DEDUP_TOL:
+                raise RuntimeError(f"a greedy vertex lies {miss} from every listed point")
+            listed, position = np.unique(nearest, return_inverse=True)
+            vertex_of_order = position.ravel()[inverse.ravel()]
+            self.vertices = points[listed]
+            self.vertex_indices = tuple(int(k) for k in listed)
+        self.orders = all_orders[np.unique(vertex_of_order, return_index=True)[1]]
+        self._vertex_of = dict(zip(map(tuple, all_orders.tolist()), vertex_of_order.tolist()))
+
+    def excess(self, target: np.ndarray) -> float:
+        """Largest distance by which the target's projection crosses a facet (negative inside)."""
+        return float((self.normals @ (target - self.origin) - self.offsets).max(initial=-np.inf))
+
+    def separation(self, target: np.ndarray) -> float:
+        """A lower bound on the Euclidean distance from ``target`` to the hull.
+
+        ``sqrt(v² + |w|²)``, ``v`` the largest facet violation of the
+        target's projection and ``w`` its component off the span. Above
+        ``sqrt(dim) * tol`` it proves every convex combination misses the
+        target by more than ``tol`` in max-norm.
+        """
+        rel = np.asarray(target, dtype=np.float64) - self.origin
+        off = float(np.linalg.norm(rel - self._projector @ rel))
+        return math.hypot(max(0.0, self.excess(target)), off)
+
+    def witness(self, target: np.ndarray) -> np.ndarray:
+        """Weights over ``vertices``, at most ``rank + 1`` nonzero, rebuilding the projected target.
+
+        A Carathéodory walk from the target's projection ``x``: the greedy
+        vertex ``g`` of a maximal chain of tight sets lies on the least face
+        holding ``x``; moving from ``g`` through ``x`` until a new set is
+        tight splits ``x`` between ``g`` and a point on a smaller face, at
+        most ``rank`` times, or until no set's sum rises by more than
+        ``WALK_DIRECTION_TOL``. Slacks and rises at a point holding mass
+        ``m`` are weighed by ``m``, as its rounding grows by ``1/m``.
+        """
+        x = self.origin + self._projector @ (np.asarray(target, dtype=np.float64) - self.origin)
+        slack = self.table - self._members @ x
+        weights = np.zeros(len(self.vertices))
+        remaining = 1.0
+        for _ in range(self.rank):
+            k = self._chain_vertex(slack * remaining)
+            direction = x - self.vertices[k]
+            rise = self._members @ direction
+            limits = rise * remaining > WALK_DIRECTION_TOL
+            if not limits.any():
+                break
+            t = float((slack[limits].clip(0.0) / rise[limits]).min())
+            weights[k] += remaining * t / (1.0 + t)
+            remaining /= 1.0 + t
+            x = x + t * direction
+            slack = slack - t * rise
+        else:
+            k = self._chain_vertex(slack * remaining)
+        weights[k] += remaining
+        return weights
+
+    def _chain_vertex(self, slack: np.ndarray) -> int:
+        """Greedy vertex of a maximal chain of tight sets: separators, slack <= SEPARATOR_TOL."""
+        tight = (slack <= SEPARATOR_TOL) | self._separators
+        chain = 0
+        order = []
+        for mask in self._by_size:
+            if tight[mask] and mask & chain == chain and mask != chain:
+                order += self._levels_of[mask & ~chain]
+                chain = mask
+        return self._vertex_of[tuple(order)]
+
+    def permutation(self, order) -> np.ndarray:
+        """Joint images of the greedy beta-ordering permutation for ``order`` of the levels."""
+        level_rank = np.empty(len(order), dtype=np.int64)
+        level_rank[np.asarray(order)] = np.arange(len(order))
+        slots = np.lexsort((level_rank[self._labels], self._block_of))
+        images = np.empty(self.setup.dim_joint, dtype=np.int64)
+        images[self._heaviest] = slots
+        return images
+
+    @cached_property
+    def permutations(self) -> np.ndarray:
+        """``permutation(orders[k])`` for every vertex, one per row."""
+        return np.array([self.permutation(order) for order in self.orders], dtype=np.int64)
 
 
 def classical_reachable_set(
@@ -348,73 +493,48 @@ def classical_reachable_set(
     """Every distinct classical output from ``p`` with this setup, plus their hull.
 
     Each block contributes one row per arrangement of its system labels;
-    the partial outputs are deduplicated after every block, each keeping
-    its first (partial output, arrangement) pair, so ``representatives[k]``
-    is the lexicographically first energy-preserving permutation producing
-    ``points[k]``. ``cap`` bounds the rows formed in any one block step;
-    ``mode`` accepts only ``"reduced"``.
+    every partial output is extended by every row and the sums are
+    deduplicated, each keeping its first (partial output, arrangement) pair,
+    so ``representatives[k]`` is the lexicographically first
+    energy-preserving permutation producing ``points[k]``; only
+    back-pointers are kept until the end. The hull is the
+    :class:`ClassicalHull` on these points. ``cap`` bounds the rows formed in
+    any one block step; ``mode`` accepts only ``"reduced"``.
     """
     if mode != "reduced":
         raise PreconditionError("bad-mode", f"unknown enumeration mode {mode!r}")
     p = probability_vector(p)
     v = setup.joint_input(p)
-
-    def arrangements(block, running):
-        labels = _block_system_labels(block, setup.dim_b)
+    dim_a, dim_b = setup.dim_a, setup.dim_b
+    partial = np.zeros((1, dim_a))
+    steps = []
+    for block in setup.blocks:
+        labels = _block_system_labels(block, dim_b)
         count = math.factorial(len(labels))
         for lab in set(labels):
             count //= math.factorial(labels.count(lab))
-        if running * count > cap:
+        if len(partial) * count > cap:
             raise PreconditionError(
                 "enumeration-cap",
-                f"{running * count} candidate outputs in one block step exceed the cap {cap}",
+                f"{len(partial) * count} candidate outputs in one block step exceed the cap {cap}",
             )
-        return _block_class_targets(block, setup.dim_b)
-
-    reps = _blockwise_sum(setup, v, arrangements, _first_distinct)
-    raw = _marginal_outputs(reps, v, setup.dim_a, setup.dim_b)
+        targets = _block_class_targets(block, dim_b)
+        gains = np.stack([(targets // dim_b == a) @ v[list(block)] for a in range(dim_a)], axis=1)
+        sums = (partial[:, None, :] + gains[None, :, :]).reshape(-1, dim_a)
+        keep = _first_distinct(sums)
+        steps.append((block, targets, keep // len(targets), keep % len(targets)))
+        partial = sums[keep]
+    reps = np.empty((len(partial), setup.dim_joint), dtype=np.int64)
+    state = np.arange(len(partial))
+    for block, targets, parent, row in reversed(steps):
+        reps[:, list(block)] = targets[row[state]]
+        state = parent[state]
+    raw = _marginal_outputs(reps, v, dim_a, dim_b)
     keep = _first_distinct(raw)
     order = keep[np.lexsort(np.round(raw[keep], 10).T[::-1])]
     points = raw[order]
-    verts = hull_vertex_indices(points, tol=DEDUP_TOL)
-    return ReachableSet(points, verts, setup, p, reps[order])
-
-
-def _greedy_block_targets(block: tuple[int, ...], v: np.ndarray, dim_b: int) -> np.ndarray:
-    """In-block permutations whose contributions include every extreme one.
-
-    For each order of the system labels present, the block's entries of the
-    joint input ``v``, largest first, fill the labels' slots in that order
-    (each label's slots ascending). A linear functional of the contribution
-    is maximized by filling labels in descending order of their
-    coefficients, so these at most L! rows (L labels present) cover every
-    vertex of the block's contribution hull.
-    """
-    slots: dict[int, list[int]] = {}
-    for idx in block:
-        slots.setdefault(idx // dim_b, []).append(idx)
-    heaviest_first = np.argsort(-v[list(block)], kind="stable")
-    rows = np.empty((math.factorial(len(slots)), len(block)), dtype=np.int64)
-    for r, order in enumerate(itertools.permutations(slots)):
-        rows[r, heaviest_first] = [idx for lab in order for idx in slots[lab]]
-    return rows
-
-
-def _greedy_reachable_set(p: ProbabilityVector, setup: ThermalSetup) -> ReachableSet:
-    """Hull candidates of the classical outputs: sums of greedy block orderings.
-
-    The vertices of a Minkowski sum are sums of the summands' vertices, so
-    pruning to hull vertices after every block loses nothing; each point's
-    representative is its greedy assignment.
-    """
-    v = setup.joint_input(p)
-
-    def greedy(block, _running):
-        return _greedy_block_targets(block, v, setup.dim_b)
-
-    reps = _blockwise_sum(setup, v, greedy, _hull_candidates)
-    points = _marginal_outputs(reps, v, setup.dim_a, setup.dim_b)
-    return ReachableSet(points, hull_vertex_indices(points, tol=DEDUP_TOL), setup, p, reps)
+    hull = ClassicalHull(p, setup, points)
+    return ReachableSet(points, hull.vertex_indices, setup, p, reps[order], hull)
 
 
 def energy_preservation_defect(u: ComplexMatrix, setup: ThermalSetup) -> float:
@@ -579,18 +699,12 @@ class MembershipResult:
 def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> MembershipResult:
     """Membership of a state in the hull of the classical reachable set.
 
-    Interior/boundary is relative to the hull's own affine span (a segment
-    has an open interior), and is read off the set's cached
-    :class:`Polytope`: a target that is not exterior is interior exactly
-    when its projection onto the span clears every facet by more than
-    ``geometry.INTERIOR_MARGIN``, and ``distance`` is that Euclidean margin
-    (0 on the boundary). A target whose projection lies inside the facets
-    gets a witness mixing at most rank+1 hull vertices and solves no LP;
-    every other target solves one min-slack LP, which decides exterior
-    targets (``distance`` is then the max-norm residual of the best convex
-    combination) and supplies the witness of the rest. Witness terms below
-    ``geometry.WITNESS_PRUNE_TOL`` are dropped when the rest still rebuilds
-    the target within ``tol``.
+    Decided by :func:`~thermohorn.geometry.classify_membership` on the set's
+    hull: interior/boundary from the facet margin (relative to the hull's
+    affine span), the greedy walk as witness inside the facets, and one
+    min-slack LP for every other target, whose max-norm residual is the
+    ``distance`` of an exterior one. Witness terms below
+    ``geometry.WITNESS_PRUNE_TOL`` go when the rest still rebuilds the target.
     """
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
@@ -681,11 +795,10 @@ def realize_interior(
     Bath families: ``copies`` walks k-fold tensor powers of the system
     Hamiltonian, ``oscillator`` walks equally spaced truncations with the
     gcd of the system gaps as spacing; both start at the trivial
-    one-dimensional bath and stop at dimension ``budget``. Each bath is
-    decided on its exact classical hull, built from greedy block orderings.
-    A bath whose :meth:`~thermohorn.geometry.Polytope.separation` from the
-    target exceeds ``sqrt(dim) * tol`` cannot hold it within ``tol`` and is
-    skipped with no LP; every other bath goes to :func:`hull_membership`.
+    one-dimensional bath and stop at dimension ``budget``. A bath whose
+    :class:`ClassicalHull` is farther than ``sqrt(dim) * tol`` from the
+    target (:meth:`~ClassicalHull.separation`) is skipped with no LP; every
+    other goes to :func:`hull_membership` over the hull's vertices.
     Returns ``(setup, unitary, gadget)`` for the first bath whose hull holds
     the target, and None when no bath of the family up to ``budget`` does
     — which proves nothing about larger baths.
@@ -702,9 +815,11 @@ def realize_interior(
     reach = math.sqrt(p_prime.size) * tol
     for ham_b in _bath_family(ham_a, bath_family, budget):
         setup = build_setup(ham_a, ham_b)
-        rset = _greedy_reachable_set(p, setup)
-        if rset.polytope.separation(p_prime) > reach:
+        hull = ClassicalHull(p, setup)
+        if hull.separation(p_prime) > reach:
             continue
+        verts, reps = hull.vertices, hull.permutations
+        rset = ReachableSet(verts, hull.vertex_indices, setup, p, reps, hull)
         found = hull_membership(p_prime, rset, tol)
         if found.classification == "exterior":
             continue

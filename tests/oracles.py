@@ -8,15 +8,23 @@ agreement is a real consistency check rather than the same code called
 twice. Likewise the reachable-set listing, built block by block
 as a Minkowski sum, is checked against the marginals of every
 energy-preserving permutation, and the gadget unitaries, built from index
-images, against dense sums of Kronecker products. Membership verdicts,
-decided by facet margins, are checked against a positivity-margin LP, the
-bath search against a walk that asks ``hull_membership`` about every bath,
-the iterative and vectorized internals against the plain recursive and
-looped forms they replace, and the Birkhoff chain's repaired matching
-against a chain that recomputes its support at every step.
+images, against dense sums of Kronecker products. The closed-form
+classical hull is checked against :class:`Polytope`, the hull of its
+vertices as Qhull's facet equations with a Delaunay witness, and
+membership verdicts against a positivity-margin LP. The bath search is
+checked against a walk that asks ``hull_membership`` about every bath's
+greedy sum, pruned to its Qhull vertices after every block; the iterative
+and vectorized internals against the plain recursive and looped forms they
+replace, and the Birkhoff chain's repaired matching against a chain that
+recomputes its support at every step.
 """
 
+import itertools
+import math
+from functools import cached_property
+
 import numpy as np
+import scipy.spatial
 from scipy.optimize import linprog
 
 from thermohorn import build_setup, cyclic_shift, enumerate_classical, hull_membership
@@ -25,8 +33,16 @@ from thermohorn.config import (
     BISTOCHASTIC_ENTRY_TOL,
     BISTOCHASTIC_SUM_TOL,
     DECOMPOSITION_TOL,
+    DEDUP_TOL,
 )
-from thermohorn.thermal import _bath_family, _greedy_reachable_set, _multiset_permutations
+from thermohorn.geometry import FACET_TOL, _affine_frame, hull_vertex_indices
+from thermohorn.thermal import (
+    ReachableSet,
+    _bath_family,
+    _first_distinct,
+    _marginal_outputs,
+    _multiset_permutations,
+)
 
 
 def dominance_curve(p, gamma):
@@ -91,13 +107,177 @@ def thermomajorization_residual(p, q, gamma):
     return float(res.fun)
 
 
+def _hull_frame(points, tol):
+    """Centred points, a basis of their span, and Qhull's hull of their projection.
+
+    The hull is built at rank >= 2 and is None below. When Qhull refuses
+    the projection, the weakest span direction is dropped and the hull
+    retried; this is allowed only while every point lies within
+    ``FACET_TOL`` of the reduced span, and the refusal is raised otherwise.
+    """
+    centered, basis = _affine_frame(points, tol)
+    while basis.shape[0] >= 2:
+        try:
+            return centered, basis, scipy.spatial.ConvexHull(centered @ basis.T)
+        except scipy.spatial.QhullError:
+            reduced = basis[:-1]
+            off_span = centered - (centered @ reduced.T) @ reduced
+            if float(np.linalg.norm(off_span, axis=1).max()) > FACET_TOL:
+                raise
+            basis = reduced
+    return centered, basis, None
+
+
+class Polytope:
+    """``conv(vertices)`` as Qhull's facet inequalities inside its affine span.
+
+    ``origin + basis.T @ y`` parametrizes the span, and the hull is
+    ``normals @ y + offsets <= 0`` there, with unit ``normals``; both are
+    None when the span is a single point. A flat span that Qhull refuses
+    loses its weakest direction (see :func:`_hull_frame`), so ``rank`` is
+    the dimension the facets live in. It offers what
+    ``geometry.classify_membership`` reads: ``excess`` from the facets and,
+    as ``witness``, the Delaunay simplex holding the target.
+
+    :meth:`separation` bounds a target's distance to the hull from below
+    with no LP. Such a bound needs the room the vertices themselves take
+    off the span (an SVD direction below the rank tolerance, or one dropped
+    for Qhull) and beyond the facets (Qhull's rounding); both are measured
+    once here.
+    """
+
+    def __init__(self, vertices, tol=1e-10):
+        self.vertices = np.asarray(vertices, dtype=np.float64)
+        centered, self.basis, hull = _hull_frame(self.vertices, tol)
+        self.origin = self.vertices[0]
+        self.rank = self.basis.shape[0]
+        self.projected = centered @ self.basis.T
+        self.normals = self.offsets = None
+        if hull is not None:
+            self.normals, self.offsets = hull.equations[:, :-1], hull.equations[:, -1]
+        elif self.rank == 1:
+            coord = self.projected[:, 0]
+            self.normals = np.array([[-1.0], [1.0]])
+            self.offsets = np.array([coord.min(), -coord.max()])
+        self._off_span = float(np.linalg.norm(centered - self.projected @ self.basis, axis=1).max())
+        self._facet_excess = 0.0
+        if self.normals is not None:
+            excess = float(np.max(self.projected @ self.normals.T + self.offsets))
+            self._facet_excess = max(0.0, excess)
+
+    def excess(self, target):
+        """Largest signed facet distance of the target's projection (negative inside)."""
+        y = self.basis @ (np.asarray(target, dtype=np.float64) - self.origin)
+        return float(np.max(self.normals @ y + self.offsets))
+
+    def witness(self, target):
+        return self.barycentric(self.basis @ (np.asarray(target, dtype=np.float64) - self.origin))
+
+    def separation(self, target):
+        """A lower bound on the Euclidean distance from ``target`` to the hull.
+
+        ``sqrt(v² + |w|²)``, where ``v`` is the largest facet violation of
+        the target's projection onto the span and ``w`` its component off
+        the span, each less the room the vertices take (see the class
+        docstring).
+        """
+        rel = np.asarray(target, dtype=np.float64) - self.origin
+        y = self.basis @ rel
+        off = float(np.linalg.norm(rel - y @ self.basis))
+        violation = 0.0 if self.normals is None else float(np.max(self.normals @ y + self.offsets))
+        return math.hypot(
+            max(0.0, violation - self._facet_excess), max(0.0, off - self._off_span)
+        )
+
+    @cached_property
+    def delaunay(self):
+        """Triangulation of the projected vertices (rank >= 2), or None if refused."""
+        try:
+            return scipy.spatial.Delaunay(self.projected)
+        except scipy.spatial.QhullError:
+            return None
+
+    def barycentric(self, y):
+        """Weights over ``vertices`` for span coordinates ``y``, at most rank+1 nonzero.
+
+        At rank 1 these are the two endpoints; above, the vertices of the
+        Delaunay simplex whose smallest barycentric coordinate at ``y`` is
+        largest. Slightly negative coordinates are clipped to zero.
+        """
+        weights = np.zeros(self.vertices.shape[0])
+        if self.rank == 1:
+            coord = self.projected[:, 0]
+            lo, hi = int(np.argmin(coord)), int(np.argmax(coord))
+            t = min(1.0, max(0.0, (y[0] - coord[lo]) / (coord[hi] - coord[lo])))
+            weights[lo] = 1.0 - t
+            weights[hi] = t
+            return weights
+        tri = self.delaunay
+        if tri is None:
+            return None
+        transform = tri.transform
+        coords = np.einsum("sij,sj->si", transform[:, : self.rank], y - transform[:, self.rank])
+        bary = np.hstack([coords, 1.0 - coords.sum(axis=1, keepdims=True)])
+        worst = np.nan_to_num(bary.min(axis=1), nan=-np.inf)
+        best = int(np.argmax(worst))
+        if not np.isfinite(worst[best]):
+            return None
+        weights[tri.simplices[best]] = np.clip(bary[best], 0.0, None)
+        return weights / weights.sum()
+
+
+def greedy_block_targets(block, v, dim_b):
+    """In-block permutations whose contributions include every extreme one.
+
+    For each order of the system labels present, the block's entries of the
+    joint input ``v``, largest first, fill the labels' slots in that order
+    (each label's slots ascending); at most L! rows for L labels present.
+    """
+    slots = {}
+    for idx in block:
+        slots.setdefault(idx // dim_b, []).append(idx)
+    heaviest_first = np.argsort(-v[list(block)], kind="stable")
+    rows = np.empty((math.factorial(len(slots)), len(block)), dtype=np.int64)
+    for r, order in enumerate(itertools.permutations(slots)):
+        rows[r, heaviest_first] = [idx for lab in order for idx in slots[lab]]
+    return rows
+
+
+def greedy_reachable_set(p, setup):
+    """Hull vertices of the classical outputs: sums of greedy block orderings.
+
+    The vertices of a Minkowski sum are sums of the summands' vertices, so
+    the partial sums are pruned to their Qhull vertices after every block;
+    each point's representative is its greedy assignment, and its hull is
+    the :class:`Polytope` of the points.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    v = setup.joint_input(p)
+    dim_a, dim_b = setup.dim_a, setup.dim_b
+    partial = np.zeros((1, dim_a))
+    reps = np.arange(setup.dim_joint)[None, :]
+    for block in setup.blocks:
+        targets = greedy_block_targets(block, v, dim_b)
+        gains = np.stack([(targets // dim_b == a) @ v[list(block)] for a in range(dim_a)], axis=1)
+        sums = (partial[:, None, :] + gains[None, :, :]).reshape(-1, dim_a)
+        keep = _first_distinct(sums)
+        keep = keep[list(hull_vertex_indices(sums[keep], tol=DEDUP_TOL))]
+        extended = np.repeat(reps, len(targets), axis=0)
+        extended[:, list(block)] = np.tile(targets, (len(reps), 1))
+        partial, reps = sums[keep], extended[keep]
+    points = _marginal_outputs(reps, v, dim_a, dim_b)
+    verts = hull_vertex_indices(points, tol=DEDUP_TOL)
+    return ReachableSet(points, verts, setup, p, reps, Polytope(points[list(verts)], DEDUP_TOL))
+
+
 def realize_reference(p, ham_a, p_prime, bath_family, budget, tol=1e-8):
     """The first bath of the family whose greedy hull holds the target, or None.
 
-    Asks ``hull_membership`` about every bath, with no shortcut.
+    Asks ``hull_membership`` about every bath's Qhull-pruned greedy sum,
+    with no shortcut.
     """
     for ham_b in _bath_family(ham_a, bath_family, budget):
-        rset = _greedy_reachable_set(np.asarray(p, dtype=np.float64), build_setup(ham_a, ham_b))
+        rset = greedy_reachable_set(p, build_setup(ham_a, ham_b))
         if hull_membership(p_prime, rset, tol).classification != "exterior":
             return ham_b
     return None

@@ -406,12 +406,14 @@ def test_import_and_help_load_neither_sympy_nor_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
-def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
+def test_no_subcommand_loads_scipy_spatial_and_optimize_only_on_first_lp():
     # One interpreter runs the commands in turn and lists, after each, the
-    # deferred scipy packages loaded so far. A thermomajorize that prints
-    # false and a realize solve no LP; a qubit realize builds no Qhull hull
-    # either (its hulls are segments), and a qutrit realize is the first
-    # hull. fig4 goes last.
+    # deferred scipy packages loaded so far. Every hull comes in closed form,
+    # so no subcommand loads scipy.spatial. A thermomajorize that prints
+    # false, a realize, and a synthesize or membership target the facets
+    # place inside solve no LP; the exterior membership target, last, does,
+    # and scipy.optimize imports scipy.spatial itself.
+    qutrit = ("--ham-a", OSC3, "--ham-b", OSC3, "--p", "0.5,0.3,0.2")
     steps = [
         ("import", None),
         ("help", ["--help"]),
@@ -424,6 +426,10 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
         ("realize-qubit", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", "0.6,0.4"]),
         ("realize-qutrit", ["realize", "--ham-a", OSC3, "--p", "1,0,0", "--target", "0.7,0.2,0.1"]),
         ("fig4", ["fig4", "--preset", "paper", "--format", "csv"]),
+        ("reachable-qutrit", ["reachable", *qutrit]),
+        ("synthesize-qutrit", ["synthesize", *qutrit, "--target", "0.53,0.3,0.17"]),
+        ("membership-inside", ["membership", *qutrit, "--target", "0.53,0.3,0.17"]),
+        ("membership-exterior", ["membership", *qutrit, "--target", "1,0,0"]),
     ]
     probe = (
         "import sys, contextlib, io, json\n"
@@ -432,21 +438,20 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
         f"for name, argv in {steps!r}:\n"
         "    if argv is not None:\n"
         "        with contextlib.redirect_stdout(io.StringIO()):\n"
-        "            main(argv)\n"
+        "            assert main(argv) == 0, name\n"
         "    print(json.dumps([name, sorted(m for m in ('scipy.optimize', 'scipy.spatial')"
         " if m in sys.modules)]))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     loaded = dict(json.loads(line) for line in out.stdout.splitlines())
-    hull = ["scipy.spatial"]
-    assert loaded == {name: [] for name, _ in steps[:-2]} | {"realize-qutrit": hull, "fig4": hull}
+    lp = ["scipy.optimize", "scipy.spatial"]
+    assert loaded == {name: [] for name, _ in steps[:-1]} | {"membership-exterior": lp}
 
 
 @pytest.mark.parametrize(
     "argv, deferred",
     [
-        (["fig4", "--preset", "paper", "--format", "csv"], "scipy.spatial"),
         (
             ["membership", "--ham-a", QUBIT, "--ham-b", OSC2, "--p", "0,1", "--target", "1,0"],
             "scipy.optimize",
@@ -456,7 +461,7 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
             "scipy.optimize",
         ),
     ],
-    ids=["fig4-first-hull", "membership-first-geometry-lp", "thermomajorize-first-majorization-lp"],
+    ids=["membership-first-geometry-lp", "thermomajorize-first-majorization-lp"],
 )
 def test_first_hull_or_lp_in_a_fresh_interpreter_matches_in_process(capsys, argv, deferred):
     # In-process, the test modules have loaded scipy already; a fresh

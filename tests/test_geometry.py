@@ -1,11 +1,19 @@
+"""The membership rule and the Qhull reference, on generic point clouds.
+
+``classify_membership`` reads any hull object; here it reads the oracle
+:class:`Polytope` (Qhull facets, Delaunay witness), so the rule is checked
+apart from the closed-form classical hull that the package builds.
+"""
+
 import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import positivity_margin
+from oracles import Polytope, positivity_margin
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
@@ -13,7 +21,6 @@ from thermohorn import geometry
 from thermohorn.geometry import (
     INTERIOR_MARGIN,
     TIGHT_LP_TOL,
-    Polytope,
     affine_rank,
     classify_membership,
     hull_vertex_indices,
@@ -61,26 +68,32 @@ def _classify_counting_lps(target, hull):
     return found, lp.call_count
 
 
+def _classify(target, gens, tol=1e-8):
+    """``classify_membership`` against the oracle polytope of ``gens``."""
+    return classify_membership(target, Polytope(gens), tol)
+
+
 def test_classify_membership_triangle():
     # Targets the facets place inside solve no LP; every other one solves one.
     gens = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    (status, margin, weights), calls = _classify_counting_lps(np.full(3, 1 / 3), gens)
+    poly = Polytope(gens)
+    (status, margin, weights), calls = _classify_counting_lps(np.full(3, 1 / 3), poly)
     assert status == "interior" and calls == 0
     assert margin > 0.3
     assert np.abs(weights - 1 / 3).max() < 1e-8
 
     for target in (gens[0], np.array([0.5, 0.5, 0.0])):
-        (status, _, _), calls = _classify_counting_lps(target, gens)
+        (status, _, _), calls = _classify_counting_lps(target, poly)
         assert status == "boundary" and calls == 0
 
     # Outside an edge by 2e-9, within tol: the LP supplies the witness.
     edge_normal = np.array([-0.5, -0.5, 1.0]) / np.linalg.norm([-0.5, -0.5, 1.0])
     target = np.array([0.5, 0.5, 0.0]) - 2e-9 * edge_normal
-    (status, margin, weights), calls = _classify_counting_lps(target, gens)
+    (status, margin, weights), calls = _classify_counting_lps(target, poly)
     assert status == "boundary" and margin == 0.0 and calls == 1
     assert np.abs(weights @ gens - target).max() <= TOL
 
-    (status, dist, weights), calls = _classify_counting_lps(np.array([1.2, -0.1, -0.1]), gens)
+    (status, dist, weights), calls = _classify_counting_lps(np.array([1.2, -0.1, -0.1]), poly)
     assert status == "exterior" and calls == 1
     assert dist > 1e-8
     assert weights is None
@@ -88,24 +101,24 @@ def test_classify_membership_triangle():
 
 def test_classify_membership_segment_interior():
     gens = np.array([[0.0, 1.0], [1.0, 0.0]])
-    status, _, weights = classify_membership(np.array([0.5, 0.5]), gens)
+    status, _, weights = _classify(np.array([0.5, 0.5]), gens)
     assert status == "interior"
     assert np.abs(weights - 0.5).max() < 1e-8
-    status, _, _ = classify_membership(np.array([1.0, 0.0]), gens)
+    status, _, _ = _classify(np.array([1.0, 0.0]), gens)
     assert status == "boundary"
 
 
 def test_classify_membership_single_generator():
     gens = np.array([[0.25, 0.75]])
-    status, gap, weights = classify_membership(np.array([0.25, 0.75]), gens)
+    status, gap, weights = _classify(np.array([0.25, 0.75]), gens)
     assert status == "interior" and gap < 1e-12 and weights[0] == 1.0
-    status, gap, _ = classify_membership(np.array([0.3, 0.7]), gens)
+    status, gap, _ = _classify(np.array([0.3, 0.7]), gens)
     assert status == "exterior" and gap > 1e-8
 
 
 def test_near_vertex_point_is_not_promoted_to_interior():
     gens = np.array([[0.0, 1.0], [1.0, 0.0]])
-    status, _, _ = classify_membership(np.array([1e-11, 1.0 - 1e-11]), gens)
+    status, _, _ = _classify(np.array([1e-11, 1.0 - 1e-11]), gens)
     assert status == "boundary"
 
 
@@ -244,7 +257,7 @@ def test_hull_qhull_refusal_drops_only_a_flat_direction():
     def refuse(*args, **kwargs):
         raise QhullError("QH6154 initial simplex is flat")
 
-    with mock.patch.object(geometry, "ConvexHull", refuse):
+    with mock.patch.object(scipy.spatial, "ConvexHull", refuse):
         with pytest.raises(QhullError):
             Polytope(np.eye(3))
         with pytest.raises(QhullError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermohorn import (
     PreconditionError,
@@ -17,6 +19,7 @@ from thermohorn import (
     tensor,
     unitarity_defect,
 )
+from thermohorn.linalg import first_non_permutation
 
 
 def _haar(dim, rng):
@@ -153,3 +156,23 @@ def test_diag_embedding_and_unitarity_defect():
     assert np.allclose(diag_embedding(np.array([0.9, 0.1])), np.diag([0.9, 0.1]))
     assert unitarity_defect(np.eye(5, dtype=complex)) == 0.0
     assert unitarity_defect(2 * np.eye(2, dtype=complex)) == pytest.approx(3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    rows=st.lists(st.lists(st.integers(-1, 5), min_size=0, max_size=6), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_first_non_permutation_matches_the_sorted_loop(n, rows, data):
+    # Mostly true permutations, with some drawn rows (ragged, repeated or
+    # out of range) mixed in; the stacked check names the first row of
+    # another length, else the first row the sorted loop rejects.
+    rng = np.random.default_rng(n)
+    perms = [tuple(int(x) for x in rng.permutation(n)) for _ in rows]
+    for k, row in enumerate(rows):
+        if data.draw(st.booleans()):
+            perms[k] = tuple(row)
+    ragged = next((k for k, perm in enumerate(perms) if len(perm) != n), None)
+    looped = next((k for k, perm in enumerate(perms) if sorted(perm) != list(range(n))), None)
+    assert first_non_permutation(perms, n) == (looped if ragged is None else ragged)

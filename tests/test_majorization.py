@@ -241,6 +241,18 @@ def test_birkhoff_decomposes_known_circulant():
     assert np.abs(deco.to_matrix() - d).max() < 1e-7
 
 
+def test_convex_permutation_decomposition_validation():
+    for terms, code in (
+        (((0.5, (0, 1)), (0.5, (1, 1))), "not-a-permutation"),
+        (((0.5, (0, 1)), (0.5, (1, 0, 2))), "not-a-permutation"),
+        (((1.5, (0, 1)), (-0.5, (1, 0))), "negative-weight"),
+        (((0.5, (0, 1)), (0.4, (1, 0))), "weights-not-normalized"),
+    ):
+        with pytest.raises(PreconditionError) as err:
+            majorization.ConvexPermutationDecomposition(terms)
+        assert err.value.code == code
+
+
 def test_birkhoff_rejects_non_bistochastic():
     with pytest.raises(PreconditionError):
         birkhoff_decompose(np.array([[0.9, 0.0], [0.1, 1.0]]))

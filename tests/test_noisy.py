@@ -215,6 +215,18 @@ def test_horn_transition_rejects_non_majorized():
         horn_transition_unitary([0.5, 0.5], [0.8, 0.2])
 
 
+def test_horn_transition_error_codes_come_from_schur_horn():
+    # Majorization and sizes are checked once, inside schur_horn_unitary.
+    for p, q, code in (
+        ([0.5, 0.5], [0.8, 0.2], "majorization-failure"),
+        ([0.5, 0.3, 0.2], [0.4, 0.35, 0.25, 0.0], "dimension-mismatch"),
+        ([0.5, 0.3, 0.2], [0.6, 0.4], "dimension-mismatch"),
+    ):
+        with pytest.raises(PreconditionError) as err:
+            horn_transition_unitary(p, q)
+        assert err.value.code == code
+
+
 def _feasible_marginal_instance(dim_a, dim_b, rng):
     rho = _random_density(dim_a * dim_b, rng)
     lam, _ = spectrum_sorted(rho)

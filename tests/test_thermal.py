@@ -37,15 +37,17 @@ from thermohorn import (
     weight_hamiltonian,
     zero_hamiltonian,
 )
+from thermohorn.config import DEDUP_TOL, HULL_LEVEL_CAP
 from thermohorn.energy import EnergyLabel
-from thermohorn.geometry import hull_vertex_indices, linprog
+from thermohorn.geometry import classify_membership, hull_vertex_indices, linprog
 from thermohorn.thermal import (
+    ClassicalHull,
     _block_class_targets,
-    _greedy_reachable_set,
     _multiset_permutations,
 )
 
 from oracles import (
+    Polytope,
     bit_equal,
     block_class_targets,
     conditional_shift,
@@ -112,15 +114,18 @@ def test_block_class_targets_match_the_slot_loop():
 
 
 @st.composite
-def _small_setups(draw):
-    """System dim 2-3, bath dim 1-5, quanta 0-2, at most 10^5 permutations."""
+def _small_setups(draw, max_system=3, max_bath=5):
+    """System dim 2 to ``max_system``, bath dim 1 to ``max_bath``, quanta 0-2.
+
+    At most 10^5 energy-preserving permutations.
+    """
     beta = draw(st.sampled_from([0.5, 1.0, math.log(2.0)]))
 
     def hamiltonian(min_dim, max_dim):
         quanta = draw(st.lists(st.integers(0, 2), min_size=min_dim, max_size=max_dim))
         return Hamiltonian(tuple(EnergyLabel(q) for q in quanta), beta, 1.0)
 
-    setup = build_setup(hamiltonian(2, 3), hamiltonian(1, 5))
+    setup = build_setup(hamiltonian(2, max_system), hamiltonian(1, max_bath))
     assume(math.prod(math.factorial(len(b)) for b in setup.blocks) <= 10**5)
     n = setup.dim_a
     kind = draw(st.sampled_from(["weights", "zero-entry", "one-hot", "uniform"]))
@@ -148,17 +153,106 @@ def test_listing_matches_exhaustive_reference(case):
 @settings(max_examples=80, deadline=None)
 @given(case=_small_setups())
 def test_greedy_hull_is_the_listing_hull(case):
-    # Vertex lists are not compared for equality: Qhull keeps or drops points
-    # on an edge depending on float noise. Each listing vertex must be a
-    # greedy point, and no greedy point may lie outside the listing hull.
+    # Each listing vertex must be a greedy vertex of the closed-form hull,
+    # built without the listing, and no greedy vertex may lie outside the
+    # listing hull; each greedy permutation reproduces its vertex.
     setup, p = case
     listing = classical_reachable_set(p, setup)
-    greedy = _greedy_reachable_set(p, setup)
+    greedy = ClassicalHull(p, setup)
     for vertex in listing.hull_vertices():
-        assert np.abs(greedy.points - vertex).max(axis=1).min() < 1e-12
-    for point, perm in zip(greedy.points, greedy.representatives):
+        assert np.abs(greedy.vertices - vertex).max(axis=1).min() < 1e-12
+    for point, perm in zip(greedy.vertices, greedy.permutations):
         assert hull_membership(point, listing).classification != "exterior"
         assert np.abs(_classical_marginal(setup, perm, p) - point).max() < 1e-12
+
+
+#: Systems of up to four levels, against baths of up to four levels or of one.
+_hull_cases = st.one_of(
+    _small_setups(max_system=4, max_bath=4), _small_setups(max_system=4, max_bath=1)
+)
+
+
+def _hull_targets(vertices, rng):
+    """Vertices, midpoints of vertex pairs and Dirichlet mixtures of all of them."""
+    pairs = [0.5 * (vertices[i] + vertices[j]) for i in range(len(vertices)) for j in range(i)]
+    mixtures = rng.dirichlet(np.ones(len(vertices)), size=4) @ vertices
+    return [*vertices, *pairs[:6], *mixtures]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
+def test_classical_hull_margins_match_the_qhull_oracle(case, seed):
+    # The listing's hull decides every target inside it as the oracle
+    # Polytope (Qhull facets, Delaunay witness) over the same vertices does,
+    # with the same Euclidean margin.
+    setup, p = case
+    rset = classical_reachable_set(p, setup)
+    hull = rset.polytope
+    assert rset.hull_vertex_indices == hull_vertex_indices(rset.points, tol=1e-10)
+    oracle = Polytope(rset.hull_vertices(), DEDUP_TOL)
+    assert hull.rank == oracle.rank
+    for target in _hull_targets(hull.vertices, np.random.default_rng(seed)):
+        status, margin, weights = classify_membership(target, hull)
+        expected, oracle_margin, _ = classify_membership(target, oracle)
+        assert status == expected != "exterior"
+        assert abs(margin - oracle_margin) <= 1e-12
+        assert np.abs(weights @ hull.vertices - target).max() <= 1e-8
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
+def test_classical_hull_walk_mixes_at_most_rank_plus_one_greedy_permutations(case, seed):
+    # Built without the listing: each walk witness has at most rank+1 terms
+    # and rebuilds its target, and each term's greedy permutation
+    # reproduces its vertex.
+    setup, p = case
+    hull = ClassicalHull(p, setup)
+    for target in _hull_targets(hull.vertices, np.random.default_rng(seed)):
+        weights = hull.witness(target)
+        assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) < 1e-12
+        assert np.count_nonzero(weights) <= hull.rank + 1
+        assert np.abs(weights @ hull.vertices - target).max() <= 1e-8
+        for k in np.flatnonzero(weights):
+            output = _classical_marginal(setup, hull.permutation(hull.orders[k]), p)
+            assert np.abs(output - hull.vertices[k]).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
+def test_classical_hull_separation_is_a_lower_bound_that_certifies_exterior(case, seed):
+    # Each target is a hull point moved by a known Euclidean distance, so
+    # the bound may not exceed it; wherever it exceeds sqrt(n) * tol, no
+    # convex combination comes within tol in max-norm, and the LP agrees.
+    setup, p = case
+    hull = ClassicalHull(p, setup)
+    rng = np.random.default_rng(seed)
+    n = setup.dim_a
+    reach = math.sqrt(n) * 1e-8
+    for point in _hull_targets(hull.vertices, rng):
+        for push in (1e-8, 3 * reach, 1e-4):
+            direction = rng.normal(size=n)
+            target = point + push * direction / np.linalg.norm(direction)
+            bound = hull.separation(target)
+            assert 0.0 <= bound <= push + 1e-13
+            if bound > reach:
+                assert classify_membership(target, hull, 1e-8)[0] == "exterior"
+    for normal in hull.normals[:3]:  # straight across a facet through a vertex on it
+        vertex = hull.vertices[np.argmax(hull.vertices @ normal)]
+        assert hull.separation(vertex + 1e-6 * normal) >= 1e-6 - 1e-13
+
+
+def test_classical_hull_refuses_more_levels_than_its_cap():
+    ham_a = zero_hamiltonian(HULL_LEVEL_CAP + 1)
+    p = np.full(ham_a.dim, 1.0 / ham_a.dim)
+    for call in (
+        lambda: ClassicalHull(p, build_setup(ham_a, zero_hamiltonian(1))),
+        lambda: realize_interior(p, ham_a, p, "copies", budget=1),
+    ):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert err.value.code == "hull-level-cap"
+    at_cap = build_setup(zero_hamiltonian(HULL_LEVEL_CAP), zero_hamiltonian(1))
+    assert ClassicalHull(np.full(HULL_LEVEL_CAP, 1.0 / HULL_LEVEL_CAP), at_cap).rank == 0
 
 
 def test_reachable_points_match_extraction_closed_form():
@@ -494,7 +588,7 @@ def _realize_search_cases():
                 a = lo + frac * (hi - lo)
                 cases.append((ground, qubit, np.array([1.0 - a, a]), family, baths[-1].dim))
     setup, p = _two_copy_preset()
-    vertices = _greedy_reachable_set(p, setup).hull_vertices()
+    vertices = ClassicalHull(p, setup).vertices
     low = vertices[np.argsort(vertices[:, 0])[:2]]
     for mu in (0.2, 0.5, 0.8):
         target = 0.97 * (mu * low[0] + (1 - mu) * low[1]) + 0.03 * vertices.mean(axis=0)
@@ -577,10 +671,10 @@ def test_greedy_hull_decides_six_copy_bath_exactly():
     setup = build_setup(ham_a, ham_b)
     assert setup.dim_joint == 128 and max(setup.block_sizes()) == 35
     start = time.perf_counter()
-    rset = _greedy_reachable_set(np.array([1.0, 0.0]), setup)
+    hull = ClassicalHull(np.array([1.0, 0.0]), setup)
     elapsed = time.perf_counter() - start
-    assert rset.points[:, 1].max() == pytest.approx(alpha_max_achievable(ham_b, 1), abs=1e-12)
-    assert rset.points[:, 1].min() == 0.0
+    assert hull.vertices[:, 1].max() == pytest.approx(alpha_max_achievable(ham_b, 1), abs=1e-12)
+    assert hull.vertices[:, 1].min() == 0.0
     assert elapsed < 0.5
 
 
@@ -594,5 +688,15 @@ def test_random_block_unitary_preserves_energy():
 def test_product_combination_validation():
     with pytest.raises(PreconditionError):
         ProductConvexCombination(((0, 1),), (((0.5, (0, 1)),),))
-    with pytest.raises(PreconditionError):
-        ProductConvexCombination(((0, 1),), (((1.0, (0, 0)),),))
+    for terms in (((1.0, (0, 0)),), ((1.0, (0, 1, 2)),), ((1.1, (0, 1)), (-0.1, (1, 0)))):
+        with pytest.raises(PreconditionError) as err:
+            ProductConvexCombination(((0, 1),), (terms,))
+        assert err.value.code == "bad-combination"
+    # Blocks of different sizes are checked together: a one-slot block's
+    # image must be 0, not a position only the wider block has.
+    blocks = ((0,), (1, 2, 3))
+    wide = ((0.5, (2, 0, 1)), (0.5, (0, 1, 2)))
+    assert ProductConvexCombination(blocks, (((1.0, (0,)),), wide)).term_count == 2
+    with pytest.raises(PreconditionError) as err:
+        ProductConvexCombination(blocks, (((1.0, (1,)),), wide))
+    assert err.value.code == "bad-combination"
