@@ -406,7 +406,7 @@ def test_import_and_help_load_neither_sympy_nor_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
-def test_no_subcommand_loads_scipy_spatial_and_optimize_only_on_first_lp():
+def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
     # One interpreter runs the commands in turn and lists, after each, the
     # deferred scipy packages loaded so far. Every hull comes in closed form,
     # so no subcommand loads scipy.spatial. A thermomajorize that prints
@@ -450,28 +450,32 @@ def test_no_subcommand_loads_scipy_spatial_and_optimize_only_on_first_lp():
 
 
 @pytest.mark.parametrize(
-    "argv, deferred",
+    "argv, deferred, loads",
     [
+        (["fig4", "--preset", "paper", "--format", "csv"], "scipy.spatial", False),
         (
             ["membership", "--ham-a", QUBIT, "--ham-b", OSC2, "--p", "0,1", "--target", "1,0"],
             "scipy.optimize",
+            True,
         ),
         (
             ["thermomajorize", "--p", "0,1", "--q", "1/2,1/2", "--gamma", "2/3,1/3"],
             "scipy.optimize",
+            True,
         ),
     ],
-    ids=["membership-first-geometry-lp", "thermomajorize-first-majorization-lp"],
+    ids=["fig4-first-hull", "membership-first-geometry-lp", "thermomajorize-first-majorization-lp"],
 )
-def test_first_hull_or_lp_in_a_fresh_interpreter_matches_in_process(capsys, argv, deferred):
+def test_first_hull_or_lp_in_a_fresh_interpreter_matches_in_process(capsys, argv, deferred, loads):
     # In-process, the test modules have loaded scipy already; a fresh
-    # interpreter runs the deferred import inside the command itself.
+    # interpreter runs the deferred import inside the command itself, or,
+    # for fig4's closed-form hulls, never runs it.
     probe = (
         "import sys\n"
         "from thermohorn.cli import main\n"
         f"assert {deferred!r} not in sys.modules\n"
         f"code = main({argv!r})\n"
-        f"assert {deferred!r} in sys.modules\n"
+        f"assert ({deferred!r} in sys.modules) == {loads!r}\n"
         "sys.exit(code)"
     )
     cold = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
