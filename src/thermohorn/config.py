@@ -11,6 +11,15 @@ from __future__ import annotations
 #: Residual tolerance for eigendecompositions.
 EIGEN_TOL = 1e-8
 
+#: A system and a bath describe one ensemble when their inverse temperatures
+#: and base quanta agree within this.
+ENSEMBLE_MATCH_TOL = 1e-12
+
+#: Two distinct exact energy labels whose energies evaluate closer than this
+#: draw a warning: they stay in separate blocks, but probably encode one
+#: physical level two different ways.
+NEAR_TIE_ENERGY_TOL = 1e-12
+
 #: A matrix is unitary when the max-norm of ``U†U − I`` is at most this.
 UNITARITY_TOL = 1e-10
 
@@ -30,6 +39,18 @@ MARGINAL_TOL = 1e-8
 #: ``p`` majorizes ``q`` when no sorted prefix sum of ``p`` falls more than
 #: this below that of ``q``.
 MAJORIZATION_SLACK = 1e-10
+
+#: The Schur-Horn rotation chain treats a diagonal entry within this of its
+#: target as settled and never pairs it again.
+SCHUR_HORN_SETTLE_TOL = 1e-13
+
+#: The chain may stop with every entry within this of its target, and its
+#: rotation must carry ``lam`` to ``mu`` within this (max-norm).
+SCHUR_HORN_TOL = 1e-9
+
+#: An energy block holding at most this much input mass gets the identity:
+#: there is no weight to move, and normalizing it would divide by ~0.
+EMPTY_BLOCK_MASS = 1e-300
 
 #: A thermomajorization witness ``D`` (stochastic, ``D gamma = gamma``) is
 #: sought by an LP minimizing the max-norm of ``D p − q``; an optimum above

@@ -13,6 +13,9 @@ vectors with rational entries (e.g. (5, 7, 8)/20) can be declared exactly
 even though the corresponding energies are irrational.
 
 Floats enter only when evaluating Gibbs weights or reporting energies.
+:func:`build_setup` groups joint states on integers: each Hamiltonian's
+quantum multiples and weight factors are put over one common denominator,
+so a joint label is an integer pair and no ``Fraction`` is formed per state.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
+from .config import ENSEMBLE_MATCH_TOL, NEAR_TIE_ENERGY_TOL
 from .errors import PreconditionError
 from .linalg import ProbabilityVector, probability_vector
 
@@ -181,6 +186,54 @@ def trivial_hamiltonian(beta: float, base_quantum: float = 1.0) -> Hamiltonian:
     return zero_hamiltonian(1, beta, base_quantum)
 
 
+def _multiset_permutations(items):
+    """Yield the distinct arrangements of ``items`` in lexicographic order.
+
+    Classic next-permutation walk from the sorted arrangement: find the
+    rightmost ascent ``i``, swap ``seq[i]`` with the rightmost larger entry,
+    and reverse the tail. Repeated items never produce duplicate rows.
+    """
+    seq = sorted(items)
+    while True:
+        yield list(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = reversed(seq[i + 1 :])
+
+
+def _block_class_targets(block: tuple[int, ...], dim_b: int) -> np.ndarray:
+    """One representative permutation per distinct position -> system-label map.
+
+    Two in-block permutations move the same input weight to the same system
+    level for *every* input exactly when they agree on which system label
+    each position is sent to; enumerating label arrangements (multiset
+    permutations) therefore covers every distinct output with no sampling
+    loss. Representative: positions claiming label ``l`` are matched, in
+    ascending order, to the block's label-``l`` slots in ascending order.
+    """
+    labels = np.array([idx // dim_b for idx in block], dtype=np.int64)
+    arrangements = np.array(list(_multiset_permutations(labels.tolist())), dtype=np.int64)
+    slots = np.asarray(block, dtype=np.int64)
+    images = np.empty_like(arrangements)
+    for lab in np.unique(labels):
+        claims = arrangements == lab
+        nth = np.cumsum(claims, axis=1) - 1
+        images[claims] = slots[labels == lab][nth[claims]]
+    return images
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class ThermalSetup:
     """System + bath Hamiltonians with the exact total-energy block partition.
@@ -188,7 +241,9 @@ class ThermalSetup:
     ``blocks`` partitions the joint basis ``{0 .. dim_a*dim_b - 1}``; two
     joint states share a block iff their label sums are exactly equal.
     Blocks are ordered by their smallest joint index, indices ascending
-    within each block.
+    within each block. The bath's Gibbs vector, the block lookup and each
+    block's label arrangements are computed once per setup, on first use,
+    and handed out read-only.
     """
 
     ham_a: Hamiltonian
@@ -212,13 +267,31 @@ class ThermalSetup:
 
     def block_of(self) -> np.ndarray:
         """Joint index -> block index lookup."""
+        return self._block_of
+
+    @cached_property
+    def _block_of(self) -> np.ndarray:
         out = np.empty(self.dim_joint, dtype=np.intp)
         for k, block in enumerate(self.blocks):
             out[list(block)] = k
-        return out
+        return _read_only(out)
 
     def gibbs_b(self) -> ProbabilityVector:
-        return gibbs_vector(self.ham_b)
+        return self._gibbs_b
+
+    @cached_property
+    def _gibbs_b(self) -> ProbabilityVector:
+        return _read_only(gibbs_vector(self.ham_b))
+
+    def class_targets(self, k: int) -> np.ndarray:
+        """Block ``k``'s label arrangements as joint images, one per row (``_block_class_targets``)."""
+        if k not in self._class_targets:
+            self._class_targets[k] = _read_only(_block_class_targets(self.blocks[k], self.dim_b))
+        return self._class_targets[k]
+
+    @cached_property
+    def _class_targets(self) -> dict[int, np.ndarray]:
+        return {}
 
     def joint_input(self, p) -> np.ndarray:
         """Diagonal of the joint input ``p ⊗ gamma_B`` (unnormalized per block)."""
@@ -227,38 +300,67 @@ class ThermalSetup:
             raise PreconditionError(
                 "dimension-mismatch", f"state dim {p.size} does not match system dim {self.dim_a}"
             )
-        return np.kron(p, self.gibbs_b())
+        return np.outer(p, self.gibbs_b()).ravel()
+
+
+def _integer_labels(ham: Hamiltonian) -> tuple[int, int, list[int], list[int]]:
+    """Common denominators of the quantum multiples and of the weight factors,
+    and each level's numerators over them."""
+    quanta = [lv.quantum_mult for lv in ham.levels]
+    weights = [lv.weight_factor for lv in ham.levels]
+    q_den = math.lcm(*(q.denominator for q in quanta))
+    w_den = math.lcm(*(w.denominator for w in weights))
+    return (
+        q_den,
+        w_den,
+        [q.numerator * (q_den // q.denominator) for q in quanta],
+        [w.numerator * (w_den // w.denominator) for w in weights],
+    )
 
 
 def build_setup(ham_a: Hamiltonian, ham_b: Hamiltonian) -> ThermalSetup:
     """Group the joint basis into exact equal-total-energy blocks.
 
-    Emits a warning when two *distinct* labels evaluate to energies closer
-    than 1e-12 — they stay in separate blocks (labels are authoritative);
-    such a coincidence usually means the declared Hamiltonians encode one
-    physical level two different ways.
+    A joint state's label is keyed by two integers, its quantum multiple
+    and its weight factor each over the product of the two Hamiltonians'
+    common denominators. Emits a warning when two *distinct* labels
+    evaluate to energies closer than ``NEAR_TIE_ENERGY_TOL`` — they stay in
+    separate blocks (labels are authoritative); such a coincidence usually
+    means the declared Hamiltonians encode one physical level two different
+    ways. Each block's energy is :meth:`EnergyLabel.energy` of its label,
+    read off the keys: an integer ratio rounds as its ``Fraction`` does.
     """
-    if abs(ham_a.beta - ham_b.beta) > 1e-12 or abs(ham_a.base_quantum - ham_b.base_quantum) > 1e-12:
+    if (
+        abs(ham_a.beta - ham_b.beta) > ENSEMBLE_MATCH_TOL
+        or abs(ham_a.base_quantum - ham_b.base_quantum) > ENSEMBLE_MATCH_TOL
+    ):
         raise PreconditionError(
             "mismatched-ensembles",
             "system and bath must share beta and the base quantum "
             f"(got beta {ham_a.beta}/{ham_b.beta}, quantum {ham_a.base_quantum}/{ham_b.base_quantum})",
         )
-    groups: dict[EnergyLabel, list[int]] = {}
-    dim_b = ham_b.dim
-    for a, la in enumerate(ham_a.levels):
-        for b, lb in enumerate(ham_b.levels):
-            groups.setdefault(la + lb, []).append(a * dim_b + b)
-    distinct = list(groups.keys())
-    values = sorted(
-        (lv.energy(ham_a.beta, ham_a.base_quantum), lv) for lv in distinct
-    )
-    for (e1, l1), (e2, l2) in zip(values, values[1:]):
-        if abs(e2 - e1) < 1e-12 and l1 != l2:
+    q_den_a, w_den_a, quanta_a, weights_a = _integer_labels(ham_a)
+    q_den_b, w_den_b, quanta_b, weights_b = _integer_labels(ham_b)
+    keys_b = [(q * q_den_a, w) for q, w in zip(quanta_b, weights_b)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    joint = 0
+    for q_a, w_a in zip(quanta_a, weights_a):
+        shift = q_a * q_den_b
+        for q_b, w_b in keys_b:
+            groups.setdefault((shift + q_b, w_a * w_b), []).append(joint)
+            joint += 1
+    # Joint indices arrive ascending, so each group is sorted and the groups
+    # come in order of their smallest index.
+    blocks = tuple(map(tuple, groups.values()))
+    q_den, w_den = q_den_a * q_den_b, w_den_a * w_den_b
+    beta, quantum = ham_a.beta, ham_a.base_quantum
+    values = sorted((q / q_den * quantum - math.log(w / w_den) / beta, q, w) for q, w in groups)
+    for (e1, *key1), (e2, *key2) in zip(values, values[1:]):
+        if abs(e2 - e1) < NEAR_TIE_ENERGY_TOL:
+            l1, l2 = (EnergyLabel(Fraction(q, q_den), Fraction(w, w_den)) for q, w in (key1, key2))
             warnings.warn(
-                f"distinct energy labels {l1} and {l2} evaluate within 1e-12 of each other; "
-                "keeping them in separate blocks",
+                f"distinct energy labels {l1} and {l2} evaluate within {NEAR_TIE_ENERGY_TOL} "
+                "of each other; keeping them in separate blocks",
                 stacklevel=2,
             )
-    blocks = tuple(sorted((tuple(sorted(idx)) for idx in groups.values()), key=lambda b: b[0]))
     return ThermalSetup(ham_a, ham_b, blocks)

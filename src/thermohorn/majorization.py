@@ -31,6 +31,8 @@ from .config import (
     MAJORIZATION_SLACK,
     MIXTURE_NORM_TOL,
     MIXTURE_WEIGHT_FLOOR,
+    SCHUR_HORN_SETTLE_TOL,
+    SCHUR_HORN_TOL,
     THERMO_WITNESS_CHECK_FACTOR,
     THERMO_WITNESS_COL_TOL,
     THERMO_WITNESS_ENTRY_TOL,
@@ -423,17 +425,16 @@ def schur_horn_unitary(lam, mu) -> ComplexMatrix:
     x = lam[idx_l].astype(np.float64).copy()
     target = mu[idx_m]
     core = np.eye(n, dtype=np.complex128)
-    settle = 1e-13
     for _ in range(n):
         diff = x - target
-        over = np.nonzero(diff > settle)[0]
+        over = np.nonzero(diff > SCHUR_HORN_SETTLE_TOL)[0]
         if over.size == 0:
             break
         i = int(over[0])
-        under = np.nonzero(diff < -settle)[0]
+        under = np.nonzero(diff < -SCHUR_HORN_SETTLE_TOL)[0]
         under = under[under > i]
         if under.size == 0:
-            if float(np.max(np.abs(diff))) < 1e-9:
+            if float(np.max(np.abs(diff))) < SCHUR_HORN_TOL:
                 break
             raise RuntimeError(
                 "rotation chain lost its pairing invariant; inputs may be inconsistent"
@@ -456,7 +457,7 @@ def schur_horn_unitary(lam, mu) -> ComplexMatrix:
     v = sort_m.conj().T @ core @ sort_l
     achieved = hadamard_square(v) @ lam
     err = float(np.max(np.abs(achieved - mu)))
-    if err > 1e-9:
+    if err > SCHUR_HORN_TOL:
         raise RuntimeError(f"rotation chain missed its target by {err}")
     return v
 

@@ -21,7 +21,9 @@ block unitaries fills in exactly the convex hull:
 * *membership / realize*: classification against the hull's facets (an LP
   only for a target they do not place inside), and a search over growing
   bath families for a finite-bath realization of a thermomajorized target,
-  skipping with no LP every bath the hull's separation bound excludes.
+  deciding every bath from ``F`` alone by its exact max-norm distance
+  (:meth:`ClassicalHull.distance`): no LP, and no vertex list for any bath
+  but the one that holds the target.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import (
     DEDUP_TOL,
+    EMPTY_BLOCK_MASS,
     ENUMERATION_CAP,
     HULL_LEVEL_CAP,
     MIXTURE_NORM_TOL,
@@ -50,7 +54,6 @@ from .energy import (
     ThermalSetup,
     build_setup,
     gibbs_vector,
-    trivial_hamiltonian,
 )
 from .errors import PreconditionError
 from .geometry import classify_membership
@@ -202,53 +205,6 @@ class ClassicalEnumeration:
         return "exhaustive"
 
 
-def _block_system_labels(block: tuple[int, ...], dim_b: int) -> list[int]:
-    return [idx // dim_b for idx in block]
-
-
-def _multiset_permutations(items):
-    """Yield the distinct arrangements of ``items`` in lexicographic order.
-
-    Classic next-permutation walk from the sorted arrangement: find the
-    rightmost ascent ``i``, swap ``seq[i]`` with the rightmost larger entry,
-    and reverse the tail. Repeated items never produce duplicate rows.
-    """
-    seq = sorted(items)
-    while True:
-        yield list(seq)
-        i = len(seq) - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(seq) - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1 :] = reversed(seq[i + 1 :])
-
-
-def _block_class_targets(block: tuple[int, ...], dim_b: int) -> np.ndarray:
-    """One representative permutation per distinct position -> system-label map.
-
-    Two in-block permutations move the same input weight to the same system
-    level for *every* input exactly when they agree on which system label
-    each position is sent to; enumerating label arrangements (multiset
-    permutations) therefore covers every distinct output with no sampling
-    loss. Representative: positions claiming label ``l`` are matched, in
-    ascending order, to the block's label-``l`` slots in ascending order.
-    """
-    labels = np.array(_block_system_labels(block, dim_b), dtype=np.int64)
-    arrangements = np.array(list(_multiset_permutations(labels.tolist())), dtype=np.int64)
-    slots = np.asarray(block, dtype=np.int64)
-    images = np.empty_like(arrangements)
-    for lab in np.unique(labels):
-        claims = arrangements == lab
-        nth = np.cumsum(claims, axis=1) - 1
-        images[claims] = slots[labels == lab][nth[claims]]
-    return images
-
-
 def _assemble_joint(setup: ThermalSetup, per_block: list[np.ndarray]) -> np.ndarray:
     sizes = [t.shape[0] for t in per_block]
     count = math.prod(sizes)
@@ -319,6 +275,13 @@ def _first_distinct(points: np.ndarray) -> np.ndarray:
     return np.sort(keep)
 
 
+class _GreedyVertices(NamedTuple):
+    vertices: np.ndarray
+    vertex_indices: tuple[int, ...]
+    orders: np.ndarray
+    vertex_of: dict[tuple[int, ...], int]  # every order -> the index of its vertex
+
+
 class ClassicalHull:
     """conv(T_C), the hull of the classical outputs of ``p ⊗ gamma_B``, in closed form.
 
@@ -331,15 +294,18 @@ class ClassicalHull:
     ending at it less ``F`` of the one before: the outputs of the greedy
     beta-ordering permutations (:meth:`permutation`).
 
-    Built for at most ``HULL_LEVEL_CAP`` levels: ``table[S]``, ``F`` of
-    every bit mask ``S``; the affine span, ``origin`` plus ``rank``
-    orthonormal ``basis`` rows orthogonal to every separator's indicator
-    (``F(S) + F(N∖S) = F(N)``); the facets ``normals @ (y - origin) <=
-    offsets``, one per ``S`` whose indicator keeps a projection onto the
-    span, scaled to unit length; and ``vertices``, the distinct greedy
-    vectors, ``orders[k]`` the first order giving ``vertices[k]``. Given
-    ``points``, a listing of every output, each vertex is the listed point
-    within ``DEDUP_TOL`` of its greedy vector, at ``vertex_indices``.
+    Built for at most ``HULL_LEVEL_CAP`` levels. Construction tabulates only
+    ``table[S]``, ``F`` of every bit mask ``S`` (per-block sorted prefix
+    sums), which is all :meth:`distance` reads. The rest is built on first
+    use: ``vertices``, the distinct greedy vectors of all ``n!`` orders,
+    ``orders[k]`` the first order giving ``vertices[k]`` (given ``points``,
+    a listing of every output, each vertex is the listed point within
+    ``DEDUP_TOL`` of its greedy vector, at ``vertex_indices``); the affine
+    span, ``origin`` (the first vertex) plus ``rank`` orthonormal ``basis``
+    rows orthogonal to every separator's indicator (``F(S) + F(N∖S) =
+    F(N)``); and the facets ``normals @ (y - origin) <= offsets``, one per
+    ``S`` whose indicator keeps a projection onto the span, scaled to unit
+    length.
     """
 
     def __init__(self, p, setup: ThermalSetup, points: np.ndarray | None = None):
@@ -349,6 +315,7 @@ class ClassicalHull:
                 "hull-level-cap", f"{n} system levels exceed the cap {HULL_LEVEL_CAP}"
             )
         self.setup = setup
+        self._points = points
         v = setup.joint_input(p)
         self._block_of = setup.block_of()
         self._labels = np.arange(setup.dim_joint) // setup.dim_b
@@ -357,21 +324,6 @@ class ClassicalHull:
         masks = np.arange(1 << n)
         self._members = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
         self.table = self._subset_table(v)
-        self._pick_vertices(points)
-        self._by_size = sorted(masks.tolist(), key=int.bit_count)
-        self._levels_of = [[a for a in range(n) if mask >> a & 1] for mask in masks.tolist()]
-
-        self.origin = self.vertices[0]
-        self._separators = np.abs(self.table + self.table[::-1] - self.table[-1]) <= SEPARATOR_TOL
-        separators = self._members[self._separators]
-        self.basis = np.linalg.svd(separators)[2][np.linalg.matrix_rank(separators) :]
-        self.rank = self.basis.shape[0]
-        self._projector = self.basis.T @ self.basis
-        projected = self._members @ self._projector
-        length = np.linalg.norm(projected, axis=1)
-        facet = length > VANISHING_NORMAL_TOL
-        self.normals = projected[facet] / length[facet, None]
-        self.offsets = (self.table[facet] - self._members[facet] @ self.origin) / length[facet]
 
     def _subset_table(self, v: np.ndarray) -> np.ndarray:
         """``F`` of every subset: per block, the sum of its ``k`` largest entries."""
@@ -387,8 +339,27 @@ class ClassicalHull:
         taken = self._members.astype(np.int64) @ counts.T
         return top[np.arange(nblocks), taken].sum(axis=1)
 
-    def _pick_vertices(self, points: np.ndarray | None) -> None:
-        """``vertices``, ``vertex_indices`` and ``orders`` from the greedy vector of every order."""
+    def distance(self, target) -> float:
+        """Max-norm distance from ``target`` to the hull, read off ``F`` alone.
+
+        For a target summing to ``F(N)`` it is ``max_S (q(S) - F(S)) /
+        min(|S|, n - |S|)`` over the proper nonempty ``S``, clipped at 0: the
+        box of half-width ``d`` around ``q`` meets the base polytope exactly
+        when ``q(S) - d|S| <= F(S)`` and ``q(S) + d|S| >= F(N) - F(N∖S)`` for
+        every ``S`` (Edmonds, 1970). A target off that sum pays its gap ``e =
+        q(N) - F(N)`` as ``max_S (q(S) - F(S)) / |S|`` over ``S ≠ ∅`` and
+        ``max_S (q(S) - F(S) - e) / (n - |S|)`` over ``S ≠ N``; for one level
+        that is ``|e|``. No vertex, span or LP is needed.
+        """
+        gap = self._members @ np.asarray(target, dtype=np.float64) - self.table
+        size = self._members.sum(axis=1)
+        n = self.setup.dim_a
+        below = gap[1:] / size[1:]
+        above = (gap[:-1] - gap[-1]) / (n - size[:-1])
+        return max(0.0, float(below.max()), float(above.max()))
+
+    def _pick_vertices(self, points: np.ndarray | None) -> _GreedyVertices:
+        """The distinct greedy vectors of all orders, and which order gives which."""
         all_orders = np.array(list(itertools.permutations(range(self.setup.dim_a))), dtype=np.int64)
         prefixes = np.cumsum(1 << all_orders, axis=1)
         gains = np.diff(self.table[prefixes], axis=1, prepend=0.0)
@@ -399,8 +370,8 @@ class ClassicalHull:
         if points is None:
             by_first = np.argsort(first)
             vertex_of_order = np.argsort(by_first)[inverse.ravel()]
-            self.vertices = greedy[first[by_first]]
-            self.vertex_indices = tuple(range(len(first)))
+            vertices = greedy[first[by_first]]
+            vertex_indices = tuple(range(len(first)))
         else:
             nearest = np.array([np.abs(points - g).max(axis=1).argmin() for g in greedy[first]])
             miss = np.abs(points[nearest] - greedy[first]).max()
@@ -408,26 +379,69 @@ class ClassicalHull:
                 raise RuntimeError(f"a greedy vertex lies {miss} from every listed point")
             listed, position = np.unique(nearest, return_inverse=True)
             vertex_of_order = position.ravel()[inverse.ravel()]
-            self.vertices = points[listed]
-            self.vertex_indices = tuple(int(k) for k in listed)
-        self.orders = all_orders[np.unique(vertex_of_order, return_index=True)[1]]
-        self._vertex_of = dict(zip(map(tuple, all_orders.tolist()), vertex_of_order.tolist()))
+            vertices = points[listed]
+            vertex_indices = tuple(int(k) for k in listed)
+        orders = all_orders[np.unique(vertex_of_order, return_index=True)[1]]
+        vertex_of = dict(zip(map(tuple, all_orders.tolist()), vertex_of_order.tolist()))
+        return _GreedyVertices(vertices, vertex_indices, orders, vertex_of)
+
+    @cached_property
+    def _greedy(self) -> _GreedyVertices:
+        return self._pick_vertices(self._points)
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        return self._greedy.vertices
+
+    @cached_property
+    def vertex_indices(self) -> tuple[int, ...]:
+        return self._greedy.vertex_indices
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        return self._greedy.orders
+
+    @cached_property
+    def origin(self) -> np.ndarray:
+        return self.vertices[0]
+
+    @cached_property
+    def _separators(self) -> np.ndarray:
+        return np.abs(self.table + self.table[::-1] - self.table[-1]) <= SEPARATOR_TOL
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        separators = self._members[self._separators]
+        return np.linalg.svd(separators)[2][np.linalg.matrix_rank(separators) :]
+
+    @cached_property
+    def rank(self) -> int:
+        return self.basis.shape[0]
+
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        return self.basis.T @ self.basis
+
+    @cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray]:
+        projected = self._members @ self._projector
+        length = np.linalg.norm(projected, axis=1)
+        facet = length > VANISHING_NORMAL_TOL
+        normals = projected[facet] / length[facet, None]
+        offsets = (self.table[facet] - self._members[facet] @ self.origin) / length[facet]
+        return normals, offsets
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        return self._facets[0]
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return self._facets[1]
 
     def excess(self, target: np.ndarray) -> float:
         """Largest distance by which the target's projection crosses a facet (negative inside)."""
         return float((self.normals @ (target - self.origin) - self.offsets).max(initial=-np.inf))
-
-    def separation(self, target: np.ndarray) -> float:
-        """A lower bound on the Euclidean distance from ``target`` to the hull.
-
-        ``sqrt(v² + |w|²)``, ``v`` the largest facet violation of the
-        target's projection and ``w`` its component off the span. Above
-        ``sqrt(dim) * tol`` it proves every convex combination misses the
-        target by more than ``tol`` in max-norm.
-        """
-        rel = np.asarray(target, dtype=np.float64) - self.origin
-        off = float(np.linalg.norm(rel - self._projector @ rel))
-        return math.hypot(max(0.0, self.excess(target)), off)
 
     def witness(self, target: np.ndarray) -> np.ndarray:
         """Weights over ``vertices``, at most ``rank + 1`` nonzero, rebuilding the projected target.
@@ -470,7 +484,16 @@ class ClassicalHull:
             if tight[mask] and mask & chain == chain and mask != chain:
                 order += self._levels_of[mask & ~chain]
                 chain = mask
-        return self._vertex_of[tuple(order)]
+        return self._greedy.vertex_of[tuple(order)]
+
+    @cached_property
+    def _by_size(self) -> list[int]:
+        return sorted(range(len(self.table)), key=int.bit_count)
+
+    @cached_property
+    def _levels_of(self) -> list[list[int]]:
+        n = self.setup.dim_a
+        return [[a for a in range(n) if mask >> a & 1] for mask in range(1 << n)]
 
     def permutation(self, order) -> np.ndarray:
         """Joint images of the greedy beta-ordering permutation for ``order`` of the levels."""
@@ -508,8 +531,8 @@ def classical_reachable_set(
     dim_a, dim_b = setup.dim_a, setup.dim_b
     partial = np.zeros((1, dim_a))
     steps = []
-    for block in setup.blocks:
-        labels = _block_system_labels(block, dim_b)
+    for k, block in enumerate(setup.blocks):
+        labels = [idx // dim_b for idx in block]
         count = math.factorial(len(labels))
         for lab in set(labels):
             count //= math.factorial(labels.count(lab))
@@ -518,7 +541,7 @@ def classical_reachable_set(
                 "enumeration-cap",
                 f"{len(partial) * count} candidate outputs in one block step exceed the cap {cap}",
             )
-        targets = _block_class_targets(block, dim_b)
+        targets = setup.class_targets(k)
         gains = np.stack([(targets // dim_b == a) @ v[list(block)] for a in range(dim_a)], axis=1)
         sums = (partial[:, None, :] + gains[None, :, :]).reshape(-1, dim_a)
         keep = _first_distinct(sums)
@@ -597,7 +620,7 @@ def synthesize_unitary(
         lam = v[idx]
         mu = mixed[idx]
         mass = float(lam.sum())
-        if mass <= 1e-300 or len(block) == 1:
+        if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
             u[np.ix_(idx, idx)] = np.eye(len(block))
             continue
         try:
@@ -726,28 +749,21 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> Membershi
     return MembershipResult(status, dist, comb, tuple(verts[k] for k in keep))
 
 
-def _tensor_power_levels(levels: tuple[EnergyLabel, ...], k: int) -> tuple[EnergyLabel, ...]:
-    out = (EnergyLabel(),)
-    for _ in range(k):
-        out = tuple(a + b for a in out for b in levels)
-    return out
-
-
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
                     a.denominator * b.denominator)
 
 
 def _bath_family(ham_a: Hamiltonian, family: str, budget: int):
-    """Yield bath Hamiltonians of increasing dimension, starting trivial."""
+    """Yield bath Hamiltonians of increasing dimension, starting trivial.
+
+    Each copies bath extends the previous one's levels by one more factor.
+    """
     if family == "copies":
-        k = 0
-        while ham_a.dim**k <= budget:
-            if k == 0:
-                yield trivial_hamiltonian(ham_a.beta, ham_a.base_quantum)
-            else:
-                yield Hamiltonian(_tensor_power_levels(ham_a.levels, k), ham_a.beta, ham_a.base_quantum)
-            k += 1
+        levels = (EnergyLabel(),)
+        while len(levels) <= budget:
+            yield Hamiltonian(levels, ham_a.beta, ham_a.base_quantum)
+            levels = tuple(a + b for a in levels for b in ham_a.levels)
         return
     if family == "oscillator":
         if any(lv.weight_factor != 1 for lv in ham_a.levels):
@@ -795,11 +811,12 @@ def realize_interior(
     Bath families: ``copies`` walks k-fold tensor powers of the system
     Hamiltonian, ``oscillator`` walks equally spaced truncations with the
     gcd of the system gaps as spacing; both start at the trivial
-    one-dimensional bath and stop at dimension ``budget``. A bath whose
-    :class:`ClassicalHull` is farther than ``sqrt(dim) * tol`` from the
-    target (:meth:`~ClassicalHull.separation`) is skipped with no LP; every
-    other goes to :func:`hull_membership` over the hull's vertices.
-    Returns ``(setup, unitary, gadget)`` for the first bath whose hull holds
+    one-dimensional bath and stop at dimension ``budget``. Each bath is
+    decided from its :class:`ClassicalHull`'s ``F`` table alone: one whose
+    exact max-norm :meth:`~ClassicalHull.distance` exceeds ``tol`` is
+    skipped, with no vertex list and no LP. Only a bath within ``tol``
+    builds its vertices and goes to :func:`hull_membership`, whose verdict
+    decides. Returns ``(setup, unitary, gadget)`` for the first bath whose hull holds
     the target, and None when no bath of the family up to ``budget`` does
     — which proves nothing about larger baths.
     """
@@ -812,14 +829,12 @@ def realize_interior(
             "not-thermomajorized",
             "target is not reachable by any Gibbs-preserving stochastic map",
         )
-    reach = math.sqrt(p_prime.size) * tol
     for ham_b in _bath_family(ham_a, bath_family, budget):
         setup = build_setup(ham_a, ham_b)
         hull = ClassicalHull(p, setup)
-        if hull.separation(p_prime) > reach:
+        if hull.distance(p_prime) > tol:
             continue
-        verts, reps = hull.vertices, hull.permutations
-        rset = ReachableSet(verts, hull.vertex_indices, setup, p, reps, hull)
+        rset = ReachableSet(hull.vertices, hull.vertex_indices, setup, p, hull.permutations, hull)
         found = hull_membership(p_prime, rset, tol)
         if found.classification == "exterior":
             continue

@@ -16,7 +16,8 @@ checked against a walk that asks ``hull_membership`` about every bath's
 greedy sum, pruned to its Qhull vertices after every block; the iterative
 and vectorized internals against the plain recursive and looped forms they
 replace, and the Birkhoff chain's repaired matching against a chain that
-recomputes its support at every step.
+recomputes its support at every step. ``build_setup``'s integer keys are
+checked against grouping joint states on their summed ``EnergyLabel``.
 """
 
 import itertools
@@ -35,14 +36,9 @@ from thermohorn.config import (
     DECOMPOSITION_TOL,
     DEDUP_TOL,
 )
+from thermohorn.energy import _multiset_permutations
 from thermohorn.geometry import FACET_TOL, _affine_frame, hull_vertex_indices
-from thermohorn.thermal import (
-    ReachableSet,
-    _bath_family,
-    _first_distinct,
-    _marginal_outputs,
-    _multiset_permutations,
-)
+from thermohorn.thermal import ReachableSet, _bath_family, _first_distinct, _marginal_outputs
 
 
 def dominance_curve(p, gamma):
@@ -466,3 +462,16 @@ def block_class_targets(block, dim_b):
             cursor[lab] += 1
         rows.append(images)
     return np.array(rows, dtype=np.int64)
+
+
+def label_blocks(ham_a, ham_b):
+    """Energy blocks grouped on each joint state's summed ``EnergyLabel``.
+
+    One exact ``Fraction`` label per joint state; blocks ordered by their
+    smallest joint index, indices ascending.
+    """
+    groups = {}
+    for a, la in enumerate(ham_a.levels):
+        for b, lb in enumerate(ham_b.levels):
+            groups.setdefault(la + lb, []).append(a * ham_b.dim + b)
+    return tuple(sorted((tuple(sorted(idx)) for idx in groups.values()), key=lambda b: b[0]))

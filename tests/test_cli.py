@@ -14,6 +14,7 @@ from thermohorn.serialize import format_float, realization_from_json
 
 LN2 = math.log(2.0)
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+REALIZE_GOLDENS = Path(__file__).resolve().parent / "realize_goldens.json"
 
 
 def _osc_json(m, beta):
@@ -386,6 +387,20 @@ def test_fig4_matches_benchmark_goldens(capsys):
     assert len(keys) == 10
     for key in keys:
         golden = goldens[key]
+        code, out = _run(capsys, *golden["argv"])
+        assert code == 0
+        assert out == golden["stdout"], key
+
+
+def test_realize_matches_its_goldens(capsys):
+    # A ground-state qubit against qubit copies (8-level bath) and an
+    # oscillator (4 levels), the (5, 7, 8) system against its two-copy bath,
+    # and a target no oscillator within budget reaches: stdout byte for byte,
+    # as recorded when every bath was still classified by its facets.
+    with open(REALIZE_GOLDENS, encoding="utf-8") as handle:
+        goldens = json.load(handle)
+    assert sorted(goldens) == ["not-found", "qubit-copies", "qubit-oscillator", "w578-copies"]
+    for key, golden in goldens.items():
         code, out = _run(capsys, *golden["argv"])
         assert code == 0
         assert out == golden["stdout"], key

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from thermohorn import (
     Hamiltonian,
     PreconditionError,
     build_setup,
+    classical_reachable_set,
     gibbs_vector,
     oscillator_hamiltonian,
     qubit_hamiltonian,
@@ -20,6 +22,9 @@ from thermohorn import (
     weight_hamiltonian,
     zero_hamiltonian,
 )
+from thermohorn import energy
+
+from oracles import label_blocks
 
 
 def test_energy_label_addition_is_exact():
@@ -99,6 +104,71 @@ def test_build_setup_warns_on_near_coincident_distinct_labels():
     with pytest.warns(UserWarning):
         setup = build_setup(ham_a, trivial_hamiltonian(beta))
     assert len(setup.blocks) == 3
+
+
+def _copies(ham, k):
+    levels = (EnergyLabel(),)
+    for _ in range(k):
+        levels = tuple(a + b for a in levels for b in ham.levels)
+    return Hamiltonian(levels, ham.beta, ham.base_quantum)
+
+
+_MIXED = Hamiltonian(
+    tuple(EnergyLabel(q, w) for q, w in [("1/3", 1), ("1/2", "2/3"), ("5/6", 1), ("1/2", 1)]), 0.7
+)
+_CANCELLING = Hamiltonian(tuple(EnergyLabel(0, w) for w in ("3/2", 1, "2/3", "9/4")), 0.7)
+
+
+@pytest.mark.parametrize(
+    "ham_a, ham_b",
+    [
+        (_MIXED, Hamiltonian(tuple(EnergyLabel(q) for q in ("1/4", "1/6", "7/12", "1/12")), 0.7)),
+        (_MIXED, _CANCELLING),
+        (_CANCELLING, _CANCELLING),
+        (_MIXED, _copies(_MIXED, 2)),
+        (qubit_hamiltonian(0.7, 2), oscillator_hamiltonian(7, 0.7)),
+        (weight_hamiltonian((5, 7, 8), 1.0), _copies(weight_hamiltonian((5, 7, 8), 1.0), 3)),
+        (oscillator_hamiltonian(3, 0.7), _copies(oscillator_hamiltonian(3, 0.7), 4)),
+    ],
+    ids=["mixed-denominators", "cancelling-weights", "cancelling-squared", "mixed-copies",
+         "qubit-oscillator", "w578-copies", "qutrit-copies"],
+)
+def test_build_setup_integer_keys_match_label_grouping(ham_a, ham_b):
+    # Joint states share a block exactly when their summed EnergyLabels are
+    # equal: weights (2/3)(3/2) and 1 * 1 meet, quanta 1/3 + 7/12 and
+    # 5/6 + 1/12 meet.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        setup = build_setup(ham_a, ham_b)
+    assert setup.blocks == label_blocks(ham_a, ham_b)
+
+
+def test_build_setup_integer_keys_still_warn_on_a_near_tie():
+    # 4/3 quanta and 1/3 quanta at weight 1/2 are distinct labels whose
+    # energies agree at beta = ln 2; against a half-quantum ladder each pair
+    # of shifted copies ties again, and every pair stays in its own block.
+    beta = math.log(2.0)
+    ham_a = Hamiltonian((EnergyLabel("4/3"), EnergyLabel("1/3", "1/2")), beta)
+    ham_b = Hamiltonian(tuple(EnergyLabel(Fraction(k, 2)) for k in range(3)), beta)
+    with pytest.warns(UserWarning, match="evaluate within 1e-12"):
+        setup = build_setup(ham_a, ham_b)
+    assert setup.blocks == label_blocks(ham_a, ham_b) == ((0,), (1,), (2,), (3,), (4,), (5,))
+
+
+def test_setup_computes_its_per_setup_facts_once_and_read_only():
+    setup = build_setup(zero_hamiltonian(3), zero_hamiltonian(3))
+    for method in (setup.gibbs_b, setup.block_of, lambda: setup.class_targets(0)):
+        first = method()
+        assert method() is first and not first.flags.writeable
+    with mock.patch.object(energy, "_block_class_targets", wraps=energy._block_class_targets) as made:
+        for _ in range(3):
+            assert setup.class_targets(0).shape == (1680, 9)
+    assert made.call_count == 0
+    fresh = build_setup(zero_hamiltonian(3), zero_hamiltonian(3))
+    with mock.patch.object(energy, "_block_class_targets", wraps=energy._block_class_targets) as made:
+        for p in ([0.5, 0.3, 0.2], [0.6, 0.2, 0.2]):
+            classical_reachable_set(np.array(p), fresh)
+    assert made.call_count == 1
 
 
 # With beta = ln 2 a weight factor 2^-k shifts a level by exactly k quanta in

@@ -38,13 +38,15 @@ from thermohorn import (
     zero_hamiltonian,
 )
 from thermohorn.config import DEDUP_TOL, HULL_LEVEL_CAP
-from thermohorn.energy import EnergyLabel
-from thermohorn.geometry import classify_membership, hull_vertex_indices, linprog
-from thermohorn.thermal import (
-    ClassicalHull,
-    _block_class_targets,
-    _multiset_permutations,
+from thermohorn.energy import EnergyLabel, _block_class_targets, _multiset_permutations
+from thermohorn.geometry import (
+    TIGHT_LP_TOL,
+    classify_membership,
+    hull_vertex_indices,
+    linprog,
+    min_slack_combination,
 )
+from thermohorn.thermal import ClassicalHull
 
 from oracles import (
     Polytope,
@@ -219,26 +221,36 @@ def test_classical_hull_walk_mixes_at_most_rank_plus_one_greedy_permutations(cas
 
 @settings(max_examples=40, deadline=None)
 @given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
-def test_classical_hull_separation_is_a_lower_bound_that_certifies_exterior(case, seed):
-    # Each target is a hull point moved by a known Euclidean distance, so
-    # the bound may not exceed it; wherever it exceeds sqrt(n) * tol, no
-    # convex combination comes within tol in max-norm, and the LP agrees.
+def test_classical_hull_distance_is_the_lp_residual_and_decides_exterior(case, seed):
+    # Hull points, each also moved a known Euclidean length in a random
+    # direction (off the simplex too), and vertices moved straight across a
+    # facet. HiGHS meets its constraints only to its feasibility tolerance,
+    # so the min-slack LP brackets the max-norm distance: its objective may
+    # fall short of it, and its witness's true residual may exceed it. F's
+    # distance lies in that bracket to 1e-12, and exceeds tol exactly where
+    # classify_membership says exterior; a target within the LP's own
+    # tolerance of that cut is one the LP cannot place, and is left out.
     setup, p = case
     hull = ClassicalHull(p, setup)
     rng = np.random.default_rng(seed)
-    n = setup.dim_a
-    reach = math.sqrt(n) * 1e-8
+    n, tol = setup.dim_a, 1e-8
+    targets = []
     for point in _hull_targets(hull.vertices, rng):
-        for push in (1e-8, 3 * reach, 1e-4):
+        targets.append(point)
+        for push in (5e-9, 3e-8, 1e-4):
             direction = rng.normal(size=n)
-            target = point + push * direction / np.linalg.norm(direction)
-            bound = hull.separation(target)
-            assert 0.0 <= bound <= push + 1e-13
-            if bound > reach:
-                assert classify_membership(target, hull, 1e-8)[0] == "exterior"
-    for normal in hull.normals[:3]:  # straight across a facet through a vertex on it
-        vertex = hull.vertices[np.argmax(hull.vertices @ normal)]
-        assert hull.separation(vertex + 1e-6 * normal) >= 1e-6 - 1e-13
+            targets.append(point + push * direction / np.linalg.norm(direction))
+    for normal in hull.normals[:3]:
+        targets.append(hull.vertices[np.argmax(hull.vertices @ normal)] + 1e-6 * normal)
+    for target in targets:
+        distance = hull.distance(target)
+        residual, weights = min_slack_combination(target, hull.vertices, feasibility_tol=TIGHT_LP_TOL)
+        weights = weights.clip(0.0) / weights.clip(0.0).sum()
+        achieved = np.abs(weights @ hull.vertices - target).max()
+        assert residual - 1e-12 <= distance <= achieved + 1e-12
+        if abs(distance - tol) > TIGHT_LP_TOL:
+            exterior = classify_membership(target, hull, tol)[0] == "exterior"
+            assert (distance > tol) == exterior
 
 
 def test_classical_hull_refuses_more_levels_than_its_cap():
@@ -597,7 +609,7 @@ def _realize_search_cases():
 
 
 def test_realize_search_solves_no_lp_and_finds_the_reference_bath():
-    # Baths whose hull misses the target are skipped on the separation bound
+    # Baths whose hull misses the target are skipped on F's max-norm distance
     # and the target is checked up front on its thermo-Lorenz curves, so
     # none of these searches solves an LP; each stops at the first bath
     # that hull_membership, asked about every bath, finds holding it.
@@ -615,12 +627,29 @@ def test_realize_search_solves_no_lp_and_finds_the_reference_bath():
     } | {("copies", 3, 9)}
 
 
+def test_realize_builds_vertices_only_for_the_bath_it_returns():
+    # Every bath is built as a ClassicalHull, but only one whose distance is
+    # within tol lists its greedy vertices; in these searches that is the
+    # bath returned, after up to five baths decided from F alone.
+    tried = []
+    for p, ham_a, target, family, budget in _realize_search_cases():
+        with (
+            mock.patch.object(ClassicalHull, "__init__", autospec=True,
+                              side_effect=ClassicalHull.__init__) as built,
+            mock.patch.object(ClassicalHull, "_pick_vertices", autospec=True,
+                              side_effect=ClassicalHull._pick_vertices) as listed,
+        ):
+            assert realize_interior(p, ham_a, target, family, budget) is not None
+        assert listed.call_count == 1
+        tried.append(built.call_count)
+    assert max(tried) >= 6
+
+
 def test_realize_stops_at_a_bath_that_holds_the_target_within_tol():
     # A target 0.5 tol (max-norm) past an oscillator bath's closed-form
-    # threshold lies sqrt(2) * 0.5 tol away from that hull, under the
-    # separation cut of sqrt(2) * tol: the bath is classified, not skipped,
-    # and hull_membership calls it boundary. At 2 tol past, both agree the
-    # bath misses.
+    # threshold lies 0.5 tol (max-norm) from that hull, within the distance
+    # cut: the bath is classified, not skipped, and hull_membership calls it
+    # boundary. At 2 tol past, both agree the bath misses.
     qubit = qubit_hamiltonian(beta=math.log(2.0))
     ground = np.array([1.0, 0.0])
     for m in (2, 3, 5):
