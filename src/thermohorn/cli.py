@@ -15,10 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DECOMPOSITION_TOL, ENUMERATION_CAP
+from .config import DECOMPOSITION_TOL, ENUMERATION_CAP, MEMBERSHIP_TOL
 from .energy import Hamiltonian, ThermalSetup, build_setup, weight_hamiltonian
 from .errors import PreconditionError
-from .linalg import probability_vector
 from .majorization import majorizes, thermomajorizes
 from .noisy import (
     horn_transition_unitary,
@@ -287,7 +286,7 @@ def _cmd_reachable(argv) -> str:
 
 def _achieved_marginal(unitary, setup: ThermalSetup, p) -> list[float]:
     """System marginal of ``|U|² (p ⊗ gamma_B)``: what the unitary delivers."""
-    mixed = np.abs(unitary) ** 2 @ setup.joint_input(probability_vector(p))
+    mixed = np.abs(unitary) ** 2 @ setup.joint_input(p)
     return _real_list(mixed.reshape(setup.dim_a, setup.dim_b).sum(axis=1))
 
 
@@ -302,7 +301,7 @@ def _cmd_synthesize(argv) -> str:
     parser.add_argument("--ham-b", required=True)
     parser.add_argument("--p", required=True)
     parser.add_argument("--target", required=True)
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
     _add_cap_flag(parser)
     args = parser.parse_args(argv)
     setup = _setup_from_args(args)
@@ -395,7 +394,7 @@ def _cmd_membership(argv) -> str:
     parser.add_argument("--ham-b", required=True)
     parser.add_argument("--p", required=True)
     parser.add_argument("--target", required=True)
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
     _add_cap_flag(parser)
     args = parser.parse_args(argv)
     setup = _setup_from_args(args)
@@ -425,7 +424,7 @@ def _cmd_realize(argv) -> str:
     parser.add_argument("--target", required=True)
     parser.add_argument("--bath-family", default="copies", choices=["copies", "oscillator"])
     parser.add_argument("--budget", type=int, default=256, help="largest bath dimension tried")
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
     args = parser.parse_args(argv)
     ham_a = hamiltonian_from_json(_json_argument(args.ham_a))
     p = parse_vector(args.p)

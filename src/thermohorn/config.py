@@ -11,6 +11,43 @@ from __future__ import annotations
 #: Residual tolerance for eigendecompositions.
 EIGEN_TOL = 1e-8
 
+#: A probability vector may hold entries down to ``-this`` (rounding noise,
+#: clamped to 0), and its total may miss 1 by this or by
+#: ``PROBABILITY_SUM_TOL_PER_ENTRY`` times its length, whichever is more.
+PROBABILITY_TOL = 1e-10
+
+#: The rounding each entry may add to a probability vector's total.
+PROBABILITY_SUM_TOL_PER_ENTRY = 1e-12
+
+#: A density matrix is Hermitian when the max-norm of ``rho − rho†`` is at
+#: most this, of unit trace when its trace misses 1 by at most this, and
+#: PSD when no eigenvalue lies below ``-this`` (the three defaults of
+#: ``linalg.density_matrix``).
+DENSITY_HERMITICITY_TOL = 1e-10
+DENSITY_TRACE_TOL = 1e-10
+DENSITY_PSD_TOL = 1e-10
+
+#: An eigenvector whose largest entry has modulus below this keeps its phase:
+#: there is no pivot to make real.
+PHASE_PIVOT_FLOOR = 1e-300
+
+#: Sorted eigenvalues within this of each other form one degenerate cluster,
+#: whose eigenvectors are put in a canonical order.
+EIGEN_TIE_TOL = 1e-10
+
+#: A spectrum read off an eigensolver is a probability vector to this.
+SPECTRUM_TOL = 1e-8
+
+#: Default max-norm tolerance of hull membership: a target within this of
+#: the hull counts as reached (``hull_membership``, ``realize_interior``,
+#: ``geometry.classify_membership`` and the CLI's ``--tol``).
+MEMBERSHIP_TOL = 1e-8
+
+#: A Gibbs vector refuses a spectrum whose log-weights span more than this:
+#: ``exp(-this)`` is near the smallest normal double, so a wider span would
+#: underflow an occupation to 0.
+GIBBS_LOG_SPREAD_CAP = 700
+
 #: A system and a bath describe one ensemble when their inverse temperatures
 #: and base quanta agree within this.
 ENSEMBLE_MATCH_TOL = 1e-12

@@ -13,9 +13,11 @@ vectors with rational entries (e.g. (5, 7, 8)/20) can be declared exactly
 even though the corresponding energies are irrational.
 
 Floats enter only when evaluating Gibbs weights or reporting energies.
-:func:`build_setup` groups joint states on integers: each Hamiltonian's
-quantum multiples and weight factors are put over one common denominator,
-so a joint label is an integer pair and no ``Fraction`` is formed per state.
+Both work on integers: each Hamiltonian's quantum multiples and weight
+factors are put over one common denominator, once per Hamiltonian, so a
+level's label is an integer pair and :func:`build_setup` forms no
+``Fraction`` per joint state. A Hamiltonian built from such integer labels
+(a bath extended by one more factor, say) keeps them.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .config import ENSEMBLE_MATCH_TOL, NEAR_TIE_ENERGY_TOL
+from .config import ENSEMBLE_MATCH_TOL, GIBBS_LOG_SPREAD_CAP, NEAR_TIE_ENERGY_TOL
 from .errors import PreconditionError
-from .linalg import ProbabilityVector, probability_vector
+from .linalg import ProbabilityVector, _prechecked, probability_vector
 
 __all__ = [
     "EnergyLabel",
@@ -128,24 +130,98 @@ class Hamiltonian:
         """Helmholtz free energy ``-ln(Z) / beta`` (k_B = 1)."""
         return -self.log_partition() / self.beta
 
+    @cached_property
+    def _labels(self) -> _IntegerLabels:
+        """The levels as integers over common denominators, computed once."""
+        return _integer_labels(self.levels)
+
+    @classmethod
+    def _from_labels(cls, labels: _IntegerLabels, beta: float, base_quantum: float) -> Hamiltonian:
+        """The Hamiltonian with these integer labels, which it keeps.
+
+        One :class:`EnergyLabel` is made per distinct label and shared by
+        the levels that carry it.
+        """
+        keys = list(zip(labels.quanta, labels.weights))
+        # Exact fractions with a positive weight: nothing for __post_init__ to check.
+        exact = {
+            (q, w): _prechecked(EnergyLabel, Fraction(q, labels.q_den), Fraction(w, labels.w_den))
+            for q, w in dict.fromkeys(keys)
+        }
+        ham = cls(tuple(map(exact.__getitem__, keys)), beta, base_quantum)
+        ham.__dict__["_labels"] = labels  # the cached property's slot
+        return ham
+
+
+class _IntegerLabels(NamedTuple):
+    """Level ``i``: quantum multiple ``quanta[i] / q_den``, weight factor ``weights[i] / w_den``."""
+
+    q_den: int
+    w_den: int
+    quanta: list[int]
+    weights: list[int]
+
+
+def _integer_labels(levels: tuple[EnergyLabel, ...]) -> _IntegerLabels:
+    """Common denominators of the quantum multiples and of the weight factors,
+    and each level's numerators over them."""
+    quanta = [lv.quantum_mult for lv in levels]
+    weights = [lv.weight_factor for lv in levels]
+    q_den = math.lcm(*(q.denominator for q in quanta))
+    w_den = math.lcm(*(w.denominator for w in weights))
+    return _IntegerLabels(
+        q_den,
+        w_den,
+        [q.numerator * (q_den // q.denominator) for q in quanta],
+        [w.numerator * (w_den // w.denominator) for w in weights],
+    )
+
+
+def _joint_labels(a: _IntegerLabels, b: _IntegerLabels) -> _IntegerLabels:
+    """Labels of the product basis ``|i, j>`` (flat index ``i * len(b) + j``): each ``a[i] + b[j]``.
+
+    The sum of two labels adds their quantum multiples and multiplies their
+    weight factors; over the product denominators both are integer
+    operations. Two joint states share a label exactly when their integer
+    pairs are equal.
+    """
+    quanta_b = [q * a.q_den for q in b.quanta]
+    return _IntegerLabels(
+        a.q_den * b.q_den,
+        a.w_den * b.w_den,
+        [q_a * b.q_den + q_b for q_a in a.quanta for q_b in quanta_b],
+        [w_a * w_b for w_a in a.weights for w_b in b.weights],
+    )
+
 
 def gibbs_vector(ham: Hamiltonian) -> ProbabilityVector:
     """Thermal state ``exp(-beta E_i) / Z`` of a Hamiltonian.
 
-    Rejects spectra whose Gibbs weights span more than ~e^700 — the smaller
-    weights would underflow to exact zero and strict positivity (which the
-    thermomajorization machinery relies on) would be lost.
+    Each level's log-weight is :meth:`EnergyLabel.log_gibbs_weight`, read
+    off the Hamiltonian's integer labels: an integer ratio rounds as its
+    ``Fraction`` does, so the values are the same to the bit. Rejects
+    spectra whose log-weights span more than ``GIBBS_LOG_SPREAD_CAP`` — the
+    smaller weights would underflow to exact zero and strict positivity
+    (which the thermomajorization machinery relies on) would be lost. The
+    result is positive and normalized by construction.
     """
-    logs = np.array([lv.log_gibbs_weight(ham.beta, ham.base_quantum) for lv in ham.levels])
+    labels = ham._labels
+    beta, quantum, q_den, w_den = ham.beta, ham.base_quantum, labels.q_den, labels.w_den
+    logs = np.array(
+        [
+            -beta * (q / q_den) * quantum + math.log(w / w_den)
+            for q, w in zip(labels.quanta, labels.weights)
+        ]
+    )
     spread = float(logs.max() - logs.min())
-    if spread > 700.0:
+    if spread > GIBBS_LOG_SPREAD_CAP:
         raise PreconditionError(
             "gibbs-overflow",
-            f"beta*energy range {spread} spans more than 700 in log-weight; "
+            f"beta*energy range {spread} spans more than {GIBBS_LOG_SPREAD_CAP} in log-weight; "
             "the smallest occupation would underflow to zero",
         )
     weights = np.exp(logs - logs.max())
-    return probability_vector(weights / weights.sum())
+    return weights / weights.sum()
 
 
 def oscillator_hamiltonian(m: int, beta: float, base_quantum: float = 1.0) -> Hamiltonian:
@@ -295,27 +371,20 @@ class ThermalSetup:
 
     def joint_input(self, p) -> np.ndarray:
         """Diagonal of the joint input ``p ⊗ gamma_B`` (unnormalized per block)."""
+        return self._joint(self._state(p))
+
+    def _state(self, p) -> ProbabilityVector:
+        """``p`` validated as a state of the system."""
         p = probability_vector(p)
         if p.size != self.dim_a:
             raise PreconditionError(
                 "dimension-mismatch", f"state dim {p.size} does not match system dim {self.dim_a}"
             )
+        return p
+
+    def _joint(self, p: ProbabilityVector) -> np.ndarray:
+        """:meth:`joint_input` of a state its caller has validated for this system."""
         return np.outer(p, self.gibbs_b()).ravel()
-
-
-def _integer_labels(ham: Hamiltonian) -> tuple[int, int, list[int], list[int]]:
-    """Common denominators of the quantum multiples and of the weight factors,
-    and each level's numerators over them."""
-    quanta = [lv.quantum_mult for lv in ham.levels]
-    weights = [lv.weight_factor for lv in ham.levels]
-    q_den = math.lcm(*(q.denominator for q in quanta))
-    w_den = math.lcm(*(w.denominator for w in weights))
-    return (
-        q_den,
-        w_den,
-        [q.numerator * (q_den // q.denominator) for q in quanta],
-        [w.numerator * (w_den // w.denominator) for w in weights],
-    )
 
 
 def build_setup(ham_a: Hamiltonian, ham_b: Hamiltonian) -> ThermalSetup:
@@ -323,12 +392,13 @@ def build_setup(ham_a: Hamiltonian, ham_b: Hamiltonian) -> ThermalSetup:
 
     A joint state's label is keyed by two integers, its quantum multiple
     and its weight factor each over the product of the two Hamiltonians'
-    common denominators. Emits a warning when two *distinct* labels
-    evaluate to energies closer than ``NEAR_TIE_ENERGY_TOL`` — they stay in
-    separate blocks (labels are authoritative); such a coincidence usually
-    means the declared Hamiltonians encode one physical level two different
-    ways. Each block's energy is :meth:`EnergyLabel.energy` of its label,
-    read off the keys: an integer ratio rounds as its ``Fraction`` does.
+    common denominators (:func:`_joint_labels` of their integer labels).
+    Emits a warning when two *distinct* labels evaluate to energies closer
+    than ``NEAR_TIE_ENERGY_TOL`` — they stay in separate blocks (labels are
+    authoritative); such a coincidence usually means the declared
+    Hamiltonians encode one physical level two different ways. Each block's
+    energy is :meth:`EnergyLabel.energy` of its label, read off the keys:
+    an integer ratio rounds as its ``Fraction`` does.
     """
     if (
         abs(ham_a.beta - ham_b.beta) > ENSEMBLE_MATCH_TOL
@@ -339,20 +409,14 @@ def build_setup(ham_a: Hamiltonian, ham_b: Hamiltonian) -> ThermalSetup:
             "system and bath must share beta and the base quantum "
             f"(got beta {ham_a.beta}/{ham_b.beta}, quantum {ham_a.base_quantum}/{ham_b.base_quantum})",
         )
-    q_den_a, w_den_a, quanta_a, weights_a = _integer_labels(ham_a)
-    q_den_b, w_den_b, quanta_b, weights_b = _integer_labels(ham_b)
-    keys_b = [(q * q_den_a, w) for q, w in zip(quanta_b, weights_b)]
+    joint = _joint_labels(ham_a._labels, ham_b._labels)
     groups: dict[tuple[int, int], list[int]] = {}
-    joint = 0
-    for q_a, w_a in zip(quanta_a, weights_a):
-        shift = q_a * q_den_b
-        for q_b, w_b in keys_b:
-            groups.setdefault((shift + q_b, w_a * w_b), []).append(joint)
-            joint += 1
+    for index, key in enumerate(zip(joint.quanta, joint.weights)):
+        groups.setdefault(key, []).append(index)
     # Joint indices arrive ascending, so each group is sorted and the groups
     # come in order of their smallest index.
     blocks = tuple(map(tuple, groups.values()))
-    q_den, w_den = q_den_a * q_den_b, w_den_a * w_den_b
+    q_den, w_den = joint.q_den, joint.w_den
     beta, quantum = ham_a.beta, ham_a.base_quantum
     values = sorted((q / q_den * quantum - math.log(w / w_den) / beta, q, w) for q, w in groups)
     for (e1, *key1), (e2, *key2) in zip(values, values[1:]):

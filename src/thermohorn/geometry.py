@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import MEMBERSHIP_TOL
+
 __all__ = [
     "affine_rank",
     "hull_vertex_indices",
@@ -172,7 +174,7 @@ def _pruned(
 
 
 def classify_membership(
-    target: np.ndarray, hull, tol: float = 1e-8
+    target: np.ndarray, hull, tol: float = MEMBERSHIP_TOL
 ) -> tuple[str, float, np.ndarray | None]:
     """Classify ``target`` against a hull object (see the module docstring).
 

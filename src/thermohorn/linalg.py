@@ -14,13 +14,26 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .config import CHANNEL_OUTPUT_TOL, EIGEN_TOL, UNITARITY_TOL
+from .config import (
+    CHANNEL_OUTPUT_TOL,
+    DENSITY_HERMITICITY_TOL,
+    DENSITY_PSD_TOL,
+    DENSITY_TRACE_TOL,
+    EIGEN_TIE_TOL,
+    EIGEN_TOL,
+    PHASE_PIVOT_FLOOR,
+    PROBABILITY_SUM_TOL_PER_ENTRY,
+    PROBABILITY_TOL,
+    SPECTRUM_TOL,
+    UNITARITY_TOL,
+)
 from .errors import PreconditionError
 
 ComplexMatrix = npt.NDArray[np.complex128]
@@ -63,7 +76,7 @@ def require_unitary(mat: ComplexMatrix) -> None:
         raise PreconditionError("not-unitary", f"max-norm of U†U − I is {defect}")
 
 
-def probability_vector(entries, *, tol: float = 1e-10) -> ProbabilityVector:
+def probability_vector(entries, *, tol: float = PROBABILITY_TOL) -> ProbabilityVector:
     """Validate a classical state: nonnegative entries summing to 1.
 
     Entries in ``[-tol, 0)`` are clamped to zero (floating-point hygiene);
@@ -80,7 +93,7 @@ def probability_vector(entries, *, tol: float = 1e-10) -> ProbabilityVector:
             "negative-probability", f"entry {np.min(vec)} below -{tol}"
         )
     total = float(vec.sum())
-    if abs(total - 1.0) > max(tol, 1e-12 * vec.size):
+    if abs(total - 1.0) > max(tol, PROBABILITY_SUM_TOL_PER_ENTRY * vec.size):
         raise PreconditionError("not-normalized", f"entries sum to {total}, expected 1")
     return np.clip(vec, 0.0, None)
 
@@ -88,9 +101,9 @@ def probability_vector(entries, *, tol: float = 1e-10) -> ProbabilityVector:
 def density_matrix(
     entries,
     *,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    psd_tol: float = 1e-10,
+    herm_tol: float = DENSITY_HERMITICITY_TOL,
+    trace_tol: float = DENSITY_TRACE_TOL,
+    psd_tol: float = DENSITY_PSD_TOL,
 ) -> DensityMatrix:
     """Validate a density matrix: Hermitian, unit trace, PSD up to ``psd_tol``."""
     rho = complex_matrix(entries)
@@ -139,6 +152,20 @@ def first_non_permutation(perms: Sequence[Sequence[int]], n: int) -> int | None:
     flat = np.fromiter(itertools.chain.from_iterable(perms), dtype=np.int64, count=len(perms) * n)
     wrong = np.sort(flat.reshape(-1, n), axis=1) != np.arange(n)
     return int(wrong.any(axis=1).argmax()) if wrong.any() else None
+
+
+def _prechecked(cls, *values):
+    """The frozen dataclass ``cls`` holding ``values``, with its ``__post_init__`` skipped.
+
+    For a value the package built valid by construction, so that a fact is
+    not checked twice: each permutation of a Birkhoff chain is read off a
+    perfect matching and so is a bijection, and its weights are positive
+    and normalized. Outside callers go through ``cls(...)``, which checks.
+    """
+    obj = object.__new__(cls)
+    for field, value in zip(dataclasses.fields(cls), values, strict=True):
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 def cyclic_shift(n: int, power: int = 1) -> ComplexMatrix:
@@ -238,7 +265,7 @@ def _canonical_phase(col: npt.NDArray[np.complex128]) -> npt.NDArray[np.complex1
     """Rotate a vector's global phase so its largest-modulus entry is real positive."""
     idx = int(np.argmax(np.abs(col)))
     pivot = col[idx]
-    if abs(pivot) < 1e-300:
+    if abs(pivot) < PHASE_PIVOT_FLOOR:
         return col
     return col * (abs(pivot) / pivot)
 
@@ -273,7 +300,7 @@ def spectrum_sorted(rho: DensityMatrix) -> tuple[ProbabilityVector, ComplexMatri
     start = 0
     while start < dim:
         stop = start + 1
-        while stop < dim and values[start] - values[stop] <= 1e-10:
+        while stop < dim and values[start] - values[stop] <= EIGEN_TIE_TOL:
             stop += 1
         if stop - start > 1:
             cols = [_canonical_phase(vectors[:, k]) for k in range(start, stop)]
@@ -295,5 +322,5 @@ def spectrum_sorted(rho: DensityMatrix) -> tuple[ProbabilityVector, ComplexMatri
         raise PreconditionError(
             "eigensolver-failure", f"reconstruction residual {residual} exceeds {EIGEN_TOL}"
         )
-    lam = probability_vector(np.clip(values, 0.0, None), tol=1e-8)
+    lam = probability_vector(np.clip(values, 0.0, None), tol=SPECTRUM_TOL)
     return lam, vectors

@@ -47,6 +47,7 @@ from .linalg import (
     first_non_permutation,
     hadamard_square,
     permutation_matrix,
+    _prechecked,
     probability_vector,
 )
 
@@ -156,16 +157,19 @@ def _thermo_lorenz_curve(vec: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray
 
 
 def _thermo_inputs(p, q, gamma) -> tuple[ProbabilityVector, ProbabilityVector, ProbabilityVector]:
-    p = probability_vector(p)
-    q = probability_vector(q)
-    gamma = probability_vector(gamma)
+    p, q, gamma = probability_vector(p), probability_vector(q), probability_vector(gamma)
+    _check_thermo_shapes(p, q, gamma)
+    return p, q, gamma
+
+
+def _check_thermo_shapes(p: ProbabilityVector, q: ProbabilityVector, gamma: ProbabilityVector):
+    """Refuse validated vectors of different sizes, or a Gibbs vector with a zero entry."""
     if q.size != p.size or gamma.size != p.size:
         raise PreconditionError(
             "dimension-mismatch", f"dims {p.size}, {q.size}, {gamma.size} must agree"
         )
     if float(gamma.min()) <= 0.0:
         raise PreconditionError("gamma-zero-entry", "Gibbs vector must be strictly positive")
-    return p, q, gamma
 
 
 def thermo_lorenz_dominates(p, q, gamma, *, slack: float = MAJORIZATION_SLACK) -> bool:
@@ -324,7 +328,9 @@ def birkhoff_decompose(
     ``reconstruction_error``). Weights are normalized at the end. Each step
     zeroes at least one entry and so lowers the dimension of the Birkhoff
     face holding the residual, which bounds the chain by ``(n-1)^2 + 1``
-    terms (Marcus-Ree); a longer chain raises ``RuntimeError``.
+    terms (Marcus-Ree); a longer chain raises ``RuntimeError``. Each
+    permutation is read off a perfect matching, so the result is built
+    without :class:`ConvexPermutationDecomposition`'s check of them.
     """
     mat = np.asarray(d, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -390,63 +396,97 @@ def birkhoff_decompose(
         raise PreconditionError(
             "reconstruction-failure", f"residual mass left behind: reconstruction error {err}"
         )
-    return ConvexPermutationDecomposition(terms, err)
+    # Each permutation was read off a perfect matching, so it is a bijection,
+    # and the weights are positive and normalized: nothing left to check.
+    return _prechecked(ConvexPermutationDecomposition, terms, err)
 
 
 def schur_horn_unitary(lam, mu) -> ComplexMatrix:
-    """A unitary ``V`` with ``diag(V diag(lam) V†) = mu``.
+    """A unitary ``V`` with ``diag(V diag(lam) V†) = mu``, checked.
 
-    Requires ``lam`` to majorize ``mu``. The construction works on the
-    descending-sorted copies: repeatedly pick the first index ``i`` still
-    above its target and the first later index ``j`` below its target, and
-    rotate in the ``(i, j)`` plane so one of them lands exactly on target.
-    Indices already on target are never revisited, so off-diagonal elements
-    generated along the way never re-enter the diagonal bookkeeping and at
-    most ``n - 1`` rotations are needed. Sorting permutations on both sides
-    then restore the original orderings, so for equal multisets the result
-    degenerates to the permutation aligning ``lam`` with ``mu``.
+    Validates ``lam`` and ``mu`` as probability vectors of one size, with
+    ``lam`` majorizing ``mu`` (``dimension-mismatch``,
+    ``majorization-failure`` naming the first failing prefix), runs the
+    rotation chain, and checks its result once: unitary to
+    ``UNITARITY_TOL`` (``not-unitary``) and carrying ``lam`` to ``mu``
+    within ``SCHUR_HORN_TOL`` (max-norm; a miss raises ``RuntimeError``).
+    Callers inside the package that have validated their inputs run the
+    chain themselves: :func:`~thermohorn.thermal.synthesize_unitary`
+    checks each block's result the same way, and
+    :func:`~thermohorn.noisy.horn_transition_unitary` leaves both checks to
+    :class:`~thermohorn.noisy.NoisyRealization`.
     """
+    lam, mu = _majorized_pair(lam, mu)
+    v = _schur_horn_chain(lam, mu)
+    _check_schur_horn(v, lam, mu)
+    return v
+
+
+def _majorized_pair(lam, mu) -> tuple[ProbabilityVector, ProbabilityVector]:
+    """``lam`` and ``mu`` validated: probability vectors of one size, ``lam`` majorizing ``mu``."""
     lam = probability_vector(lam)
     mu = probability_vector(mu)
-    n = lam.size
-    if mu.size != n:
+    if mu.size != lam.size:
         raise PreconditionError("dimension-mismatch", f"dims {lam.size} and {mu.size} differ")
-    bad = first_failing_prefix(lam, mu)
-    if bad is not None:
-        plex = _sorted_prefix_sums(lam)[bad - 1]
-        qlex = _sorted_prefix_sums(mu)[bad - 1]
+    plex = _sorted_prefix_sums(lam)
+    qlex = _sorted_prefix_sums(mu)
+    bad = np.nonzero(plex - qlex < -MAJORIZATION_SLACK)[0]
+    if bad.size:
+        k = int(bad[0])
         raise PreconditionError(
             "majorization-failure",
-            f"prefix {bad}: sum {plex} of sorted lam is below {qlex} of sorted mu",
+            f"prefix {k + 1}: sum {plex[k]} of sorted lam is below {qlex[k]} of sorted mu",
         )
+    return lam, mu
 
+
+def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexMatrix:
+    """The Schur-Horn rotation chain, unchecked: its caller validates the inputs and checks the result.
+
+    The construction works on the descending-sorted copies: repeatedly pick
+    the first index ``i`` still above its target and the first later index
+    ``j`` below its target, and rotate in the ``(i, j)`` plane so one of
+    them lands exactly on target (entries within ``SCHUR_HORN_SETTLE_TOL``
+    count as on target). Indices already on target are never revisited, so
+    off-diagonal elements generated along the way never re-enter the
+    diagonal bookkeeping and at most ``n - 1`` rotations are needed.
+    Sorting permutations on both sides then restore the original orderings,
+    so for equal multisets the result degenerates to the permutation
+    aligning ``lam`` with ``mu``. The sorting permutations are applied as
+    matrix products, whose sums fix the sign of every zero entry.
+    """
+    n = lam.size
     idx_l = np.argsort(-lam, kind="stable")
     idx_m = np.argsort(-mu, kind="stable")
-    x = lam[idx_l].astype(np.float64).copy()
-    target = mu[idx_m]
+    x = lam[idx_l].tolist()
+    target = mu[idx_m].tolist()
     core = np.eye(n, dtype=np.complex128)
+    # An entry is over, settled or under its target. A rotation settles i or
+    # j and moves the other toward its target, so no entry ever becomes over
+    # or under again: the first over entry i and the first under entry j
+    # after it only move right, and each is found by scanning on.
+    i = j = 0
     for _ in range(n):
-        diff = x - target
-        over = np.nonzero(diff > SCHUR_HORN_SETTLE_TOL)[0]
-        if over.size == 0:
+        while i < n and not x[i] - target[i] > SCHUR_HORN_SETTLE_TOL:
+            i += 1
+        if i == n:
             break
-        i = int(over[0])
-        under = np.nonzero(diff < -SCHUR_HORN_SETTLE_TOL)[0]
-        under = under[under > i]
-        if under.size == 0:
-            if float(np.max(np.abs(diff))) < SCHUR_HORN_TOL:
+        j = max(j, i + 1)
+        while j < n and not x[j] - target[j] < -SCHUR_HORN_SETTLE_TOL:
+            j += 1
+        if j == n:
+            if max(abs(a - b) for a, b in zip(x, target)) < SCHUR_HORN_TOL:
                 break
             raise RuntimeError(
                 "rotation chain lost its pairing invariant; inputs may be inconsistent"
             )
-        j = int(under[0])
         delta = min(x[i] - target[i], target[j] - x[j])
         c2 = (x[i] - delta - x[j]) / (x[i] - x[j])
         c = math.sqrt(c2)
         s = math.sqrt(max(0.0, 1.0 - c2))
-        rows = core[[i, j], :].copy()
-        core[i, :] = c * rows[0] - s * rows[1]
-        core[j, :] = s * rows[0] + c * rows[1]
+        rows = core[[i, j]]
+        core[i] = c * rows[0] - s * rows[1]
+        core[j] = s * rows[0] + c * rows[1]
         x[i] -= delta
         x[j] += delta
 
@@ -454,12 +494,15 @@ def schur_horn_unitary(lam, mu) -> ComplexMatrix:
     sort_l[np.arange(n), idx_l] = 1.0
     sort_m = np.zeros((n, n), dtype=np.complex128)
     sort_m[np.arange(n), idx_m] = 1.0
-    v = sort_m.conj().T @ core @ sort_l
+    return sort_m.conj().T @ core @ sort_l
+
+
+def _check_schur_horn(v: ComplexMatrix, lam: ProbabilityVector, mu: ProbabilityVector) -> None:
+    """Raise unless ``v`` is unitary (``UNITARITY_TOL``) and carries ``lam`` to ``mu`` (``SCHUR_HORN_TOL``)."""
     achieved = hadamard_square(v) @ lam
     err = float(np.max(np.abs(achieved - mu)))
     if err > SCHUR_HORN_TOL:
         raise RuntimeError(f"rotation chain missed its target by {err}")
-    return v
 
 
 def random_bistochastic(n: int, rng: np.random.Generator, terms: int | None = None) -> RealMatrix:

@@ -49,7 +49,14 @@ from .linalg import (
     spectrum_sorted,
     tensor,
 )
-from .majorization import StochasticMatrix, majorizes, schur_horn_unitary, stochastic_matrix
+from .majorization import (
+    StochasticMatrix,
+    _majorized_pair,
+    _schur_horn_chain,
+    majorizes,
+    schur_horn_unitary,
+    stochastic_matrix,
+)
 
 __all__ = [
     "NoisyRealization",
@@ -230,18 +237,19 @@ def horn_transition_unitary(p, p_prime) -> NoisyRealization:
     uniform-bath permutation family can do, since those only produce
     rational outputs from rational inputs.
 
-    The result is held factored (see :class:`NoisyRealization`): ``V`` is
-    checked unitary to ``UNITARITY_TOL`` and the declared output is checked
-    as ``decohere(V diag(p) V†)`` against ``diag(p')`` to
-    ``REALIZATION_TOL``, so the ``n² × n²`` matrix is built but never
-    multiplied. :func:`schur_horn_unitary` refuses a target of another size
-    (``dimension-mismatch``) or one ``p`` does not majorize
-    (``majorization-failure``).
+    Each fact is checked once. The inputs are validated as for
+    :func:`~thermohorn.majorization.schur_horn_unitary`, which refuses a
+    target of another size (``dimension-mismatch``) or one ``p`` does not
+    majorize (``majorization-failure``); ``V`` is then the rotation chain's
+    unchecked result. The realization is held factored (see
+    :class:`NoisyRealization`), which checks ``V`` unitary to
+    ``UNITARITY_TOL`` and the declared output ``decohere(V diag(p) V†)``
+    against ``diag(p')`` to ``REALIZATION_TOL``, so the ``n² × n²`` matrix
+    is built but never multiplied.
     """
-    p = probability_vector(p)
-    p_prime = probability_vector(p_prime)
+    p, p_prime = _majorized_pair(p, p_prime)
     n = p.size
-    v = schur_horn_unitary(p, p_prime)
+    v = _schur_horn_chain(p, p_prime)
     return NoisyRealization(
         n, n, None, input_state=p, output_state=p_prime, rotation=v, shift_powers=range(n)
     )

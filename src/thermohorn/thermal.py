@@ -23,7 +23,8 @@ block unitaries fills in exactly the convex hull:
   bath families for a finite-bath realization of a thermomajorized target,
   deciding every bath from ``F`` alone by its exact max-norm distance
   (:meth:`ClassicalHull.distance`): no LP, and no vertex list for any bath
-  but the one that holds the target.
+  but the one that holds the target. The states are validated once, on
+  entry; the baths' hulls and the verdict read the validated arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .config import (
     EMPTY_BLOCK_MASS,
     ENUMERATION_CAP,
     HULL_LEVEL_CAP,
+    MEMBERSHIP_TOL,
     MIXTURE_NORM_TOL,
     MIXTURE_WEIGHT_FLOOR,
     SEPARATOR_TOL,
@@ -52,6 +54,8 @@ from .energy import (
     EnergyLabel,
     Hamiltonian,
     ThermalSetup,
+    _IntegerLabels,
+    _joint_labels,
     build_setup,
     gibbs_vector,
 )
@@ -61,10 +65,17 @@ from .linalg import (
     ComplexMatrix,
     ProbabilityVector,
     first_non_permutation,
+    _prechecked,
     probability_vector,
     require_unitary,
 )
-from .majorization import birkhoff_decompose, schur_horn_unitary, thermo_lorenz_dominates
+from .majorization import (
+    _check_schur_horn,
+    _check_thermo_shapes,
+    _lorenz_dominates,
+    _schur_horn_chain,
+    birkhoff_decompose,
+)
 from .noisy import NoisyRealization, haar_unitary
 
 __all__ = [
@@ -309,6 +320,18 @@ class ClassicalHull:
     """
 
     def __init__(self, p, setup: ThermalSetup, points: np.ndarray | None = None):
+        self._tabulate(setup, setup.joint_input(p), points)
+
+    @classmethod
+    def _of_joint(
+        cls, setup: ThermalSetup, v: np.ndarray, points: np.ndarray | None = None
+    ) -> ClassicalHull:
+        """The hull for the joint input ``v``, which its caller formed from a validated state."""
+        hull = cls.__new__(cls)
+        hull._tabulate(setup, v, points)
+        return hull
+
+    def _tabulate(self, setup: ThermalSetup, v: np.ndarray, points: np.ndarray | None) -> None:
         n = setup.dim_a
         if n > HULL_LEVEL_CAP:
             raise PreconditionError(
@@ -316,7 +339,6 @@ class ClassicalHull:
             )
         self.setup = setup
         self._points = points
-        v = setup.joint_input(p)
         self._block_of = setup.block_of()
         self._labels = np.arange(setup.dim_joint) // setup.dim_b
         # Joint indices block by block, heaviest input entry first.
@@ -526,8 +548,8 @@ def classical_reachable_set(
     """
     if mode != "reduced":
         raise PreconditionError("bad-mode", f"unknown enumeration mode {mode!r}")
-    p = probability_vector(p)
-    v = setup.joint_input(p)
+    p = setup._state(p)
+    v = setup._joint(p)
     dim_a, dim_b = setup.dim_a, setup.dim_b
     partial = np.zeros((1, dim_a))
     steps = []
@@ -556,7 +578,7 @@ def classical_reachable_set(
     keep = _first_distinct(raw)
     order = keep[np.lexsort(np.round(raw[keep], 10).T[::-1])]
     points = raw[order]
-    hull = ClassicalHull(p, setup, points)
+    hull = ClassicalHull._of_joint(setup, v, points)
     return ReachableSet(points, hull.vertex_indices, setup, p, reps[order], hull)
 
 
@@ -573,10 +595,6 @@ def energy_preservation_defect(u: ComplexMatrix, setup: ThermalSetup) -> float:
     return float(off.max()) if off.size else 0.0
 
 
-def _is_block_respecting(perm: np.ndarray, block_of: np.ndarray) -> bool:
-    return bool(np.all(block_of[np.asarray(perm)] == block_of))
-
-
 def synthesize_unitary(
     p,
     target: ConvexCombination | ProductConvexCombination,
@@ -591,10 +609,17 @@ def synthesize_unitary(
     returned gadget (an extra bath of dimension 1 + sum(d_i - 1)) removes
     the coherences that survive inside degenerate eigenspaces; otherwise the
     gadget slot is None and the channel output is already diagonal.
+
+    Each fact is checked once: ``p`` on entry, the mixture's permutations
+    in one block-respecting check over all of them (``not-block-respecting``),
+    and each block's rotation after it is built, unitary to
+    ``UNITARITY_TOL`` and carrying the block's input to its mixed diagonal
+    within ``SCHUR_HORN_TOL``. The majorization inside a block holds by
+    construction and is not checked beforehand; a mixture that breaks it
+    (weights that do not sum to 1, say) fails the rotation or its check
+    with ``RuntimeError``.
     """
-    p = probability_vector(p)
     v = setup.joint_input(p)
-    block_of = setup.block_of()
     if isinstance(target, ProductConvexCombination):
         if target.blocks != setup.blocks:
             raise PreconditionError(
@@ -602,14 +627,17 @@ def synthesize_unitary(
             )
         mixed = target.mixed_joint_output(v)
     else:
+        perms = np.asarray(target.items)
+        block_of = setup.block_of()
+        respecting = (block_of[perms] == block_of).all(axis=1)
+        if not respecting.all():
+            bad = perms[int(respecting.argmin())]
+            raise PreconditionError(
+                "not-block-respecting",
+                f"permutation {tuple(int(x) for x in bad)} moves weight across energy blocks",
+            )
         mixed = np.zeros_like(v)
-        for w, perm in zip(target.weights, target.items):
-            arr = np.asarray(perm)
-            if not _is_block_respecting(arr, block_of):
-                raise PreconditionError(
-                    "not-block-respecting",
-                    f"permutation {tuple(int(x) for x in arr)} moves weight across energy blocks",
-                )
+        for w, arr in zip(target.weights, perms):
             shuffled = np.zeros_like(v)
             shuffled[arr] = v
             mixed += w * shuffled
@@ -618,18 +646,17 @@ def synthesize_unitary(
     for block in setup.blocks:
         idx = np.asarray(block)
         lam = v[idx]
-        mu = mixed[idx]
         mass = float(lam.sum())
         if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
-            u[np.ix_(idx, idx)] = np.eye(len(block))
+            u[idx, idx] = 1.0  # the identity on the block
             continue
+        lam, mu = lam / mass, mixed[idx] / mass
+        rotation = _schur_horn_chain(lam, mu)
         try:
-            u[np.ix_(idx, idx)] = schur_horn_unitary(lam / mass, mu / mass)
-        except PreconditionError as exc:
-            raise RuntimeError(
-                f"mixture is not majorized inside block {block}, which a convex "
-                f"combination of in-block permutations cannot produce: {exc}"
-            ) from exc
+            _check_schur_horn(rotation, lam, mu)
+        except PreconditionError as exc:  # not unitary
+            raise RuntimeError(f"rotation for block {block} failed its check: {exc}") from exc
+        u[idx[:, None], idx] = rotation
 
     gadget = None
     degenerate = _degenerate_index_set(setup.ham_a)
@@ -660,7 +687,8 @@ def decompose_channel_to_classical(
     product weights across blocks reproduce the channel's classical output
     exactly (to float). Off-block leakage above ``block_tol`` is rejected.
     The result keeps the worst block's reconstruction error, each block
-    checked against ``DECOMPOSITION_TOL``.
+    checked against ``DECOMPOSITION_TOL``; its permutations, each a Birkhoff
+    chain's, are not checked again by :class:`ProductConvexCombination`.
     """
     u = np.asarray(u, dtype=np.complex128)
     require_unitary(u)
@@ -678,7 +706,8 @@ def decompose_channel_to_classical(
         deco = birkhoff_decompose(d)
         groups.append(deco.terms)
         worst = max(worst, deco.reconstruction_error)
-    return ProductConvexCombination(setup.blocks, tuple(groups), worst)
+    # Each block's terms come from a Birkhoff chain: nothing left to check.
+    return _prechecked(ProductConvexCombination, setup.blocks, tuple(groups), worst)
 
 
 def thermal_decoherence_gadget(ham_a: Hamiltonian, indices=None) -> NoisyRealization:
@@ -719,7 +748,7 @@ class MembershipResult:
     vertex_indices: tuple[int, ...]  # indices into the reachable set's points
 
 
-def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> MembershipResult:
+def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) -> MembershipResult:
     """Membership of a state in the hull of the classical reachable set.
 
     Decided by :func:`~thermohorn.geometry.classify_membership` on the set's
@@ -737,6 +766,11 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = 1e-8) -> Membershi
             "dimension-mismatch",
             f"target dim {p_prime.size} does not match system dim {rset.setup.dim_a}",
         )
+    return _membership(p_prime, rset, tol)
+
+
+def _membership(p_prime: ProbabilityVector, rset: ReachableSet, tol: float) -> MembershipResult:
+    """:func:`hull_membership` of a target and tolerance its caller has validated."""
     verts = rset.hull_vertex_indices
     status, dist, weights = classify_membership(p_prime, rset.polytope, tol)
     if weights is None:
@@ -757,13 +791,19 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 def _bath_family(ham_a: Hamiltonian, family: str, budget: int):
     """Yield bath Hamiltonians of increasing dimension, starting trivial.
 
-    Each copies bath extends the previous one's levels by one more factor.
+    Each copies bath is the previous one times one more copy of the system:
+    its integer labels are the previous bath's joined with the system's
+    (:func:`~thermohorn.energy._joint_labels`, the keys ``build_setup``
+    groups on), and it keeps them, so neither its blocks nor its Gibbs
+    vector form a ``Fraction`` per level. Each oscillator bath is the
+    previous one plus one level.
     """
+    beta, quantum = ham_a.beta, ham_a.base_quantum
     if family == "copies":
-        levels = (EnergyLabel(),)
-        while len(levels) <= budget:
-            yield Hamiltonian(levels, ham_a.beta, ham_a.base_quantum)
-            levels = tuple(a + b for a in levels for b in ham_a.levels)
+        labels = _IntegerLabels(1, 1, [0], [1])
+        while len(labels.quanta) <= budget:
+            yield Hamiltonian._from_labels(labels, beta, quantum)
+            labels = _joint_labels(labels, ham_a._labels)
         return
     if family == "oscillator":
         if any(lv.weight_factor != 1 for lv in ham_a.levels):
@@ -784,10 +824,10 @@ def _bath_family(ham_a: Hamiltonian, family: str, budget: int):
                 "bad-bath-family", "oscillator family needs a non-degenerate system spectrum"
             )
         spacing = reduce(_fraction_gcd, gaps)
-        for m in range(1, budget + 1):
-            yield Hamiltonian(
-                tuple(EnergyLabel(spacing * j) for j in range(m)), ham_a.beta, ham_a.base_quantum
-            )
+        levels: tuple[EnergyLabel, ...] = ()
+        for m in range(budget):
+            levels += (EnergyLabel(spacing * m),)
+            yield Hamiltonian(levels, beta, quantum)
         return
     raise PreconditionError("bad-bath-family", f"unknown bath family {family!r}")
 
@@ -799,7 +839,7 @@ def realize_interior(
     bath_family: str = "copies",
     budget: int = 256,
     *,
-    tol: float = 1e-8,
+    tol: float = MEMBERSHIP_TOL,
 ) -> tuple[ThermalSetup, ComplexMatrix, NoisyRealization | None] | None:
     """Search growing baths for an exact realization of a feasible target.
 
@@ -819,23 +859,30 @@ def realize_interior(
     decides. Returns ``(setup, unitary, gadget)`` for the first bath whose hull holds
     the target, and None when no bath of the family up to ``budget`` does
     — which proves nothing about larger baths.
+
+    ``p`` and ``p_prime`` are validated once, on entry, with their sizes;
+    the pre-check, every bath's hull and the membership verdict read the
+    validated arrays. The unitary is :func:`synthesize_unitary`'s, checked
+    block by block.
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
-    if not thermo_lorenz_dominates(p, p_prime, gibbs_vector(ham_a), slack=p_prime.size * tol):
+    gamma = gibbs_vector(ham_a)
+    _check_thermo_shapes(p, p_prime, gamma)
+    if not _lorenz_dominates(p, p_prime, gamma, p_prime.size * tol):
         raise PreconditionError(
             "not-thermomajorized",
             "target is not reachable by any Gibbs-preserving stochastic map",
         )
     for ham_b in _bath_family(ham_a, bath_family, budget):
         setup = build_setup(ham_a, ham_b)
-        hull = ClassicalHull(p, setup)
+        hull = ClassicalHull._of_joint(setup, setup._joint(p))
         if hull.distance(p_prime) > tol:
             continue
         rset = ReachableSet(hull.vertices, hull.vertex_indices, setup, p, hull.permutations, hull)
-        found = hull_membership(p_prime, rset, tol)
+        found = _membership(p_prime, rset, tol)
         if found.classification == "exterior":
             continue
         perms = tuple(

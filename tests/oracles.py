@@ -17,7 +17,11 @@ greedy sum, pruned to its Qhull vertices after every block; the iterative
 and vectorized internals against the plain recursive and looped forms they
 replace, and the Birkhoff chain's repaired matching against a chain that
 recomputes its support at every step. ``build_setup``'s integer keys are
-checked against grouping joint states on their summed ``EnergyLabel``.
+checked against grouping joint states on their summed ``EnergyLabel``, and
+Gibbs vectors read off integer labels against the ``Fraction`` formula. The
+Schur-Horn chain and the unitaries ``synthesize_unitary`` assembles from it
+are checked, bit for bit, against the chain that rescans the whole
+diagonal at every step.
 """
 
 import itertools
@@ -475,3 +479,79 @@ def label_blocks(ham_a, ham_b):
         for b, lb in enumerate(ham_b.levels):
             groups.setdefault(la + lb, []).append(a * ham_b.dim + b)
     return tuple(sorted((tuple(sorted(idx)) for idx in groups.values()), key=lambda b: b[0]))
+
+
+def schur_horn_reference(lam, mu):
+    """The Schur-Horn rotation chain as first written: every step rescans the whole diagonal.
+
+    Inputs are probability vectors of one size, ``lam`` majorizing ``mu``,
+    settled at 1e-13 and accepted at 1e-9; the result is not checked.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    n = lam.size
+    idx_l = np.argsort(-lam, kind="stable")
+    idx_m = np.argsort(-mu, kind="stable")
+    x = lam[idx_l].astype(np.float64).copy()
+    target = mu[idx_m]
+    core = np.eye(n, dtype=np.complex128)
+    for _ in range(n):
+        diff = x - target
+        over = np.nonzero(diff > 1e-13)[0]
+        if over.size == 0:
+            break
+        i = int(over[0])
+        under = np.nonzero(diff < -1e-13)[0]
+        under = under[under > i]
+        if under.size == 0:
+            if float(np.max(np.abs(diff))) < 1e-9:
+                break
+            raise RuntimeError("rotation chain lost its pairing invariant")
+        j = int(under[0])
+        delta = min(x[i] - target[i], target[j] - x[j])
+        c2 = (x[i] - delta - x[j]) / (x[i] - x[j])
+        c = math.sqrt(c2)
+        s = math.sqrt(max(0.0, 1.0 - c2))
+        rows = core[[i, j], :].copy()
+        core[i, :] = c * rows[0] - s * rows[1]
+        core[j, :] = s * rows[0] + c * rows[1]
+        x[i] -= delta
+        x[j] += delta
+    sort_l = np.zeros((n, n), dtype=np.complex128)
+    sort_l[np.arange(n), idx_l] = 1.0
+    sort_m = np.zeros((n, n), dtype=np.complex128)
+    sort_m[np.arange(n), idx_m] = 1.0
+    return sort_m.conj().T @ core @ sort_l
+
+
+def synthesize_reference(p, target, setup):
+    """``synthesize_unitary``'s unitary assembled block by block from :func:`schur_horn_reference`.
+
+    The mixed diagonal is summed term by term in the target's order; an
+    empty or one-slot block gets the identity.
+    """
+    v = setup.joint_input(p)
+    if hasattr(target, "mixed_joint_output"):
+        mixed = target.mixed_joint_output(v)
+    else:
+        mixed = np.zeros_like(v)
+        for w, perm in zip(target.weights, target.items):
+            shuffled = np.zeros_like(v)
+            shuffled[np.asarray(perm)] = v
+            mixed += w * shuffled
+    u = np.zeros((setup.dim_joint, setup.dim_joint), dtype=np.complex128)
+    for block in setup.blocks:
+        idx = np.asarray(block)
+        mass = float(v[idx].sum())
+        if mass <= 1e-300 or len(block) == 1:
+            u[np.ix_(idx, idx)] = np.eye(len(block))
+        else:
+            u[np.ix_(idx, idx)] = schur_horn_reference(v[idx] / mass, mixed[idx] / mass)
+    return u
+
+
+def gibbs_reference(ham):
+    """The Gibbs vector from each level's ``EnergyLabel.log_gibbs_weight`` (its ``Fraction`` components)."""
+    logs = np.array([lv.log_gibbs_weight(ham.beta, ham.base_quantum) for lv in ham.levels])
+    weights = np.exp(logs - logs.max())
+    return weights / weights.sum()

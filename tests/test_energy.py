@@ -23,8 +23,9 @@ from thermohorn import (
     zero_hamiltonian,
 )
 from thermohorn import energy
+from thermohorn.thermal import _bath_family
 
-from oracles import label_blocks
+from oracles import bit_equal, gibbs_reference, label_blocks
 
 
 def test_energy_label_addition_is_exact():
@@ -236,3 +237,85 @@ def test_block_of_lookup_matches_blocks():
     for b, block in enumerate(setup.blocks):
         for idx in block:
             assert lookup[idx] == b
+
+
+# Mixed denominators in both components; weight products that cancel.
+_MIXED_SYSTEM = Hamiltonian(
+    (EnergyLabel("1/2", "2/3"), EnergyLabel("1/3", "3/2"), EnergyLabel("4/3")), 0.9, 1.3
+)
+
+
+@pytest.mark.parametrize(
+    "ham_a",
+    [qubit_hamiltonian(beta=math.log(2.0)), weight_hamiltonian((5, 7, 8), beta=1.0), _MIXED_SYSTEM],
+    ids=["qubit", "w578", "mixed"],
+)
+def test_copies_baths_extend_integer_labels_as_label_sums(ham_a):
+    # Each copies bath is the previous one's integer labels joined with the
+    # system's: no EnergyLabel is added, and the levels, blocks, Gibbs vector
+    # (to the bit) and near-tie warnings are those of the summed labels.
+    with mock.patch.object(EnergyLabel, "__add__", side_effect=AssertionError) as added:
+        baths = list(_bath_family(ham_a, "copies", 81))
+    assert added.call_count == 0
+    levels = (EnergyLabel(),)
+    for ham_b in baths:
+        summed = Hamiltonian(levels, ham_a.beta, ham_a.base_quantum)
+        assert ham_b.levels == summed.levels
+        assert bit_equal(gibbs_vector(ham_b), gibbs_reference(summed))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            setup = build_setup(ham_a, ham_b)
+            reference = build_setup(ham_a, summed)
+        messages = [str(w.message) for w in caught]
+        assert messages[: len(messages) // 2] == messages[len(messages) // 2 :]
+        assert setup.blocks == reference.blocks == label_blocks(ham_a, summed)
+        assert bit_equal(setup.gibbs_b(), reference.gibbs_b())
+        levels = tuple(a + b for a in levels for b in ham_a.levels)
+    assert len(baths) == 1 + int(math.log(81, ham_a.dim) + 1e-9)
+
+
+def test_copies_baths_keep_the_near_tie_warnings():
+    # With beta = ln 2 the weight factor 2 lowers a level by one quantum:
+    # the labels (0, 1), (1, 2) and (2, 4) all sit at energy 0.
+    ham_a = Hamiltonian((EnergyLabel(0), EnergyLabel(1, 2)), math.log(2.0))
+    *_, two_copies = _bath_family(ham_a, "copies", 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_setup(ham_a, two_copies)
+    assert [str(w.message) for w in caught] == [
+        f"distinct energy labels {l1} and {l2} evaluate within 1e-12 of each other; "
+        "keeping them in separate blocks"
+        for l1, l2 in (
+            (EnergyLabel(0, 1), EnergyLabel(1, 2)),
+            (EnergyLabel(1, 2), EnergyLabel(2, 4)),
+            (EnergyLabel(2, 4), EnergyLabel(3, 8)),
+        )
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    levels=st.lists(
+        st.builds(
+            EnergyLabel,
+            st.fractions(min_value=-50, max_value=50, max_denominator=10**20),
+            st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**20),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    beta=st.sampled_from([math.log(2.0), 0.7, 1e-3]),
+    quantum=st.sampled_from([1.0, 0.37]),
+)
+def test_gibbs_vector_from_integer_labels_is_the_label_formula_to_the_bit(levels, beta, quantum):
+    ham = Hamiltonian(tuple(levels), beta, quantum)
+    try:
+        expected = gibbs_reference(ham)
+    except (ValueError, OverflowError):
+        return
+    spread = np.ptp([lv.log_gibbs_weight(beta, quantum) for lv in levels])
+    if spread > 700:
+        with pytest.raises(PreconditionError):
+            gibbs_vector(ham)
+        return
+    assert bit_equal(gibbs_vector(ham), expected)

@@ -9,16 +9,21 @@ from hypothesis import strategies as st
 from oracles import (
     augment_recursive,
     birkhoff_chain_reference,
+    bit_equal,
     lorenz_margin,
     majorizes_oracle,
+    schur_horn_reference,
     thermomajorization_residual,
     thermomajorizes_oracle,
 )
-from thermohorn import majorization
+from thermohorn import linalg, majorization, thermal
 from thermohorn import (
     Hamiltonian,
     PreconditionError,
+    ProductConvexCombination,
     birkhoff_decompose,
+    build_setup,
+    decompose_channel_to_classical,
     first_failing_prefix,
     gibbs_vector,
     haar_unitary,
@@ -26,10 +31,12 @@ from thermohorn import (
     majorizes,
     permutation_matrix,
     random_bistochastic,
+    random_block_unitary,
     schur_horn_unitary,
     stochastic_matrix,
     thermo_lorenz_dominates,
     thermomajorizes,
+    weight_hamiltonian,
 )
 from thermohorn.config import MAJORIZATION_SLACK, THERMO_WITNESS_COL_TOL, THERMO_WITNESS_TOL
 from thermohorn.energy import EnergyLabel
@@ -417,3 +424,82 @@ def test_schur_horn_random_majorized_pairs(seed, kind):
         v = schur_horn_unitary(lam, mu)
         assert np.abs(v @ v.conj().T - np.eye(n)).max() < 1e-9
         assert np.abs(hadamard_square(v) @ lam - mu).max() < 1e-9
+
+
+def _schur_horn_pair(n, kind, rng):
+    """A majorized pair: generic, with repeated entries, with zeros, equal multisets or a uniform target."""
+    if kind == "generic":
+        lam = rng.dirichlet(np.ones(n))
+    else:  # entries on a 1/k grid repeat, and for some kinds vanish
+        counts = rng.integers(0 if kind != "degenerate" else 1, 4, size=n)
+        counts[int(rng.integers(n))] += 1
+        lam = counts / counts.sum()
+    if kind == "permuted":
+        return lam, lam[rng.permutation(n)]
+    if kind == "uniform":
+        return lam, np.full(n, 1.0 / n)
+    mu = random_bistochastic(n, rng, int(rng.integers(1, 4))) @ lam
+    if kind == "degenerate":  # average runs of a random order: ties in mu too
+        order = rng.permutation(n)
+        for run in np.array_split(order, max(1, n // 3)):
+            mu[run] = mu[run].mean()
+    return lam, mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    kind=st.sampled_from(["generic", "degenerate", "zeros", "permuted", "uniform"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_schur_horn_matches_the_reference_chain_bit_for_bit(n, kind, seed):
+    # Values and the signs of zero entries: the rotation chain that tracks
+    # its next pair by two moving indices builds what the chain that rescans
+    # the diagonal every step built.
+    lam, mu = _schur_horn_pair(n, kind, np.random.default_rng(seed))
+    assert bit_equal(schur_horn_unitary(lam, mu), schur_horn_reference(lam, mu))
+
+
+def test_schur_horn_checks_its_inputs_and_result_once(monkeypatch):
+    calls = []
+    for module, name in ((majorization, "probability_vector"), (linalg, "unitarity_defect")):
+        original = getattr(module, name)
+
+        def counting(*args, original=original, name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    schur_horn_unitary([0.6, 0.3, 0.1], [0.4, 0.35, 0.25])
+    assert sorted(calls) == ["probability_vector", "probability_vector", "unitarity_defect"]
+
+
+def test_birkhoff_chain_and_its_blocks_skip_the_permutation_check(monkeypatch):
+    # The chain reads each permutation off a perfect matching, so neither
+    # birkhoff_decompose nor decompose_channel_to_classical checks one; the
+    # public constructors still refuse a non-permutation from outside.
+    checked = []
+
+    def counting(perms, n):
+        checked.append(len(perms))
+        return linalg.first_non_permutation(perms, n)
+
+    monkeypatch.setattr(majorization, "first_non_permutation", counting)
+    monkeypatch.setattr(thermal, "first_non_permutation", counting)
+    rng = np.random.default_rng(3)
+    d = random_bistochastic(12, rng)
+    deco = birkhoff_decompose(d)
+    w578 = weight_hamiltonian((5, 7, 8), beta=1.0)
+    setup = build_setup(w578, w578)
+    product = decompose_channel_to_classical(random_block_unitary(setup, rng), setup)
+    assert checked == []
+    assert np.abs(deco.to_matrix() - d).max() <= 1e-7
+    assert len(product.block_terms) == len(setup.blocks)
+    for call, code in (
+        (lambda: majorization.ConvexPermutationDecomposition(((1.0, (0, 0)),)), "not-a-permutation"),
+        (lambda: ProductConvexCombination(((0, 1),), (((1.0, (1, 1)),),)), "bad-combination"),
+    ):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert err.value.code == code
+    assert checked == [1, 1]

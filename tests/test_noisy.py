@@ -72,14 +72,13 @@ def test_horn_checks_its_rotation_not_the_joint_unitary(monkeypatch):
     p = np.random.default_rng(6).dirichlet(np.ones(6))
     realization = horn_transition_unitary(p, np.full(6, 1 / 6))
     assert len(checked) == 1 and checked[0] is realization.rotation
-    # The other 6 × 6 check is schur_horn_unitary's own, on its result; no
-    # 36 × 36 matrix is checked.
-    assert shapes == [(6, 6), (6, 6)]
+    # V is checked once, by the realization; no 36 × 36 matrix is checked.
+    assert shapes == [(6, 6)]
 
 
 def test_horn_rejects_a_unitary_rotation_that_misses_the_target(monkeypatch):
     p = np.random.default_rng(6).dirichlet(np.ones(4))
-    monkeypatch.setattr(noisy, "schur_horn_unitary", lambda a, b: np.eye(len(a), dtype=complex))
+    monkeypatch.setattr(noisy, "_schur_horn_chain", lambda a, b: np.eye(len(a), dtype=complex))
     with pytest.raises(PreconditionError) as excinfo:
         horn_transition_unitary(p, np.full(4, 1 / 4))
     assert excinfo.value.code == "realization-mismatch"
@@ -87,8 +86,8 @@ def test_horn_rejects_a_unitary_rotation_that_misses_the_target(monkeypatch):
 
 def test_horn_rejects_a_rotation_that_is_not_unitary(monkeypatch):
     p = np.random.default_rng(6).dirichlet(np.ones(4))
-    good = noisy.schur_horn_unitary
-    monkeypatch.setattr(noisy, "schur_horn_unitary", lambda a, b: good(a, b) * (1 + 1e-6))
+    good = noisy._schur_horn_chain
+    monkeypatch.setattr(noisy, "_schur_horn_chain", lambda a, b: good(a, b) * (1 + 1e-6))
     with pytest.raises(PreconditionError) as excinfo:
         horn_transition_unitary(p, np.full(4, 1 / 4))
     assert excinfo.value.code == "not-unitary"
@@ -216,7 +215,7 @@ def test_horn_transition_rejects_non_majorized():
 
 
 def test_horn_transition_error_codes_come_from_schur_horn():
-    # Majorization and sizes are checked once, inside schur_horn_unitary.
+    # Majorization and sizes are checked once, as schur_horn_unitary checks them.
     for p, q, code in (
         ([0.5, 0.5], [0.8, 0.2], "majorization-failure"),
         ([0.5, 0.3, 0.2], [0.4, 0.35, 0.25, 0.0], "dimension-mismatch"),

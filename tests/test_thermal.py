@@ -38,6 +38,7 @@ from thermohorn import (
     zero_hamiltonian,
 )
 from thermohorn.config import DEDUP_TOL, HULL_LEVEL_CAP
+from thermohorn.linalg import probability_vector
 from thermohorn.energy import EnergyLabel, _block_class_targets, _multiset_permutations
 from thermohorn.geometry import (
     TIGHT_LP_TOL,
@@ -55,6 +56,7 @@ from oracles import (
     conditional_shift,
     reachable_listing,
     realize_reference,
+    synthesize_reference,
 )
 
 
@@ -366,6 +368,70 @@ def test_decompose_synthesize_round_trip():
         assert np.abs(out1 - out2).max() < 1e-7
 
 
+def _synthesis_setups():
+    w578 = weight_hamiltonian((5, 7, 8), beta=1.0)
+    return (
+        _two_copy_preset()[0],
+        build_setup(w578, w578),
+        _qubit_oscillator(6),
+        build_setup(qubit_hamiltonian(math.log(2.0)), _qubit_copies(4, math.log(2.0))[1]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(min_value=0, max_value=3),
+    product=st.booleans(),
+    zeros=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_synthesize_blocks_match_the_reference_chain_bit_for_bit(which, product, zeros, seed):
+    # Every block's rotation, identity and zero entry, with the signs of the
+    # zeros, as the checked schur_horn_unitary built them block by block.
+    setup = _synthesis_setups()[which]
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(setup.dim_a))
+    if zeros:  # empty blocks, and zero entries inside the others
+        p[rng.permutation(setup.dim_a)[: setup.dim_a // 2]] = 0.0
+        p /= p.sum()
+    if product:
+        target = decompose_channel_to_classical(random_block_unitary(setup, rng), setup)
+    else:
+        perms = []
+        for _ in range(int(rng.integers(1, 5))):
+            images = np.arange(setup.dim_joint)
+            for block in setup.blocks:
+                images[list(block)] = rng.permutation(block)
+            perms.append(tuple(int(x) for x in images))
+        target = ConvexCombination(tuple(rng.dirichlet(np.ones(len(perms)))), tuple(perms))
+    u, _ = synthesize_unitary(p, target, setup)
+    assert bit_equal(u, synthesize_reference(p, target, setup))
+
+
+def test_realize_validates_its_states_once_however_far_it_searches(monkeypatch):
+    # Two qubit targets: one needs the two-level copies bath, the other the
+    # 32-level one, five baths and more synthesized blocks later.
+    original = probability_vector
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thermohorn" and getattr(module, "probability_vector", None) is original:
+            monkeypatch.setattr(module, "probability_vector", counting)
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    counts = []
+    for a, dim_b in ((0.2, 2), (0.425, 32)):
+        calls.clear()
+        setup, _, _ = realize_interior(np.array([1.0, 0.0]), qubit, np.array([1 - a, a]), "copies", 64)
+        assert setup.dim_b == dim_b
+        counts.append(len(calls))
+    # p and the target on entry, and p once more as synthesize_unitary's own input.
+    assert counts == [3, 3]
+
+
 def test_product_combination_expand_matches_factored_action():
     setup = _qubit_oscillator(3)
     rng = np.random.default_rng(40)
@@ -628,14 +694,15 @@ def test_realize_search_solves_no_lp_and_finds_the_reference_bath():
 
 
 def test_realize_builds_vertices_only_for_the_bath_it_returns():
-    # Every bath is built as a ClassicalHull, but only one whose distance is
-    # within tol lists its greedy vertices; in these searches that is the
-    # bath returned, after up to five baths decided from F alone.
+    # Every bath is built as a ClassicalHull (each tabulates its F table),
+    # but only one whose distance is within tol lists its greedy vertices; in
+    # these searches that is the bath returned, after up to five baths
+    # decided from F alone.
     tried = []
     for p, ham_a, target, family, budget in _realize_search_cases():
         with (
-            mock.patch.object(ClassicalHull, "__init__", autospec=True,
-                              side_effect=ClassicalHull.__init__) as built,
+            mock.patch.object(ClassicalHull, "_tabulate", autospec=True,
+                              side_effect=ClassicalHull._tabulate) as built,
             mock.patch.object(ClassicalHull, "_pick_vertices", autospec=True,
                               side_effect=ClassicalHull._pick_vertices) as listed,
         ):
