@@ -158,9 +158,10 @@ def _prechecked(cls, *values):
     """The frozen dataclass ``cls`` holding ``values``, with its ``__post_init__`` skipped.
 
     For a value the package built valid by construction, so that a fact is
-    not checked twice: each permutation of a Birkhoff chain is read off a
-    perfect matching and so is a bijection, and its weights are positive
-    and normalized. Outside callers go through ``cls(...)``, which checks.
+    not checked twice: a Birkhoff chain reads each permutation off a perfect
+    matching, so it is a bijection, and normalizes its positive weights; an
+    energy label formed from integer labels holds exact fractions and a
+    positive weight. Outside callers go through ``cls(...)``, which checks.
     """
     obj = object.__new__(cls)
     for field, value in zip(dataclasses.fields(cls), values, strict=True):
