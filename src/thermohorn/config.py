@@ -115,6 +115,12 @@ DECOMPOSITION_TOL = 1e-7
 #: in ``[-this, 0)`` is rounding noise, clipped to 0.
 BISTOCHASTIC_ENTRY_TOL = 1e-9
 
+#: ``decompose_channel_to_classical`` (its ``block_tol`` default) reads a
+#: unitary as energy-preserving when no entry connecting two energy blocks
+#: exceeds this in modulus: below it the leak is rounding, above it the
+#: unitary moves weight between energies.
+BLOCK_LEAK_TOL = 1e-9
+
 #: A matrix is bistochastic when every row and column sums to 1 within this.
 BISTOCHASTIC_SUM_TOL = 1e-8
 

@@ -22,6 +22,7 @@ level's label is an integer pair and :func:`build_setup` forms no
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -317,9 +318,10 @@ class ThermalSetup:
     ``blocks`` partitions the joint basis ``{0 .. dim_a*dim_b - 1}``; two
     joint states share a block iff their label sums are exactly equal.
     Blocks are ordered by their smallest joint index, indices ascending
-    within each block. The bath's Gibbs vector, the block lookup and each
-    block's label arrangements are computed once per setup, on first use,
-    and handed out read-only.
+    within each block. The bath's Gibbs vector, the block lookup, each
+    block's label arrangements and the joint indices of every block's
+    entries are computed once per setup, on first use, and handed out
+    read-only.
     """
 
     ham_a: Hamiltonian
@@ -354,6 +356,16 @@ class ThermalSetup:
 
     def gibbs_b(self) -> ProbabilityVector:
         return self._gibbs_b
+
+    @cached_property
+    def _block_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Joint row and column of every block's entries: row-major, block after block."""
+        sizes = np.array(self.block_sizes())
+        joint = np.fromiter(itertools.chain.from_iterable(self.blocks), np.intp, self.dim_joint)
+        start = np.repeat(np.cumsum(sizes) - sizes, sizes**2)  # the entry's block within joint
+        size = np.repeat(sizes, sizes**2)
+        local = np.arange(size.size) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)
+        return _read_only(joint[start + local // size]), _read_only(joint[start + local % size])
 
     @cached_property
     def _gibbs_b(self) -> ProbabilityVector:

@@ -64,9 +64,12 @@ def is_square(mat: ComplexMatrix) -> bool:
 
 
 def unitarity_defect(mat: ComplexMatrix) -> float:
-    """Max-norm of ``U† U − I``; 0 for an exact unitary."""
-    eye = np.eye(mat.shape[0])
-    return float(np.max(np.abs(mat.conj().T @ mat - eye)))
+    """Max-norm of ``U† U − I``; 0 for an exact unitary.
+
+    For a stack of matrices, shape ``(k, n, n)``, the worst member's.
+    """
+    eye = np.eye(mat.shape[-1])
+    return float(np.max(np.abs(np.swapaxes(mat.conj(), -1, -2) @ mat - eye)))
 
 
 def require_unitary(mat: ComplexMatrix) -> None:

@@ -18,6 +18,7 @@ matching, repaired by an augmenting path for each entry a step zeroes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from .config import (
     THERMO_WITNESS_COL_TOL,
     THERMO_WITNESS_ENTRY_TOL,
     THERMO_WITNESS_TOL,
+    UNITARITY_TOL,
 )
 from .errors import PreconditionError
 from .geometry import FEASIBILITY_TOLS, highs_options, linprog
@@ -49,6 +51,7 @@ from .linalg import (
     permutation_matrix,
     _prechecked,
     probability_vector,
+    unitarity_defect,
 )
 
 __all__ = [
@@ -120,7 +123,7 @@ class ConvexPermutationDecomposition:
 
     def to_matrix(self) -> RealMatrix:
         """Reassemble the bistochastic matrix ``sum_k w_k P_k``."""
-        return _mixture_matrix(self.terms, self.dim)
+        return _mixtures([self.terms], [self.dim]).reshape(self.dim, self.dim)
 
 
 def _sorted_prefix_sums(vec: ProbabilityVector) -> np.ndarray:
@@ -269,45 +272,101 @@ def _checked_witness(res, p, q, gamma) -> tuple[StochasticMatrix | None, str | N
     return witness, None
 
 
-def _augment(masks: list[int], row_match: list[int], start: int) -> bool:
-    """Match the free column ``start`` along an augmenting path; False if there is none.
+def _augment(masks: list[int], row_match: list[int], start: int) -> list[int]:
+    """Match the free column ``start`` along an augmenting path; return the path's rows.
 
     ``masks[j]`` holds column ``j``'s support rows as bits, ``row_match``
     the column each row is matched to (-1 when free); a found path is
-    flipped into ``row_match`` in place. Kuhn's depth-first search with an
-    explicit stack: each column takes the lowest support row this search has
-    not yet seen, and a row already matched hands the search on to its
-    column. By Berge's theorem a failure means the support admits no
-    perfect matching.
+    flipped into ``row_match`` in place, and its rows, which are exactly the
+    rows whose column changed, are returned (an empty list when there is no
+    path). Kuhn's depth-first search with an explicit stack: each column
+    takes the lowest support row this search has not yet seen, and a row
+    already matched hands the search on to its column. By Berge's theorem a
+    failure means the support admits no perfect matching.
     """
-    seen = 0
+    unseen = -1  # every row, as bits; a row's bit is cleared when the search sees it
     cols = [start]  # the columns on the search path
     path: list[int] = []  # the row taken from each column but the last
-    while cols:
-        free = masks[cols[-1]] & ~seen
-        if not free:
+    col = start
+    while True:
+        free = masks[col] & unseen
+        if free:
+            bit = free & -free
+            unseen ^= bit
+            i = bit.bit_length() - 1
+            path.append(i)
+            col = row_match[i]
+            if col == -1:
+                for row, col in zip(path, cols):
+                    row_match[row] = col
+                return path
+            cols.append(col)
+        else:
             cols.pop()
-            if path:
-                path.pop()
-            continue
-        bit = free & -free
-        seen |= bit
-        i = bit.bit_length() - 1
-        path.append(i)
-        j = row_match[i]
-        if j == -1:
-            for row, col in zip(path, cols):
-                row_match[row] = col
-            return True
-        cols.append(j)
-    return False
+            if not cols:
+                return []
+            path.pop()
+            col = cols[-1]
 
 
-def _mixture_matrix(terms, n: int) -> RealMatrix:
-    """``sum_k w_k P_k``, each entry summed in term order."""
-    weights, perms = zip(*terms)
-    flat = np.asarray(perms) * n + np.arange(n)  # entry (images[j], j), row-major
-    return np.bincount(flat.ravel(), np.repeat(weights, n), n * n).reshape(n, n)
+def _term_entries(groups, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every entry ``(images[j], j)`` of every term of every group, in term order.
+
+    ``groups[g]`` is a sequence of ``(weight, images)`` terms on ``sizes[g]``
+    basis states. Returns, one element per entry, the entry's group, its
+    column ``j``, its row ``images[j]`` and its term's weight.
+    """
+    term_group = np.repeat(np.arange(len(groups)), [len(terms) for terms in groups])
+    term_size = np.asarray(sizes, dtype=np.intp)[term_group]
+    total = int(term_size.sum())
+    entry_term = np.repeat(np.arange(term_group.size), term_size)
+    cols = np.arange(total) - (np.cumsum(term_size) - term_size)[entry_term]
+    rows = np.fromiter(
+        itertools.chain.from_iterable(perm for terms in groups for _, perm in terms), np.intp, total
+    )
+    weights = np.fromiter((w for terms in groups for w, _ in terms), np.float64, term_group.size)
+    return term_group[entry_term], cols, rows, weights[entry_term]
+
+
+def _mixtures(groups, sizes) -> np.ndarray:
+    """Each group's ``sum_k w_k P_k``, row-major, one after another.
+
+    Each entry is summed from 0 in term order.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    offsets = np.cumsum(sizes**2) - sizes**2
+    group, cols, rows, weights = _term_entries(groups, sizes)
+    flat = offsets[group] + rows * sizes[group] + cols
+    return np.bincount(flat, weights, int((sizes**2).sum()))
+
+
+def _reconstruction_errors(groups, sizes, flat: np.ndarray) -> np.ndarray:
+    """Per group, the max-norm by which its mixture misses its matrix, all in one sum.
+
+    ``flat`` holds the groups' matrices row-major, one after another, as
+    :func:`_mixtures` lays out their mixtures (entries past the last group's
+    are not read).
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    mixtures = _mixtures(groups, sizes)
+    miss = np.abs(mixtures - flat[: mixtures.size])
+    return np.maximum.reduceat(miss, np.cumsum(sizes**2) - sizes**2)
+
+
+def _bistochastic_failure(mat: np.ndarray, require_bistochastic: bool) -> PreconditionError | None:
+    """The error that refuses ``mat`` as input to the Birkhoff chain, or None."""
+    if float(mat.min()) < -BISTOCHASTIC_ENTRY_TOL:
+        return PreconditionError("negative-entry", f"entry {mat.min()} is negative")
+    if require_bistochastic:
+        row_err = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
+        col_err = float(np.max(np.abs(mat.sum(axis=0) - 1.0)))
+        if max(row_err, col_err) > BISTOCHASTIC_SUM_TOL:
+            return PreconditionError(
+                "not-bistochastic",
+                f"row sums off by {row_err}, column sums off by {col_err} "
+                f"(tolerance {BISTOCHASTIC_SUM_TOL})",
+            )
+    return None
 
 
 def birkhoff_decompose(
@@ -328,59 +387,99 @@ def birkhoff_decompose(
     ``reconstruction_error``). Weights are normalized at the end. Each step
     zeroes at least one entry and so lowers the dimension of the Birkhoff
     face holding the residual, which bounds the chain by ``(n-1)^2 + 1``
-    terms (Marcus-Ree); a longer chain raises ``RuntimeError``. Each
+    terms (Marcus-Ree); a longer chain raises ``RuntimeError``.
+
+    Where each check lives: the input (square, no entry below
+    ``-BISTOCHASTIC_ENTRY_TOL``, sums within ``BISTOCHASTIC_SUM_TOL``) is
+    checked here, the matching, the left-behind residual and the term bound
+    inside the chain, and the reconstruction once, after it. Each
     permutation is read off a perfect matching, so the result is built
     without :class:`ConvexPermutationDecomposition`'s check of them.
+    :func:`~thermohorn.thermal.decompose_channel_to_classical` runs the same
+    chain on every energy block, with the same checks, each once per call.
     """
     mat = np.asarray(d, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise PreconditionError("not-square", f"expected square matrix, got shape {mat.shape}")
+    refused = _bistochastic_failure(mat, require_bistochastic)
+    if refused is not None:
+        raise refused
     n = mat.shape[0]
-    if float(mat.min()) < -BISTOCHASTIC_ENTRY_TOL:
-        raise PreconditionError("negative-entry", f"entry {mat.min()} is negative")
-    if require_bistochastic:
-        row_err = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
-        col_err = float(np.max(np.abs(mat.sum(axis=0) - 1.0)))
-        if max(row_err, col_err) > BISTOCHASTIC_SUM_TOL:
-            raise PreconditionError(
-                "not-bistochastic",
-                f"row sums off by {row_err}, column sums off by {col_err} "
-                f"(tolerance {BISTOCHASTIC_SUM_TOL})",
-            )
+    terms = _birkhoff_chain(mat, zero_tol)
+    err = float(_reconstruction_errors([terms], [n], mat.ravel())[0])
+    if err > DECOMPOSITION_TOL:
+        raise _reconstruction_failure(err)
+    # Each permutation was read off a perfect matching, so it is a bijection,
+    # and the weights are positive and normalized: nothing left to check.
+    return _prechecked(ConvexPermutationDecomposition, terms, err)
+
+
+def _reconstruction_failure(err: float) -> PreconditionError:
+    return PreconditionError(
+        "reconstruction-failure", f"residual mass left behind: reconstruction error {err}"
+    )
+
+
+def _birkhoff_chain(mat: np.ndarray, zero_tol: float) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    """The normalized terms of :func:`birkhoff_decompose`'s greedy chain on a checked square matrix.
+
+    The matching is kept both ways, column -> row (``perm``) and row ->
+    column (``row_match``), and the matched entries as ``cur``: a step
+    takes ``min(cur)``, subtracts it from ``cur`` and frees the columns at
+    or below ``zero_tol``. A residual entry is written back to ``columns``
+    only when its column leaves the support or an augmenting path moves the
+    column to another row, and all of them before the left-behind residual
+    is read. Raises ``matching-failure``, ``empty-matrix``, or
+    ``RuntimeError`` above the Marcus-Ree bound. A single entry above
+    ``zero_tol`` is its own one term, with no chain.
+    """
+    n = mat.shape[0]
+    if n == 1 and mat[0, 0] > zero_tol:
+        return ((1.0, (0,)),)  # the chain's one term, w / w
     residual = np.clip(mat, 0.0, None)
     residual[residual < zero_tol] = 0.0
     support = residual > zero_tol
     in_support = int(np.count_nonzero(support))
     packed = np.packbits(support.T, axis=1, bitorder="little")
     masks = [int.from_bytes(col.tobytes(), "little") for col in packed]
-    columns = residual.T.tolist()  # columns[j][i] is entry (i, j)
+    columns = residual.T.tolist()  # columns[j][i] is entry (i, j), unless (i, j) is matched
     row_match = [-1] * n
-    free_cols = list(range(n))
+    perm = [-1] * n
+    cur = [0.0] * n  # cur[j] is entry (perm[j], j)
+    free_cols: list[int] | range = range(n)
     raw_terms: list[tuple[float, tuple[int, ...]]] = []
     while in_support:
-        if not all(_augment(masks, row_match, j) for j in free_cols):
+        stuck = False
+        for start in free_cols:
+            path = _augment(masks, row_match, start)
+            if not path:
+                stuck = True
+                break
+            for i in path:  # each row's new column; that column's old row gets its entry back
+                j = row_match[i]
+                if perm[j] != -1:
+                    columns[j][perm[j]] = cur[j]
+                perm[j] = i
+                cur[j] = columns[j][i]
+        if stuck:
+            for j, i in enumerate(perm):
+                if i != -1:
+                    columns[j][i] = cur[j]
             if max(map(max, columns)) <= DECOMPOSITION_TOL:
-                break  # left behind; the reconstruction check below bounds it
+                break  # left behind; the reconstruction check bounds it
             raise PreconditionError(
                 "matching-failure",
                 f"support of residual mass {sum(map(sum, columns))} admits no perfect matching",
             )
-        perm = [0] * n
-        for i, j in enumerate(row_match):
-            perm[j] = i
-        entries = [col[i] for col, i in zip(columns, perm)]
-        weight = min(entries)
+        weight = min(cur)
         raw_terms.append((weight, tuple(perm)))
-        free_cols = []
-        for j, i in enumerate(perm):
-            entry = entries[j] - weight
-            if entry <= zero_tol:  # leaves the support
-                free_cols.append(j)
-                masks[j] &= ~(1 << i)
-                row_match[i] = -1
-                if entry < zero_tol:
-                    entry = 0.0
-            columns[j][i] = entry
+        cur = [c - weight for c in cur]
+        free_cols = [j for j, c in enumerate(cur) if c <= zero_tol]
+        for j in free_cols:  # leaves the support
+            i = perm[j]
+            masks[j] &= ~(1 << i)
+            row_match[i] = perm[j] = -1
+            columns[j][i] = 0.0 if cur[j] < zero_tol else cur[j]
         in_support -= len(free_cols)
     if not raw_terms:
         raise PreconditionError("empty-matrix", "input has no mass to decompose")
@@ -390,15 +489,7 @@ def birkhoff_decompose(
         raise RuntimeError(f"greedy chain took {len(raw_terms)} terms, above the bound {bound}")
 
     total = sum(w for w, _ in raw_terms)
-    terms = tuple((w / total, perm) for w, perm in raw_terms if w / total > 0.0)
-    err = float(np.max(np.abs(_mixture_matrix(terms, n) - mat)))
-    if err > DECOMPOSITION_TOL:
-        raise PreconditionError(
-            "reconstruction-failure", f"residual mass left behind: reconstruction error {err}"
-        )
-    # Each permutation was read off a perfect matching, so it is a bijection,
-    # and the weights are positive and normalized: nothing left to check.
-    return _prechecked(ConvexPermutationDecomposition, terms, err)
+    return tuple((w / total, perm) for w, perm in raw_terms if w / total > 0.0)
 
 
 def schur_horn_unitary(lam, mu) -> ComplexMatrix:
@@ -503,6 +594,19 @@ def _check_schur_horn(v: ComplexMatrix, lam: ProbabilityVector, mu: ProbabilityV
     err = float(np.max(np.abs(achieved - mu)))
     if err > SCHUR_HORN_TOL:
         raise RuntimeError(f"rotation chain missed its target by {err}")
+
+
+def _schur_horn_stack_holds(v: ComplexMatrix, lam: np.ndarray, mu: np.ndarray) -> bool:
+    """Whether every rotation of a stack passes :func:`_check_schur_horn`.
+
+    Each ``v[k]`` must be unitary to ``UNITARITY_TOL`` and carry ``lam[k]``
+    to ``mu[k]`` within ``SCHUR_HORN_TOL``; each check is one stacked
+    product, and names no failing member.
+    """
+    if unitarity_defect(v) > UNITARITY_TOL:
+        return False
+    achieved = np.matmul(v.real**2 + v.imag**2, lam[..., None])[..., 0]
+    return float(np.max(np.abs(achieved - mu))) <= SCHUR_HORN_TOL
 
 
 def random_bistochastic(n: int, rng: np.random.Generator, terms: int | None = None) -> RealMatrix:

@@ -53,7 +53,6 @@ from .majorization import (
     StochasticMatrix,
     _majorized_pair,
     _schur_horn_chain,
-    majorizes,
     schur_horn_unitary,
     stochastic_matrix,
 )
@@ -156,14 +155,28 @@ class NoisyRealization:
             u = self._dense_shifted()
         object.__setattr__(self, "unitary", u)
         if self.input_state is not None and self.output_state is not None:
-            achieved = self._output(diag_embedding(probability_vector(self.input_state)))
-            err = float(np.max(np.abs(achieved - diag_embedding(self.output_state))))
-            object.__setattr__(self, "residual", err)
-            if err > REALIZATION_TOL:
-                raise PreconditionError(
-                    "realization-mismatch",
-                    f"declared output missed by {err} (tolerance {REALIZATION_TOL})",
-                )
+            self._check_declared(probability_vector(self.input_state))
+
+    def _declared(self, p: ProbabilityVector, p_prime: ProbabilityVector) -> NoisyRealization:
+        """This realization with the validated states ``p -> p_prime`` declared and checked."""
+        object.__setattr__(self, "input_state", p)
+        object.__setattr__(self, "output_state", p_prime)
+        self._check_declared(p)
+        return self
+
+    def _check_declared(self, p: ProbabilityVector) -> None:
+        """Keep as ``residual`` how far ``p``'s output misses ``output_state``.
+
+        A miss above ``REALIZATION_TOL`` is refused (``realization-mismatch``).
+        """
+        achieved = self._output(diag_embedding(p))
+        err = float(np.max(np.abs(achieved - diag_embedding(self.output_state))))
+        object.__setattr__(self, "residual", err)
+        if err > REALIZATION_TOL:
+            raise PreconditionError(
+                "realization-mismatch",
+                f"declared output missed by {err} (tolerance {REALIZATION_TOL})",
+            )
 
     def _dense_shifted(self) -> ComplexMatrix:
         """``W_k (V ⊗ 1)`` with ``U[(i, b + k_i), (j, b)] = V[i, j]``, after the bijection check."""
@@ -181,8 +194,8 @@ class NoisyRealization:
         if self.rotation is None:
             u[images.ravel(), np.arange(n * m)] = 1
             return u
-        u[images[:, None, :], np.arange(n * m).reshape(1, n, m)] = self.rotation[:, :, None]
-        u += 0.0  # a -0.0 entry of V becomes +0.0, like every other zero
+        # + 0.0 makes a -0.0 entry of V +0.0, like every other zero.
+        u[images[:, None, :], np.arange(n * m).reshape(1, n, m)] = (self.rotation + 0.0)[:, :, None]
         return u
 
     def _output(self, rho: DensityMatrix) -> DensityMatrix:
@@ -245,14 +258,13 @@ def horn_transition_unitary(p, p_prime) -> NoisyRealization:
     :class:`NoisyRealization`), which checks ``V`` unitary to
     ``UNITARITY_TOL`` and the declared output ``decohere(V diag(p) V†)``
     against ``diag(p')`` to ``REALIZATION_TOL``, so the ``n² × n²`` matrix
-    is built but never multiplied.
+    is built but never multiplied; ``p``, validated here, is not validated
+    again there.
     """
     p, p_prime = _majorized_pair(p, p_prime)
     n = p.size
     v = _schur_horn_chain(p, p_prime)
-    return NoisyRealization(
-        n, n, None, input_state=p, output_state=p_prime, rotation=v, shift_powers=range(n)
-    )
+    return NoisyRealization(n, n, None, rotation=v, shift_powers=range(n))._declared(p, p_prime)
 
 
 def marginal_transition_unitary(
@@ -261,7 +273,11 @@ def marginal_transition_unitary(
     """Joint unitary whose B-marginal trace carries ``rho_ab`` onto ``sigma_a``.
 
     Feasible (for ``dim_a <= dim_b``) exactly when the block-summed sorted
-    spectrum of ``rho_ab`` majorizes the spectrum of ``sigma_a``. The core
+    spectrum of ``rho_ab`` majorizes the spectrum of ``sigma_a``; otherwise
+    :func:`~thermohorn.majorization.schur_horn_unitary` refuses the pair
+    with ``majorization-failure``, naming the first failing prefix ("prefix
+    k: sum ... of sorted lam is below ... of sorted mu", ``lam`` the
+    block-summed spectrum and ``mu`` the target's). The core
     construction on diagonal representatives is
 
         ``U_0 = sum_ij u_ij |i><j| ⊗ pi^(j-i)``,
@@ -289,11 +305,6 @@ def marginal_transition_unitary(
     lam, v_rho = spectrum_sorted(rho_ab)
     blocked = lam.reshape(dim_a, dim_b).sum(axis=1)
     spec_sigma, v_sigma = spectrum_sorted(sigma_a)
-    if not majorizes(blocked, spec_sigma):
-        raise PreconditionError(
-            "majorization-failure",
-            "block-summed sorted spectrum of the joint state must majorize the target spectrum",
-        )
     u_small = schur_horn_unitary(blocked, spec_sigma)
     i, j, b = np.ogrid[:dim_a, :dim_a, :dim_b]
     core = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=np.complex128)

@@ -39,6 +39,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
+    BIRKHOFF_ZERO_TOL,
+    BISTOCHASTIC_ENTRY_TOL,
+    BISTOCHASTIC_SUM_TOL,
+    BLOCK_LEAK_TOL,
+    DECOMPOSITION_TOL,
     DEDUP_TOL,
     EMPTY_BLOCK_MASS,
     ENUMERATION_CAP,
@@ -70,11 +75,16 @@ from .linalg import (
     require_unitary,
 )
 from .majorization import (
+    _birkhoff_chain,
+    _bistochastic_failure,
     _check_schur_horn,
     _check_thermo_shapes,
     _lorenz_dominates,
+    _reconstruction_errors,
+    _reconstruction_failure,
     _schur_horn_chain,
-    birkhoff_decompose,
+    _schur_horn_stack_holds,
+    _term_entries,
 )
 from .noisy import NoisyRealization, haar_unitary
 
@@ -169,18 +179,18 @@ class ProductConvexCombination:
         return math.prod(len(t) for t in self.block_terms)
 
     def mixed_joint_output(self, v: np.ndarray) -> np.ndarray:
-        """Apply the mixture to a joint diagonal; linear, so blockwise."""
-        out = np.zeros_like(np.asarray(v, dtype=np.float64))
-        for block, terms in zip(self.blocks, self.block_terms):
-            idx = np.asarray(block)
-            local = np.asarray(v, dtype=np.float64)[idx]
-            acc = np.zeros(len(block))
-            for w, perm in terms:
-                shuffled = np.zeros(len(block))
-                shuffled[np.asarray(perm)] = local
-                acc += w * shuffled
-            out[idx] = acc
-        return out
+        """Apply the mixture to a joint diagonal; linear, so blockwise.
+
+        One sum over every term's entries, block by block in term order:
+        term ``(w, images)`` of a block moves ``w * v[block[j]]`` to
+        ``block[images[j]]``, and each entry is summed from 0 in term order.
+        """
+        v = np.asarray(v, dtype=np.float64)
+        sizes = [len(block) for block in self.blocks]
+        group, cols, rows, weights = _term_entries(self.block_terms, sizes)
+        joint = np.fromiter(itertools.chain.from_iterable(self.blocks), np.intp, sum(sizes))
+        start = (np.cumsum(sizes) - sizes)[group]
+        return np.bincount(joint[start + rows], weights * v[joint[start + cols]], v.size)
 
     def expand(self, cap: int = 10**5) -> ConvexCombination:
         """Materialize the product mixture as joint permutations."""
@@ -434,7 +444,10 @@ class ClassicalHull:
     @cached_property
     def basis(self) -> np.ndarray:
         separators = self._members[self._separators]
-        return np.linalg.svd(separators)[2][np.linalg.matrix_rank(separators) :]
+        _, values, rows = np.linalg.svd(separators)
+        # The rank at np.linalg.matrix_rank's default threshold, from the same SVD.
+        cut = values.max() * (max(separators.shape) * np.finfo(values.dtype).eps)
+        return rows[int(np.count_nonzero(values > cut)) :]
 
     @cached_property
     def rank(self) -> int:
@@ -610,14 +623,17 @@ def synthesize_unitary(
     the coherences that survive inside degenerate eigenspaces; otherwise the
     gadget slot is None and the channel output is already diagonal.
 
-    Each fact is checked once: ``p`` on entry, the mixture's permutations
-    in one block-respecting check over all of them (``not-block-respecting``),
-    and each block's rotation after it is built, unitary to
-    ``UNITARITY_TOL`` and carrying the block's input to its mixed diagonal
-    within ``SCHUR_HORN_TOL``. The majorization inside a block holds by
-    construction and is not checked beforehand; a mixture that breaks it
-    (weights that do not sum to 1, say) fails the rotation or its check
-    with ``RuntimeError``.
+    Each fact is checked once per call: ``p`` on entry, the mixture's
+    permutations in one block-respecting check over all of them
+    (``not-block-respecting``), and the rotations after every block's is
+    built, all blocks of one size in one stacked check: unitary to
+    ``UNITARITY_TOL`` and carrying each block's input to its mixed diagonal
+    within ``SCHUR_HORN_TOL``. A failed check is traced to its first block,
+    which is reported as the block-by-block check reported it; no product of
+    the ``dim_joint``-square unitary is formed. The majorization inside a
+    block holds by construction and is not checked beforehand; a mixture
+    that breaks it (weights that do not sum to 1, say) fails the rotation or
+    its check with ``RuntimeError``.
     """
     v = setup.joint_input(p)
     if isinstance(target, ProductConvexCombination):
@@ -643,26 +659,49 @@ def synthesize_unitary(
             mixed += w * shuffled
 
     u = np.zeros((setup.dim_joint, setup.dim_joint), dtype=np.complex128)
-    for block in setup.blocks:
-        idx = np.asarray(block)
-        lam = v[idx]
-        mass = float(lam.sum())
-        if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
-            u[idx, idx] = 1.0  # the identity on the block
-            continue
-        lam, mu = lam / mass, mixed[idx] / mass
-        rotation = _schur_horn_chain(lam, mu)
-        try:
-            _check_schur_horn(rotation, lam, mu)
-        except PreconditionError as exc:  # not unitary
-            raise RuntimeError(f"rotation for block {block} failed its check: {exc}") from exc
-        u[idx[:, None], idx] = rotation
+    rotated = []  # (block, rotation, lam, mu) of every block that is rotated
+    try:
+        for block in setup.blocks:
+            idx = np.asarray(block)
+            lam = v[idx]
+            mass = float(lam.sum())
+            if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
+                u[idx, idx] = 1.0  # the identity on the block
+                continue
+            lam, mu = lam / mass, mixed[idx] / mass
+            rotation = _schur_horn_chain(lam, mu)
+            rotated.append((block, rotation, lam, mu))
+            u[idx[:, None], idx] = rotation
+    except RuntimeError:  # the chain's; an earlier block's failed check is reported first
+        _check_rotations(rotated)
+        raise
+    _check_rotations(rotated)
 
     gadget = None
     degenerate = _degenerate_index_set(setup.ham_a)
     if degenerate:
         gadget = thermal_decoherence_gadget(setup.ham_a, degenerate)
     return u, gadget
+
+
+def _check_rotations(rotated: list[tuple[tuple[int, ...], ComplexMatrix, np.ndarray, np.ndarray]]):
+    """Check every ``(block, rotation, lam, mu)`` once, the blocks of one size in one stack.
+
+    Raises for the first block whose rotation is not unitary to
+    ``UNITARITY_TOL`` or misses ``mu`` by more than ``SCHUR_HORN_TOL``, with
+    the error :func:`~thermohorn.majorization._check_schur_horn` gives it
+    alone (``RuntimeError`` either way).
+    """
+    by_size: dict[int, list] = {}
+    for block, rotation, lam, mu in rotated:
+        by_size.setdefault(len(block), []).append((rotation, lam, mu))
+    if all(_schur_horn_stack_holds(*map(np.stack, zip(*group))) for group in by_size.values()):
+        return
+    for block, rotation, lam, mu in rotated:
+        try:
+            _check_schur_horn(rotation, lam, mu)
+        except PreconditionError as exc:  # not unitary
+            raise RuntimeError(f"rotation for block {block} failed its check: {exc}") from exc
 
 
 def _degenerate_index_set(ham_a: Hamiltonian) -> tuple[int, ...]:
@@ -678,7 +717,7 @@ def _degenerate_index_set(ham_a: Hamiltonian) -> tuple[int, ...]:
 
 
 def decompose_channel_to_classical(
-    u: ComplexMatrix, setup: ThermalSetup, *, block_tol: float = 1e-9
+    u: ComplexMatrix, setup: ThermalSetup, *, block_tol: float = BLOCK_LEAK_TOL
 ) -> ProductConvexCombination:
     """Read an energy-preserving unitary as a mixture of classical permutations.
 
@@ -686,9 +725,18 @@ def decompose_channel_to_classical(
     moduli on the joint diagonal; Birkhoff decomposition of each block and
     product weights across blocks reproduce the channel's classical output
     exactly (to float). Off-block leakage above ``block_tol`` is rejected.
-    The result keeps the worst block's reconstruction error, each block
-    checked against ``DECOMPOSITION_TOL``; its permutations, each a Birkhoff
-    chain's, are not checked again by :class:`ProductConvexCombination`.
+
+    Each check runs once per call, over all blocks: ``u`` unitary to
+    ``UNITARITY_TOL``, the leak, the blocks' squared moduli as
+    :func:`~thermohorn.majorization.birkhoff_decompose` checks its input
+    (after the two checks before, their sums lie far inside
+    ``BISTOCHASTIC_SUM_TOL``), and one reconstruction check of every
+    block's terms against ``DECOMPOSITION_TOL``. Each block runs the
+    Birkhoff chain (a one-slot block is its one term); a failure is
+    reported as the first block to fail would have reported it, decomposed
+    one after another. The result keeps the worst block's reconstruction
+    error; its permutations, each a Birkhoff chain's, are not checked again
+    by :class:`ProductConvexCombination`.
     """
     u = np.asarray(u, dtype=np.complex128)
     require_unitary(u)
@@ -697,15 +745,40 @@ def decompose_channel_to_classical(
         raise PreconditionError(
             "not-energy-preserving", f"off-block mass {leak} exceeds {block_tol}"
         )
+    sizes = np.array(setup.block_sizes())
+    offsets = np.cumsum(sizes**2) - sizes**2
+    rows, cols = setup._block_entries
+    sub = u[rows, cols]
+    squares = sub.real**2 + sub.imag**2  # each block's matrix, row-major, one after another
+    matrices = [squares[o : o + n * n].reshape(n, n) for o, n in zip(offsets, sizes.tolist())]
+    # birkhoff_decompose's input check on every block at once; a flagged
+    # block is refused as birkhoff_decompose refuses it, and the blocks after
+    # it are not decomposed.
+    row_miss = np.abs(np.bincount(rows, squares, setup.dim_joint) - 1.0)[rows]
+    col_miss = np.abs(np.bincount(cols, squares, setup.dim_joint) - 1.0)[cols]
+    flagged = (np.minimum.reduceat(squares, offsets) < -BISTOCHASTIC_ENTRY_TOL) | (
+        np.maximum.reduceat(np.maximum(row_miss, col_miss), offsets) > BISTOCHASTIC_SUM_TOL
+    )
+    failure = None
+    for k in np.flatnonzero(flagged).tolist():
+        failure = _bistochastic_failure(matrices[k], True)
+        if failure is not None:
+            matrices = matrices[:k]
+            break
     groups = []
-    worst = 0.0
-    for block in setup.blocks:
-        idx = np.asarray(block)
-        sub = u[np.ix_(idx, idx)]
-        d = (sub.real**2 + sub.imag**2).astype(np.float64)
-        deco = birkhoff_decompose(d)
-        groups.append(deco.terms)
-        worst = max(worst, deco.reconstruction_error)
+    for mat in matrices:
+        try:
+            groups.append(_birkhoff_chain(mat, BIRKHOFF_ZERO_TOL))
+        except (PreconditionError, RuntimeError) as exc:
+            failure = exc  # raised once the blocks before it are checked
+            break
+    errors = _reconstruction_errors(groups, sizes[: len(groups)], squares)
+    missed = np.flatnonzero(errors > DECOMPOSITION_TOL)
+    if missed.size:
+        raise _reconstruction_failure(float(errors[missed[0]]))
+    if failure is not None:
+        raise failure
+    worst = max([0.0, *errors.tolist()])  # as a running max over the blocks, NaN included
     # Each block's terms come from a Birkhoff chain: nothing left to check.
     return _prechecked(ProductConvexCombination, setup.blocks, tuple(groups), worst)
 

@@ -21,7 +21,10 @@ checked against grouping joint states on their summed ``EnergyLabel``, and
 Gibbs vectors read off integer labels against the ``Fraction`` formula. The
 Schur-Horn chain and the unitaries ``synthesize_unitary`` assembles from it
 are checked, bit for bit, against the chain that rescans the whole
-diagonal at every step.
+diagonal at every step. ``decompose_channel_to_classical``, which checks
+all blocks at once, is checked against ``birkhoff_decompose`` called block
+by block, and a product mixture's joint output against the block-by-block,
+term-by-term sum.
 """
 
 import itertools
@@ -32,7 +35,15 @@ import numpy as np
 import scipy.spatial
 from scipy.optimize import linprog
 
-from thermohorn import build_setup, cyclic_shift, enumerate_classical, hull_membership
+from thermohorn import (
+    PreconditionError,
+    birkhoff_decompose,
+    build_setup,
+    cyclic_shift,
+    energy_preservation_defect,
+    enumerate_classical,
+    hull_membership,
+)
 from thermohorn.config import (
     BIRKHOFF_ZERO_TOL,
     BISTOCHASTIC_ENTRY_TOL,
@@ -41,6 +52,7 @@ from thermohorn.config import (
     DEDUP_TOL,
 )
 from thermohorn.energy import _multiset_permutations
+from thermohorn.linalg import require_unitary
 from thermohorn.geometry import FACET_TOL, _affine_frame, hull_vertex_indices
 from thermohorn.thermal import ReachableSet, _bath_family, _first_distinct, _marginal_outputs
 
@@ -388,7 +400,12 @@ def positivity_margin(target, generators, feas_tol):
 
 
 def augment_recursive(masks, row_match, start):
-    """``majorization._augment`` as Kuhn's recursive search; bit ``i`` of ``masks[j]`` is edge (i, j)."""
+    """``majorization._augment`` as Kuhn's recursive search; bit ``i`` of ``masks[j]`` is edge (i, j).
+
+    Returns the rows it matched to a new column ([] when there is no
+    augmenting path), as ``_augment`` does.
+    """
+    flipped = []
 
     def try_column(j, seen):
         for i in range(len(row_match)):
@@ -396,10 +413,12 @@ def augment_recursive(masks, row_match, start):
                 seen[i] = True
                 if row_match[i] == -1 or try_column(row_match[i], seen):
                     row_match[i] = j
+                    flipped.append(i)
                     return True
         return False
 
-    return try_column(start, [False] * len(row_match))
+    try_column(start, [False] * len(row_match))
+    return flipped
 
 
 def birkhoff_chain_reference(d, zero_tol=BIRKHOFF_ZERO_TOL, require_bistochastic=True):
@@ -555,3 +574,43 @@ def gibbs_reference(ham):
     logs = np.array([lv.log_gibbs_weight(ham.beta, ham.base_quantum) for lv in ham.levels])
     weights = np.exp(logs - logs.max())
     return weights / weights.sum()
+
+
+def decompose_reference(u, setup, block_tol):
+    """``decompose_channel_to_classical`` as per-block ``birkhoff_decompose`` calls.
+
+    Returns ``(block_terms, worst reconstruction error)``, or the code of the
+    first error: ``u`` unitary, the leak at most ``block_tol``, then each
+    block's squared moduli decomposed in block order.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    try:
+        require_unitary(u)
+        if energy_preservation_defect(u, setup) > block_tol:
+            return "not-energy-preserving"
+        groups, worst = [], 0.0
+        for block in setup.blocks:
+            sub = u[np.ix_(block, block)]
+            deco = birkhoff_decompose((sub.real**2 + sub.imag**2).astype(np.float64))
+            groups.append(deco.terms)
+            worst = max(worst, deco.reconstruction_error)
+    except PreconditionError as exc:
+        return exc.code
+    except RuntimeError:
+        return "term-bound"
+    return tuple(groups), worst
+
+
+def mixed_joint_reference(product, v):
+    """``ProductConvexCombination.mixed_joint_output`` block by block, term by term."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros_like(v)
+    for block, terms in zip(product.blocks, product.block_terms):
+        idx = np.asarray(block)
+        acc = np.zeros(len(block))
+        for w, perm in terms:
+            shuffled = np.zeros(len(block))
+            shuffled[np.asarray(perm)] = v[idx]
+            acc += w * shuffled
+        out[idx] = acc
+    return out

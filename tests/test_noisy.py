@@ -76,6 +76,31 @@ def test_horn_checks_its_rotation_not_the_joint_unitary(monkeypatch):
     assert shapes == [(6, 6)]
 
 
+def test_horn_validates_its_states_once(monkeypatch):
+    # p and p' once each, as schur_horn_unitary validates them; the
+    # realization checks its output from the validated p.
+    original = linalg.probability_vector
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thermohorn" and getattr(module, "probability_vector", None) is original:
+            monkeypatch.setattr(module, "probability_vector", counting)
+    for n in (2, 5):
+        calls.clear()
+        p = np.random.default_rng(n).dirichlet(np.ones(n))
+        realization = horn_transition_unitary(p, np.full(n, 1 / n))
+        assert len(calls) == 2
+        assert realization.residual <= REALIZATION_TOL
+    # A declared pair handed to the constructor is still validated there.
+    calls.clear()
+    NoisyRealization(2, 2, None, input_state=[0.5, 0.5], output_state=[0.5, 0.5], shift_powers=(0, 1))
+    assert len(calls) == 1
+
+
 def test_horn_rejects_a_unitary_rotation_that_misses_the_target(monkeypatch):
     p = np.random.default_rng(6).dirichlet(np.ones(4))
     monkeypatch.setattr(noisy, "_schur_horn_chain", lambda a, b: np.eye(len(a), dtype=complex))
@@ -276,6 +301,26 @@ def test_marginal_transition_rejects_infeasible_spectrum():
     sigma = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(PreconditionError):
         marginal_transition_unitary(rho, sigma, 2, 2)
+
+
+def test_marginal_transition_refusal_names_the_failing_prefix(monkeypatch):
+    # Majorization is checked once, by schur_horn_unitary, which names the
+    # first sorted prefix of the block-summed spectrum that falls short.
+    calls = []
+    checked = noisy.schur_horn_unitary
+
+    def recording(lam, mu):
+        calls.append(1)
+        return checked(lam, mu)
+
+    monkeypatch.setattr(noisy, "schur_horn_unitary", recording)
+    rho = np.eye(4, dtype=complex) / 4
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(PreconditionError) as err:
+        marginal_transition_unitary(rho, sigma, 2, 2)
+    assert err.value.code == "majorization-failure"
+    assert "prefix 1: sum 0.5 of sorted lam is below 1.0 of sorted mu" in str(err.value)
+    assert calls == [1]
 
 
 def test_marginal_feasibility_is_necessary_on_random_channels():

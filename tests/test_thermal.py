@@ -37,8 +37,9 @@ from thermohorn import (
     weight_hamiltonian,
     zero_hamiltonian,
 )
-from thermohorn.config import DEDUP_TOL, HULL_LEVEL_CAP
-from thermohorn.linalg import probability_vector
+from thermohorn import linalg, thermal
+from thermohorn.config import BIRKHOFF_ZERO_TOL, BLOCK_LEAK_TOL, DEDUP_TOL, HULL_LEVEL_CAP
+from thermohorn.linalg import permutation_matrix, probability_vector
 from thermohorn.energy import EnergyLabel, _block_class_targets, _multiset_permutations
 from thermohorn.geometry import (
     TIGHT_LP_TOL,
@@ -54,6 +55,8 @@ from oracles import (
     bit_equal,
     block_class_targets,
     conditional_shift,
+    decompose_reference,
+    mixed_joint_reference,
     reachable_listing,
     realize_reference,
     synthesize_reference,
@@ -430,6 +433,168 @@ def test_realize_validates_its_states_once_however_far_it_searches(monkeypatch):
         counts.append(len(calls))
     # p and the target on entry, and p once more as synthesize_unitary's own input.
     assert counts == [3, 3]
+
+
+def _givens(n, a, b, sine):
+    """The real rotation of sine ``sine`` in the ``(a, b)`` plane of ``n`` dimensions."""
+    g = np.eye(n, dtype=np.complex128)
+    g[a, a] = g[b, b] = math.sqrt(1.0 - sine * sine)
+    g[a, b], g[b, a] = -sine, sine
+    return g
+
+
+# Sines whose squares lie on either side of BIRKHOFF_ZERO_TOL: half, just
+# below, the two floats around sqrt(zero_tol) (squares 1 ulp below and 2
+# ulps above it), just above and twice.
+_CUT_SINES = (
+    *(math.sqrt(BIRKHOFF_ZERO_TOL * f) for f in (0.5, 1 - 1e-6, 1 + 1e-6, 2.0)),
+    1e-5,
+    float(np.nextafter(1e-5, 0.0)),
+)
+
+
+def _decompose_input(kind, setup, rng, k):
+    """A unitary on the joint space; ``k`` picks its one free number."""
+    if kind == "near-zero-tol":  # block permutations, each turned by a small rotation
+        u = np.zeros((setup.dim_joint, setup.dim_joint), dtype=np.complex128)
+        for block in setup.blocks:
+            n = len(block)
+            local = permutation_matrix(rng.permutation(n))
+            if n > 1:
+                a, b = (int(x) for x in rng.choice(n, 2, replace=False))
+                local = local @ _givens(n, a, b, _CUT_SINES[k % len(_CUT_SINES)])
+            u[np.ix_(block, block)] = local
+        return u
+    w = random_block_unitary(setup, rng)
+    if kind == "leak":  # a rotation across two blocks: off-block entries near the leak tolerance
+        first, second = (setup.blocks[j] for j in rng.choice(len(setup.blocks), 2, replace=False))
+        a, b = int(rng.choice(first)), int(rng.choice(second))
+        reach = max(np.abs(w[b, list(second)]).max(), np.abs(w[a, list(first)]).max())
+        factor = (1 - 1e-3, 1 - 1e-7, 1 + 1e-7, 1 + 1e-3)[k % 4]
+        return _givens(setup.dim_joint, a, b, BLOCK_LEAK_TOL * factor / reach) @ w
+    if kind == "scaled":  # unitary to about 2 * (1, 4, 8) * 1e-11: both sides of UNITARITY_TOL
+        return w * (1.0 + (1e-11, 4e-11, 8e-11)[k % 3])
+    return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    which=st.integers(min_value=0, max_value=4),
+    kind=st.sampled_from(["haar", "near-zero-tol", "leak", "scaled"]),
+    k=st.integers(min_value=0, max_value=11),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_decompose_equals_birkhoff_block_by_block(which, kind, k, seed):
+    # One validation, one chain per block and one reconstruction check for
+    # all blocks give the terms, the worst error (to the bit) and the error
+    # code of birkhoff_decompose called block by block.
+    setup = (*_synthesis_setups(), _qubit_oscillator(2))[which]
+    u = _decompose_input(kind, setup, np.random.default_rng(seed), k)
+    expected = decompose_reference(u, setup, BLOCK_LEAK_TOL)
+    try:
+        product = decompose_channel_to_classical(u, setup)
+    except PreconditionError as exc:
+        assert exc.code == expected
+        return
+    except RuntimeError:
+        assert expected == "term-bound"
+        return
+    groups, worst = expected
+    assert product.block_terms == groups
+    assert product.reconstruction_error.hex() == worst.hex()
+
+
+def test_decompose_leak_tolerance_is_named_and_its_keyword_takes_effect():
+    setup = _qubit_oscillator(2)
+    w = np.eye(4, dtype=np.complex128)
+    for factor, tol, refused in ((1.5, None, True), (1.5, 2.0, False), (0.5, None, False), (0.5, 0.25, True)):
+        u = _givens(4, 0, 1, BLOCK_LEAK_TOL * factor) @ w
+        kwargs = {} if tol is None else {"block_tol": BLOCK_LEAK_TOL * tol}
+        if refused:
+            with pytest.raises(PreconditionError) as err:
+                decompose_channel_to_classical(u, setup, **kwargs)
+            assert err.value.code == "not-energy-preserving"
+        else:
+            decompose_channel_to_classical(u, setup, **kwargs)
+
+
+def test_round_trip_checks_once_per_call_whatever_the_block_count(monkeypatch):
+    original = linalg.unitarity_defect
+    shapes = []
+
+    def counting(mat):
+        shapes.append(np.shape(mat))
+        return original(mat)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thermohorn" and getattr(module, "unitarity_defect", None) is original:
+            monkeypatch.setattr(module, "unitarity_defect", counting)
+    rebuilt = []
+    reconstruction = thermal._reconstruction_errors
+
+    def recording(*args):
+        rebuilt.append(len(args[0]))
+        return reconstruction(*args)
+
+    monkeypatch.setattr(thermal, "_reconstruction_errors", recording)
+    rng = np.random.default_rng(12)
+    for setup in (_qubit_oscillator(2), *_synthesis_setups()):
+        p = rng.dirichlet(np.ones(setup.dim_a))
+        shapes.clear()
+        product = decompose_channel_to_classical(random_block_unitary(setup, rng), setup)
+        # The input once, and one reconstruction check covering every block.
+        assert shapes == [(setup.dim_joint, setup.dim_joint)]
+        assert rebuilt == [len(setup.blocks)]
+        shapes.clear()
+        rebuilt.clear()
+        synthesize_unitary(p, product, setup)
+        # One stacked check per size of rotated block, none of the joint unitary.
+        sizes = sorted({len(b) for b in setup.blocks if len(b) > 1})
+        stacks = [(sum(len(b) == n for b in setup.blocks), n, n) for n in sizes]
+        assert sorted(shapes, key=lambda shape: shape[1]) == stacks
+        assert len(setup.blocks) > len(shapes)
+        assert rebuilt == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.integers(min_value=0, max_value=3),
+    decomposed=st.booleans(),
+    zeros=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_mixed_joint_output_is_the_term_by_term_sum_to_the_bit(which, decomposed, zeros, seed):
+    setup = _synthesis_setups()[which]
+    rng = np.random.default_rng(seed)
+    if decomposed:
+        product = decompose_channel_to_classical(random_block_unitary(setup, rng), setup)
+    else:
+        groups = []
+        for block in setup.blocks:
+            weights = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+            groups.append(tuple((float(w), tuple(int(x) for x in rng.permutation(len(block)))) for w in weights))
+        product = ProductConvexCombination(setup.blocks, tuple(groups))
+    v = rng.dirichlet(np.ones(setup.dim_joint))
+    if zeros:
+        v[rng.permutation(setup.dim_joint)[: setup.dim_joint // 2]] = 0.0
+    assert bit_equal(product.mixed_joint_output(v), mixed_joint_reference(product, v))
+
+
+def test_hull_basis_reads_its_rank_off_its_one_svd(monkeypatch):
+    # The rows past the rank that np.linalg.matrix_rank (a second SVD) gives.
+    setups = [*_synthesis_setups()[:3], build_setup(zero_hamiltonian(3), zero_hamiltonian(2))]
+    hulls = [ClassicalHull(np.random.default_rng(k).dirichlet(np.ones(s.dim_a)), s) for k, s in enumerate(setups)]
+    expected = []
+    for hull in hulls:
+        separators = hull._members[hull._separators]
+        expected.append(np.linalg.svd(separators)[2][np.linalg.matrix_rank(separators) :])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second SVD")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    for hull, basis in zip(hulls, expected):
+        assert bit_equal(hull.basis, basis)
 
 
 def test_product_combination_expand_matches_factored_action():
