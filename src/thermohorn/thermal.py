@@ -660,21 +660,21 @@ def synthesize_unitary(
 
     u = np.zeros((setup.dim_joint, setup.dim_joint), dtype=np.complex128)
     rotated = []  # (block, rotation, lam, mu) of every block that is rotated
-    try:
-        for block in setup.blocks:
-            idx = np.asarray(block)
-            lam = v[idx]
-            mass = float(lam.sum())
-            if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
-                u[idx, idx] = 1.0  # the identity on the block
-                continue
-            lam, mu = lam / mass, mixed[idx] / mass
+    for block in setup.blocks:
+        idx = np.asarray(block)
+        lam = v[idx]
+        mass = float(lam.sum())
+        if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
+            u[idx, idx] = 1.0  # the identity on the block
+            continue
+        lam, mu = lam / mass, mixed[idx] / mass
+        try:
             rotation = _schur_horn_chain(lam, mu)
-            rotated.append((block, rotation, lam, mu))
-            u[idx[:, None], idx] = rotation
-    except RuntimeError:  # the chain's; an earlier block's failed check is reported first
-        _check_rotations(rotated)
-        raise
+        except RuntimeError:
+            _check_rotations(rotated)  # an earlier block's failed check is reported first
+            raise
+        rotated.append((block, rotation, lam, mu))
+        u[idx[:, None], idx] = rotation
     _check_rotations(rotated)
 
     gadget = None
