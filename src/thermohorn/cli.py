@@ -48,13 +48,12 @@ from .serialize import (
     realization_to_json,
 )
 from .thermal import (
-    ConvexCombination,
     ReachableSet,
+    _synthesize_witness,
     classical_reachable_set,
     decompose_channel_to_classical,
     hull_membership,
     realize_interior,
-    synthesize_unitary,
     thermal_decoherence_gadget,
 )
 
@@ -312,9 +311,7 @@ def _cmd_synthesize(argv) -> str:
         raise PreconditionError(
             "not-reachable", f"target sits {found.distance} outside the classical hull"
         )
-    perms = tuple(tuple(int(x) for x in rset.representatives[k]) for k in found.vertex_indices)
-    comb = ConvexCombination(found.combination.weights, perms)
-    unitary, gadget = synthesize_unitary(p, comb, setup)
+    unitary, gadget = _synthesize_witness(p, found, rset)
     return dump_json(
         {
             "U": matrix_to_json(unitary),

@@ -158,3 +158,39 @@ VANISHING_NORMAL_TOL = 1e-9
 #: The greedy walk stops at its vertex when no subset's sum rises by more
 #: than this along the move away from it.
 WALK_DIRECTION_TOL = 1e-12
+
+#: ``stochastic_matrix`` (its default) accepts columns summing to 1 within
+#: this.
+STOCHASTIC_COL_TOL = 1e-9
+
+#: ``stochastic_matrix`` (its default) clamps entries in ``[-this, 0)`` to 0
+#: and refuses anything more negative.
+STOCHASTIC_ENTRY_TOL = 1e-12
+
+#: Qubit Gibbs data are consistent when ``gamma_2 / gamma_1`` misses
+#: ``exp(-beta * delta_e)`` by at most this.
+GIBBS_RATIO_TOL = 1e-12
+
+#: ``d_alpha`` accepts ``alpha`` up to this outside ``[0, gamma_2/gamma_1]``
+#: (rounding of a computed endpoint) and clamps it into the range.
+ALPHA_RANGE_SLACK = 1e-12
+
+#: A bath summary's largest occupation may exceed 1 by this (rounding).
+OCCUPATION_SLACK = 1e-12
+
+#: A bath summary's free energy may exceed its lowest energy by this: it
+#: never does exactly, so a larger excess is refused as inconsistent.
+FREE_ENERGY_SLACK = 1e-9
+
+#: A bath summary and a qubit, or a temperature, describe one ensemble when
+#: their inverse temperatures agree to this (relative to ``max(1, beta)``
+#: for a qubit, as ``beta * T`` against 1 for a temperature).
+SUMMARY_BETA_TOL = 1e-9
+
+#: ``support_pattern_obstructs_unistochasticity`` (its default) counts an
+#: entry above this as part of the support.
+SUPPORT_ZERO_TOL = 1e-12
+
+#: ``max_output_rank_bound`` counts an output eigenvalue above this toward
+#: the rank; below it is rounding of a zero.
+OUTPUT_RANK_CUT = 1e-9

@@ -149,7 +149,14 @@ class Hamiltonian:
             (q, w): _prechecked(EnergyLabel, Fraction(q, labels.q_den), Fraction(w, labels.w_den))
             for q, w in dict.fromkeys(keys)
         }
-        ham = cls(tuple(map(exact.__getitem__, keys)), beta, base_quantum)
+        return cls._labelled(tuple(map(exact.__getitem__, keys)), labels, beta, base_quantum)
+
+    @classmethod
+    def _labelled(
+        cls, levels: tuple[EnergyLabel, ...], labels: _IntegerLabels, beta: float, base_quantum: float
+    ) -> Hamiltonian:
+        """The Hamiltonian with these levels, keeping ``labels``, the same levels as integers."""
+        ham = cls(levels, beta, base_quantum)
         ham.__dict__["_labels"] = labels  # the cached property's slot
         return ham
 

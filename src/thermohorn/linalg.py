@@ -63,19 +63,21 @@ def is_square(mat: ComplexMatrix) -> bool:
     return mat.ndim == 2 and mat.shape[0] == mat.shape[1]
 
 
-def unitarity_defect(mat: ComplexMatrix) -> float:
+def unitarity_defect(mat: ComplexMatrix) -> float | np.ndarray:
     """Max-norm of ``U† U − I``; 0 for an exact unitary.
 
-    For a stack of matrices, shape ``(k, n, n)``, the worst member's.
+    For a stack of matrices, shape ``(k, n, n)``, an array of the ``k``
+    members' defects, computed in one stacked product.
     """
     eye = np.eye(mat.shape[-1])
-    return float(np.max(np.abs(np.swapaxes(mat.conj(), -1, -2) @ mat - eye)))
+    defect = np.abs(np.swapaxes(mat.conj(), -1, -2) @ mat - eye).max(axis=(-2, -1))
+    return float(defect) if np.ndim(mat) == 2 else defect
 
 
 def require_unitary(mat: ComplexMatrix) -> None:
-    """Raise ``not-unitary`` unless ``mat`` is unitary to ``UNITARITY_TOL``."""
+    """Raise ``not-unitary`` unless ``mat`` is unitary to ``UNITARITY_TOL`` (a NaN defect is not)."""
     defect = unitarity_defect(mat)
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise PreconditionError("not-unitary", f"max-norm of U†U − I is {defect}")
 
 

@@ -13,7 +13,11 @@ conjugation carries one diagonal to another prescribed majorized diagonal
 (a chain of at most ``n - 1`` planar rotations), and
 :func:`birkhoff_decompose` peels a bistochastic matrix into a convex
 combination of permutations along a greedy chain of perfect matchings: one
-matching, repaired by an augmenting path for each entry a step zeroes.
+matching, repaired by an augmenting path for each entry a step zeroes. Each
+construction has one blockwise runner, :func:`_birkhoff_blocks` and
+:func:`_schur_horn_blocks`, that checks every fact once for a list of
+blocks: the two public functions are its one-block case, and
+:mod:`~thermohorn.thermal`'s decompose and synthesize its every-block case.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .config import (
     MIXTURE_WEIGHT_FLOOR,
     SCHUR_HORN_SETTLE_TOL,
     SCHUR_HORN_TOL,
+    STOCHASTIC_COL_TOL,
+    STOCHASTIC_ENTRY_TOL,
     THERMO_WITNESS_CHECK_FACTOR,
     THERMO_WITNESS_COL_TOL,
     THERMO_WITNESS_ENTRY_TOL,
@@ -47,7 +53,6 @@ from .linalg import (
     ProbabilityVector,
     RealMatrix,
     first_non_permutation,
-    hadamard_square,
     permutation_matrix,
     _prechecked,
     probability_vector,
@@ -68,7 +73,9 @@ __all__ = [
 StochasticMatrix = RealMatrix
 
 
-def stochastic_matrix(entries, *, col_tol: float = 1e-9, entry_tol: float = 1e-12) -> StochasticMatrix:
+def stochastic_matrix(
+    entries, *, col_tol: float = STOCHASTIC_COL_TOL, entry_tol: float = STOCHASTIC_ENTRY_TOL
+) -> StochasticMatrix:
     """Validate a column-stochastic matrix.
 
     Columns must sum to 1 within ``col_tol``; entries in ``[-entry_tol, 0)``
@@ -353,22 +360,6 @@ def _reconstruction_errors(groups, sizes, flat: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(miss, np.cumsum(sizes**2) - sizes**2)
 
 
-def _bistochastic_failure(mat: np.ndarray, require_bistochastic: bool) -> PreconditionError | None:
-    """The error that refuses ``mat`` as input to the Birkhoff chain, or None."""
-    if float(mat.min()) < -BISTOCHASTIC_ENTRY_TOL:
-        return PreconditionError("negative-entry", f"entry {mat.min()} is negative")
-    if require_bistochastic:
-        row_err = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
-        col_err = float(np.max(np.abs(mat.sum(axis=0) - 1.0)))
-        if max(row_err, col_err) > BISTOCHASTIC_SUM_TOL:
-            return PreconditionError(
-                "not-bistochastic",
-                f"row sums off by {row_err}, column sums off by {col_err} "
-                f"(tolerance {BISTOCHASTIC_SUM_TOL})",
-            )
-    return None
-
-
 def birkhoff_decompose(
     d, require_bistochastic: bool = True, *, zero_tol: float = BIRKHOFF_ZERO_TOL
 ) -> ConvexPermutationDecomposition:
@@ -389,34 +380,85 @@ def birkhoff_decompose(
     face holding the residual, which bounds the chain by ``(n-1)^2 + 1``
     terms (Marcus-Ree); a longer chain raises ``RuntimeError``.
 
-    Where each check lives: the input (square, no entry below
-    ``-BISTOCHASTIC_ENTRY_TOL``, sums within ``BISTOCHASTIC_SUM_TOL``) is
-    checked here, the matching, the left-behind residual and the term bound
-    inside the chain, and the reconstruction once, after it. Each
-    permutation is read off a perfect matching, so the result is built
-    without :class:`ConvexPermutationDecomposition`'s check of them.
-    :func:`~thermohorn.thermal.decompose_channel_to_classical` runs the same
-    chain on every energy block, with the same checks, each once per call.
+    Where each check lives: the shape here, the rest in
+    :func:`_birkhoff_blocks` on this one block (the input, then the chain's
+    matching, residual and term bound, then the reconstruction). Each
+    permutation is read off a perfect matching, so the result skips
+    :class:`ConvexPermutationDecomposition`'s check of them.
     """
     mat = np.asarray(d, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise PreconditionError("not-square", f"expected square matrix, got shape {mat.shape}")
-    refused = _bistochastic_failure(mat, require_bistochastic)
-    if refused is not None:
-        raise refused
-    n = mat.shape[0]
-    terms = _birkhoff_chain(mat, zero_tol)
-    err = float(_reconstruction_errors([terms], [n], mat.ravel())[0])
-    if err > DECOMPOSITION_TOL:
-        raise _reconstruction_failure(err)
-    # Each permutation was read off a perfect matching, so it is a bijection,
-    # and the weights are positive and normalized: nothing left to check.
-    return _prechecked(ConvexPermutationDecomposition, terms, err)
+    if not mat.size:
+        raise PreconditionError("empty-matrix", "input has no mass to decompose")
+    groups, err = _birkhoff_blocks(mat.ravel(), [mat.shape[0]], zero_tol, require_bistochastic)
+    return _prechecked(ConvexPermutationDecomposition, groups[0], err)
 
 
-def _reconstruction_failure(err: float) -> PreconditionError:
-    return PreconditionError(
-        "reconstruction-failure", f"residual mass left behind: reconstruction error {err}"
+def _birkhoff_blocks(flat: np.ndarray, sizes, zero_tol: float, require_bistochastic: bool):
+    """Birkhoff-decompose square blocks, each check once for all of them.
+
+    ``flat`` holds the blocks' matrices row-major, one after another,
+    ``sizes[k]`` rows for block ``k``. The input of every block is checked
+    at once: finite (``non-finite``), no entry below
+    ``-BISTOCHASTIC_ENTRY_TOL`` (``negative-entry``) and, if
+    ``require_bistochastic``, every row and column sum within
+    ``BISTOCHASTIC_SUM_TOL`` of 1 (``not-bistochastic``). Each block then
+    runs :func:`_birkhoff_chain`, and one sum checks every block's terms
+    against ``DECOMPOSITION_TOL`` (``reconstruction-failure``). A failure is
+    raised as :func:`birkhoff_decompose` raises it for the first block to
+    fail, that block alone: blocks after it are not decomposed, and a block
+    before it that misses its reconstruction is reported first. Every
+    comparison fails on NaN.
+
+    Returns each block's terms and the worst block's reconstruction error.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    offsets = np.cumsum(sizes**2) - sizes**2
+    refused, failure = _refused_input(flat, sizes, offsets, require_bistochastic)
+    groups = []
+    for start, n in zip(offsets[:refused].tolist(), sizes[:refused].tolist()):
+        try:
+            groups.append(_birkhoff_chain(flat[start : start + n * n].reshape(n, n), zero_tol))
+        except (PreconditionError, RuntimeError) as exc:
+            failure = exc  # raised once the blocks before it are checked
+            break
+    errors = _reconstruction_errors(groups, sizes[: len(groups)], flat)
+    held = errors <= DECOMPOSITION_TOL
+    if not held.all():
+        raise PreconditionError(
+            "reconstruction-failure",
+            f"residual mass left behind: reconstruction error {float(errors[held.argmin()])}",
+        )
+    if failure is not None:
+        raise failure
+    return groups, float(errors.max())
+
+
+def _refused_input(flat, sizes, offsets, require_bistochastic) -> tuple[int, PreconditionError | None]:
+    """The first block :func:`_birkhoff_blocks` refuses as input and its error, else ``len(sizes)``, None."""
+    lowest = np.minimum.reduceat(flat, offsets)
+    finite = np.logical_and.reduceat(np.isfinite(flat), offsets)
+    refused = ~finite | ~(lowest >= -BISTOCHASTIC_ENTRY_TOL)
+    if require_bistochastic:
+        first = np.cumsum(sizes) - sizes  # each block's first row (and column)
+        length = np.repeat(sizes, sizes)  # of each row
+        row_start = np.cumsum(length) - length  # in flat
+        col = np.arange(flat.size) - np.repeat(row_start - np.repeat(first, sizes), length)
+        row_err = np.maximum.reduceat(np.abs(np.add.reduceat(flat, row_start) - 1.0), first)
+        col_err = np.maximum.reduceat(np.abs(np.bincount(col, flat, length.size) - 1.0), first)
+        refused |= ~(np.maximum(row_err, col_err) <= BISTOCHASTIC_SUM_TOL)
+    if not refused.any():
+        return sizes.size, None
+    k = int(refused.argmax())
+    if not finite[k]:
+        return k, PreconditionError("non-finite", "matrix contains NaN or Inf entries")
+    if not lowest[k] >= -BISTOCHASTIC_ENTRY_TOL:
+        return k, PreconditionError("negative-entry", f"entry {lowest[k]} is negative")
+    return k, PreconditionError(
+        "not-bistochastic",
+        f"row sums off by {row_err[k]}, column sums off by {col_err[k]} "
+        f"(tolerance {BISTOCHASTIC_SUM_TOL})",
     )
 
 
@@ -497,20 +539,61 @@ def schur_horn_unitary(lam, mu) -> ComplexMatrix:
 
     Validates ``lam`` and ``mu`` as probability vectors of one size, with
     ``lam`` majorizing ``mu`` (``dimension-mismatch``,
-    ``majorization-failure`` naming the first failing prefix), runs the
-    rotation chain, and checks its result once: unitary to
-    ``UNITARITY_TOL`` (``not-unitary``) and carrying ``lam`` to ``mu``
-    within ``SCHUR_HORN_TOL`` (max-norm; a miss raises ``RuntimeError``).
-    Callers inside the package that have validated their inputs run the
-    chain themselves: :func:`~thermohorn.thermal.synthesize_unitary`
-    checks each block's result the same way, and
-    :func:`~thermohorn.noisy.horn_transition_unitary` leaves both checks to
-    :class:`~thermohorn.noisy.NoisyRealization`.
+    ``majorization-failure`` naming the first failing prefix), and hands
+    the pair to :func:`_schur_horn_blocks`, which runs the rotation chain
+    and checks its result once: unitary to ``UNITARITY_TOL``
+    (``not-unitary``) and carrying ``lam`` to ``mu`` within
+    ``SCHUR_HORN_TOL`` (max-norm; a miss raises ``RuntimeError``).
+    :func:`~thermohorn.noisy.horn_transition_unitary` runs the chain itself
+    and leaves both checks to :class:`~thermohorn.noisy.NoisyRealization`.
     """
-    lam, mu = _majorized_pair(lam, mu)
-    v = _schur_horn_chain(lam, mu)
-    _check_schur_horn(v, lam, mu)
-    return v
+    return _schur_horn_blocks([_majorized_pair(lam, mu)])[0]
+
+
+def _schur_horn_blocks(pairs, blocks=None) -> list[ComplexMatrix]:
+    """The Schur-Horn rotation of each validated ``(lam, mu)`` pair, checked once.
+
+    Each pair runs :func:`_schur_horn_chain`; then the rotations of one
+    size are checked in one stacked pass, per member: unitary to
+    ``UNITARITY_TOL`` and carrying ``lam`` to ``mu`` within
+    ``SCHUR_HORN_TOL`` (max-norm), each comparison failing on NaN. The
+    first pair to fail is reported as :func:`schur_horn_unitary` reports
+    it alone (``not-unitary``, or ``RuntimeError`` for a missed target); a
+    chain that raises is reported after any failing rotation before it, and
+    the pairs after it are not rotated. ``blocks``, when given, names each
+    pair's energy block: a rotation that is not unitary is then an internal
+    fault, a ``RuntimeError`` naming its block.
+    """
+    rotations = []
+    failure = None
+    for lam, mu in pairs:
+        try:
+            rotations.append(_schur_horn_chain(lam, mu))
+        except RuntimeError as exc:
+            failure = exc  # raised once the rotations before it are checked
+            break
+    by_size: dict[int, list[int]] = {}
+    for k, v in enumerate(rotations):
+        by_size.setdefault(len(v), []).append(k)
+    defects, misses = np.empty(len(rotations)), np.empty(len(rotations))
+    for members in by_size.values():
+        v = np.stack([rotations[k] for k in members])
+        lam, mu = (np.stack([pairs[k][side] for k in members]) for side in (0, 1))
+        defects[members] = unitarity_defect(v)
+        achieved = np.matmul(v.real**2 + v.imag**2, lam[..., None])[..., 0]
+        misses[members] = np.abs(achieved - mu).max(axis=1)
+    bad = np.flatnonzero(~((defects <= UNITARITY_TOL) & (misses <= SCHUR_HORN_TOL)))
+    if bad.size:
+        k = int(bad[0])
+        if not defects[k] <= UNITARITY_TOL:
+            exc = PreconditionError("not-unitary", f"max-norm of U†U − I is {float(defects[k])}")
+            if blocks is None:
+                raise exc
+            raise RuntimeError(f"rotation for block {blocks[k]} failed its check: {exc}") from exc
+        raise RuntimeError(f"rotation chain missed its target by {float(misses[k])}")
+    if failure is not None:
+        raise failure
+    return rotations
 
 
 def _majorized_pair(lam, mu) -> tuple[ProbabilityVector, ProbabilityVector]:
@@ -586,27 +669,6 @@ def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexM
     sort_m = np.zeros((n, n), dtype=np.complex128)
     sort_m[np.arange(n), idx_m] = 1.0
     return sort_m.conj().T @ core @ sort_l
-
-
-def _check_schur_horn(v: ComplexMatrix, lam: ProbabilityVector, mu: ProbabilityVector) -> None:
-    """Raise unless ``v`` is unitary (``UNITARITY_TOL``) and carries ``lam`` to ``mu`` (``SCHUR_HORN_TOL``)."""
-    achieved = hadamard_square(v) @ lam
-    err = float(np.max(np.abs(achieved - mu)))
-    if err > SCHUR_HORN_TOL:
-        raise RuntimeError(f"rotation chain missed its target by {err}")
-
-
-def _schur_horn_stack_holds(v: ComplexMatrix, lam: np.ndarray, mu: np.ndarray) -> bool:
-    """Whether every rotation of a stack passes :func:`_check_schur_horn`.
-
-    Each ``v[k]`` must be unitary to ``UNITARITY_TOL`` and carry ``lam[k]``
-    to ``mu[k]`` within ``SCHUR_HORN_TOL``; each check is one stacked
-    product, and names no failing member.
-    """
-    if unitarity_defect(v) > UNITARITY_TOL:
-        return False
-    achieved = np.matmul(v.real**2 + v.imag**2, lam[..., None])[..., 0]
-    return float(np.max(np.abs(achieved - mu))) <= SCHUR_HORN_TOL
 
 
 def random_bistochastic(n: int, rng: np.random.Generator, terms: int | None = None) -> RealMatrix:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MARGINAL_TOL, REALIZATION_TOL
+from .config import MARGINAL_TOL, OUTPUT_RANK_CUT, REALIZATION_TOL, SUPPORT_ZERO_TOL
 from .errors import PreconditionError
 from .linalg import (
     MAX_TOTAL_DIM,
@@ -319,7 +319,7 @@ def marginal_transition_unitary(
     return full
 
 
-def support_pattern_obstructs_unistochasticity(d, *, zero_tol: float = 1e-12) -> bool:
+def support_pattern_obstructs_unistochasticity(d, *, zero_tol: float = SUPPORT_ZERO_TOL) -> bool:
     """Certificate: some row pair shares exactly one support column.
 
     If rows ``i`` and ``k`` of a bistochastic ``D`` overlap in exactly one
@@ -362,9 +362,9 @@ def max_output_rank_bound(n: int, m: int, trials: int, *, seed: int = 0) -> int:
 
     Samples Haar unitaries on system ⊗ bath and Haar pure system states,
     computes ``Tr_B[U(|psi><psi| ⊗ I/m)U†]`` and counts eigenvalues above
-    1e-9. Each joint basis image has Schmidt rank at most ``m``, and the
-    mixture runs over ``m`` bath states, so ``m²`` bounds the rank; any
-    sample violating the bound raises.
+    ``OUTPUT_RANK_CUT``. Each joint basis image has Schmidt rank at most
+    ``m``, and the mixture runs over ``m`` bath states, so ``m²`` bounds the
+    rank; any sample violating the bound raises.
     """
     if trials < 1:
         raise PreconditionError("bad-trials", f"need trials >= 1, got {trials}")
@@ -377,7 +377,7 @@ def max_output_rank_bound(n: int, m: int, trials: int, *, seed: int = 0) -> int:
         amps /= np.linalg.norm(amps)
         psi = np.outer(amps, amps.conj())
         out = apply_channel(u, psi, bath)
-        rank = int(np.sum(np.linalg.eigvalsh(out) > 1e-9))
+        rank = int(np.sum(np.linalg.eigvalsh(out) > OUTPUT_RANK_CUT))
         if rank > m * m:
             raise RuntimeError(
                 f"sampled output rank {rank} exceeds the proven ceiling {m * m}"

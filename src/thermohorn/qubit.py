@@ -32,6 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import (
+    ALPHA_RANGE_SLACK,
+    FREE_ENERGY_SLACK,
+    GIBBS_RATIO_TOL,
+    OCCUPATION_SLACK,
+    SUMMARY_BETA_TOL,
+)
 from .energy import EnergyLabel, Hamiltonian, oscillator_hamiltonian
 from .errors import PreconditionError
 from .linalg import ProbabilityVector, probability_vector
@@ -76,7 +83,7 @@ class QubitGibbs:
             )
         ratio = gamma[1] / gamma[0]
         expected = math.exp(-self.beta * self.delta_e)
-        if abs(ratio - expected) > 1e-12:
+        if abs(ratio - expected) > GIBBS_RATIO_TOL:
             raise PreconditionError(
                 "bad-gibbs",
                 f"gamma_2/gamma_1 = {ratio} does not match exp(-beta*dE) = {expected}",
@@ -106,7 +113,7 @@ def d_alpha(alpha: float, qg: QubitGibbs) -> StochasticMatrix:
     completely; the maximal ``alpha = gamma_2/gamma_1`` produces ``p*``.
     """
     x = qg.boltzmann_ratio
-    if not (-1e-12 <= alpha <= x + 1e-12):
+    if not (-ALPHA_RANGE_SLACK <= alpha <= x + ALPHA_RANGE_SLACK):
         raise PreconditionError(
             "alpha-out-of-range", f"need 0 <= alpha <= gamma_2/gamma_1 = {x}, got {alpha}"
         )
@@ -176,9 +183,9 @@ class BathSpectrumSummary:
         # gamma_max may underflow to exactly 0.0 for very cold or very tall
         # baths; the extraction bound then degrades to the trivial ceiling,
         # which is still valid, so 0.0 is allowed here.
-        if not 0.0 <= self.gamma_max <= 1.0 + 1e-12:
+        if not 0.0 <= self.gamma_max <= 1.0 + OCCUPATION_SLACK:
             raise PreconditionError("bad-occupation", f"gamma_max {self.gamma_max} outside [0, 1]")
-        if self.free_energy > self.e_min + 1e-9:
+        if self.free_energy > self.e_min + FREE_ENERGY_SLACK:
             raise PreconditionError(
                 "bad-free-energy", f"free energy {self.free_energy} exceeds E_min {self.e_min}"
             )
@@ -233,7 +240,7 @@ def alpha_bound_general(summary: BathSpectrumSummary, qg: QubitGibbs) -> tuple[f
     ``p*`` value ``exp(-beta dE)`` for every finite bath, which is why ``p*``
     is never reached exactly. Tight iff closure and monotonicity both hold.
     """
-    if abs(summary.beta - qg.beta) > 1e-9 * max(1.0, qg.beta):
+    if abs(summary.beta - qg.beta) > SUMMARY_BETA_TOL * max(1.0, qg.beta):
         raise PreconditionError(
             "mismatched-ensembles",
             f"summary built at beta {summary.beta}, qubit at beta {qg.beta}",
@@ -284,7 +291,7 @@ def third_law_bounds(temperature: float, delta_e: float, summary: BathSpectrumSu
         raise PreconditionError("bad-temperature", f"need T > 0, got {temperature}")
     if not (math.isfinite(delta_e) and delta_e > 0):
         raise PreconditionError("bad-gap", f"need delta_e > 0, got {delta_e}")
-    if abs(summary.beta * temperature - 1.0) > 1e-9:
+    if abs(summary.beta * temperature - 1.0) > SUMMARY_BETA_TOL:
         raise PreconditionError(
             "mismatched-ensembles",
             f"summary built at beta {summary.beta}, inconsistent with T {temperature}",

@@ -33,17 +33,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import (
     BIRKHOFF_ZERO_TOL,
-    BISTOCHASTIC_ENTRY_TOL,
-    BISTOCHASTIC_SUM_TOL,
     BLOCK_LEAK_TOL,
-    DECOMPOSITION_TOL,
     DEDUP_TOL,
     EMPTY_BLOCK_MASS,
     ENUMERATION_CAP,
@@ -75,15 +72,10 @@ from .linalg import (
     require_unitary,
 )
 from .majorization import (
-    _birkhoff_chain,
-    _bistochastic_failure,
-    _check_schur_horn,
+    _birkhoff_blocks,
     _check_thermo_shapes,
     _lorenz_dominates,
-    _reconstruction_errors,
-    _reconstruction_failure,
-    _schur_horn_chain,
-    _schur_horn_stack_holds,
+    _schur_horn_blocks,
     _term_entries,
 )
 from .noisy import NoisyRealization, haar_unitary
@@ -623,26 +615,32 @@ def synthesize_unitary(
     the coherences that survive inside degenerate eigenspaces; otherwise the
     gadget slot is None and the channel output is already diagonal.
 
-    Each fact is checked once per call: ``p`` on entry, the mixture's
-    permutations in one block-respecting check over all of them
-    (``not-block-respecting``), and the rotations after every block's is
-    built, all blocks of one size in one stacked check: unitary to
-    ``UNITARITY_TOL`` and carrying each block's input to its mixed diagonal
-    within ``SCHUR_HORN_TOL``. A failed check is traced to its first block,
-    which is reported as the block-by-block check reported it; no product of
-    the ``dim_joint``-square unitary is formed. The majorization inside a
-    block holds by construction and is not checked beforehand; a mixture
-    that breaks it (weights that do not sum to 1, say) fails the rotation or
-    its check with ``RuntimeError``.
+    Each fact is checked once per call: ``p`` on entry; a
+    :class:`ConvexCombination`'s items as permutations of the joint basis
+    (``not-a-permutation``) that respect the blocks
+    (``not-block-respecting``); and every block's rotation by
+    :func:`~thermohorn.majorization._schur_horn_blocks`, which reports a
+    rotation that is not unitary as a ``RuntimeError`` naming its block.
+    The mixed diagonal is :meth:`ProductConvexCombination.mixed_joint_output`,
+    a :class:`ConvexCombination` being its one-block case. The
+    majorization inside a block holds by construction and is not checked
+    beforehand; a mixture that breaks it (weights that do not sum to 1,
+    say) fails the rotation or its check with ``RuntimeError``.
     """
     v = setup.joint_input(p)
+    n = setup.dim_joint
     if isinstance(target, ProductConvexCombination):
         if target.blocks != setup.blocks:
             raise PreconditionError(
                 "block-mismatch", "product combination was built for different blocks"
             )
-        mixed = target.mixed_joint_output(v)
     else:
+        bad = first_non_permutation(target.items, n)
+        if bad is not None:
+            raise PreconditionError(
+                "not-a-permutation",
+                f"{target.items[bad]} is not a bijection on 0..{n - 1}",
+            )
         perms = np.asarray(target.items)
         block_of = setup.block_of()
         respecting = (block_of[perms] == block_of).all(axis=1)
@@ -652,56 +650,31 @@ def synthesize_unitary(
                 "not-block-respecting",
                 f"permutation {tuple(int(x) for x in bad)} moves weight across energy blocks",
             )
-        mixed = np.zeros_like(v)
-        for w, arr in zip(target.weights, perms):
-            shuffled = np.zeros_like(v)
-            shuffled[arr] = v
-            mixed += w * shuffled
+        # The mixture as a product combination with one block, the whole joint space.
+        terms = tuple(zip(target.weights, target.items))
+        target = _prechecked(ProductConvexCombination, (tuple(range(n)),), (terms,), None)
+    mixed = target.mixed_joint_output(v)
 
-    u = np.zeros((setup.dim_joint, setup.dim_joint), dtype=np.complex128)
-    rotated = []  # (block, rotation, lam, mu) of every block that is rotated
+    u = np.zeros((n, n), dtype=np.complex128)
+    blocks, pairs = [], []  # every block that is rotated, and its (lam, mu)
     for block in setup.blocks:
         idx = np.asarray(block)
         lam = v[idx]
         mass = float(lam.sum())
         if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
             u[idx, idx] = 1.0  # the identity on the block
-            continue
-        lam, mu = lam / mass, mixed[idx] / mass
-        try:
-            rotation = _schur_horn_chain(lam, mu)
-        except RuntimeError:
-            _check_rotations(rotated)  # an earlier block's failed check is reported first
-            raise
-        rotated.append((block, rotation, lam, mu))
+        else:
+            blocks.append(block)
+            pairs.append((lam / mass, mixed[idx] / mass))
+    for block, rotation in zip(blocks, _schur_horn_blocks(pairs, blocks)):
+        idx = np.asarray(block)
         u[idx[:, None], idx] = rotation
-    _check_rotations(rotated)
 
     gadget = None
     degenerate = _degenerate_index_set(setup.ham_a)
     if degenerate:
         gadget = thermal_decoherence_gadget(setup.ham_a, degenerate)
     return u, gadget
-
-
-def _check_rotations(rotated: list[tuple[tuple[int, ...], ComplexMatrix, np.ndarray, np.ndarray]]):
-    """Check every ``(block, rotation, lam, mu)`` once, the blocks of one size in one stack.
-
-    Raises for the first block whose rotation is not unitary to
-    ``UNITARITY_TOL`` or misses ``mu`` by more than ``SCHUR_HORN_TOL``, with
-    the error :func:`~thermohorn.majorization._check_schur_horn` gives it
-    alone (``RuntimeError`` either way).
-    """
-    by_size: dict[int, list] = {}
-    for block, rotation, lam, mu in rotated:
-        by_size.setdefault(len(block), []).append((rotation, lam, mu))
-    if all(_schur_horn_stack_holds(*map(np.stack, zip(*group))) for group in by_size.values()):
-        return
-    for block, rotation, lam, mu in rotated:
-        try:
-            _check_schur_horn(rotation, lam, mu)
-        except PreconditionError as exc:  # not unitary
-            raise RuntimeError(f"rotation for block {block} failed its check: {exc}") from exc
 
 
 def _degenerate_index_set(ham_a: Hamiltonian) -> tuple[int, ...]:
@@ -727,16 +700,15 @@ def decompose_channel_to_classical(
     exactly (to float). Off-block leakage above ``block_tol`` is rejected.
 
     Each check runs once per call, over all blocks: ``u`` unitary to
-    ``UNITARITY_TOL``, the leak, the blocks' squared moduli as
-    :func:`~thermohorn.majorization.birkhoff_decompose` checks its input
-    (after the two checks before, their sums lie far inside
-    ``BISTOCHASTIC_SUM_TOL``), and one reconstruction check of every
-    block's terms against ``DECOMPOSITION_TOL``. Each block runs the
-    Birkhoff chain (a one-slot block is its one term); a failure is
-    reported as the first block to fail would have reported it, decomposed
-    one after another. The result keeps the worst block's reconstruction
-    error; its permutations, each a Birkhoff chain's, are not checked again
-    by :class:`ProductConvexCombination`.
+    ``UNITARITY_TOL`` (a NaN defect is not), the leak, and then
+    :func:`~thermohorn.majorization._birkhoff_blocks` on the blocks' squared
+    moduli: :func:`~thermohorn.majorization.birkhoff_decompose`'s input
+    check, one Birkhoff chain per block (a one-slot block is its one term)
+    and one reconstruction check of every block's terms against
+    ``DECOMPOSITION_TOL``, a failure reported as ``birkhoff_decompose``
+    reports it for the first block to fail. The result keeps the worst
+    block's reconstruction error; its permutations, each a Birkhoff
+    chain's, are not checked again by :class:`ProductConvexCombination`.
     """
     u = np.asarray(u, dtype=np.complex128)
     require_unitary(u)
@@ -745,40 +717,11 @@ def decompose_channel_to_classical(
         raise PreconditionError(
             "not-energy-preserving", f"off-block mass {leak} exceeds {block_tol}"
         )
-    sizes = np.array(setup.block_sizes())
-    offsets = np.cumsum(sizes**2) - sizes**2
     rows, cols = setup._block_entries
-    sub = u[rows, cols]
-    squares = sub.real**2 + sub.imag**2  # each block's matrix, row-major, one after another
-    matrices = [squares[o : o + n * n].reshape(n, n) for o, n in zip(offsets, sizes.tolist())]
-    # birkhoff_decompose's input check on every block at once; a flagged
-    # block is refused as birkhoff_decompose refuses it, and the blocks after
-    # it are not decomposed.
-    row_miss = np.abs(np.bincount(rows, squares, setup.dim_joint) - 1.0)[rows]
-    col_miss = np.abs(np.bincount(cols, squares, setup.dim_joint) - 1.0)[cols]
-    flagged = (np.minimum.reduceat(squares, offsets) < -BISTOCHASTIC_ENTRY_TOL) | (
-        np.maximum.reduceat(np.maximum(row_miss, col_miss), offsets) > BISTOCHASTIC_SUM_TOL
+    sub = u[rows, cols]  # each block's entries, row-major, one block after another
+    groups, worst = _birkhoff_blocks(
+        sub.real**2 + sub.imag**2, setup.block_sizes(), BIRKHOFF_ZERO_TOL, True
     )
-    failure = None
-    for k in np.flatnonzero(flagged).tolist():
-        failure = _bistochastic_failure(matrices[k], True)
-        if failure is not None:
-            matrices = matrices[:k]
-            break
-    groups = []
-    for mat in matrices:
-        try:
-            groups.append(_birkhoff_chain(mat, BIRKHOFF_ZERO_TOL))
-        except (PreconditionError, RuntimeError) as exc:
-            failure = exc  # raised once the blocks before it are checked
-            break
-    errors = _reconstruction_errors(groups, sizes[: len(groups)], squares)
-    missed = np.flatnonzero(errors > DECOMPOSITION_TOL)
-    if missed.size:
-        raise _reconstruction_failure(float(errors[missed[0]]))
-    if failure is not None:
-        raise failure
-    worst = max([0.0, *errors.tolist()])  # as a running max over the blocks, NaN included
     # Each block's terms come from a Birkhoff chain: nothing left to check.
     return _prechecked(ProductConvexCombination, setup.blocks, tuple(groups), worst)
 
@@ -856,27 +799,24 @@ def _membership(p_prime: ProbabilityVector, rset: ReachableSet, tol: float) -> M
     return MembershipResult(status, dist, comb, tuple(verts[k] for k in keep))
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-                    a.denominator * b.denominator)
-
-
 def _bath_family(ham_a: Hamiltonian, family: str, budget: int):
     """Yield bath Hamiltonians of increasing dimension, starting trivial.
 
-    Each copies bath is the previous one times one more copy of the system:
-    its integer labels are the previous bath's joined with the system's
-    (:func:`~thermohorn.energy._joint_labels`, the keys ``build_setup``
-    groups on), and it keeps them, so neither its blocks nor its Gibbs
-    vector form a ``Fraction`` per level. Each oscillator bath is the
-    previous one plus one level.
+    Each bath is built on integer labels over the system's denominators and
+    keeps them (the keys ``build_setup`` groups on), so neither its blocks
+    nor its Gibbs vector form a ``Fraction`` per level. Each copies bath is
+    the previous one times one more copy of the system: its labels are the
+    previous bath's joined with the system's
+    (:func:`~thermohorn.energy._joint_labels`). Each oscillator bath is the
+    previous one plus one level, spaced by the gcd of the system's integer
+    quanta differences.
     """
-    beta, quantum = ham_a.beta, ham_a.base_quantum
+    beta, quantum, system = ham_a.beta, ham_a.base_quantum, ham_a._labels
     if family == "copies":
         labels = _IntegerLabels(1, 1, [0], [1])
         while len(labels.quanta) <= budget:
             yield Hamiltonian._from_labels(labels, beta, quantum)
-            labels = _joint_labels(labels, ham_a._labels)
+            labels = _joint_labels(labels, system)
         return
     if family == "oscillator":
         if any(lv.weight_factor != 1 for lv in ham_a.levels):
@@ -884,23 +824,17 @@ def _bath_family(ham_a: Hamiltonian, family: str, budget: int):
                 "bad-bath-family",
                 "oscillator family needs pure quantum-multiple system levels",
             )
-        gaps = sorted(
-            {
-                abs(l2.quantum_mult - l1.quantum_mult)
-                for l1 in ham_a.levels
-                for l2 in ham_a.levels
-                if l2.quantum_mult != l1.quantum_mult
-            }
-        )
-        if not gaps:
+        spacing = math.gcd(*(q - system.quanta[0] for q in system.quanta))
+        if not spacing:
             raise PreconditionError(
                 "bad-bath-family", "oscillator family needs a non-degenerate system spectrum"
             )
-        spacing = reduce(_fraction_gcd, gaps)
         levels: tuple[EnergyLabel, ...] = ()
-        for m in range(budget):
-            levels += (EnergyLabel(spacing * m),)
-            yield Hamiltonian(levels, beta, quantum)
+        for m in range(1, budget + 1):
+            # The previous bath's levels plus one: one new EnergyLabel per bath, not per level.
+            levels += (EnergyLabel(Fraction(spacing * (m - 1), system.q_den)),)
+            labels = _IntegerLabels(system.q_den, 1, [spacing * k for k in range(m)], [1] * m)
+            yield Hamiltonian._labelled(levels, labels, beta, quantum)
         return
     raise PreconditionError("bad-bath-family", f"unknown bath family {family!r}")
 
@@ -958,13 +892,15 @@ def realize_interior(
         found = _membership(p_prime, rset, tol)
         if found.classification == "exterior":
             continue
-        perms = tuple(
-            tuple(int(x) for x in rset.representatives[k]) for k in found.vertex_indices
-        )
-        comb = ConvexCombination(found.combination.weights, perms)
-        unitary, gadget = synthesize_unitary(p, comb, setup)
-        return setup, unitary, gadget
+        return (setup, *_synthesize_witness(p, found, rset))
     return None
+
+
+def _synthesize_witness(p, found: MembershipResult, rset: ReachableSet):
+    """:func:`synthesize_unitary` for ``found``'s witness, each vertex read as its representative."""
+    perms = tuple(tuple(int(x) for x in rset.representatives[k]) for k in found.vertex_indices)
+    comb = ConvexCombination(found.combination.weights, perms)
+    return synthesize_unitary(p, comb, rset.setup)
 
 
 def random_block_unitary(setup: ThermalSetup, rng: np.random.Generator) -> ComplexMatrix:

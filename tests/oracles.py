@@ -29,6 +29,7 @@ term-by-term sum.
 
 import itertools
 import math
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +37,8 @@ import scipy.spatial
 from scipy.optimize import linprog
 
 from thermohorn import (
+    EnergyLabel,
+    Hamiltonian,
     PreconditionError,
     birkhoff_decompose,
     build_setup,
@@ -614,3 +617,22 @@ def mixed_joint_reference(product, v):
             acc += w * shuffled
         out[idx] = acc
     return out
+
+
+def oscillator_bath_reference(ham_a, m):
+    """The ``m``-level oscillator bath as ``Fraction`` labels: spacing the gcd of every system gap.
+
+    The gcd of two fractions ``a`` and ``b`` is ``gcd(a.num * b.den,
+    b.num * a.den) / (a.den * b.den)``; the bath's levels are
+    ``EnergyLabel(spacing * k)`` for ``k < m``.
+    """
+    quanta = [lv.quantum_mult for lv in ham_a.levels]
+    gaps = sorted({abs(a - b) for a in quanta for b in quanta if a != b})
+    spacing = gaps[0]
+    for gap in gaps[1:]:
+        spacing = Fraction(
+            math.gcd(spacing.numerator * gap.denominator, gap.numerator * spacing.denominator),
+            spacing.denominator * gap.denominator,
+        )
+    levels = tuple(EnergyLabel(spacing * k) for k in range(m))
+    return Hamiltonian(levels, ham_a.beta, ham_a.base_quantum)

@@ -25,7 +25,7 @@ from thermohorn import (
 from thermohorn import energy
 from thermohorn.thermal import _bath_family
 
-from oracles import bit_equal, gibbs_reference, label_blocks
+from oracles import bit_equal, gibbs_reference, label_blocks, oscillator_bath_reference
 
 
 def test_energy_label_addition_is_exact():
@@ -272,6 +272,35 @@ def test_copies_baths_extend_integer_labels_as_label_sums(ham_a):
         assert bit_equal(setup.gibbs_b(), reference.gibbs_b())
         levels = tuple(a + b for a in levels for b in ham_a.levels)
     assert len(baths) == 1 + int(math.log(81, ham_a.dim) + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "ham_a",
+    [
+        qubit_hamiltonian(beta=math.log(2.0)),
+        qubit_hamiltonian(0.7, Fraction(1, 2)),
+        Hamiltonian((EnergyLabel(0), EnergyLabel("2/3"), EnergyLabel(2)), 0.8),
+        Hamiltonian((EnergyLabel("1/2"), EnergyLabel("3/2"), EnergyLabel("7/2")), 0.9, 1.5),
+        Hamiltonian((EnergyLabel("1/3"), EnergyLabel("1/2"), EnergyLabel("5/6")), 1.1),
+    ],
+    ids=["qubit", "half-quantum", "two-thirds", "offset-halves", "sixths"],
+)
+def test_oscillator_baths_on_integer_labels_match_the_fraction_gcd_ladder(ham_a):
+    # Each oscillator bath is built on the system's integer labels, spaced
+    # by the gcd of their differences: the levels, the Gibbs vector (to the
+    # bit) and the blocks of the ladder spaced by the gcd of the Fraction
+    # gaps. "offset-halves" keeps the system's denominator 2 for a spacing
+    # of 1, over which the bath's own labels would need no denominator.
+    baths = list(_bath_family(ham_a, "oscillator", 12))
+    assert [ham_b.dim for ham_b in baths] == list(range(1, 13))
+    for m, ham_b in enumerate(baths, start=1):
+        reference = oscillator_bath_reference(ham_a, m)
+        assert ham_b.levels == reference.levels
+        assert bit_equal(gibbs_vector(ham_b), gibbs_vector(reference))
+        assert bit_equal(gibbs_vector(ham_b), gibbs_reference(reference))
+        setup, expected = build_setup(ham_a, ham_b), build_setup(ham_a, reference)
+        assert setup.blocks == expected.blocks == label_blocks(ham_a, reference)
+        assert bit_equal(setup.gibbs_b(), expected.gibbs_b())
 
 
 def test_copies_baths_keep_the_near_tie_warnings():

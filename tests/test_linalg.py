@@ -19,7 +19,7 @@ from thermohorn import (
     tensor,
     unitarity_defect,
 )
-from thermohorn.linalg import first_non_permutation
+from thermohorn.linalg import first_non_permutation, require_unitary
 
 
 def _haar(dim, rng):
@@ -156,6 +156,20 @@ def test_diag_embedding_and_unitarity_defect():
     assert np.allclose(diag_embedding(np.array([0.9, 0.1])), np.diag([0.9, 0.1]))
     assert unitarity_defect(np.eye(5, dtype=complex)) == 0.0
     assert unitarity_defect(2 * np.eye(2, dtype=complex)) == pytest.approx(3.0)
+    # A stack gives one defect per member, each as the member alone gives it.
+    stack = np.stack([np.eye(2), 2 * np.eye(2), _haar(2, np.random.default_rng(1))]).astype(complex)
+    assert unitarity_defect(stack).tolist() == [unitarity_defect(member) for member in stack]
+
+
+def test_require_unitary_refuses_a_nan_defect():
+    # NaN > UNITARITY_TOL is false: the check is written so that NaN fails it.
+    u = np.eye(4, dtype=complex)
+    u[0, 1] = np.nan
+    assert np.isnan(unitarity_defect(u))
+    for check in (require_unitary, hadamard_square):
+        with pytest.raises(PreconditionError) as err:
+            check(u)
+        assert err.value.code == "not-unitary"
 
 
 @settings(max_examples=200, deadline=None)

@@ -462,7 +462,9 @@ def test_schur_horn_matches_the_reference_chain_bit_for_bit(n, kind, seed):
 
 def test_schur_horn_checks_its_inputs_and_result_once(monkeypatch):
     calls = []
-    for module, name in ((majorization, "probability_vector"), (linalg, "unitarity_defect")):
+    # The result is checked by the blockwise runner in majorization, which
+    # calls unitarity_defect once, on a stack of one rotation.
+    for module, name in ((majorization, "probability_vector"), (majorization, "unitarity_defect")):
         original = getattr(module, name)
 
         def counting(*args, original=original, name=name, **kwargs):
@@ -503,3 +505,65 @@ def test_birkhoff_chain_and_its_blocks_skip_the_permutation_check(monkeypatch):
             call()
         assert err.value.code == code
     assert checked == [1, 1]
+
+
+def test_birkhoff_refuses_an_empty_matrix():
+    with pytest.raises(PreconditionError) as err:
+        birkhoff_decompose(np.zeros((0, 0)))
+    assert err.value.code == "empty-matrix"
+
+
+@pytest.mark.parametrize("require_bistochastic", [True, False])
+def test_birkhoff_refuses_a_nan_entry_as_non_finite(require_bistochastic):
+    # NaN fails every comparison the input check makes, so it was read as
+    # outside the support and the chain refused the rest as matching-failure.
+    d = np.full((3, 3), 1 / 3)
+    d[1, 2] = np.nan
+    with pytest.raises(PreconditionError) as err:
+        birkhoff_decompose(d, require_bistochastic)
+    assert err.value.code == "non-finite"
+
+
+def test_schur_horn_refuses_a_nan_rotation(monkeypatch):
+    lam, mu = [0.6, 0.3, 0.1], [0.4, 0.35, 0.25]
+    monkeypatch.setattr(majorization, "_schur_horn_chain", lambda a, b: np.full((3, 3), np.nan + 0j))
+    with pytest.raises(PreconditionError) as err:
+        schur_horn_unitary(lam, mu)
+    assert err.value.code == "not-unitary"
+
+
+def test_schur_horn_blocks_report_the_first_pair_to_fail(monkeypatch):
+    # Pairs of sizes 2, 3, 2, 3: the stacks are checked by size, yet the
+    # first failing pair in order is reported, with its own error, and a
+    # chain that raises comes after the failing checks before it.
+    rng = np.random.default_rng(8)
+    pairs = []
+    for n in (2, 3, 2, 3):
+        lam = rng.dirichlet(np.ones(n))
+        pairs.append((lam, random_bistochastic(n, rng) @ lam))
+    chain = majorization._schur_horn_chain
+    rotations = majorization._schur_horn_blocks(pairs)
+    for (lam, mu), v in zip(pairs, rotations):
+        assert bit_equal(v, chain(lam, mu))
+
+    def faulty(faults):
+        def run(lam, mu):
+            k = next(k for k, pair in enumerate(pairs) if pair[0] is lam)
+            fault = faults.get(k)
+            if fault == "raise":
+                raise RuntimeError("rotation chain lost its pairing invariant")
+            v = chain(lam, mu)
+            return v * (1 + 1e-6) if fault == "scaled" else v[::-1] if fault == "flipped" else v
+        return run
+
+    for faults, blocks, error, message in (
+        ({1: "scaled", 2: "flipped"}, None, PreconditionError, "not-unitary"),
+        ({1: "flipped", 2: "scaled"}, None, RuntimeError, "missed its target"),
+        ({3: "flipped", 1: "scaled"}, None, PreconditionError, "not-unitary"),
+        ({3: "scaled"}, "abcd", RuntimeError, "rotation for block d failed its check: not-unitary"),
+        ({2: "raise", 1: "scaled"}, "abcd", RuntimeError, "rotation for block b"),
+        ({2: "raise", 3: "scaled"}, "abcd", RuntimeError, "pairing invariant"),
+    ):
+        monkeypatch.setattr(majorization, "_schur_horn_chain", faulty(faults))
+        with pytest.raises(error, match=message):
+            majorization._schur_horn_blocks(pairs, blocks)

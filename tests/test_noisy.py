@@ -118,6 +118,14 @@ def test_horn_rejects_a_rotation_that_is_not_unitary(monkeypatch):
     assert excinfo.value.code == "not-unitary"
 
 
+def test_realization_refuses_a_unitary_with_a_nan_entry():
+    u = np.eye(4, dtype=complex)
+    u[0, 1] = np.nan
+    with pytest.raises(PreconditionError) as excinfo:
+        NoisyRealization(2, 2, u)
+    assert excinfo.value.code == "not-unitary"
+
+
 def test_factored_realization_rejects_bad_shift_data():
     for kwargs, code in (
         (dict(unitary=np.eye(4)), "conflicting-unitary"),

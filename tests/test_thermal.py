@@ -37,7 +37,7 @@ from thermohorn import (
     weight_hamiltonian,
     zero_hamiltonian,
 )
-from thermohorn import linalg, thermal
+from thermohorn import linalg, majorization
 from thermohorn.config import BIRKHOFF_ZERO_TOL, BLOCK_LEAK_TOL, DEDUP_TOL, HULL_LEVEL_CAP
 from thermohorn.linalg import permutation_matrix, probability_vector
 from thermohorn.energy import EnergyLabel, _block_class_targets, _multiset_permutations
@@ -323,6 +323,37 @@ def test_synthesize_rejects_block_crossing_permutation():
         synthesize_unitary(np.array([0.5, 0.5]), ConvexCombination((1.0,), (crossing,)), setup)
 
 
+def test_synthesize_refuses_items_that_are_not_joint_permutations():
+    # A repeated image used to fail inside the rotation chain, and an item of
+    # another length inside numpy; both are refused up front.
+    setup = _qubit_oscillator(2)
+    p = np.array([0.5, 0.5])
+    for items in (((0, 0, 2, 3),), ((0, 1, 2, 3), (0, 1, 2))):
+        comb = ConvexCombination((1.0,) if len(items) == 1 else (0.5, 0.5), items)
+        with pytest.raises(PreconditionError) as err:
+            synthesize_unitary(p, comb, setup)
+        assert err.value.code == "not-a-permutation"
+        assert str(items[-1]) in err.value.detail
+
+
+def test_synthesize_names_the_block_whose_rotation_is_not_unitary(monkeypatch):
+    setup, p = _two_copy_preset()
+    product = decompose_channel_to_classical(random_block_unitary(setup, np.random.default_rng(5)), setup)
+    rotated = [b for b in setup.blocks if len(b) > 1]
+    chain = majorization._schur_horn_chain
+    calls = []
+
+    def nan_in_second(lam, mu):
+        calls.append(1)
+        v = chain(lam, mu)
+        return v * np.nan if len(calls) == 2 else v
+
+    monkeypatch.setattr(majorization, "_schur_horn_chain", nan_in_second)
+    with pytest.raises(RuntimeError) as err:
+        synthesize_unitary(p, product, setup)
+    assert str(err.value).startswith(f"rotation for block {rotated[1]} failed its check: not-unitary")
+
+
 def test_synthesize_adds_gadget_for_degenerate_system():
     beta = 1.0
     ham_a = Hamiltonian((EnergyLabel(0), EnergyLabel(0), EnergyLabel(1)), beta, 1.0)
@@ -355,6 +386,17 @@ def test_decompose_rejects_block_leakage():
     with pytest.raises(PreconditionError) as err:
         decompose_channel_to_classical(u, setup)
     assert err.value.code == "not-energy-preserving"
+
+
+def test_decompose_refuses_a_unitary_with_a_nan_entry():
+    # One block, the identity but for a NaN: its defect is NaN, which used to
+    # pass the unitarity check and decompose as the identity.
+    setup = build_setup(zero_hamiltonian(2), zero_hamiltonian(2))
+    u = np.eye(4, dtype=complex)
+    u[0, 1] = np.nan
+    with pytest.raises(PreconditionError) as err:
+        decompose_channel_to_classical(u, setup)
+    assert err.value.code == "not-unitary"
 
 
 def test_decompose_synthesize_round_trip():
@@ -530,13 +572,14 @@ def test_round_trip_checks_once_per_call_whatever_the_block_count(monkeypatch):
         if name.split(".")[0] == "thermohorn" and getattr(module, "unitarity_defect", None) is original:
             monkeypatch.setattr(module, "unitarity_defect", counting)
     rebuilt = []
-    reconstruction = thermal._reconstruction_errors
+    reconstruction = majorization._reconstruction_errors
 
     def recording(*args):
         rebuilt.append(len(args[0]))
         return reconstruction(*args)
 
-    monkeypatch.setattr(thermal, "_reconstruction_errors", recording)
+    # The reconstruction check lives in majorization's blockwise Birkhoff runner.
+    monkeypatch.setattr(majorization, "_reconstruction_errors", recording)
     rng = np.random.default_rng(12)
     for setup in (_qubit_oscillator(2), *_synthesis_setups()):
         p = rng.dirichlet(np.ones(setup.dim_a))
