@@ -18,6 +18,7 @@ import numpy as np
 from .config import DECOMPOSITION_TOL, ENUMERATION_CAP, MEMBERSHIP_TOL
 from .energy import Hamiltonian, ThermalSetup, build_setup, weight_hamiltonian
 from .errors import PreconditionError
+from .geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
 from .majorization import majorizes, thermomajorizes
 from .noisy import (
     horn_transition_unitary,
@@ -48,12 +49,14 @@ from .serialize import (
     realization_to_json,
 )
 from .thermal import (
+    ConvexCombination,
+    MembershipResult,
     ReachableSet,
-    _synthesize_witness,
     classical_reachable_set,
     decompose_channel_to_classical,
     hull_membership,
     realize_interior,
+    synthesize_unitary,
     thermal_decoherence_gadget,
 )
 
@@ -289,6 +292,13 @@ def _achieved_marginal(unitary, setup: ThermalSetup, p) -> list[float]:
     return _real_list(mixed.reshape(setup.dim_a, setup.dim_b).sum(axis=1))
 
 
+def _synthesize_witness(p, found: MembershipResult, rset: ReachableSet):
+    """:func:`synthesize_unitary` for ``found``'s witness, each vertex read as its representative."""
+    perms = tuple(tuple(int(x) for x in rset.representatives[k]) for k in found.vertex_indices)
+    comb = ConvexCombination(found.combination.weights, perms)
+    return synthesize_unitary(p, comb, rset.setup)
+
+
 def _cmd_synthesize(argv) -> str:
     parser = _parser(
         "synthesize",
@@ -381,11 +391,11 @@ def _cmd_membership(argv) -> str:
         "distance: for exterior targets the max-norm residual of the best convex "
         "combination (LP); for the rest the Euclidean margin of the target's "
         "projection onto the hull's affine span to the nearest hull facet, "
-        "interior when above 1e-9, else boundary with distance 0. weights: a "
-        "convex witness over hull vertices; when the projection lies inside the "
-        "facets, a greedy walk mixing at most rank+1 of them, and only otherwise "
-        "the LP's; terms below 1e-9 are dropped when the rest still rebuilds the "
-        "target within --tol.",
+        f"interior when above {INTERIOR_MARGIN:g}, else boundary with distance 0. "
+        "weights: a convex witness over hull vertices; when the projection lies "
+        "inside the facets, a greedy walk mixing at most rank+1 of them, and only "
+        f"otherwise the LP's; terms below {WITNESS_PRUNE_TOL:g} are dropped when "
+        "the rest still rebuilds the target within --tol.",
     )
     parser.add_argument("--ham-a", required=True)
     parser.add_argument("--ham-b", required=True)

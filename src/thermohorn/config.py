@@ -138,6 +138,10 @@ MIXTURE_NORM_TOL = 1e-9
 #: Two reachable-set points closer than this in max-norm are one point.
 DEDUP_TOL = 1e-10
 
+#: Reachable-set points are deduplicated and sorted on the grid of this
+#: many decimals, ``DEDUP_TOL``'s spacing.
+DEDUP_DECIMALS = 10
+
 #: The reachable-set listing refuses a block step forming more candidate
 #: outputs than this; the brute-force enumeration, more permutations.
 ENUMERATION_CAP = 10**6

@@ -22,6 +22,7 @@ blocks: the two public functions are its one-block case, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -435,18 +436,33 @@ def _birkhoff_blocks(flat: np.ndarray, sizes, zero_tol: float, require_bistochas
     return groups, float(errors.max())
 
 
+@functools.lru_cache(maxsize=16)
+def _sum_indices(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where row and column sums start, square blocks laid out as in ``_birkhoff_blocks``.
+
+    Each block's first row (and column), each row's start in the layout, and
+    each entry's column, all counted over every block; built once per
+    ``sizes`` and never written to.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    first = np.cumsum(sizes) - sizes
+    length = np.repeat(sizes, sizes)  # of each row
+    row_start = np.cumsum(length) - length
+    col = np.arange(int(length.sum())) - np.repeat(row_start - np.repeat(first, sizes), length)
+    for index in (first, row_start, col):
+        index.flags.writeable = False
+    return first, row_start, col
+
+
 def _refused_input(flat, sizes, offsets, require_bistochastic) -> tuple[int, PreconditionError | None]:
     """The first block :func:`_birkhoff_blocks` refuses as input and its error, else ``len(sizes)``, None."""
     lowest = np.minimum.reduceat(flat, offsets)
     finite = np.logical_and.reduceat(np.isfinite(flat), offsets)
     refused = ~finite | ~(lowest >= -BISTOCHASTIC_ENTRY_TOL)
     if require_bistochastic:
-        first = np.cumsum(sizes) - sizes  # each block's first row (and column)
-        length = np.repeat(sizes, sizes)  # of each row
-        row_start = np.cumsum(length) - length  # in flat
-        col = np.arange(flat.size) - np.repeat(row_start - np.repeat(first, sizes), length)
+        first, row_start, col = _sum_indices(tuple(sizes.tolist()))
         row_err = np.maximum.reduceat(np.abs(np.add.reduceat(flat, row_start) - 1.0), first)
-        col_err = np.maximum.reduceat(np.abs(np.bincount(col, flat, length.size) - 1.0), first)
+        col_err = np.maximum.reduceat(np.abs(np.bincount(col, flat, row_start.size) - 1.0), first)
         refused |= ~(np.maximum(row_err, col_err) <= BISTOCHASTIC_SUM_TOL)
     if not refused.any():
         return sizes.size, None

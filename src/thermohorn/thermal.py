@@ -20,11 +20,12 @@ block unitaries fills in exactly the convex hull:
   form (expanding the product is exponential and almost never needed);
 * *membership / realize*: classification against the hull's facets (an LP
   only for a target they do not place inside), and a search over growing
-  bath families for a finite-bath realization of a thermomajorized target,
-  deciding every bath from ``F`` alone by its exact max-norm distance
-  (:meth:`ClassicalHull.distance`): no LP, and no vertex list for any bath
-  but the one that holds the target. The states are validated once, on
-  entry; the baths' hulls and the verdict read the validated arrays.
+  bath families for a finite-bath realization of a thermomajorized target
+  that builds every bath from ``F`` alone: its exact max-norm distance
+  (:meth:`ClassicalHull.distance`) decides the bath, and a greedy walk over
+  orders builds the witness. realize never lists vertices and never loads
+  scipy. The states are validated once, on entry; the baths' hulls and the
+  witness read the validated arrays.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 from .config import (
     BIRKHOFF_ZERO_TOL,
     BLOCK_LEAK_TOL,
+    DEDUP_DECIMALS,
     DEDUP_TOL,
     EMPTY_BLOCK_MASS,
     ENUMERATION_CAP,
@@ -252,10 +254,10 @@ class ReachableSet:
 
     ``representatives[k]`` is an energy-preserving permutation producing
     ``points[k]``. :func:`classical_reachable_set` lists every distinct
-    output, sorted lexicographically on the 1e-10 dedup grid, so equal
-    inputs give byte-equal outputs; :func:`realize_interior` lists only the
-    hull's vertices. ``polytope`` is the hull membership queries read, its
-    vertices at ``hull_vertex_indices``.
+    output, sorted lexicographically on the ``DEDUP_DECIMALS`` grid, so
+    equal inputs give byte-equal outputs; :func:`realize_interior` builds
+    none. ``polytope`` is the hull membership queries read, its vertices at
+    ``hull_vertex_indices``.
     """
 
     points: np.ndarray  # (count, dim_a)
@@ -284,14 +286,13 @@ def _marginal_outputs(
 
 def _first_distinct(points: np.ndarray) -> np.ndarray:
     """Ascending indices of each point's first occurrence on the dedup grid."""
-    _, keep = np.unique(np.round(points, 10), axis=0, return_index=True)
+    _, keep = np.unique(np.round(points, DEDUP_DECIMALS), axis=0, return_index=True)
     return np.sort(keep)
 
 
 class _GreedyVertices(NamedTuple):
     vertices: np.ndarray
     vertex_indices: tuple[int, ...]
-    orders: np.ndarray
     vertex_of: dict[tuple[int, ...], int]  # every order -> the index of its vertex
 
 
@@ -310,10 +311,10 @@ class ClassicalHull:
     Built for at most ``HULL_LEVEL_CAP`` levels. Construction tabulates only
     ``table[S]``, ``F`` of every bit mask ``S`` (per-block sorted prefix
     sums), which is all :meth:`distance` reads. The rest is built on first
-    use: ``vertices``, the distinct greedy vectors of all ``n!`` orders,
-    ``orders[k]`` the first order giving ``vertices[k]`` (given ``points``,
-    a listing of every output, each vertex is the listed point within
-    ``DEDUP_TOL`` of its greedy vector, at ``vertex_indices``); the affine
+    use: ``vertices``, the distinct greedy vectors of all ``n!`` orders
+    (given ``points``, a listing of every output, each vertex is the listed
+    point within ``DEDUP_TOL`` of its greedy vector, at ``vertex_indices``),
+    and which vertex each order gives; the affine
     span, ``origin`` (the first vertex) plus ``rank`` orthonormal ``basis``
     rows orthogonal to every separator's indicator (``F(S) + F(N∖S) =
     F(N)``); and the facets ``normals @ (y - origin) <= offsets``, one per
@@ -348,6 +349,7 @@ class ClassicalHull:
         masks = np.arange(1 << n)
         self._members = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
         self.table = self._subset_table(v)
+        self._vectors: dict[tuple[int, ...], np.ndarray] = {}  # greedy vector of each order walked
 
     def _subset_table(self, v: np.ndarray) -> np.ndarray:
         """``F`` of every subset: per block, the sum of its ``k`` largest entries."""
@@ -389,7 +391,7 @@ class ClassicalHull:
         gains = np.diff(self.table[prefixes], axis=1, prepend=0.0)
         greedy = np.zeros(all_orders.shape)
         np.put_along_axis(greedy, all_orders, gains, axis=1)
-        rounded = np.round(greedy, 10)  # the dedup grid
+        rounded = np.round(greedy, DEDUP_DECIMALS)
         _, first, inverse = np.unique(rounded, axis=0, return_index=True, return_inverse=True)
         if points is None:
             by_first = np.argsort(first)
@@ -405,9 +407,8 @@ class ClassicalHull:
             vertex_of_order = position.ravel()[inverse.ravel()]
             vertices = points[listed]
             vertex_indices = tuple(int(k) for k in listed)
-        orders = all_orders[np.unique(vertex_of_order, return_index=True)[1]]
         vertex_of = dict(zip(map(tuple, all_orders.tolist()), vertex_of_order.tolist()))
-        return _GreedyVertices(vertices, vertex_indices, orders, vertex_of)
+        return _GreedyVertices(vertices, vertex_indices, vertex_of)
 
     @cached_property
     def _greedy(self) -> _GreedyVertices:
@@ -420,10 +421,6 @@ class ClassicalHull:
     @cached_property
     def vertex_indices(self) -> tuple[int, ...]:
         return self._greedy.vertex_indices
-
-    @cached_property
-    def orders(self) -> np.ndarray:
-        return self._greedy.orders
 
     @cached_property
     def origin(self) -> np.ndarray:
@@ -471,47 +468,86 @@ class ClassicalHull:
         return float((self.normals @ (target - self.origin) - self.offsets).max(initial=-np.inf))
 
     def witness(self, target: np.ndarray) -> np.ndarray:
-        """Weights over ``vertices``, at most ``rank + 1`` nonzero, rebuilding the projected target.
+        """Weights over ``vertices``, at most ``rank + 1`` nonzero, rebuilding the projected target."""
+        x = self.origin + self._projector @ (np.asarray(target, dtype=np.float64) - self.origin)
+        weights = np.zeros(len(self.vertices))
+        for weight, order, _ in self._walk(x):
+            weights[self._greedy.vertex_of[order]] += weight
+        return weights
 
-        A Carathéodory walk from the target's projection ``x``: the greedy
-        vertex ``g`` of a maximal chain of tight sets lies on the least face
-        holding ``x``; moving from ``g`` through ``x`` until a new set is
-        tight splits ``x`` between ``g`` and a point on a smaller face, at
-        most ``rank`` times, or until no set's sum rises by more than
+    def _walk(self, x: np.ndarray) -> list[tuple[float, tuple[int, ...], np.ndarray]]:
+        """``(weight, order, greedy vector)`` terms, at most ``rank + 1``, mixing to ``x``.
+
+        A Carathéodory walk from ``x`` in the hull: the greedy vertex ``g``
+        of a maximal chain of tight sets lies on the least face holding
+        ``x``; moving from ``g`` through ``x`` until a new set is tight
+        splits ``x`` between ``g`` and a point on a smaller face, at most
+        ``rank`` times, or until no set's sum rises by more than
         ``WALK_DIRECTION_TOL``. Slacks and rises at a point holding mass
         ``m`` are weighed by ``m``, as its rounding grows by ``1/m``.
         """
-        x = self.origin + self._projector @ (np.asarray(target, dtype=np.float64) - self.origin)
         slack = self.table - self._members @ x
-        weights = np.zeros(len(self.vertices))
+        terms = []
         remaining = 1.0
         for _ in range(self.rank):
-            k = self._chain_vertex(slack * remaining)
-            direction = x - self.vertices[k]
+            order, vertex = self._chain(slack * remaining)
+            direction = x - vertex
             rise = self._members @ direction
             limits = rise * remaining > WALK_DIRECTION_TOL
             if not limits.any():
                 break
             t = float((slack[limits].clip(0.0) / rise[limits]).min())
-            weights[k] += remaining * t / (1.0 + t)
+            terms.append((remaining * t / (1.0 + t), order, vertex))
             remaining /= 1.0 + t
             x = x + t * direction
             slack = slack - t * rise
         else:
-            k = self._chain_vertex(slack * remaining)
-        weights[k] += remaining
-        return weights
+            order, vertex = self._chain(slack * remaining)
+        terms.append((remaining, order, vertex))
+        return terms
 
-    def _chain_vertex(self, slack: np.ndarray) -> int:
-        """Greedy vertex of a maximal chain of tight sets: separators, slack <= SEPARATOR_TOL."""
-        tight = (slack <= SEPARATOR_TOL) | self._separators
+    def _chain(self, slack: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """Order of a maximal chain of tight sets, and its greedy vector.
+
+        Tight: the separators, and every set with slack <= SEPARATOR_TOL. The
+        vector is read off ``table`` along the order's prefixes, once per
+        order the hull's walks reach.
+        """
+        tight = ((slack <= SEPARATOR_TOL) | self._separators).tolist()
         chain = 0
         order = []
         for mask in self._by_size:
             if tight[mask] and mask & chain == chain and mask != chain:
                 order += self._levels_of[mask & ~chain]
                 chain = mask
-        return self._greedy.vertex_of[tuple(order)]
+        order = tuple(order)
+        if order not in self._vectors:
+            vertex, prefix = np.empty(len(order)), 0
+            for a in order:
+                vertex[a] = self.table[prefix | 1 << a] - self.table[prefix]
+                prefix |= 1 << a
+            self._vectors[order] = vertex
+        return order, self._vectors[order]
+
+    def _saturate(self, q: np.ndarray, d: float) -> np.ndarray:
+        """A point of the hull within max-norm ``d`` of ``q``, for ``d = distance(q)``.
+
+        From ``q - d`` each level in turn rises by ``2d`` or by the least
+        slack of a set holding it, whichever is less. ``q - d`` keeps every
+        ``y(S) <= F(S)``, and the saturation ends at ``y(N) = F(N)`` because
+        the box of half-width ``d`` meets the hull (Fujishige, *Submodular
+        Functions and Optimization*, 2nd ed., 2005, §3). ``d = 0``: ``q``.
+        """
+        if d == 0:
+            return q
+        y = q - d
+        slack = self.table - self._members @ y
+        for a in range(self.setup.dim_a):
+            holding = self._members[:, a] > 0
+            rise = min(2 * d, float(slack[holding].min()))
+            y[a] += rise
+            slack[holding] -= rise
+        return y
 
     @cached_property
     def _by_size(self) -> list[int]:
@@ -530,11 +566,6 @@ class ClassicalHull:
         images = np.empty(self.setup.dim_joint, dtype=np.int64)
         images[self._heaviest] = slots
         return images
-
-    @cached_property
-    def permutations(self) -> np.ndarray:
-        """``permutation(orders[k])`` for every vertex, one per row."""
-        return np.array([self.permutation(order) for order in self.orders], dtype=np.int64)
 
 
 def classical_reachable_set(
@@ -581,7 +612,7 @@ def classical_reachable_set(
         state = parent[state]
     raw = _marginal_outputs(reps, v, dim_a, dim_b)
     keep = _first_distinct(raw)
-    order = keep[np.lexsort(np.round(raw[keep], 10).T[::-1])]
+    order = keep[np.lexsort(np.round(raw[keep], DEDUP_DECIMALS).T[::-1])]
     points = raw[order]
     hull = ClassicalHull._of_joint(setup, v, points)
     return ReachableSet(points, hull.vertex_indices, setup, p, reps[order], hull)
@@ -773,6 +804,8 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) ->
     min-slack LP for every other target, whose max-norm residual is the
     ``distance`` of an exterior one. Witness terms below
     ``geometry.WITNESS_PRUNE_TOL`` go when the rest still rebuilds the target.
+    :func:`realize_interior` does not come here: it decides its baths from
+    ``F`` and walks to its witness, with no vertex list and no LP.
     """
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
@@ -782,11 +815,6 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) ->
             "dimension-mismatch",
             f"target dim {p_prime.size} does not match system dim {rset.setup.dim_a}",
         )
-    return _membership(p_prime, rset, tol)
-
-
-def _membership(p_prime: ProbabilityVector, rset: ReachableSet, tol: float) -> MembershipResult:
-    """:func:`hull_membership` of a target and tolerance its caller has validated."""
     verts = rset.hull_vertex_indices
     status, dist, weights = classify_membership(p_prime, rset.polytope, tol)
     if weights is None:
@@ -858,19 +886,22 @@ def realize_interior(
     Bath families: ``copies`` walks k-fold tensor powers of the system
     Hamiltonian, ``oscillator`` walks equally spaced truncations with the
     gcd of the system gaps as spacing; both start at the trivial
-    one-dimensional bath and stop at dimension ``budget``. Each bath is
-    decided from its :class:`ClassicalHull`'s ``F`` table alone: one whose
-    exact max-norm :meth:`~ClassicalHull.distance` exceeds ``tol`` is
-    skipped, with no vertex list and no LP. Only a bath within ``tol``
-    builds its vertices and goes to :func:`hull_membership`, whose verdict
-    decides. Returns ``(setup, unitary, gadget)`` for the first bath whose hull holds
-    the target, and None when no bath of the family up to ``budget`` does
-    — which proves nothing about larger baths.
+    one-dimensional bath and stop at dimension ``budget``. Every bath is
+    built from its :class:`ClassicalHull`'s ``F`` table alone, with no
+    vertex list and no LP: one whose exact max-norm
+    :meth:`~ClassicalHull.distance` ``d`` exceeds ``tol`` is skipped; for
+    the rest, :meth:`~ClassicalHull._saturate` moves the target into the
+    hull within ``d`` and :meth:`~ClassicalHull._walk` mixes at most rank+1
+    greedy orders there. A witness that misses the target by more than
+    ``tol`` (rounding) skips the bath too. Returns ``(setup, unitary,
+    gadget)`` for the first bath whose hull holds the target, and None
+    when no bath of the family up to ``budget`` does — which proves nothing
+    about larger baths.
 
     ``p`` and ``p_prime`` are validated once, on entry, with their sizes;
-    the pre-check, every bath's hull and the membership verdict read the
-    validated arrays. The unitary is :func:`synthesize_unitary`'s, checked
-    block by block.
+    the pre-check, every bath's hull and the witness read the validated
+    arrays. The unitary is :func:`synthesize_unitary`'s for the orders'
+    beta-ordering permutations, checked block by block.
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
@@ -886,21 +917,15 @@ def realize_interior(
     for ham_b in _bath_family(ham_a, bath_family, budget):
         setup = build_setup(ham_a, ham_b)
         hull = ClassicalHull._of_joint(setup, setup._joint(p))
-        if hull.distance(p_prime) > tol:
+        d = hull.distance(p_prime)
+        if d > tol:
             continue
-        rset = ReachableSet(hull.vertices, hull.vertex_indices, setup, p, hull.permutations, hull)
-        found = _membership(p_prime, rset, tol)
-        if found.classification == "exterior":
-            continue
-        return (setup, *_synthesize_witness(p, found, rset))
+        weights, orders, vertices = zip(*hull._walk(hull._saturate(p_prime, d)))
+        if np.abs(np.array(weights) @ np.array(vertices) - p_prime).max() > tol:
+            continue  # rounding carried the witness past tol
+        perms = tuple(tuple(hull.permutation(order).tolist()) for order in orders)
+        return (setup, *synthesize_unitary(p, ConvexCombination(weights, perms), setup))
     return None
-
-
-def _synthesize_witness(p, found: MembershipResult, rset: ReachableSet):
-    """:func:`synthesize_unitary` for ``found``'s witness, each vertex read as its representative."""
-    perms = tuple(tuple(int(x) for x in rset.representatives[k]) for k in found.vertex_indices)
-    comb = ConvexCombination(found.combination.weights, perms)
-    return synthesize_unitary(p, comb, rset.setup)
 
 
 def random_block_unitary(setup: ThermalSetup, rng: np.random.Generator) -> ComplexMatrix:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from thermohorn import alpha_max_oscillator, d_alpha, qubit_gibbs
+from thermohorn import cli
 from thermohorn.cli import main
 from thermohorn.config import DECOMPOSITION_TOL
+from thermohorn.geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
 from thermohorn.serialize import format_float, realization_from_json
 
 LN2 = math.log(2.0)
@@ -406,6 +408,17 @@ def test_realize_matches_its_goldens(capsys):
         assert out == golden["stdout"], key
 
 
+def test_membership_help_prints_its_tolerances_from_their_names(capsys, monkeypatch):
+    for margin, prune in ((INTERIOR_MARGIN, WITNESS_PRUNE_TOL), (3.5e-7, 2.5e-6)):
+        monkeypatch.setattr(cli, "INTERIOR_MARGIN", margin)
+        monkeypatch.setattr(cli, "WITNESS_PRUNE_TOL", prune)
+        code, out = _run(capsys, "membership", "--help")
+        text = " ".join(out.split())
+        assert code == 0
+        assert f"interior when above {margin:g}," in text
+        assert f"terms below {prune:g} are dropped" in text
+
+
 def test_import_and_help_load_neither_sympy_nor_scipy_stats():
     probe = (
         "import sys, contextlib, io\n"
@@ -421,13 +434,15 @@ def test_import_and_help_load_neither_sympy_nor_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
-def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
+def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
     # One interpreter runs the commands in turn and lists, after each, the
     # deferred scipy packages loaded so far. Every hull comes in closed form,
     # so no subcommand loads scipy.spatial. A thermomajorize that prints
     # false, a realize, and a synthesize or membership target the facets
     # place inside solve no LP; the exterior membership target, last, does,
-    # and scipy.optimize imports scipy.spatial itself.
+    # and scipy.optimize imports scipy.spatial itself. realize-band's target
+    # lies 5e-9 (max-norm) outside the one-copy hull, within tol: it is
+    # realized on that two-level bath by saturation and the walk, no LP.
     qutrit = ("--ham-a", OSC3, "--ham-b", OSC3, "--p", "0.5,0.3,0.2")
     steps = [
         ("import", None),
@@ -440,6 +455,7 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
         ("thermomajorize-false", ["thermomajorize", "--p", "2/3,1/3", "--q", "1/2,1/2", "--gamma", "2/3,1/3"]),
         ("realize-qubit", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", "0.6,0.4"]),
         ("realize-qutrit", ["realize", "--ham-a", OSC3, "--p", "1,0,0", "--target", "0.7,0.2,0.1"]),
+        ("realize-band", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", f"{2 / 3 - 5e-9!r},{1 / 3 + 5e-9!r}"]),
         ("fig4", ["fig4", "--preset", "paper", "--format", "csv"]),
         ("reachable-qutrit", ["reachable", *qutrit]),
         ("synthesize-qutrit", ["synthesize", *qutrit, "--target", "0.53,0.3,0.17"]),
@@ -462,6 +478,8 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull():
     loaded = dict(json.loads(line) for line in out.stdout.splitlines())
     lp = ["scipy.optimize", "scipy.spatial"]
     assert loaded == {name: [] for name, _ in steps[:-1]} | {"membership-exterior": lp}
+    code, out = _run(capsys, *dict(steps)["realize-band"])
+    assert code == 0 and len(json.loads(out)["bath"]["levels"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -37,8 +37,14 @@ from thermohorn import (
     weight_hamiltonian,
     zero_hamiltonian,
 )
-from thermohorn import linalg, majorization
-from thermohorn.config import BIRKHOFF_ZERO_TOL, BLOCK_LEAK_TOL, DEDUP_TOL, HULL_LEVEL_CAP
+from thermohorn import linalg, majorization, thermal
+from thermohorn.config import (
+    BIRKHOFF_ZERO_TOL,
+    BLOCK_LEAK_TOL,
+    DEDUP_TOL,
+    HULL_LEVEL_CAP,
+    SEPARATOR_TOL,
+)
 from thermohorn.linalg import permutation_matrix, probability_vector
 from thermohorn.energy import EnergyLabel, _block_class_targets, _multiset_permutations
 from thermohorn.geometry import (
@@ -48,7 +54,7 @@ from thermohorn.geometry import (
     linprog,
     min_slack_combination,
 )
-from thermohorn.thermal import ClassicalHull
+from thermohorn.thermal import ClassicalHull, _bath_family
 
 from oracles import (
     Polytope,
@@ -162,15 +168,20 @@ def test_listing_matches_exhaustive_reference(case):
 def test_greedy_hull_is_the_listing_hull(case):
     # Each listing vertex must be a greedy vertex of the closed-form hull,
     # built without the listing, and no greedy vertex may lie outside the
-    # listing hull; each greedy permutation reproduces its vertex.
+    # listing hull; the walk from a greedy vertex rebuilds it, and each of
+    # its orders' greedy permutations reproduces that order's vector.
     setup, p = case
     listing = classical_reachable_set(p, setup)
     greedy = ClassicalHull(p, setup)
     for vertex in listing.hull_vertices():
         assert np.abs(greedy.vertices - vertex).max(axis=1).min() < 1e-12
-    for point, perm in zip(greedy.vertices, greedy.permutations):
+    for point in greedy.vertices:
         assert hull_membership(point, listing).classification != "exterior"
-        assert np.abs(_classical_marginal(setup, perm, p) - point).max() < 1e-12
+        terms = greedy._walk(point)
+        assert np.abs(sum(w * vector for w, _, vector in terms) - point).max() < 1e-12
+        for _, order, vector in terms:
+            output = _classical_marginal(setup, greedy.permutation(order), p)
+            assert np.abs(output - vector).max() < 1e-12
 
 
 #: Systems of up to four levels, against baths of up to four levels or of one.
@@ -210,8 +221,8 @@ def test_classical_hull_margins_match_the_qhull_oracle(case, seed):
 @given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
 def test_classical_hull_walk_mixes_at_most_rank_plus_one_greedy_permutations(case, seed):
     # Built without the listing: each walk witness has at most rank+1 terms
-    # and rebuilds its target, and each term's greedy permutation
-    # reproduces its vertex.
+    # and rebuilds its target, and each order the walk takes gives a greedy
+    # permutation that reproduces the vertex the order maps to.
     setup, p = case
     hull = ClassicalHull(p, setup)
     for target in _hull_targets(hull.vertices, np.random.default_rng(seed)):
@@ -219,9 +230,9 @@ def test_classical_hull_walk_mixes_at_most_rank_plus_one_greedy_permutations(cas
         assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) < 1e-12
         assert np.count_nonzero(weights) <= hull.rank + 1
         assert np.abs(weights @ hull.vertices - target).max() <= 1e-8
-        for k in np.flatnonzero(weights):
-            output = _classical_marginal(setup, hull.permutation(hull.orders[k]), p)
-            assert np.abs(output - hull.vertices[k]).max() < 1e-12
+        for _, order, _ in hull._walk(target):
+            output = _classical_marginal(setup, hull.permutation(order), p)
+            assert np.abs(output - hull.vertices[hull._greedy.vertex_of[order]]).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -903,9 +914,9 @@ def test_realize_search_solves_no_lp_and_finds_the_reference_bath():
 
 def test_realize_builds_vertices_only_for_the_bath_it_returns():
     # Every bath is built as a ClassicalHull (each tabulates its F table),
-    # but only one whose distance is within tol lists its greedy vertices; in
-    # these searches that is the bath returned, after up to five baths
-    # decided from F alone.
+    # and none lists its greedy vertices, goes to classify_membership or
+    # builds a ReachableSet: the bath returned walks to its witness from F,
+    # after up to five baths decided from F alone.
     tried = []
     for p, ham_a, target, family, budget in _realize_search_cases():
         with (
@@ -913,11 +924,65 @@ def test_realize_builds_vertices_only_for_the_bath_it_returns():
                               side_effect=ClassicalHull._tabulate) as built,
             mock.patch.object(ClassicalHull, "_pick_vertices", autospec=True,
                               side_effect=ClassicalHull._pick_vertices) as listed,
+            mock.patch.object(thermal, "classify_membership",
+                              side_effect=thermal.classify_membership) as classified,
+            mock.patch.object(thermal, "ReachableSet", side_effect=thermal.ReachableSet) as sets,
+            _counting_lps() as lp,
         ):
             assert realize_interior(p, ham_a, target, family, budget) is not None
-        assert listed.call_count == 1
+        assert listed.call_count == classified.call_count == sets.call_count == lp.call_count == 0
         tried.append(built.call_count)
     assert max(tried) >= 6
+
+
+def _band_targets(hull, rng, tol):
+    """Greedy vertices pushed off the hull to a known F distance in (0, tol].
+
+    A greedy vertex ``g`` fills some level ``a`` to ``F({a})``. Moving a mass
+    ``s`` into ``a`` from the other levels, in proportion to their entries,
+    puts ``{a}`` ``s`` past its bound while ``g`` stays within ``s``: the
+    distance is ``s``.
+    """
+    singles = hull.table[1 << np.arange(hull.setup.dim_a)]
+    targets = []
+    for g in hull.vertices:
+        a = int(np.argmin(singles - g))
+        rest = g.sum() - g[a]
+        if rest <= 0.0:
+            continue
+        s = rng.uniform(0.01, 0.99) * min(tol, rest)
+        off = np.where(np.arange(g.size) == a, 0.0, g) / rest
+        targets.append((g + s * (np.eye(g.size)[a] - off), s))
+    return targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
+def test_band_targets_saturate_into_the_hull_and_realize_within_tol(case, seed):
+    # Targets outside the hull but within tol of it: saturation lands in the
+    # base polytope within d of the target, the walk from there mixes at most
+    # rank+1 greedy vectors that rebuild the target within tol, and the bath
+    # search on the system's copies delivers the target within tol.
+    setup, p = case
+    rng = np.random.default_rng(seed)
+    tol = 1e-8
+    hull = ClassicalHull(p, setup)
+    for q, s in _band_targets(hull, rng, tol):
+        d = hull.distance(q)
+        assert 0.0 < d <= tol and abs(d - s) <= 1e-15
+        y = hull._saturate(q, d)
+        assert (hull._members @ y - hull.table).max() <= SEPARATOR_TOL
+        assert abs(y.sum() - hull.table[-1]) <= SEPARATOR_TOL
+        assert np.abs(y - q).max() <= d + 1e-15
+        terms = hull._walk(y)
+        assert len(terms) <= hull.rank + 1
+        assert np.abs(sum(w * vector for w, _, vector in terms) - q).max() <= tol
+    ham_a = setup.ham_a
+    one_copy = build_setup(ham_a, list(_bath_family(ham_a, "copies", ham_a.dim))[-1])
+    for q, _ in _band_targets(ClassicalHull(p, one_copy), rng, tol):
+        found, u, _ = realize_interior(p, ham_a, q, "copies", ham_a.dim, tol=tol)
+        achieved = (np.abs(u) ** 2 @ found.joint_input(p)).reshape(found.dim_a, -1).sum(axis=1)
+        assert np.abs(achieved - q).max() <= tol
 
 
 def test_realize_stops_at_a_bath_that_holds_the_target_within_tol():
