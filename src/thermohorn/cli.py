@@ -286,10 +286,10 @@ def _cmd_reachable(argv) -> str:
     return _reachable_csv(rset) if args.format == "csv" else _reachable_json(rset)
 
 
-def _achieved_marginal(unitary, setup: ThermalSetup, p) -> list[float]:
+def _achieved_marginal(unitary, setup: ThermalSetup, p) -> np.ndarray:
     """System marginal of ``|U|² (p ⊗ gamma_B)``: what the unitary delivers."""
     mixed = np.abs(unitary) ** 2 @ setup.joint_input(p)
-    return _real_list(mixed.reshape(setup.dim_a, setup.dim_b).sum(axis=1))
+    return mixed.reshape(setup.dim_a, setup.dim_b).sum(axis=1)
 
 
 def _synthesize_witness(p, found: MembershipResult, rset: ReachableSet):
@@ -327,7 +327,7 @@ def _cmd_synthesize(argv) -> str:
             "U": matrix_to_json(unitary),
             "gadget": None if gadget is None else realization_to_json(gadget),
             "classification": found.classification,
-            "achieved": _achieved_marginal(unitary, setup, p),
+            "achieved": _real_list(_achieved_marginal(unitary, setup, p)),
         }
     )
 
@@ -423,8 +423,9 @@ def _cmd_realize(argv) -> str:
         "realize",
         "Search growing baths (families: copies, oscillator) for an exact "
         "finite-bath realization of a thermomajorized target. Output on success: "
-        "{\"found\": true, \"bath\", \"U\", \"gadget\", \"achieved\"}; on budget "
-        "exhaustion: {\"found\": false} (exit 0; proves nothing).",
+        "{\"found\": true, \"bath\", \"U\", \"gadget\", \"achieved\", \"residual\", \"tol\"}, "
+        "the achieved marginal missing the target by residual <= tol (max-norm); on "
+        "budget exhaustion: {\"found\": false} (exit 0; proves nothing).",
     )
     parser.add_argument("--ham-a", required=True)
     parser.add_argument("--p", required=True)
@@ -440,13 +441,16 @@ def _cmd_realize(argv) -> str:
     if result is None:
         return dump_json({"found": False})
     setup, unitary, gadget = result
+    achieved = _achieved_marginal(unitary, setup, p)
     return dump_json(
         {
             "found": True,
             "bath": hamiltonian_to_json(setup.ham_b),
             "U": matrix_to_json(unitary),
             "gadget": None if gadget is None else realization_to_json(gadget),
-            "achieved": _achieved_marginal(unitary, setup, p),
+            "achieved": _real_list(achieved),
+            "residual": _real_list([np.abs(achieved - target).max()])[0],
+            "tol": args.tol,
         }
     )
 

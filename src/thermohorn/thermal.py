@@ -25,13 +25,16 @@ block unitaries fills in exactly the convex hull:
   (:meth:`ClassicalHull.distance`) decides the bath, and a greedy walk over
   orders builds the witness. realize never lists vertices and never loads
   scipy. The states are validated once, on entry; the baths' hulls and the
-  witness read the validated arrays.
+  witness read the validated arrays. Each family's baths are built once per
+  system and kept for later searches.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -657,6 +660,8 @@ def synthesize_unitary(
     majorization inside a block holds by construction and is not checked
     beforehand; a mixture that breaks it (weights that do not sum to 1,
     say) fails the rotation or its check with ``RuntimeError``.
+    :func:`realize_interior`, whose greedy permutations need none of these
+    input checks, goes straight to the rotations (``_rotate_blocks``).
     """
     v = setup.joint_input(p)
     n = setup.dim_joint
@@ -684,8 +689,20 @@ def synthesize_unitary(
         # The mixture as a product combination with one block, the whole joint space.
         terms = tuple(zip(target.weights, target.items))
         target = _prechecked(ProductConvexCombination, (tuple(range(n)),), (terms,), None)
-    mixed = target.mixed_joint_output(v)
+    return _rotate_blocks(v, target.mixed_joint_output(v), setup)
 
+
+def _rotate_blocks(
+    v: np.ndarray, mixed: np.ndarray, setup: ThermalSetup
+) -> tuple[ComplexMatrix, NoisyRealization | None]:
+    """:func:`synthesize_unitary` from the joint diagonal ``v`` to ``mixed``, a mixture its caller built.
+
+    Nothing about the mixture is checked here: each block of ``mixed`` is
+    taken to be a mixture of permutations of that block of ``v``. Every
+    block's rotation is still checked by
+    :func:`~thermohorn.majorization._schur_horn_blocks`.
+    """
+    n = setup.dim_joint
     u = np.zeros((n, n), dtype=np.complex128)
     blocks, pairs = [], []  # every block that is rotated, and its (lam, mu)
     for block in setup.blocks:
@@ -827,44 +844,81 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) ->
     return MembershipResult(status, dist, comb, tuple(verts[k] for k in keep))
 
 
-def _bath_family(ham_a: Hamiltonian, family: str, budget: int):
-    """Yield bath Hamiltonians of increasing dimension, starting trivial.
+class _BathLadder:
+    """One bath family's setups for one system, built bath by bath as far as asked.
 
-    Each bath is built on integer labels over the system's denominators and
-    keeps them (the keys ``build_setup`` groups on), so neither its blocks
-    nor its Gibbs vector form a ``Fraction`` per level. Each copies bath is
-    the previous one times one more copy of the system: its labels are the
-    previous bath's joined with the system's
-    (:func:`~thermohorn.energy._joint_labels`). Each oscillator bath is the
-    previous one plus one level, spaced by the gcd of the system's integer
-    quanta differences.
+    The baths grow from the trivial one-dimensional bath. Each is built on
+    integer labels over the system's denominators and keeps them (the keys
+    ``build_setup`` groups on), so neither its blocks nor its Gibbs vector
+    form a ``Fraction`` per level. Each copies bath is the previous one
+    times one more copy of the system: its labels are the previous bath's
+    joined with the system's (:func:`~thermohorn.energy._joint_labels`).
+    Each oscillator bath is the previous one plus one level, spaced by the
+    gcd of the system's integer quanta differences.
+
+    The family is checked on construction (``bad-bath-family``). The ladder
+    holds only finished setups, each extended from the last one's labels
+    under a lock, so a build that raises, or a walk left unfinished, leaves
+    it as it was.
     """
-    beta, quantum, system = ham_a.beta, ham_a.base_quantum, ham_a._labels
-    if family == "copies":
-        labels = _IntegerLabels(1, 1, [0], [1])
-        while len(labels.quanta) <= budget:
-            yield Hamiltonian._from_labels(labels, beta, quantum)
-            labels = _joint_labels(labels, system)
-        return
-    if family == "oscillator":
-        if any(lv.weight_factor != 1 for lv in ham_a.levels):
-            raise PreconditionError(
-                "bad-bath-family",
-                "oscillator family needs pure quantum-multiple system levels",
-            )
-        spacing = math.gcd(*(q - system.quanta[0] for q in system.quanta))
-        if not spacing:
-            raise PreconditionError(
-                "bad-bath-family", "oscillator family needs a non-degenerate system spectrum"
-            )
-        levels: tuple[EnergyLabel, ...] = ()
-        for m in range(1, budget + 1):
-            # The previous bath's levels plus one: one new EnergyLabel per bath, not per level.
-            levels += (EnergyLabel(Fraction(spacing * (m - 1), system.q_den)),)
-            labels = _IntegerLabels(system.q_den, 1, [spacing * k for k in range(m)], [1] * m)
-            yield Hamiltonian._labelled(levels, labels, beta, quantum)
-        return
-    raise PreconditionError("bad-bath-family", f"unknown bath family {family!r}")
+
+    def __init__(self, ham_a: Hamiltonian, family: str):
+        system = ham_a._labels
+        if family == "oscillator":
+            if any(lv.weight_factor != 1 for lv in ham_a.levels):
+                raise PreconditionError(
+                    "bad-bath-family",
+                    "oscillator family needs pure quantum-multiple system levels",
+                )
+            self._spacing = math.gcd(*(q - system.quanta[0] for q in system.quanta))
+            if not self._spacing:
+                raise PreconditionError(
+                    "bad-bath-family", "oscillator family needs a non-degenerate system spectrum"
+                )
+        elif family != "copies":
+            raise PreconditionError("bad-bath-family", f"unknown bath family {family!r}")
+        self.ham_a, self.family = ham_a, family
+        self._setups: list[ThermalSetup] = []
+        self._lock = threading.Lock()
+
+    def upto(self, budget: int):
+        """Yield the setups of the baths of dimension at most ``budget``, smallest first."""
+        for k in itertools.count():
+            with self._lock:
+                while len(self._setups) <= k and self._next_dim() <= budget:
+                    self._setups.append(build_setup(self.ham_a, self._next_bath()))
+                if len(self._setups) <= k or self._setups[k].dim_b > budget:
+                    return
+                setup = self._setups[k]
+            yield setup
+
+    def _next_dim(self) -> int:
+        if not self._setups:
+            return 1
+        last = self._setups[-1].dim_b
+        return last * self.ham_a.dim if self.family == "copies" else last + 1
+
+    def _next_bath(self) -> Hamiltonian:
+        ham_a = self.ham_a
+        beta, quantum, system = ham_a.beta, ham_a.base_quantum, ham_a._labels
+        last = self._setups[-1].ham_b if self._setups else None
+        if self.family == "copies":
+            if last is None:
+                return Hamiltonian._from_labels(_IntegerLabels(1, 1, [0], [1]), beta, quantum)
+            return Hamiltonian._from_labels(_joint_labels(last._labels, system), beta, quantum)
+        m = 1 if last is None else last.dim + 1
+        # The previous bath's levels plus one: one new EnergyLabel per bath, not per level.
+        levels = (() if last is None else last.levels) + (
+            EnergyLabel(Fraction(self._spacing * (m - 1), system.q_den)),
+        )
+        labels = _IntegerLabels(system.q_den, 1, [self._spacing * k for k in range(m)], [1] * m)
+        return Hamiltonian._labelled(levels, labels, beta, quantum)
+
+
+# The ladders of the last few (system, family) pairs searched, each holding
+# every setup some search has reached: about 4 baths and a few kB for the
+# benchmark's qubit ladders.
+_ladder = functools.lru_cache(maxsize=8)(_BathLadder)
 
 
 def realize_interior(
@@ -886,9 +940,18 @@ def realize_interior(
     Bath families: ``copies`` walks k-fold tensor powers of the system
     Hamiltonian, ``oscillator`` walks equally spaced truncations with the
     gcd of the system gaps as spacing; both start at the trivial
-    one-dimensional bath and stop at dimension ``budget``. Every bath is
-    built from its :class:`ClassicalHull`'s ``F`` table alone, with no
-    vertex list and no LP: one whose exact max-norm
+    one-dimensional bath and stop at dimension ``budget``.
+
+    Baths are built once per (system, family) and reused across calls: each
+    bath's Hamiltonian, block grouping and Gibbs vector live on a ladder
+    cached for the last 8 ``(ham_a, bath_family)`` pairs searched, which
+    grows bath by bath only as far as some call's ``budget`` has walked.
+    ``build_setup``'s near-tie warning therefore fires when the ladder first
+    builds that bath: only the first search to reach it warns. What depends
+    on ``p`` and the target is built per call.
+
+    Every bath is decided from its :class:`ClassicalHull`'s ``F`` table
+    alone, with no vertex list and no LP: one whose exact max-norm
     :meth:`~ClassicalHull.distance` ``d`` exceeds ``tol`` is skipped; for
     the rest, :meth:`~ClassicalHull._saturate` moves the target into the
     hull within ``d`` and :meth:`~ClassicalHull._walk` mixes at most rank+1
@@ -901,7 +964,10 @@ def realize_interior(
     ``p`` and ``p_prime`` are validated once, on entry, with their sizes;
     the pre-check, every bath's hull and the witness read the validated
     arrays. The unitary is :func:`synthesize_unitary`'s for the orders'
-    beta-ordering permutations, checked block by block.
+    beta-ordering permutations, which are energy-preserving bijections by
+    construction and are not checked again; each block's rotation is. The
+    setup returned is the caller's own: it shares the ladder's blocks, not
+    what the ladder's setup caches.
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
@@ -914,17 +980,24 @@ def realize_interior(
             "not-thermomajorized",
             "target is not reachable by any Gibbs-preserving stochastic map",
         )
-    for ham_b in _bath_family(ham_a, bath_family, budget):
-        setup = build_setup(ham_a, ham_b)
-        hull = ClassicalHull._of_joint(setup, setup._joint(p))
+    for setup in _ladder(ham_a, bath_family).upto(budget):
+        v = setup._joint(p)
+        hull = ClassicalHull._of_joint(setup, v)
         d = hull.distance(p_prime)
         if d > tol:
             continue
         weights, orders, vertices = zip(*hull._walk(hull._saturate(p_prime, d)))
         if np.abs(np.array(weights) @ np.array(vertices) - p_prime).max() > tol:
             continue  # rounding carried the witness past tol
-        perms = tuple(tuple(hull.permutation(order).tolist()) for order in orders)
-        return (setup, *synthesize_unitary(p, ConvexCombination(weights, perms), setup))
+        # Each greedy permutation is an energy-preserving bijection by
+        # construction; the mixture is summed from 0 in term order, as
+        # ProductConvexCombination.mixed_joint_output sums it.
+        mixed = np.zeros(v.size)
+        for weight, order in zip(weights, orders):
+            mixed[hull.permutation(order)] += weight * v
+        # A setup of the caller's own, so that what it caches stays out of the ladder.
+        found = ThermalSetup(ham_a, setup.ham_b, setup.blocks)
+        return (found, *_rotate_blocks(v, mixed, found))
     return None
 
 

@@ -57,7 +57,7 @@ from thermohorn.config import (
 from thermohorn.energy import _multiset_permutations
 from thermohorn.linalg import require_unitary
 from thermohorn.geometry import FACET_TOL, _affine_frame, hull_vertex_indices
-from thermohorn.thermal import ReachableSet, _bath_family, _first_distinct, _marginal_outputs
+from thermohorn.thermal import ReachableSet, _BathLadder, _first_distinct, _marginal_outputs
 
 
 def dominance_curve(p, gamma):
@@ -289,9 +289,10 @@ def realize_reference(p, ham_a, p_prime, bath_family, budget, tol=1e-8):
     """The first bath of the family whose greedy hull holds the target, or None.
 
     Asks ``hull_membership`` about every bath's Qhull-pruned greedy sum,
-    with no shortcut.
+    with no shortcut. The baths come from a fresh ladder, not the cached one.
     """
-    for ham_b in _bath_family(ham_a, bath_family, budget):
+    for ladder_setup in _BathLadder(ham_a, bath_family).upto(budget):
+        ham_b = ladder_setup.ham_b
         rset = greedy_reachable_set(p, build_setup(ham_a, ham_b))
         if hull_membership(p_prime, rset, tol).classification != "exterior":
             return ham_b

@@ -10,7 +10,7 @@ import pytest
 from thermohorn import alpha_max_oscillator, d_alpha, qubit_gibbs
 from thermohorn import cli
 from thermohorn.cli import main
-from thermohorn.config import DECOMPOSITION_TOL
+from thermohorn.config import DECOMPOSITION_TOL, MEMBERSHIP_TOL
 from thermohorn.geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
 from thermohorn.serialize import format_float, realization_from_json
 
@@ -398,7 +398,8 @@ def test_realize_matches_its_goldens(capsys):
     # A ground-state qubit against qubit copies (8-level bath) and an
     # oscillator (4 levels), the (5, 7, 8) system against its two-copy bath,
     # and a target no oscillator within budget reaches: stdout byte for byte,
-    # as recorded when every bath was still classified by its facets.
+    # as recorded when every bath was still classified by its facets, plus
+    # the residual and tol keys. A found realization misses by at most tol.
     with open(REALIZE_GOLDENS, encoding="utf-8") as handle:
         goldens = json.load(handle)
     assert sorted(goldens) == ["not-found", "qubit-copies", "qubit-oscillator", "w578-copies"]
@@ -406,6 +407,9 @@ def test_realize_matches_its_goldens(capsys):
         code, out = _run(capsys, *golden["argv"])
         assert code == 0
         assert out == golden["stdout"], key
+        found = json.loads(out)
+        if found["found"]:
+            assert found["residual"] <= found["tol"] == MEMBERSHIP_TOL, key
 
 
 def test_membership_help_prints_its_tolerances_from_their_names(capsys, monkeypatch):

@@ -23,7 +23,7 @@ from thermohorn import (
     zero_hamiltonian,
 )
 from thermohorn import energy
-from thermohorn.thermal import _bath_family
+from thermohorn.thermal import _BathLadder
 
 from oracles import bit_equal, gibbs_reference, label_blocks, oscillator_bath_reference
 
@@ -239,6 +239,17 @@ def test_block_of_lookup_matches_blocks():
             assert lookup[idx] == b
 
 
+def _baths(ham_a, family, budget):
+    """The family's bath Hamiltonians up to dimension ``budget``, from a fresh ladder.
+
+    The ladder builds each bath's setup, and so its near-tie warnings; the
+    tests that read them build their own setups.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [setup.ham_b for setup in _BathLadder(ham_a, family).upto(budget)]
+
+
 # Mixed denominators in both components; weight products that cancel.
 _MIXED_SYSTEM = Hamiltonian(
     (EnergyLabel("1/2", "2/3"), EnergyLabel("1/3", "3/2"), EnergyLabel("4/3")), 0.9, 1.3
@@ -255,7 +266,7 @@ def test_copies_baths_extend_integer_labels_as_label_sums(ham_a):
     # system's: no EnergyLabel is added, and the levels, blocks, Gibbs vector
     # (to the bit) and near-tie warnings are those of the summed labels.
     with mock.patch.object(EnergyLabel, "__add__", side_effect=AssertionError) as added:
-        baths = list(_bath_family(ham_a, "copies", 81))
+        baths = _baths(ham_a, "copies", 81)
     assert added.call_count == 0
     levels = (EnergyLabel(),)
     for ham_b in baths:
@@ -291,7 +302,7 @@ def test_oscillator_baths_on_integer_labels_match_the_fraction_gcd_ladder(ham_a)
     # bit) and the blocks of the ladder spaced by the gcd of the Fraction
     # gaps. "offset-halves" keeps the system's denominator 2 for a spacing
     # of 1, over which the bath's own labels would need no denominator.
-    baths = list(_bath_family(ham_a, "oscillator", 12))
+    baths = _baths(ham_a, "oscillator", 12)
     assert [ham_b.dim for ham_b in baths] == list(range(1, 13))
     for m, ham_b in enumerate(baths, start=1):
         reference = oscillator_bath_reference(ham_a, m)
@@ -307,7 +318,7 @@ def test_copies_baths_keep_the_near_tie_warnings():
     # With beta = ln 2 the weight factor 2 lowers a level by one quantum:
     # the labels (0, 1), (1, 2) and (2, 4) all sit at energy 0.
     ham_a = Hamiltonian((EnergyLabel(0), EnergyLabel(1, 2)), math.log(2.0))
-    *_, two_copies = _bath_family(ham_a, "copies", 4)
+    *_, two_copies = _baths(ham_a, "copies", 4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         build_setup(ham_a, two_copies)

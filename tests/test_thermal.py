@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -54,7 +55,7 @@ from thermohorn.geometry import (
     linprog,
     min_slack_combination,
 )
-from thermohorn.thermal import ClassicalHull, _bath_family
+from thermohorn.thermal import ClassicalHull, _BathLadder
 
 from oracles import (
     Polytope,
@@ -233,6 +234,21 @@ def test_classical_hull_walk_mixes_at_most_rank_plus_one_greedy_permutations(cas
         for _, order, _ in hull._walk(target):
             output = _classical_marginal(setup, hull.permutation(order), p)
             assert np.abs(output - hull.vertices[hull._greedy.vertex_of[order]]).max() < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_small_setups())
+def test_every_greedy_permutation_is_a_block_respecting_bijection(case):
+    # realize_interior mixes these permutations without checking them, so
+    # every order's permutation must be a bijection of the joint basis that
+    # keeps each index in its energy block.
+    setup, p = case
+    hull = ClassicalHull(p, setup)
+    block_of = setup.block_of()
+    for order in itertools.permutations(range(setup.dim_a)):
+        images = hull.permutation(order)
+        assert sorted(images.tolist()) == list(range(setup.dim_joint))
+        assert np.array_equal(block_of[images], block_of)
 
 
 @settings(max_examples=40, deadline=None)
@@ -484,8 +500,8 @@ def test_realize_validates_its_states_once_however_far_it_searches(monkeypatch):
         setup, _, _ = realize_interior(np.array([1.0, 0.0]), qubit, np.array([1 - a, a]), "copies", 64)
         assert setup.dim_b == dim_b
         counts.append(len(calls))
-    # p and the target on entry, and p once more as synthesize_unitary's own input.
-    assert counts == [3, 3]
+    # p and the target on entry; the bath's hull and its unitary read the validated p.
+    assert counts == [2, 2]
 
 
 def _givens(n, a, b, sine):
@@ -978,7 +994,7 @@ def test_band_targets_saturate_into_the_hull_and_realize_within_tol(case, seed):
         assert len(terms) <= hull.rank + 1
         assert np.abs(sum(w * vector for w, _, vector in terms) - q).max() <= tol
     ham_a = setup.ham_a
-    one_copy = build_setup(ham_a, list(_bath_family(ham_a, "copies", ham_a.dim))[-1])
+    *_, one_copy = _BathLadder(ham_a, "copies").upto(ham_a.dim)
     for q, _ in _band_targets(ClassicalHull(p, one_copy), rng, tol):
         found, u, _ = realize_interior(p, ham_a, q, "copies", ham_a.dim, tol=tol)
         achieved = (np.abs(u) ** 2 @ found.joint_input(p)).reshape(found.dim_a, -1).sum(axis=1)
@@ -1019,6 +1035,96 @@ def test_realize_searches_a_target_within_tol_of_a_thermomajorized_state():
         with pytest.raises(PreconditionError) as err:
             realize_interior(gamma, ham_a, target, "copies", budget=4, tol=1e-10)
         assert err.value.code == "not-thermomajorized"
+
+
+def test_realize_refuses_a_bad_family_or_system_on_every_call():
+    # The ladder checks its family when it is made and caches only what was
+    # built, so a refusal repeats on every call rather than only the first.
+    qubit = qubit_hamiltonian(beta=1.0)
+    w578 = weight_hamiltonian((5, 7, 8), beta=1.0)
+    wide = zero_hamiltonian(HULL_LEVEL_CAP + 1)
+    cases = [
+        (zero_hamiltonian(2), "oscillator", "bad-bath-family"),
+        (w578, "oscillator", "bad-bath-family"),
+        (qubit, "ladder", "bad-bath-family"),
+        (wide, "copies", "hull-level-cap"),
+    ]
+    for ham_a, family, code in cases:
+        gamma = gibbs_vector(ham_a)
+        for _ in range(3):
+            with pytest.raises(PreconditionError) as err:
+                realize_interior(gamma, ham_a, gamma, family, budget=4)
+            assert err.value.code == code
+
+
+def test_realize_returns_a_setup_of_its_own_and_leaves_the_ladder_lean():
+    # The setup returned shares the ladder's blocks but not its cached
+    # tables: decomposing with it caches the block entries on it alone.
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    ground, target = np.array([1.0, 0.0]), np.array([0.8, 0.2])
+    thermal._ladder.cache_clear()
+    first = realize_interior(ground, qubit, target, "copies", 64)
+    again = realize_interior(ground, qubit, target, "copies", 64)
+    ladder = next(s for s in thermal._ladder(qubit, "copies").upto(64) if s.dim_b == first[0].dim_b)
+    assert first[0] == again[0] == ladder
+    assert first[0] is not ladder and again[0] is not ladder and first[0] is not again[0]
+    assert first[0].blocks is ladder.blocks
+    decompose_channel_to_classical(first[1], first[0])
+    assert "_block_entries" in first[0].__dict__
+    assert "_block_entries" not in ladder.__dict__
+
+
+def test_realize_is_bit_identical_on_a_cold_and_a_warm_ladder():
+    # Seeded targets for a ground-state qubit (both families) and the
+    # (5, 7, 8) system (copies), with budgets interleaved 4 -> 64 -> 8: the
+    # warm pass grows each ladder, then reads a prefix of it. Every call
+    # finds the reference's first bath, and its unitary has the same bytes
+    # as on a ladder cleared before the call.
+    rng = np.random.default_rng(2017)
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    ground = np.array([1.0, 0.0])
+    setup, p578 = _two_copy_preset()
+    vertices = ClassicalHull(p578, setup).vertices
+    low = vertices[np.argsort(vertices[:, 0])[:2]]
+    cases = [(ground, qubit, np.array([1 - a, a]), "copies") for a in rng.uniform(0.05, 0.43, 3)]
+    cases += [(ground, qubit, np.array([1 - a, a]), "oscillator") for a in rng.uniform(0.05, 0.46, 3)]
+    for mu in rng.uniform(0.3, 0.7, 2):
+        target = 0.97 * (mu * low[0] + (1 - mu) * low[1]) + 0.03 * vertices.mean(axis=0)
+        cases.append((p578, setup.ham_a, target / target.sum(), "copies"))
+    calls = [(budget, *case) for budget in (4, 64, 8) for case in cases]
+    thermal._ladder.cache_clear()
+    warm = [realize_interior(p, ham_a, target, family, budget) for budget, p, ham_a, target, family in calls]
+    found = set()
+    for (budget, p, ham_a, target, family), hot in zip(calls, warm):
+        thermal._ladder.cache_clear()
+        cold = realize_interior(p, ham_a, target, family, budget)
+        bath = realize_reference(p, ham_a, target, family, budget)
+        if bath is None:
+            assert hot is None and cold is None
+            continue
+        assert hot[0].dim_b == cold[0].dim_b == bath.dim
+        assert hot[1].tobytes() == cold[1].tobytes()
+        found.add((p.size, family, budget, bath.dim))
+    assert {budget for *_, budget, _ in found} == {4, 8, 64}
+    assert (3, "copies", 64, 9) in found
+
+
+def test_first_realize_on_a_near_tie_system_warns_as_its_bath_is_built():
+    # With beta = ln 2 the system's levels (0, 1) and (1, 2) both sit at
+    # energy 0. build_setup warns when the ladder first builds the trivial
+    # bath's setup; a later search reads that setup from the ladder.
+    ham_a = Hamiltonian((EnergyLabel(0), EnergyLabel(1, 2)), math.log(2.0))
+    gamma = gibbs_vector(ham_a)
+    thermal._ladder.cache_clear()
+    for expected in (1, 0):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            setup, _, _ = realize_interior(gamma, ham_a, gamma, "copies", budget=4)
+        assert setup.dim_b == 1
+        assert [str(w.message) for w in caught] == [
+            f"distinct energy labels {EnergyLabel(0, 1)} and {EnergyLabel(1, 2)} evaluate within "
+            "1e-12 of each other; keeping them in separate blocks"
+        ] * expected
 
 
 def test_realize_rejects_bad_targets_and_tolerances_without_an_lp():
