@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import sys
+import threading
 import time
 import warnings
 from unittest import mock
@@ -1107,6 +1108,36 @@ def test_realize_is_bit_identical_on_a_cold_and_a_warm_ladder():
         found.add((p.size, family, budget, bath.dim))
     assert {budget for *_, budget, _ in found} == {4, 8, 64}
     assert (3, "copies", 64, 9) in found
+
+
+def test_threads_sharing_a_ladder_build_each_bath_once():
+    # Rounds of six threads walking one fresh ladder at once, switching every
+    # microsecond: each sees every bath once and in order, and the ladder
+    # holds each once. Without the ladder's lock most rounds duplicate a bath.
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    dims = [1, 2, 4, 8, 16, 32, 64]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            ladder = _BathLadder(qubit, "copies")
+            walks = []
+            start = threading.Barrier(6, timeout=60)
+
+            def walk():
+                start.wait()
+                walks.append([s.dim_b for s in ladder.upto(64)])
+
+            threads = [threading.Thread(target=walk) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert walks == [dims] * len(threads)
+            assert [s.dim_b for s in ladder.upto(64)] == dims
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_first_realize_on_a_near_tie_system_warns_as_its_bath_is_built():
