@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DECOMPOSITION_TOL, ENUMERATION_CAP, MEMBERSHIP_TOL
+from .config import DECOMPOSITION_TOL, ENUMERATION_CAP, MARGINAL_TOL, MEMBERSHIP_TOL
 from .energy import Hamiltonian, ThermalSetup, build_setup, weight_hamiltonian
 from .errors import PreconditionError
 from .geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
+from .linalg import partial_trace_b
 from .majorization import majorizes, thermomajorizes
 from .noisy import (
     horn_transition_unitary,
@@ -213,7 +214,9 @@ def _cmd_marginal(argv) -> str:
     parser = _parser(
         "marginal",
         "Unitary with Tr_B(U rho U+) = sigma, for dimA <= dimB. Matrix arguments "
-        "are matrix JSON, inline or a file path. Output: {\"n\", \"m\", \"U\"}.",
+        "are matrix JSON, inline or a file path. Output: {\"n\", \"m\", \"U\", "
+        "\"residual\", \"tol\"}, Tr_B(U rho U+) missing sigma by residual <= tol "
+        "(max-norm over entries).",
     )
     parser.add_argument("--rho", required=True, help="joint density matrix (dimA*dimB)")
     parser.add_argument("--sigma", required=True, help="target system density matrix")
@@ -223,7 +226,16 @@ def _cmd_marginal(argv) -> str:
     rho = matrix_from_json(_json_argument(args.rho))
     sigma = matrix_from_json(_json_argument(args.sigma))
     unitary = marginal_transition_unitary(rho, sigma, args.dim_a, args.dim_b)
-    return dump_json({"n": args.dim_a, "m": args.dim_b, "U": matrix_to_json(unitary)})
+    achieved = partial_trace_b(unitary @ rho @ unitary.conj().T, args.dim_a, args.dim_b)
+    return dump_json(
+        {
+            "n": args.dim_a,
+            "m": args.dim_b,
+            "U": matrix_to_json(unitary),
+            "residual": _real_list([np.abs(achieved - sigma).max()])[0],
+            "tol": MARGINAL_TOL,
+        }
+    )
 
 
 def _cmd_noisy_witness(argv) -> str:

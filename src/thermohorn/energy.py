@@ -22,6 +22,7 @@ level's label is an integer pair and :func:`build_setup` forms no
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -32,7 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .config import ENSEMBLE_MATCH_TOL, GIBBS_LOG_SPREAD_CAP, NEAR_TIE_ENERGY_TOL
+from .config import ENSEMBLE_MATCH_TOL, GIBBS_LOG_SPREAD_CAP, HULL_LEVEL_CAP, NEAR_TIE_ENERGY_TOL
 from .errors import PreconditionError
 from .linalg import ProbabilityVector, _prechecked, probability_vector
 
@@ -91,7 +92,13 @@ class EnergyLabel:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Diagonal Hamiltonian: one exact label per basis state, plus beta and the quantum."""
+    """Diagonal Hamiltonian: one exact label per basis state, plus beta and the quantum.
+
+    Equal and hashed on its fields, as a frozen dataclass is. What is read
+    off the levels on every search is computed once per Hamiltonian, on
+    first use: the hash, the integer labels, the Gibbs vector (read-only)
+    and the degenerate index set.
+    """
 
     levels: tuple[EnergyLabel, ...]
     beta: float
@@ -107,6 +114,14 @@ class Hamiltonian:
             raise PreconditionError(
                 "bad-quantum", f"base quantum must be positive and finite, got {self.base_quantum}"
             )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The frozen dataclass's hash of the fields, each ``Fraction`` hashed once."""
+        return hash((self.levels, self.beta, self.base_quantum))
 
     @property
     def dim(self) -> int:
@@ -135,6 +150,23 @@ class Hamiltonian:
     def _labels(self) -> _IntegerLabels:
         """The levels as integers over common denominators, computed once."""
         return _integer_labels(self.levels)
+
+    @cached_property
+    def _gibbs(self) -> ProbabilityVector:
+        """:func:`gibbs_vector`, computed once and read-only."""
+        return _read_only(_gibbs_weights(self))
+
+    @cached_property
+    def _degenerate_indices(self) -> tuple[int, ...]:
+        """All-but-first index of every degenerate eigenspace."""
+        seen: set[EnergyLabel] = set()
+        extra = []
+        for i, label in enumerate(self.levels):
+            if label in seen:
+                extra.append(i)
+            else:
+                seen.add(label)
+        return tuple(extra)
 
     @classmethod
     def _from_labels(cls, labels: _IntegerLabels, beta: float, base_quantum: float) -> Hamiltonian:
@@ -211,8 +243,13 @@ def gibbs_vector(ham: Hamiltonian) -> ProbabilityVector:
     spectra whose log-weights span more than ``GIBBS_LOG_SPREAD_CAP`` — the
     smaller weights would underflow to exact zero and strict positivity
     (which the thermomajorization machinery relies on) would be lost. The
-    result is positive and normalized by construction.
+    result is positive and normalized by construction. The Hamiltonian
+    keeps the vector; each call returns a copy of its own.
     """
+    return ham._gibbs.copy()
+
+
+def _gibbs_weights(ham: Hamiltonian) -> np.ndarray:
     labels = ham._labels
     beta, quantum, q_den, w_den = ham.beta, ham.base_quantum, labels.q_den, labels.w_den
     logs = np.array(
@@ -318,6 +355,50 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class _LevelSets(NamedTuple):
+    """The ``2^n`` subsets ``S`` of ``n`` system levels, as bit masks, for the classical hull."""
+
+    members: np.ndarray  # (2^n, n): 1.0 where level a is in S
+    below: np.ndarray  # |S| for every S but the empty set, as floats
+    above: np.ndarray  # n - |S| for every S but the full set, as floats
+    by_size: tuple[int, ...]  # the masks by size, ascending within a size
+    levels_of: tuple[tuple[int, ...], ...]  # each mask's levels, ascending
+    holding: tuple[np.ndarray, ...]  # per level: which masks hold it
+
+
+@functools.lru_cache(maxsize=HULL_LEVEL_CAP)
+def _level_sets(n: int) -> _LevelSets:
+    """:class:`_LevelSets` for ``n`` levels, built once per ``n`` and read-only."""
+    masks = np.arange(1 << n)
+    members = _read_only(((masks[:, None] >> np.arange(n)) & 1).astype(np.float64))
+    size = members.sum(axis=1)
+    return _LevelSets(
+        members,
+        _read_only(size[1:]),
+        _read_only(n - size[:-1]),
+        tuple(sorted(range(1 << n), key=int.bit_count)),
+        tuple(tuple(a for a in range(n) if mask >> a & 1) for mask in range(1 << n)),
+        tuple(_read_only(members[:, a] > 0) for a in range(n)),
+    )
+
+
+class _HullFrame(NamedTuple):
+    """What a classical hull on a setup reads that does not depend on the state.
+
+    ``F(S)`` sums, per block, the block's largest ``k`` entries, ``k`` its
+    number of slots with system label in ``S``. Per state, the hull sorts
+    each block's entries heaviest first, scatters them into ``slots`` of a
+    ``shape`` table of zeros (row: block, column: rank in block + 1), takes
+    prefix sums along the rows and gathers ``taken``.
+    """
+
+    block_of: np.ndarray  # joint index -> block
+    labels: np.ndarray  # joint index -> system level
+    slots: np.ndarray  # flat cell of each entry, block after block, heaviest first
+    shape: tuple[int, int]  # (blocks, largest block + 1)
+    taken: np.ndarray  # (2^n, blocks): the flat cell F(S) reads in each block
+
+
 @dataclass(frozen=True)
 class ThermalSetup:
     """System + bath Hamiltonians with the exact total-energy block partition.
@@ -325,10 +406,10 @@ class ThermalSetup:
     ``blocks`` partitions the joint basis ``{0 .. dim_a*dim_b - 1}``; two
     joint states share a block iff their label sums are exactly equal.
     Blocks are ordered by their smallest joint index, indices ascending
-    within each block. The bath's Gibbs vector, the block lookup, each
-    block's label arrangements and the joint indices of every block's
-    entries are computed once per setup, on first use, and handed out
-    read-only.
+    within each block. The block lookup, each block's label arrangements,
+    the joint indices of every block's entries and the classical hull's
+    frame are computed once per setup, on first use, and handed out
+    read-only; the bath's Gibbs vector is its Hamiltonian's.
     """
 
     ham_a: Hamiltonian
@@ -362,7 +443,7 @@ class ThermalSetup:
         return _read_only(out)
 
     def gibbs_b(self) -> ProbabilityVector:
-        return self._gibbs_b
+        return self.ham_b._gibbs
 
     @cached_property
     def _block_entries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -375,8 +456,24 @@ class ThermalSetup:
         return _read_only(joint[start + local // size]), _read_only(joint[start + local % size])
 
     @cached_property
-    def _gibbs_b(self) -> ProbabilityVector:
-        return _read_only(gibbs_vector(self.ham_b))
+    def _hull_frame(self) -> _HullFrame:
+        """The :class:`_HullFrame` of this setup; for at most ``HULL_LEVEL_CAP`` levels."""
+        block_of = self._block_of
+        labels = _read_only(np.arange(self.dim_joint) // self.dim_b)
+        sizes = np.array(self.block_sizes())
+        width = int(sizes.max()) + 1
+        sorted_block = np.repeat(np.arange(sizes.size), sizes)
+        rank = np.arange(self.dim_joint) - (np.cumsum(sizes) - sizes)[sorted_block]
+        counts = np.zeros((sizes.size, self.dim_a), dtype=np.int64)
+        np.add.at(counts, (block_of, labels), 1)
+        taken = _level_sets(self.dim_a).members.astype(np.int64) @ counts.T
+        return _HullFrame(
+            block_of,
+            labels,
+            _read_only(sorted_block * width + rank + 1),
+            (sizes.size, width),
+            _read_only(taken + np.arange(sizes.size) * width),
+        )
 
     def class_targets(self, k: int) -> np.ndarray:
         """Block ``k``'s label arrangements as joint images, one per row (``_block_class_targets``)."""

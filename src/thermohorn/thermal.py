@@ -26,7 +26,7 @@ block unitaries fills in exactly the convex hull:
   orders builds the witness. realize never lists vertices and never loads
   scipy. The states are validated once, on entry; the baths' hulls and the
   witness read the validated arrays. Each family's baths are built once per
-  system and kept for later searches.
+  system and kept for later searches, each with the frame its hulls read.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ from .energy import (
     ThermalSetup,
     _IntegerLabels,
     _joint_labels,
+    _level_sets,
+    _read_only,
     build_setup,
-    gibbs_vector,
 )
 from .errors import PreconditionError
 from .geometry import classify_membership
@@ -313,16 +314,21 @@ class ClassicalHull:
 
     Built for at most ``HULL_LEVEL_CAP`` levels. Construction tabulates only
     ``table[S]``, ``F`` of every bit mask ``S`` (per-block sorted prefix
-    sums), which is all :meth:`distance` reads. The rest is built on first
-    use: ``vertices``, the distinct greedy vectors of all ``n!`` orders
-    (given ``points``, a listing of every output, each vertex is the listed
-    point within ``DEDUP_TOL`` of its greedy vector, at ``vertex_indices``),
-    and which vertex each order gives; the affine
-    span, ``origin`` (the first vertex) plus ``rank`` orthonormal ``basis``
-    rows orthogonal to every separator's indicator (``F(S) + F(N∖S) =
-    F(N)``); and the facets ``normals @ (y - origin) <= offsets``, one per
-    ``S`` whose indicator keeps a projection onto the span, scaled to unit
-    length.
+    sums), which is all :meth:`distance` reads: one sort, one scatter, one
+    prefix sum and one gather, through the setup's cached frame
+    (``ThermalSetup._hull_frame``: block lookup, joint labels, table cells).
+    The subset masks, their sizes and the walk's mask order are shared by
+    every hull with ``n`` levels (``energy._level_sets``), and the span basis
+    by every hull with the same separators (``_span_basis``); all of these
+    are read-only. The rest is built on first use: ``vertices``, the
+    distinct greedy vectors of all ``n!`` orders (given ``points``, a
+    listing of every output, each vertex is the listed point within
+    ``DEDUP_TOL`` of its greedy vector, at ``vertex_indices``), and which
+    vertex each order gives; the affine span, ``origin`` (the first vertex)
+    plus ``rank`` orthonormal ``basis`` rows orthogonal to every separator's
+    indicator (``F(S) + F(N∖S) = F(N)``); and the facets ``normals @ (y -
+    origin) <= offsets``, one per ``S`` whose indicator keeps a projection
+    onto the span, scaled to unit length.
     """
 
     def __init__(self, p, setup: ThermalSetup, points: np.ndarray | None = None):
@@ -345,28 +351,16 @@ class ClassicalHull:
             )
         self.setup = setup
         self._points = points
-        self._block_of = setup.block_of()
-        self._labels = np.arange(setup.dim_joint) // setup.dim_b
+        self._frame = frame = setup._hull_frame
+        self._sets = _level_sets(n)
+        self._members = self._sets.members
         # Joint indices block by block, heaviest input entry first.
-        self._heaviest = np.lexsort((-v, self._block_of))
-        masks = np.arange(1 << n)
-        self._members = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
-        self.table = self._subset_table(v)
+        self._heaviest = np.lexsort((-v, frame.block_of))
+        top = np.zeros(frame.shape[0] * frame.shape[1])
+        top[frame.slots] = v[self._heaviest]
+        top = np.cumsum(top.reshape(frame.shape), axis=1)  # top[b, k]: the k largest entries of block b
+        self.table = np.take(top, frame.taken).sum(axis=1)  # F of every subset
         self._vectors: dict[tuple[int, ...], np.ndarray] = {}  # greedy vector of each order walked
-
-    def _subset_table(self, v: np.ndarray) -> np.ndarray:
-        """``F`` of every subset: per block, the sum of its ``k`` largest entries."""
-        nblocks = len(self.setup.blocks)
-        sizes = np.bincount(self._block_of, minlength=nblocks)
-        counts = np.zeros((nblocks, self.setup.dim_a), dtype=np.int64)
-        np.add.at(counts, (self._block_of, self._labels), 1)
-        sorted_block = self._block_of[self._heaviest]
-        rank_in_block = np.arange(self.setup.dim_joint) - (np.cumsum(sizes) - sizes)[sorted_block]
-        top = np.zeros((nblocks, int(sizes.max()) + 1))
-        top[sorted_block, rank_in_block + 1] = v[self._heaviest]
-        top = np.cumsum(top, axis=1)  # top[b, k]: the k largest entries of block b
-        taken = self._members.astype(np.int64) @ counts.T
-        return top[np.arange(nblocks), taken].sum(axis=1)
 
     def distance(self, target) -> float:
         """Max-norm distance from ``target`` to the hull, read off ``F`` alone.
@@ -381,10 +375,8 @@ class ClassicalHull:
         that is ``|e|``. No vertex, span or LP is needed.
         """
         gap = self._members @ np.asarray(target, dtype=np.float64) - self.table
-        size = self._members.sum(axis=1)
-        n = self.setup.dim_a
-        below = gap[1:] / size[1:]
-        above = (gap[:-1] - gap[-1]) / (n - size[:-1])
+        below = gap[1:] / self._sets.below
+        above = (gap[:-1] - gap[-1]) / self._sets.above
         return max(0.0, float(below.max()), float(above.max()))
 
     def _pick_vertices(self, points: np.ndarray | None) -> _GreedyVertices:
@@ -435,11 +427,7 @@ class ClassicalHull:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        separators = self._members[self._separators]
-        _, values, rows = np.linalg.svd(separators)
-        # The rank at np.linalg.matrix_rank's default threshold, from the same SVD.
-        cut = values.max() * (max(separators.shape) * np.finfo(values.dtype).eps)
-        return rows[int(np.count_nonzero(values > cut)) :]
+        return _span_basis(self.setup.dim_a, self._separators.tobytes())
 
     @cached_property
     def rank(self) -> int:
@@ -519,9 +507,9 @@ class ClassicalHull:
         tight = ((slack <= SEPARATOR_TOL) | self._separators).tolist()
         chain = 0
         order = []
-        for mask in self._by_size:
+        for mask in self._sets.by_size:
             if tight[mask] and mask & chain == chain and mask != chain:
-                order += self._levels_of[mask & ~chain]
+                order += self._sets.levels_of[mask & ~chain]
                 chain = mask
         order = tuple(order)
         if order not in self._vectors:
@@ -545,30 +533,33 @@ class ClassicalHull:
             return q
         y = q - d
         slack = self.table - self._members @ y
-        for a in range(self.setup.dim_a):
-            holding = self._members[:, a] > 0
+        for a, holding in enumerate(self._sets.holding):
             rise = min(2 * d, float(slack[holding].min()))
             y[a] += rise
             slack[holding] -= rise
         return y
 
-    @cached_property
-    def _by_size(self) -> list[int]:
-        return sorted(range(len(self.table)), key=int.bit_count)
-
-    @cached_property
-    def _levels_of(self) -> list[list[int]]:
-        n = self.setup.dim_a
-        return [[a for a in range(n) if mask >> a & 1] for mask in range(1 << n)]
-
     def permutation(self, order) -> np.ndarray:
         """Joint images of the greedy beta-ordering permutation for ``order`` of the levels."""
         level_rank = np.empty(len(order), dtype=np.int64)
         level_rank[np.asarray(order)] = np.arange(len(order))
-        slots = np.lexsort((level_rank[self._labels], self._block_of))
+        slots = np.lexsort((level_rank[self._frame.labels], self._frame.block_of))
         images = np.empty(self.setup.dim_joint, dtype=np.int64)
         images[self._heaviest] = slots
         return images
+
+
+@functools.lru_cache(maxsize=64)
+def _span_basis(n: int, separators: bytes) -> np.ndarray:
+    """Orthonormal rows orthogonal to the indicators of the ``separators`` (a mask per subset).
+
+    One SVD per separator pattern, read-only; the last 64 patterns are kept.
+    """
+    rows_in = _level_sets(n).members[np.frombuffer(separators, dtype=bool)]
+    _, values, rows = np.linalg.svd(rows_in)
+    # The rank at np.linalg.matrix_rank's default threshold, from the same SVD.
+    cut = values.max() * (max(rows_in.shape) * np.finfo(values.dtype).eps)
+    return _read_only(rows[int(np.count_nonzero(values > cut)) :])
 
 
 def classical_reachable_set(
@@ -719,22 +710,10 @@ def _rotate_blocks(
         u[idx[:, None], idx] = rotation
 
     gadget = None
-    degenerate = _degenerate_index_set(setup.ham_a)
+    degenerate = setup.ham_a._degenerate_indices
     if degenerate:
         gadget = thermal_decoherence_gadget(setup.ham_a, degenerate)
     return u, gadget
-
-
-def _degenerate_index_set(ham_a: Hamiltonian) -> tuple[int, ...]:
-    """All-but-first index of every degenerate eigenspace of the system."""
-    seen: dict[EnergyLabel, int] = {}
-    extra = []
-    for i, label in enumerate(ham_a.levels):
-        if label in seen:
-            extra.append(i)
-        else:
-            seen[label] = i
-    return tuple(extra)
 
 
 def decompose_channel_to_classical(
@@ -790,7 +769,7 @@ def thermal_decoherence_gadget(ham_a: Hamiltonian, indices=None) -> NoisyRealiza
     """
     n = ham_a.dim
     if indices is None:
-        chosen = _degenerate_index_set(ham_a)
+        chosen = ham_a._degenerate_indices
     else:
         chosen = tuple(sorted(set(int(i) for i in indices)))
     if chosen and (chosen[0] < 0 or chosen[-1] >= n):
@@ -859,7 +838,9 @@ class _BathLadder:
     The family is checked on construction (``bad-bath-family``). The ladder
     holds only finished setups, each extended from the last one's labels
     under a lock, so a build that raises, or a walk left unfinished, leaves
-    it as it was.
+    it as it was. Each setup keeps what searches read off it: its bath's
+    Gibbs vector and, once a search has built a hull on it, its block
+    lookup and hull frame (``ThermalSetup._hull_frame``).
     """
 
     def __init__(self, ham_a: Hamiltonian, family: str):
@@ -918,8 +899,10 @@ class _BathLadder:
 
 
 # The ladders of the last 8 (system, family) pairs searched, each holding
-# every setup some search has reached: 60 kB after a qutrit's copies walk
-# to 729 joint dimensions, 14 MB after one to 177,147.
+# every setup some search has reached with its Gibbs vector, block lookup
+# and hull frame (two joint-sized index arrays more): 97 kB after a qutrit's
+# copies walk to 729 joint dimensions, 19 MB after one to 177,147
+# (tracemalloc; 69 kB and 15 MB without the frames).
 _ladder = functools.lru_cache(maxsize=8)(_BathLadder)
 
 
@@ -945,12 +928,18 @@ def realize_interior(
     one-dimensional bath and stop at dimension ``budget``.
 
     Baths are built once per (system, family) and reused across calls: each
-    bath's Hamiltonian, block grouping and Gibbs vector live on a ladder
-    cached for the last 8 ``(ham_a, bath_family)`` pairs searched, which
-    grows bath by bath only as far as some call's ``budget`` has walked.
-    ``build_setup``'s near-tie warning therefore fires when the ladder first
-    builds that bath: only the first search to reach it warns. What depends
-    on ``p`` and the target is built per call.
+    bath's Hamiltonian, block grouping, Gibbs vector and hull frame (block
+    lookup, joint labels, the cells its ``F`` table is scattered into and
+    read from) live on a ladder cached for the last 8 ``(ham_a,
+    bath_family)`` pairs searched, which grows bath by bath only as far as
+    some call's ``budget`` has walked. ``build_setup``'s near-tie warning
+    therefore fires when the ladder first builds that bath: only the first
+    search to reach it warns. The subset tables of the system's ``n``
+    levels are kept once per ``n`` and the span basis once per separator
+    pattern (the last 64); the system Hamiltonian keeps its hash, Gibbs
+    vector and degenerate levels. What depends on ``p`` and the target is
+    built per call: each bath's sort, ``F`` table and distance, and the
+    accepted bath's walk and unitary.
 
     Every bath is decided from its :class:`ClassicalHull`'s ``F`` table
     alone, with no vertex list and no LP: one whose exact max-norm
@@ -969,13 +958,13 @@ def realize_interior(
     beta-ordering permutations, which are energy-preserving bijections by
     construction and are not checked again; each block's rotation is. The
     setup returned is the caller's own: it shares the ladder's blocks, not
-    what the ladder's setup caches.
+    what the ladder's setup caches (its hull frame included).
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
-    gamma = gibbs_vector(ham_a)
+    gamma = ham_a._gibbs
     _check_thermo_shapes(p, p_prime, gamma)
     if not _lorenz_dominates(p, p_prime, gamma, p_prime.size * tol):
         raise PreconditionError(

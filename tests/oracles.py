@@ -11,7 +11,9 @@ energy-preserving permutation, and the gadget unitaries, built from index
 images, against dense sums of Kronecker products. The closed-form
 classical hull is checked against :class:`Polytope`, the hull of its
 vertices as Qhull's facet equations with a Delaunay witness, and
-membership verdicts against a positivity-margin LP. The bath search is
+membership verdicts against a positivity-margin LP; its ``F`` reads
+through cached frames, level sets and span bases against
+:class:`PerCallHull`, which builds every table for the one hull. The bath search is
 checked against a walk that asks ``hull_membership`` about every bath's
 greedy sum, pruned to its Qhull vertices after every block; the iterative
 and vectorized internals against the plain recursive and looped forms they
@@ -53,6 +55,8 @@ from thermohorn.config import (
     BISTOCHASTIC_SUM_TOL,
     DECOMPOSITION_TOL,
     DEDUP_TOL,
+    SEPARATOR_TOL,
+    WALK_DIRECTION_TOL,
 )
 from thermohorn.energy import _multiset_permutations
 from thermohorn.linalg import require_unitary
@@ -283,6 +287,116 @@ def greedy_reachable_set(p, setup):
     points = _marginal_outputs(reps, v, dim_a, dim_b)
     verts = hull_vertex_indices(points, tol=DEDUP_TOL)
     return ReachableSet(points, verts, setup, p, reps, Polytope(points[list(verts)], DEDUP_TOL))
+
+
+def subset_table(setup, v):
+    """``F`` of every subset of levels, every index table rebuilt from ``setup`` for this call.
+
+    Per block, the sum of its ``k`` largest entries of the joint input
+    ``v``, ``k`` the block's number of slots with system label in ``S``:
+    the per-call tabulation that the hull's cached frame replaced.
+    """
+    n = setup.dim_a
+    block_of = setup.block_of()
+    labels = np.arange(setup.dim_joint) // setup.dim_b
+    heaviest = np.lexsort((-v, block_of))
+    masks = np.arange(1 << n)
+    members = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    nblocks = len(setup.blocks)
+    sizes = np.bincount(block_of, minlength=nblocks)
+    counts = np.zeros((nblocks, n), dtype=np.int64)
+    np.add.at(counts, (block_of, labels), 1)
+    sorted_block = block_of[heaviest]
+    rank_in_block = np.arange(setup.dim_joint) - (np.cumsum(sizes) - sizes)[sorted_block]
+    top = np.zeros((nblocks, int(sizes.max()) + 1))
+    top[sorted_block, rank_in_block + 1] = v[heaviest]
+    top = np.cumsum(top, axis=1)
+    taken = members.astype(np.int64) @ counts.T
+    return top[np.arange(nblocks), taken].sum(axis=1)
+
+
+class PerCallHull:
+    """The classical hull's ``F`` reads with every table built for this hull alone.
+
+    ``table`` is :func:`subset_table`; the subset masks, their sizes, the
+    chain's mask order and each level's holding sets are formed here, and
+    ``basis`` is a fresh SVD of the separators' indicators. ``distance``,
+    ``saturate`` and ``walk`` follow :class:`~thermohorn.thermal.ClassicalHull`'s
+    formulas step for step, so their results must agree to the bit.
+    """
+
+    def __init__(self, p, setup):
+        n = setup.dim_a
+        self.n = n
+        self.table = subset_table(setup, setup.joint_input(p))
+        masks = np.arange(1 << n)
+        self.members = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+        self.separators = np.abs(self.table + self.table[::-1] - self.table[-1]) <= SEPARATOR_TOL
+        self.vectors = {}
+
+    def distance(self, target):
+        gap = self.members @ np.asarray(target, dtype=np.float64) - self.table
+        size = self.members.sum(axis=1)
+        below = gap[1:] / size[1:]
+        above = (gap[:-1] - gap[-1]) / (self.n - size[:-1])
+        return max(0.0, float(below.max()), float(above.max()))
+
+    def saturate(self, q, d):
+        if d == 0:
+            return q
+        y = q - d
+        slack = self.table - self.members @ y
+        for a in range(self.n):
+            holding = self.members[:, a] > 0
+            rise = min(2 * d, float(slack[holding].min()))
+            y[a] += rise
+            slack[holding] -= rise
+        return y
+
+    @cached_property
+    def basis(self):
+        separators = self.members[self.separators]
+        _, values, rows = np.linalg.svd(separators)
+        cut = values.max() * (max(separators.shape) * np.finfo(values.dtype).eps)
+        return rows[int(np.count_nonzero(values > cut)) :]
+
+    def walk(self, x):
+        slack = self.table - self.members @ x
+        terms = []
+        remaining = 1.0
+        for _ in range(self.basis.shape[0]):
+            order, vertex = self._chain(slack * remaining)
+            direction = x - vertex
+            rise = self.members @ direction
+            limits = rise * remaining > WALK_DIRECTION_TOL
+            if not limits.any():
+                break
+            t = float((slack[limits].clip(0.0) / rise[limits]).min())
+            terms.append((remaining * t / (1.0 + t), order, vertex))
+            remaining /= 1.0 + t
+            x = x + t * direction
+            slack = slack - t * rise
+        else:
+            order, vertex = self._chain(slack * remaining)
+        terms.append((remaining, order, vertex))
+        return terms
+
+    def _chain(self, slack):
+        tight = ((slack <= SEPARATOR_TOL) | self.separators).tolist()
+        chain = 0
+        order = []
+        for mask in sorted(range(1 << self.n), key=int.bit_count):
+            if tight[mask] and mask & chain == chain and mask != chain:
+                order += [a for a in range(self.n) if (mask & ~chain) >> a & 1]
+                chain = mask
+        order = tuple(order)
+        if order not in self.vectors:
+            vertex, prefix = np.empty(len(order)), 0
+            for a in order:
+                vertex[a] = self.table[prefix | 1 << a] - self.table[prefix]
+                prefix |= 1 << a
+            self.vectors[order] = vertex
+        return order, self.vectors[order]
 
 
 def realize_reference(p, ham_a, p_prime, bath_family, budget, tol=1e-8):

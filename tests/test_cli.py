@@ -10,9 +10,10 @@ import pytest
 from thermohorn import alpha_max_oscillator, d_alpha, qubit_gibbs
 from thermohorn import cli
 from thermohorn.cli import main
-from thermohorn.config import DECOMPOSITION_TOL, MEMBERSHIP_TOL
+from thermohorn.config import DECOMPOSITION_TOL, MARGINAL_TOL, MEMBERSHIP_TOL
 from thermohorn.geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
-from thermohorn.serialize import format_float, realization_from_json
+from thermohorn.linalg import partial_trace_b
+from thermohorn.serialize import format_float, matrix_from_json, matrix_to_json, realization_from_json
 
 LN2 = math.log(2.0)
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
@@ -91,6 +92,26 @@ def test_horn_emits_working_realization(capsys):
     v = np.kron([0.8, 0.2], [0.5, 0.5])
     achieved = (np.abs(realization.unitary) ** 2 @ v).reshape(2, 2).sum(axis=1)
     assert np.abs(achieved - [0.6, 0.4]).max() < 1e-9
+
+
+def test_marginal_reports_its_residual_against_its_tolerance(capsys):
+    # A pure product state whose system marginal is carried to a mixed one:
+    # the printed residual is the max-norm miss of Tr_B(U rho U+) against
+    # sigma, recomputed from the printed (12-digit) unitary, and lies below
+    # the printed tolerance.
+    rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    sigma = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
+    rho_json, sigma_json = (json.dumps(matrix_to_json(m)) for m in (rho, sigma))
+    argv = ("marginal", "--rho", rho_json, "--sigma", sigma_json, "--dim-a", "2", "--dim-b", "2")
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"n", "m", "U", "residual", "tol"}
+    assert payload["tol"] == MARGINAL_TOL and 0.0 <= payload["residual"] <= MARGINAL_TOL
+    u = matrix_from_json(payload["U"])
+    achieved = partial_trace_b(u @ rho @ u.conj().T, 2, 2)
+    assert abs(np.abs(achieved - sigma).max() - payload["residual"]) <= 1e-11
+    assert _run(capsys, *argv) == (0, out)
 
 
 def test_horn_rejects_non_majorized_target(capsys):

@@ -48,7 +48,13 @@ from thermohorn.config import (
     SEPARATOR_TOL,
 )
 from thermohorn.linalg import permutation_matrix, probability_vector
-from thermohorn.energy import EnergyLabel, _block_class_targets, _multiset_permutations
+from thermohorn.energy import (
+    EnergyLabel,
+    ThermalSetup,
+    _block_class_targets,
+    _level_sets,
+    _multiset_permutations,
+)
 from thermohorn.geometry import (
     TIGHT_LP_TOL,
     classify_membership,
@@ -59,6 +65,7 @@ from thermohorn.geometry import (
 from thermohorn.thermal import ClassicalHull, _BathLadder
 
 from oracles import (
+    PerCallHull,
     Polytope,
     bit_equal,
     block_class_targets,
@@ -67,6 +74,7 @@ from oracles import (
     mixed_joint_reference,
     reachable_listing,
     realize_reference,
+    subset_table,
     synthesize_reference,
 )
 
@@ -1002,6 +1010,34 @@ def test_band_targets_saturate_into_the_hull_and_realize_within_tol(case, seed):
         assert np.abs(achieved - q).max() <= tol
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
+def test_hull_reads_from_its_cached_frame_match_the_per_call_reference_bit_for_bit(case, seed):
+    # The hull reads its setup's frame, the level sets of its n and the span
+    # basis of its separator pattern from caches; a hull that rebuilds every
+    # table for itself gives the same F table, distances, saturations, walk
+    # terms and span basis to the bit, on hull points, band targets and
+    # targets pushed off the hull.
+    setup, p = case
+    rng = np.random.default_rng(seed)
+    hull, reference = ClassicalHull(p, setup), PerCallHull(p, setup)
+    assert bit_equal(hull.table, reference.table)
+    assert bit_equal(hull.basis, reference.basis)
+    band = [q for q, _ in _band_targets(hull, rng, 1e-8)]
+    inside = _hull_targets(hull.vertices, rng)
+    pushed = [q + 1e-4 * rng.normal(size=q.size) for q in inside[:4]]
+    for q in [*inside, *band, *pushed]:
+        d = hull.distance(q)
+        assert d == reference.distance(q)
+        y = hull._saturate(q.copy(), d)
+        assert bit_equal(y, reference.saturate(q.copy(), d))
+        if d <= 1e-8:
+            for (w, order, g), (w_ref, order_ref, g_ref) in zip(
+                hull._walk(y), reference.walk(y), strict=True
+            ):
+                assert w == w_ref and order == order_ref and bit_equal(g, g_ref)
+
+
 def test_realize_stops_at_a_bath_that_holds_the_target_within_tol():
     # A target 0.5 tol (max-norm) past an oscillator bath's closed-form
     # threshold lies 0.5 tol (max-norm) from that hull, within the distance
@@ -1073,6 +1109,9 @@ def test_realize_returns_a_setup_of_its_own_and_leaves_the_ladder_lean():
     decompose_channel_to_classical(first[1], first[0])
     assert "_block_entries" in first[0].__dict__
     assert "_block_entries" not in ladder.__dict__
+    # The hulls were built on the ladder's setup: its frame stays there.
+    assert "_hull_frame" in ladder.__dict__
+    assert "_hull_frame" not in first[0].__dict__ and "_hull_frame" not in again[0].__dict__
 
 
 def test_realize_is_bit_identical_on_a_cold_and_a_warm_ladder():
@@ -1110,23 +1149,89 @@ def test_realize_is_bit_identical_on_a_cold_and_a_warm_ladder():
     assert (3, "copies", 64, 9) in found
 
 
+def test_a_warm_ladder_builds_each_bath_frame_once():
+    # Repeated searches that reach the 32-dimensional copies bath build the
+    # hull frame of each bath they try once, on the ladder's setup, on the
+    # first search; later searches read it.
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    ground = np.array([1.0, 0.0])
+    top16 = alpha_max_achievable(_qubit_copies(4, math.log(2.0))[1], 1)
+    top32 = alpha_max_achievable(_qubit_copies(5, math.log(2.0))[1], 1)
+    frame = ThermalSetup.__dict__["_hull_frame"]
+    thermal._ladder.cache_clear()
+    with mock.patch.object(frame, "func", side_effect=frame.func) as built:
+        for a in np.linspace(top16, top32, 7)[1:-1]:
+            setup, _, _ = realize_interior(ground, qubit, np.array([1 - a, a]), "copies", 64)
+            assert setup.dim_b == 32
+    ladder = list(thermal._ladder(qubit, "copies").upto(32))
+    assert [call.args[0] for call in built.call_args_list] == ladder
+    assert all(a is b for (a,), b in zip((c.args for c in built.call_args_list), ladder))
+
+
+def test_every_cached_hull_table_is_read_only():
+    # What hulls share (the frame, the level sets, the span basis) and what
+    # a Hamiltonian keeps (its Gibbs vector) refuses writes; gibbs_vector
+    # hands out a copy of its own.
+    setup, p = _two_copy_preset()
+    hull = ClassicalHull(p, setup)
+    sets, frame = _level_sets(setup.dim_a), setup._hull_frame
+    arrays = [
+        sets.members, sets.below, sets.above, *sets.holding,
+        frame.block_of, frame.labels, frame.slots, frame.taken,
+        hull.basis, hull._members, setup.ham_a._gibbs, setup.gibbs_b(),
+    ]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+    copy = gibbs_vector(setup.ham_a)
+    copy[0] = 0.0
+    assert setup.ham_a._gibbs[0] > 0.0 and gibbs_vector(setup.ham_a)[0] > 0.0
+
+
+def test_span_basis_cache_keeps_a_fixed_number_of_patterns():
+    # More separator patterns than the cache holds: it never grows past its
+    # size, and every basis it hands out is a fresh SVD's to the bit.
+    rng = np.random.default_rng(18)
+    size = thermal._span_basis.cache_info().maxsize
+    assert size == 64
+    thermal._span_basis.cache_clear()
+    for _ in range(3 * size):
+        n = int(rng.integers(1, 5))
+        pattern = rng.random(1 << n) < 0.5
+        pattern[[0, -1]] = True  # the empty and the full set always separate
+        rows = _level_sets(n).members[pattern]
+        _, values, right = np.linalg.svd(rows)
+        rank = np.linalg.matrix_rank(rows)
+        assert bit_equal(thermal._span_basis(n, pattern.tobytes()), right[rank:])
+        assert thermal._span_basis.cache_info().currsize <= size
+    assert thermal._span_basis.cache_info().currsize == size
+
+
 def test_threads_sharing_a_ladder_build_each_bath_once():
     # Rounds of six threads walking one fresh ladder at once, switching every
     # microsecond: each sees every bath once and in order, and the ladder
     # holds each once. Without the ladder's lock most rounds duplicate a bath.
+    # Each thread also builds every bath's hull, whose frame the threads
+    # share: every F table is the per-call reference's to the bit.
     qubit = qubit_hamiltonian(beta=math.log(2.0))
     dims = [1, 2, 4, 8, 16, 32, 64]
+    p = np.array([0.7, 0.3])
+    tables = [
+        subset_table(s, s.joint_input(p)).tobytes() for s in _BathLadder(qubit, "copies").upto(64)
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
             ladder = _BathLadder(qubit, "copies")
-            walks = []
+            walks, hulls = [], []
             start = threading.Barrier(6, timeout=60)
 
             def walk():
                 start.wait()
-                walks.append([s.dim_b for s in ladder.upto(64)])
+                setups = list(ladder.upto(64))
+                walks.append([s.dim_b for s in setups])
+                hulls.append([ClassicalHull(p, s).table.tobytes() for s in setups])
 
             threads = [threading.Thread(target=walk) for _ in range(6)]
             for thread in threads:
@@ -1135,6 +1240,7 @@ def test_threads_sharing_a_ladder_build_each_bath_once():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert walks == [dims] * len(threads)
+            assert hulls == [tables] * len(threads)
             assert [s.dim_b for s in ladder.upto(64)] == dims
     finally:
         sys.setswitchinterval(interval)
