@@ -351,7 +351,7 @@ class ClassicalHull:
             )
         self.setup = setup
         self._points = points
-        self._frame = frame = setup._hull_frame
+        frame = setup._hull_frame
         self._sets = _level_sets(n)
         self._members = self._sets.members
         # Joint indices block by block, heaviest input entry first.
@@ -543,7 +543,8 @@ class ClassicalHull:
         """Joint images of the greedy beta-ordering permutation for ``order`` of the levels."""
         level_rank = np.empty(len(order), dtype=np.int64)
         level_rank[np.asarray(order)] = np.arange(len(order))
-        slots = np.lexsort((level_rank[self._frame.labels], self._frame.block_of))
+        frame = self.setup._hull_frame
+        slots = np.lexsort((level_rank[frame.labels], frame.block_of))
         images = np.empty(self.setup.dim_joint, dtype=np.int64)
         images[self._heaviest] = slots
         return images
