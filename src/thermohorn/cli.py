@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DECOMPOSITION_TOL, ENUMERATION_CAP, MARGINAL_TOL, MEMBERSHIP_TOL
+from .config import DECOMPOSITION_TOL, ENUMERATION_CAP, MARGINAL_TOL, MEMBERSHIP_TOL, THERMO_WITNESS_TOL
 from .energy import Hamiltonian, ThermalSetup, build_setup, weight_hamiltonian
 from .errors import PreconditionError
 from .geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
@@ -181,18 +181,25 @@ def _cmd_majorize(argv) -> str:
 def _cmd_thermomajorize(argv) -> str:
     parser = _parser(
         "thermomajorize",
-        "Output: {\"thermomajorizes\": bool, \"D\": rows or null}; D is a "
-        "column-stochastic witness with Dp=q and Dgamma=gamma.",
+        "Output: {\"thermomajorizes\": true, \"D\", \"residual\", \"tol\"}, D a "
+        "column-stochastic witness built from the two thermo-Lorenz curves, with "
+        "Dgamma=gamma and Dp missing q by residual <= tol (max-norm); or "
+        "{\"thermomajorizes\": false, \"D\": null}.",
     )
     parser.add_argument("--p", required=True)
     parser.add_argument("--q", required=True)
     parser.add_argument("--gamma", required=True)
     args = parser.parse_args(argv)
-    witness = thermomajorizes(parse_vector(args.p), parse_vector(args.q), parse_vector(args.gamma))
+    p, q = parse_vector(args.p), parse_vector(args.q)
+    witness = thermomajorizes(p, q, parse_vector(args.gamma))
+    if witness is None:
+        return dump_json({"thermomajorizes": False, "D": None})
     return dump_json(
         {
-            "thermomajorizes": witness is not None,
-            "D": None if witness is None else real_rows(witness),
+            "thermomajorizes": True,
+            "D": real_rows(witness),
+            "residual": _real_list([np.abs(witness @ p - q).max()])[0],
+            "tol": THERMO_WITNESS_TOL,
         }
     )
 

@@ -89,22 +89,10 @@ SCHUR_HORN_TOL = 1e-9
 #: there is no weight to move, and normalizing it would divide by ~0.
 EMPTY_BLOCK_MASS = 1e-300
 
-#: A thermomajorization witness ``D`` (stochastic, ``D gamma = gamma``) is
-#: sought by an LP minimizing the max-norm of ``D p − q``; an optimum above
-#: this means the LP failed on a pair the thermo-Lorenz curves accept.
+#: A thermomajorization witness ``D``, built from the two thermo-Lorenz
+#: curves, must meet ``D p = q`` within this (max-norm) and ``D gamma = gamma``
+#: within this relative to each gamma entry.
 THERMO_WITNESS_TOL = 1e-8
-
-#: The witness read off that LP must meet ``D p = q`` and ``D gamma = gamma``
-#: within this multiple of its tolerance: HiGHS satisfies its equations only
-#: to its own feasibility tolerance, 1e-7.
-THERMO_WITNESS_CHECK_FACTOR = 10
-
-#: Columns of that witness must sum to 1 within this (HiGHS's 1e-7).
-THERMO_WITNESS_COL_TOL = 1e-7
-
-#: Entries of that witness in ``[-this, 0)`` are solver noise, clamped to 0;
-#: anything more negative is refused.
-THERMO_WITNESS_ENTRY_TOL = 1e-9
 
 #: A convex permutation decomposition must rebuild its bistochastic matrix
 #: to this (max-norm); a residual no larger, whose support admits no perfect

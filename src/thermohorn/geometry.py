@@ -11,8 +11,7 @@ hull is :class:`~thermohorn.thermal.ClassicalHull`, in closed form.
 :func:`hull_vertex_indices` finds the extreme points of a point cloud with
 Qhull: the reference the closed form is checked against, called by no route
 in the package. scipy is imported on first use: :func:`linprog` loads HiGHS
-(``majorization`` solves its LP through it too, looked up at call time, so a
-caller may replace it) and :func:`hull_vertex_indices` loads Qhull.
+and :func:`hull_vertex_indices` loads Qhull.
 """
 
 from __future__ import annotations

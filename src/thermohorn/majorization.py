@@ -5,8 +5,8 @@
 Hardy-Littlewood-Polya theorem makes this equivalent to ``q = D p`` for some
 bistochastic ``D``; thermomajorization replaces "bistochastic" by "stochastic
 and fixing a given Gibbs vector". It is decided by thermo-Lorenz curves
-(Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013)), with no LP; a small
-LP builds the witness ``D`` only for a pair the curves accept.
+(Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013)), and the witness ``D``
+for a pair they accept is built from the same two curves: no LP.
 
 The constructive side: :func:`schur_horn_unitary` builds a unitary whose
 conjugation carries one diagonal to another prescribed majorized diagonal
@@ -41,14 +41,11 @@ from .config import (
     SCHUR_HORN_TOL,
     STOCHASTIC_COL_TOL,
     STOCHASTIC_ENTRY_TOL,
-    THERMO_WITNESS_CHECK_FACTOR,
-    THERMO_WITNESS_COL_TOL,
-    THERMO_WITNESS_ENTRY_TOL,
     THERMO_WITNESS_TOL,
     UNITARITY_TOL,
 )
 from .errors import PreconditionError
-from .geometry import FEASIBILITY_TOLS, highs_options, linprog
+from .geometry import linprog  # noqa: F401  (unused; perfbench's tracer wraps majorization.linprog)
 from .linalg import (
     ComplexMatrix,
     ProbabilityVector,
@@ -157,13 +154,18 @@ def first_failing_prefix(p, q, *, slack: float = MAJORIZATION_SLACK) -> int | No
     return int(bad[0]) + 1 if bad.size else None
 
 
-def _thermo_lorenz_curve(vec: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elbows of the thermo-Lorenz curve: cumulative gamma and vec, largest vec/gamma first.
+def _beta_order(vec: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Indices by decreasing ``vec / gamma`` (beta-ordering).
 
     Ties in the ratio are broken by the larger entry first, so that for a
-    uniform ``gamma`` the ordinates are exactly the sorted prefix sums.
+    uniform ``gamma`` the curve's ordinates are exactly the sorted prefix sums.
     """
-    order = np.lexsort((-vec, -(vec / gamma)))
+    return np.lexsort((-vec, -(vec / gamma)))
+
+
+def _thermo_lorenz_curve(vec: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elbows of the thermo-Lorenz curve: cumulative gamma and vec in beta-order."""
+    order = _beta_order(vec, gamma)
     return np.cumsum(gamma[order]), np.cumsum(vec[order])
 
 
@@ -209,75 +211,98 @@ def _lorenz_dominates(p, q, gamma, slack: float) -> bool:
 def thermomajorizes(p, q, gamma) -> StochasticMatrix | None:
     """A stochastic ``D`` with ``D p = q`` and ``D gamma = gamma``, or None if there is none.
 
-    The verdict is :func:`thermo_lorenz_dominates` at its default slack;
-    no LP runs for a pair it rejects. For a pair it accepts, the witness
-    minimizes ``||D p - q||_inf`` over column-stochastic matrices fixing
-    ``gamma`` (a region never empty: the rank-one matrix with all columns
-    ``gamma`` is in it). The solution must be stochastic to
-    ``THERMO_WITNESS_COL_TOL`` and ``THERMO_WITNESS_ENTRY_TOL``, reach an
-    optimum of at most ``THERMO_WITNESS_TOL``, and meet ``D p = q`` and
-    ``D gamma = gamma`` within ``THERMO_WITNESS_CHECK_FACTOR`` times that.
-    HiGHS meets its constraints only to its feasibility tolerance, 1e-7, so
-    a solution that fails is solved once more at the tighter tolerance of
-    ``geometry.FEASIBILITY_TOLS``; a second failure raises ``RuntimeError``.
+    The verdict is :func:`thermo_lorenz_dominates` at its default slack. ``D``
+    is built from the two beta-ordered curves with no LP (Shiraishi, J. Phys.
+    A 53, 425301 (2020)): :func:`_lorenz_cells` cuts the gamma axis at both
+    curves' elbows, :func:`_cell_transport` moves mass between the cells, and
+    ``D[i, j]`` collects the cells of ``q``'s level ``i`` fed by ``p``'s level
+    ``j``. It must meet ``D p = q`` (max-norm) and ``D gamma = gamma``
+    (relative to gamma) within ``THERMO_WITNESS_TOL``, and pass
+    :func:`stochastic_matrix`; else ``RuntimeError``.
     """
     p, q, gamma = _thermo_inputs(p, q, gamma)
     if not _lorenz_dominates(p, q, gamma, MAJORIZATION_SLACK):
         return None
-    n = p.size
-
-    # Variables: D row-major (n*n), then the slack s.
-    nvar = n * n + 1
-    a_eq = np.zeros((2 * n, nvar))
-    b_eq = np.zeros(2 * n)
-    for j in range(n):  # column sums
-        a_eq[j, j : n * n : n] = 1.0
-        b_eq[j] = 1.0
-    for i in range(n):  # D gamma = gamma
-        a_eq[n + i, i * n : (i + 1) * n] = gamma
-        b_eq[n + i] = gamma[i]
-    a_ub = np.zeros((2 * n, nvar))
-    b_ub = np.zeros(2 * n)
-    for i in range(n):  # |D p - q|_i <= s
-        a_ub[i, i * n : (i + 1) * n] = p
-        a_ub[i, -1] = -1.0
-        b_ub[i] = q[i]
-        a_ub[n + i, i * n : (i + 1) * n] = -p
-        a_ub[n + i, -1] = -1.0
-        b_ub[n + i] = -q[i]
-    cost = np.zeros(nvar)
-    cost[-1] = 1.0
-    for feasibility_tol in FEASIBILITY_TOLS:
-        res = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-            options=highs_options(feasibility_tol),
-        )
-        if not res.success:
-            raise RuntimeError(f"thermomajorization LP did not solve cleanly: {res.message}")
-        witness, miss = _checked_witness(res, p, q, gamma)
-        if miss is None:
-            return witness
-    raise RuntimeError(f"no thermomajorization witness for a pair the curves accept: {miss}")
-
-
-def _checked_witness(res, p, q, gamma) -> tuple[StochasticMatrix | None, str | None]:
-    """The LP solution as a witness and None, or None and the first check it fails."""
-    n = p.size
+    q_level, p_level, width = _lorenz_cells(_beta_order(p, gamma), _beta_order(q, gamma), gamma)
+    mixing = _cell_transport(width, p[p_level] / gamma[p_level], q[q_level] / gamma[q_level])
+    witness = np.zeros((p.size, p.size))
+    np.add.at(witness, (q_level[:, None], p_level), width[:, None] * mixing)
     try:
-        witness = stochastic_matrix(
-            res.x[:-1].reshape(n, n), col_tol=THERMO_WITNESS_COL_TOL, entry_tol=THERMO_WITNESS_ENTRY_TOL
-        )
+        witness = stochastic_matrix(witness / gamma)
     except PreconditionError as exc:
-        return None, str(exc)
-    bound = THERMO_WITNESS_CHECK_FACTOR * THERMO_WITNESS_TOL
-    for name, err, limit in (
-        ("LP optimum", float(res.fun), THERMO_WITNESS_TOL),
-        ("Dp=q", float(np.max(np.abs(witness @ p - q))), bound),
-        ("Dgamma=gamma", float(np.max(np.abs(witness @ gamma - gamma))), bound),
-    ):
-        if err > limit:
-            return None, f"{name} off by {err} (tolerance {limit})"
-    return witness, None
+        raise RuntimeError(f"thermomajorization witness is not stochastic: {exc}") from exc
+    miss = float(np.max(np.abs(witness @ p - q)))
+    drift = float(np.max(np.abs(witness @ gamma - gamma) / gamma))
+    if not max(miss, drift) <= THERMO_WITNESS_TOL:
+        raise RuntimeError(
+            f"witness misses Dp=q by {miss}, Dgamma=gamma by {drift} relative (tolerance {THERMO_WITNESS_TOL})"
+        )
+    return witness
+
+
+def _lorenz_cells(p_order, q_order, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut the gamma axis at both curves' elbows: each cell's q level, p level and width.
+
+    Walks the two beta-orders north-west-corner style: a cell pairs the
+    current level of each, as wide as the smaller of their remaining gamma,
+    which both then lose; at most ``2n - 1`` cells. The remainders are exact
+    integers (counted in the finest binary unit of ``gamma``'s entries), so
+    both orders end together and a 1e-304 entry keeps its width next to a 1.
+    """
+    exact = [g.as_integer_ratio() for g in gamma.tolist()]
+    unit = max(den for _, den in exact)
+    left = [num * (unit // den) for num, den in exact]
+    cells = []
+    i = j = 0
+    left_q, left_p = left[q_order[0]], left[p_order[0]]
+    while True:
+        width = min(left_q, left_p)
+        cells.append((q_order[i], p_order[j], width / unit))
+        left_q -= width
+        left_p -= width
+        if left_q == 0:
+            i += 1
+            if i == len(q_order):
+                return tuple(np.array(column) for column in zip(*cells))
+            left_q = left[q_order[i]]
+        if left_p == 0:
+            j += 1
+            left_p = left[p_order[j]]
+
+
+def _cell_transport(width, have, want) -> np.ndarray:
+    """Row-stochastic ``C`` with ``C have = want`` and ``sum_k width_k C[k, l] = width_l``.
+
+    ``have`` (overwritten) and ``want`` are densities on the cells of :func:`_lorenz_cells`,
+    ``want`` non-increasing, ``have``'s running mass above ``want``'s. A cell
+    below its target takes from the last cell before it above its own by a
+    width-weighted average of their rows, which puts whichever runs out first
+    exactly on target: at most ``2(K - 1)`` moves. A deficit with no excess
+    before it lies within the verdict's slack and is left.
+    """
+    mixing = np.eye(width.size)
+    excess = []
+    for k in range(width.size):
+        while have[k] < want[k] and excess:
+            l = excess[-1]
+            gap = have[l] - have[k]
+            s, t = (have[l] - want[l]) / gap, (want[k] - have[k]) / gap
+            spent = s * width[l] <= t * width[k]  # l runs out before k is met
+            if spent:
+                t = s * width[l] / width[k]
+            else:
+                s = t * width[k] / width[l]
+            mix = np.array([[1.0 - s, s], [t, 1.0 - t]])
+            mixing[[l, k]] = mix @ mixing[[l, k]]
+            have[[l, k]] = mix @ have[[l, k]]
+            if spent:
+                have[l] = want[l]
+                excess.pop()
+            else:  # rounding must not turn l's excess into a deficit
+                have[k], have[l] = want[k], max(have[l], want[l])
+        if have[k] > want[k]:
+            excess.append(k)
+    return mixing
 
 
 def _augment(masks: list[int], row_match: list[int], start: int) -> list[int]:

@@ -17,7 +17,7 @@ block unitaries fills in exactly the convex hull:
   coherences inside degenerate eigenspaces;
 * *decompose*: conversely, read any energy-preserving unitary as per-block
   bistochastic matrices, Birkhoff-decompose each block, and keep the product
-  form (expanding the product is exponential and almost never needed);
+  form (expanding the product is exponential);
 * *membership / realize*: classification against the hull's facets (an LP
   only for a target they do not place inside), and a search over growing
   bath families for a finite-bath realization of a thermomajorized target
@@ -132,8 +132,8 @@ class ProductConvexCombination:
 
     ``block_terms[i]`` lists ``(weight, local_images)`` for block ``i``, with
     local images indexing positions inside ``blocks[i]``. The represented
-    mixture is the product over blocks — term counts multiply, so keep the
-    factored form unless the expansion is genuinely small.
+    mixture is the product over blocks; term counts multiply, so it stays
+    factored.
     ``reconstruction_error`` is the worst max-norm by which a block's mixture
     missed its bistochastic matrix (None when not decomposed from one).
     """
@@ -189,26 +189,6 @@ class ProductConvexCombination:
         joint = np.fromiter(itertools.chain.from_iterable(self.blocks), np.intp, sum(sizes))
         start = (np.cumsum(sizes) - sizes)[group]
         return np.bincount(joint[start + rows], weights * v[joint[start + cols]], v.size)
-
-    def expand(self, cap: int = 10**5) -> ConvexCombination:
-        """Materialize the product mixture as joint permutations."""
-        count = self.term_count
-        if count > cap:
-            raise PreconditionError(
-                "expansion-cap", f"product has {count} terms, above the cap {cap}"
-            )
-        n = self.dim_joint
-        weights = []
-        perms = []
-        for combo in itertools.product(*self.block_terms):
-            w = math.prod(t[0] for t in combo)
-            joint = np.arange(n)
-            for block, (_, local) in zip(self.blocks, combo):
-                idx = np.asarray(block)
-                joint[idx] = idx[np.asarray(local)]
-            weights.append(w)
-            perms.append(tuple(int(j) for j in joint))
-        return ConvexCombination(tuple(weights), tuple(perms))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ are checked, bit for bit, against the chain that rescans the whole
 diagonal at every step. ``decompose_channel_to_classical``, which checks
 all blocks at once, is checked against ``birkhoff_decompose`` called block
 by block, and a product mixture's joint output against the block-by-block,
-term-by-term sum.
+term-by-term sum and against its expansion into joint permutations, which
+lives here only.
 """
 
 import itertools
@@ -39,6 +40,7 @@ import scipy.spatial
 from scipy.optimize import linprog
 
 from thermohorn import (
+    ConvexCombination,
     EnergyLabel,
     Hamiltonian,
     PreconditionError,
@@ -732,6 +734,27 @@ def mixed_joint_reference(product, v):
             acc += w * shuffled
         out[idx] = acc
     return out
+
+
+def expand_product(product, cap=10**5):
+    """A ``ProductConvexCombination`` as one ``ConvexCombination`` of joint permutations.
+
+    Term counts multiply across blocks, so a product of more than ``cap``
+    terms is refused (``expansion-cap``).
+    """
+    if product.term_count > cap:
+        raise PreconditionError(
+            "expansion-cap", f"product has {product.term_count} terms, above the cap {cap}"
+        )
+    weights, perms = [], []
+    for combo in itertools.product(*product.block_terms):
+        joint = np.arange(product.dim_joint)
+        for block, (_, local) in zip(product.blocks, combo):
+            idx = np.asarray(block)
+            joint[idx] = idx[np.asarray(local)]
+        weights.append(math.prod(w for w, _ in combo))
+        perms.append(tuple(int(j) for j in joint))
+    return ConvexCombination(tuple(weights), tuple(perms))
 
 
 def oscillator_bath_reference(ham_a, m):

@@ -10,7 +10,7 @@ import pytest
 from thermohorn import alpha_max_oscillator, d_alpha, qubit_gibbs
 from thermohorn import cli
 from thermohorn.cli import main
-from thermohorn.config import DECOMPOSITION_TOL, MARGINAL_TOL, MEMBERSHIP_TOL
+from thermohorn.config import DECOMPOSITION_TOL, MARGINAL_TOL, MEMBERSHIP_TOL, THERMO_WITNESS_TOL
 from thermohorn.geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
 from thermohorn.linalg import partial_trace_b
 from thermohorn.serialize import format_float, matrix_from_json, matrix_to_json, realization_from_json
@@ -76,7 +76,10 @@ def test_thermomajorize_emits_checkable_witness(capsys):
     gamma = np.array([2 / 3, 1 / 3])
     assert np.abs(d.sum(axis=0) - 1.0).max() < 1e-9
     assert np.abs(d @ gamma - gamma).max() < 1e-9
-    assert np.abs(d @ np.array([0.0, 1.0]) - np.array([0.5, 0.5])).max() < 1e-9
+    residual = np.abs(d @ np.array([0.0, 1.0]) - np.array([0.5, 0.5])).max()
+    assert residual < 1e-9
+    assert payload["tol"] == THERMO_WITNESS_TOL
+    assert abs(payload["residual"] - residual) <= 1e-12 and payload["residual"] <= payload["tol"]
     code, out = _run(
         capsys, "thermomajorize", "--p", "2/3,1/3", "--q", "1/2,1/2", "--gamma", "2/3,1/3"
     )
@@ -462,12 +465,13 @@ def test_import_and_help_load_neither_sympy_nor_scipy_stats():
 def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
     # One interpreter runs the commands in turn and lists, after each, the
     # deferred scipy packages loaded so far. Every hull comes in closed form,
-    # so no subcommand loads scipy.spatial. A thermomajorize that prints
-    # false, a realize, and a synthesize or membership target the facets
-    # place inside solve no LP; the exterior membership target, last, does,
-    # and scipy.optimize imports scipy.spatial itself. realize-band's target
-    # lies 5e-9 (max-norm) outside the one-copy hull, within tol: it is
-    # realized on that two-level bath by saturation and the walk, no LP.
+    # so no subcommand loads scipy.spatial. A thermomajorize, whether it
+    # prints false or a witness, a realize, and a synthesize or membership
+    # target the facets place inside solve no LP; the exterior membership
+    # target, last, does, and scipy.optimize imports scipy.spatial itself.
+    # realize-band's target lies 5e-9 (max-norm) outside the one-copy hull,
+    # within tol: it is realized on that two-level bath by saturation and
+    # the walk, no LP.
     qutrit = ("--ham-a", OSC3, "--ham-b", OSC3, "--p", "0.5,0.3,0.2")
     steps = [
         ("import", None),
@@ -478,6 +482,7 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
         ("qubit-alpha", ["qubit-alpha", "--m", "3", "--beta-de", "ln2"]),
         ("third-law", ["third-law", "--temperature", "1.0", "--delta-e", "1.0", "--m", "10"]),
         ("thermomajorize-false", ["thermomajorize", "--p", "2/3,1/3", "--q", "1/2,1/2", "--gamma", "2/3,1/3"]),
+        ("thermomajorize", ["thermomajorize", "--p", "0,1", "--q", "1/2,1/2", "--gamma", "2/3,1/3"]),
         ("realize-qubit", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", "0.6,0.4"]),
         ("realize-qutrit", ["realize", "--ham-a", OSC3, "--p", "1,0,0", "--target", "0.7,0.2,0.1"]),
         ("realize-band", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", f"{2 / 3 - 5e-9!r},{1 / 3 + 5e-9!r}"]),
@@ -519,7 +524,7 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
         (
             ["thermomajorize", "--p", "0,1", "--q", "1/2,1/2", "--gamma", "2/3,1/3"],
             "scipy.optimize",
-            True,
+            False,
         ),
     ],
     ids=["fig4-first-hull", "membership-first-geometry-lp", "thermomajorize-first-majorization-lp"],
@@ -527,7 +532,7 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
 def test_first_hull_or_lp_in_a_fresh_interpreter_matches_in_process(capsys, argv, deferred, loads):
     # In-process, the test modules have loaded scipy already; a fresh
     # interpreter runs the deferred import inside the command itself, or,
-    # for fig4's closed-form hulls, never runs it.
+    # for fig4's closed-form hulls and thermomajorize's curves, never runs it.
     probe = (
         "import sys\n"
         "from thermohorn.cli import main\n"

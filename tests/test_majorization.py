@@ -38,7 +38,7 @@ from thermohorn import (
     thermomajorizes,
     weight_hamiltonian,
 )
-from thermohorn.config import MAJORIZATION_SLACK, THERMO_WITNESS_COL_TOL, THERMO_WITNESS_TOL
+from thermohorn.config import MAJORIZATION_SLACK, STOCHASTIC_COL_TOL, THERMO_WITNESS_TOL
 from thermohorn.energy import EnergyLabel
 
 #: Curve margins within this of zero are the boundary band, where the LP's
@@ -132,26 +132,16 @@ def test_thermomajorizes_agrees_with_curve_oracle(p, q, g):
     assert feasible == thermomajorizes_oracle(p, q, gamma)
 
 
-@st.composite
-def _thermo_boundary_cases(draw):
-    """``(p, q, gamma)`` with ``q`` pushed ``k * 1e-7`` across the edge of what ``p`` reaches.
+def _gamma_and_state(draw, n, rng):
+    """A Gibbs vector (random, uniform, or at the 700 log-weight edge) and a state ``p``.
 
-    ``gamma`` is random, uniform, or has levels spanning 699.9 in
-    log-weight (just inside ``gibbs_vector``'s limit); ``p`` is random, has
-    zero entries, or has two entries tied in ``p / gamma``. The boundary
-    target mixes ``gamma`` with a state ``r``: the mixtures grow along the
-    thermomajorization order as the weight of ``r`` grows, so bisection
-    finds where ``p`` stops reaching them, and ``k`` moves that weight.
+    ``p`` is random, has zero entries, or has two entries tied in ``p / gamma``.
     """
-    n = draw(st.integers(2, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gamma_kind = draw(st.sampled_from(["dirichlet", "uniform", "edge"]))
     if gamma_kind == "uniform":
         gamma = np.full(n, 1.0 / n)
     elif gamma_kind == "edge":
-        tenths = [0, 6999] + [int(t) for t in rng.integers(0, 7000, size=n - 2)]
-        levels = tuple(EnergyLabel(Fraction(t, 10)) for t in rng.permutation(tenths))
-        gamma = gibbs_vector(Hamiltonian(levels, 1.0, 1.0))
+        gamma = _edge_gibbs(n, rng)
     else:
         gamma = rng.dirichlet(np.ones(n))
     p = rng.dirichlet(np.ones(n))
@@ -161,14 +151,61 @@ def _thermo_boundary_cases(draw):
     elif p_kind == "ties":
         i, j = rng.choice(n, size=2, replace=False)
         p[j] = p[i] * gamma[j] / gamma[i]
-    p /= p.sum()
+    return gamma, p / p.sum()
+
+
+def _edge_gibbs(n, rng):
+    """A Gibbs vector whose levels span 699.9 in log-weight (just inside ``gibbs_vector``'s limit)."""
+    tenths = [0, 6999] + [int(t) for t in rng.integers(0, 7000, size=n - 2)]
+    levels = tuple(EnergyLabel(Fraction(t, 10)) for t in rng.permutation(tenths))
+    return gibbs_vector(Hamiltonian(levels, 1.0, 1.0))
+
+
+#: How far, in units of 1e-7, a boundary target is pushed across the edge.
+_PUSHES = [-100, -10, -3, -1, 0, 1, 3, 10, 100]
+
+
+@st.composite
+def _thermo_boundary_cases(draw):
+    """``(p, q, gamma)`` with ``q`` pushed ``k * 1e-7`` across the edge of what ``p`` reaches.
+
+    ``gamma`` and ``p`` come from :func:`_gamma_and_state`. The boundary
+    target mixes ``gamma`` with a state ``r``: the mixtures grow along the
+    thermomajorization order as the weight of ``r`` grows, so bisection
+    finds where ``p`` stops reaching them, and ``k`` moves that weight.
+    """
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma, p = _gamma_and_state(draw, n, rng)
     r = 0.5 * np.eye(n)[rng.integers(n)] + 0.5 * rng.dirichlet(np.ones(n))
     q = _pushed_boundary_target(
-        p, gamma, lambda t: (1.0 - t) * gamma + t * r,
-        draw(st.sampled_from([-100, -10, -3, -1, 0, 1, 3, 10, 100])),
+        p, gamma, lambda t: (1.0 - t) * gamma + t * r, draw(st.sampled_from(_PUSHES))
     )
     assume(q is not None)
     return p, q, gamma
+
+
+@st.composite
+def _witness_cases(draw):
+    """``(p, q, gamma)`` for the constructive witness, ``q`` with zero entries too.
+
+    As :func:`_thermo_boundary_cases`, for ``n`` from 1, with ``r`` zero
+    on a random set of entries; where there is no pushed target (``p``
+    reaches ``r`` itself, or the push leaves the simplex), ``q`` is ``r``.
+    At ``n = 1`` every vector is ``[1]``.
+    """
+    n = draw(st.integers(1, 6))
+    if n == 1:
+        return np.ones(1), np.ones(1), np.ones(1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma, p = _gamma_and_state(draw, n, rng)
+    r = rng.dirichlet(np.ones(n))
+    r[rng.choice(n, size=int(rng.integers(0, n)), replace=False)] = 0.0
+    r /= r.sum()
+    q = _pushed_boundary_target(
+        p, gamma, lambda t: (1.0 - t) * gamma + t * r, draw(st.sampled_from(_PUSHES))
+    )
+    return p, r if q is None else q, gamma
 
 
 def _pushed_boundary_target(p, gamma, path, k):
@@ -188,6 +225,22 @@ def _pushed_boundary_target(p, gamma, path, k):
     return q / q.sum() if q.min() >= 0.0 else None
 
 
+def _thermomajorizes_without_lp(p, q, gamma):
+    """:func:`thermomajorizes`, asserting that it solves no LP."""
+    with mock.patch.object(majorization, "linprog", wraps=majorization.linprog) as lp:
+        witness = thermomajorizes(p, q, gamma)
+    assert lp.call_count == 0
+    return witness
+
+
+def _assert_witness(witness, p, q, gamma):
+    """``witness`` is stochastic, ``D p = q`` and ``D gamma = gamma`` (relative to gamma)."""
+    assert witness.min() >= 0.0
+    assert np.abs(witness @ p - q).max() <= THERMO_WITNESS_TOL
+    assert np.all(np.abs(witness @ gamma - gamma) <= THERMO_WITNESS_TOL * gamma)
+    assert np.abs(witness.sum(axis=0) - 1.0).max() <= STOCHASTIC_COL_TOL
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_thermo_boundary_cases())
 def test_thermo_lorenz_verdict_agrees_with_oracle_and_lp(case):
@@ -196,30 +249,35 @@ def test_thermo_lorenz_verdict_agrees_with_oracle_and_lp(case):
     assert verdict == thermomajorizes_oracle(p, q, gamma, MAJORIZATION_SLACK)
     n = p.size
     assert thermo_lorenz_dominates(p, q, np.full(n, 1.0 / n)) == majorizes(p, q)
-    if not verdict:
-        with mock.patch.object(majorization, "linprog", wraps=majorization.linprog) as lp:
-            assert thermomajorizes(p, q, gamma) is None
-        assert lp.call_count == 0
+    witness = _thermomajorizes_without_lp(p, q, gamma)
+    assert (witness is not None) == verdict
+    if verdict:
+        _assert_witness(witness, p, q, gamma)
     # HiGHS drops constraint coefficients below 1e-9, which makes the LP
     # answer a different question once gamma or p has entries that small.
     smallest = min(gamma.min(), p[p > 0].min())
     if abs(lorenz_margin(p, q, gamma)) <= LP_BAND or smallest < LP_COEFFICIENT_FLOOR:
         return
     assert verdict == (thermomajorization_residual(p, q, gamma) <= THERMO_WITNESS_TOL)
-    if verdict:
-        witness = thermomajorizes(p, q, gamma)
-        assert np.abs(witness @ p - q).max() <= 10 * THERMO_WITNESS_TOL
-        assert np.abs(witness @ gamma - gamma).max() <= 10 * THERMO_WITNESS_TOL
-        stochastic_matrix(witness, col_tol=THERMO_WITNESS_COL_TOL)
 
 
-def test_thermomajorizes_resolves_witnesses_highs_leaves_inexact():
-    # Just inside the boundary HiGHS's 1e-7 feasibility tolerance can leave
-    # witness entries below -1e-9, or miss Dp=q by 1e-7; such a solution
-    # is solved once more at TIGHT_LP_TOL. Each target moves mass from the
-    # lowest to the highest q/gamma entry of a mixture of p and gamma.
+@settings(max_examples=200, deadline=None)
+@given(case=_witness_cases())
+def test_thermomajorizes_builds_a_witness_for_every_accepted_pair(case):
+    p, q, gamma = case
+    witness = _thermomajorizes_without_lp(p, q, gamma)
+    assert (witness is not None) == thermo_lorenz_dominates(p, q, gamma)
+    if witness is not None:
+        _assert_witness(witness, p, q, gamma)
+
+
+def test_thermomajorizes_builds_witnesses_at_the_boundary():
+    # Just inside the boundary: each target moves mass from the lowest to
+    # the highest q/gamma entry of a mixture of p and gamma, to 1e-9, 1e-8
+    # and 1e-7 of the edge. An LP at HiGHS's 1e-7 feasibility tolerance
+    # missed some of these; the curves' witness meets them to rounding.
     rng = np.random.default_rng(11)
-    resolved = 0
+    built = 0
     for _ in range(100):
         n = int(rng.integers(2, 6))
         p, gamma = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
@@ -230,14 +288,26 @@ def test_thermomajorizes_resolves_witnesses_highs_leaves_inexact():
             q = _pushed_boundary_target(p, gamma, lambda t: start + t * move, k)
             if q is None:
                 continue
-            with mock.patch.object(majorization, "linprog", wraps=majorization.linprog) as lp:
-                witness = thermomajorizes(p, q, gamma)
-            assert lp.call_count in (1, 2)
-            resolved += lp.call_count == 2
-            assert np.abs(witness @ p - q).max() <= 10 * THERMO_WITNESS_TOL
-            assert np.abs(witness @ gamma - gamma).max() <= 10 * THERMO_WITNESS_TOL
-            stochastic_matrix(witness, col_tol=THERMO_WITNESS_COL_TOL)
-    assert resolved > 0
+            witness = _thermomajorizes_without_lp(p, q, gamma)
+            _assert_witness(witness, p, q, gamma)
+            assert np.abs(witness @ p - q).max() <= MAJORIZATION_SLACK
+            built += 1
+    assert built > 100
+
+
+def test_thermomajorizes_fixes_gamma_at_the_700_log_weight_edge():
+    # Gibbs vectors spanning 699.9 in log-weight, q a mixture of p and
+    # gamma: an LP witness missed D gamma = gamma on every such pair, by
+    # up to 1e282 relative, since HiGHS drops coefficients below 1e-9.
+    rng = np.random.default_rng(700)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        gamma = _edge_gibbs(n, rng)
+        p = rng.dirichlet(np.ones(n))
+        q = (lam := rng.uniform()) * p + (1.0 - lam) * gamma
+        witness = _thermomajorizes_without_lp(p, q, gamma)
+        _assert_witness(witness, p, q, gamma)
+        assert np.max(np.abs(witness @ gamma - gamma) / gamma) <= 1e-12
 
 
 def test_birkhoff_decomposes_known_circulant():

