@@ -665,17 +665,20 @@ def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexM
     count as on target). Indices already on target are never revisited, so
     off-diagonal elements generated along the way never re-enter the
     diagonal bookkeeping and at most ``n - 1`` rotations are needed.
-    Sorting permutations on both sides then restore the original orderings,
-    so for equal multisets the result degenerates to the permutation
-    aligning ``lam`` with ``mu``. The sorting permutations are applied as
-    matrix products, whose sums fix the sign of every zero entry.
+    Every rotation is a real Givens rotation (Chan & Li, J. Math. Anal.
+    Appl. 91, 1983), so the chain runs on a float64 ``core``. Sorting
+    permutations on both sides then restore the original orderings, so for
+    equal multisets the result degenerates to the permutation aligning
+    ``lam`` with ``mu``. They are rows gathered from one complex identity
+    and applied as complex matrix products, whose sums fix the sign of
+    every zero entry; the result is complex.
     """
     n = lam.size
     idx_l = np.argsort(-lam, kind="stable")
     idx_m = np.argsort(-mu, kind="stable")
     x = lam[idx_l].tolist()
     target = mu[idx_m].tolist()
-    core = np.eye(n, dtype=np.complex128)
+    core = np.eye(n)
     # An entry is over, settled or under its target. A rotation settles i or
     # j and moves the other toward its target, so no entry ever becomes over
     # or under again: the first over entry i and the first under entry j
@@ -699,17 +702,14 @@ def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexM
         c2 = (x[i] - delta - x[j]) / (x[i] - x[j])
         c = math.sqrt(c2)
         s = math.sqrt(max(0.0, 1.0 - c2))
-        rows = core[[i, j]]
-        core[i] = c * rows[0] - s * rows[1]
-        core[j] = s * rows[0] + c * rows[1]
+        row_i, row_j = core[i].copy(), core[j]
+        core[i] = c * row_i - s * row_j
+        core[j] = s * row_i + c * row_j
         x[i] -= delta
         x[j] += delta
 
-    sort_l = np.zeros((n, n), dtype=np.complex128)
-    sort_l[np.arange(n), idx_l] = 1.0
-    sort_m = np.zeros((n, n), dtype=np.complex128)
-    sort_m[np.arange(n), idx_m] = 1.0
-    return sort_m.conj().T @ core @ sort_l
+    eye = np.eye(n, dtype=np.complex128)
+    return eye[idx_m].conj().T @ core @ eye[idx_l]
 
 
 def random_bistochastic(n: int, rng: np.random.Generator, terms: int | None = None) -> RealMatrix:

@@ -26,7 +26,8 @@ block unitaries fills in exactly the convex hull:
   orders builds the witness. realize never lists vertices and never loads
   scipy. The states are validated once, on entry; the baths' hulls and the
   witness read the validated arrays. Each family's baths are built once per
-  system and kept for later searches, each with the frame its hulls read.
+  system and kept for later searches, each with the frame its hulls read,
+  and with its hull for the last ``p`` searched.
 """
 
 from __future__ import annotations
@@ -631,7 +632,8 @@ def synthesize_unitary(
     a :class:`ConvexCombination` being its one-block case. The
     majorization inside a block holds by construction and is not checked
     beforehand; a mixture that breaks it (weights that do not sum to 1,
-    say) fails the rotation or its check with ``RuntimeError``.
+    say) fails the rotation or its check with ``RuntimeError``. A dense
+    unitary that cannot be allocated is refused (``unitary-too-large``).
     :func:`realize_interior`, whose greedy permutations need none of these
     input checks, goes straight to the rotations (``_rotate_blocks``).
     """
@@ -672,10 +674,18 @@ def _rotate_blocks(
     Nothing about the caller's mixture is checked here: each block of
     ``mixed`` is taken to be a mixture of permutations of that block of
     ``v``. Every block's rotation is still checked by
-    :func:`~thermohorn.majorization._schur_horn_blocks`.
+    :func:`~thermohorn.majorization._schur_horn_blocks`. A dense unitary
+    that cannot be allocated (``MemoryError``) is refused as
+    ``unitary-too-large``.
     """
     n = setup.dim_joint
-    u = np.zeros((n, n), dtype=np.complex128)
+    try:
+        u = np.zeros((n, n), dtype=np.complex128)
+    except MemoryError as exc:
+        raise PreconditionError(
+            "unitary-too-large",
+            f"cannot allocate the dense {n}x{n} complex unitary ({n * n * 16 / 2**30:.3g} GiB)",
+        ) from exc
     blocks, pairs = [], []  # every block that is rotated, and its (lam, mu)
     for block in setup.blocks:
         idx = np.asarray(block)
@@ -822,6 +832,15 @@ class _BathLadder:
     it as it was. Each setup keeps what searches read off it: its bath's
     Gibbs vector and, once a search has built a hull on it, its block
     lookup and hull frame (``ThermalSetup._hull_frame``).
+
+    The ladder also keeps the hulls of the last validated ``p`` it was
+    searched with, keyed on ``p``'s bytes: one :class:`ClassicalHull` per
+    bath that a search with that ``p`` reached (:meth:`hulls`), each with
+    its heaviest-first joint order, its ``F`` table and what it caches as
+    walks read it (separators, span basis, the greedy vector of each order
+    walked). A search with another ``p`` replaces the whole set, so the
+    ladder holds the hulls of one ``p``. Nothing joint-sized per order,
+    such as :meth:`ClassicalHull.permutation`, is kept.
     """
 
     def __init__(self, ham_a: Hamiltonian, family: str):
@@ -841,6 +860,7 @@ class _BathLadder:
             raise PreconditionError("bad-bath-family", f"unknown bath family {family!r}")
         self.ham_a, self.family = ham_a, family
         self._setups: list[ThermalSetup] = []
+        self._hulls: tuple[bytes, list[ClassicalHull]] = (b"", [])  # p's bytes, a hull per bath
         self._lock = threading.Lock()
 
     def upto(self, budget: int):
@@ -855,6 +875,31 @@ class _BathLadder:
             if setup.dim_b > budget:
                 return
             yield setup
+
+    def hulls(self, p: ProbabilityVector, budget: int):
+        """Yield ``(setup, hull)`` for :meth:`upto`'s baths, each hull that of the validated ``p``.
+
+        The hulls of the last ``p`` searched are kept, one per bath, keyed on
+        ``p``'s bytes. A search with another ``p`` swaps in an empty set for
+        its own, under the ladder's lock, and appends each hull it builds
+        there while that set is the ladder's; a search whose set has been
+        swapped out builds the rest for itself. Hulls are built outside the
+        lock, and each set only grows, one bath at a time and in order.
+        """
+        key = p.tobytes()
+        with self._lock:
+            if self._hulls[0] != key:
+                self._hulls = (key, [])
+            hulls = self._hulls[1]
+        for k, setup in enumerate(self.upto(budget)):
+            if k < len(hulls):
+                hull = hulls[k]
+            else:
+                hull = ClassicalHull._of_joint(setup, setup._joint(p))
+                with self._lock:
+                    if k == len(hulls):
+                        hulls.append(hull)
+            yield setup, hull
 
     def _next_dim(self) -> int:
         if not self._setups:
@@ -881,9 +926,10 @@ class _BathLadder:
 
 # The ladders of the last 8 (system, family) pairs searched, each holding
 # every setup some search has reached with its Gibbs vector, block lookup
-# and hull frame (two joint-sized index arrays more): 97 kB after a qutrit's
-# copies walk to 729 joint dimensions, 19 MB after one to 177,147
-# (tracemalloc; 69 kB and 15 MB without the frames).
+# and hull frame (two joint-sized index arrays more), and the hulls of one p
+# (one joint-sized index array more): 115 kB after a qutrit's copies walk
+# to 729 joint dimensions, 21 MB after one to 177,147 (tracemalloc;
+# about 100 kB and 19 MB without the hulls, 69 kB and 15 MB without the frames).
 _ladder = functools.lru_cache(maxsize=8)(_BathLadder)
 
 
@@ -918,9 +964,14 @@ def realize_interior(
     search to reach it warns. The subset tables of the system's ``n``
     levels are kept once per ``n`` and the span basis once per separator
     pattern (the last 64); the system Hamiltonian keeps its hash, Gibbs
-    vector and degenerate levels. What depends on ``p`` and the target is
-    built per call: each bath's sort, ``F`` table and distance, and the
-    accepted bath's walk and unitary.
+    vector and degenerate levels. What depends on ``p`` alone, each bath's
+    hull (its sort, ``F`` table, separators and span basis, and the greedy
+    vectors its walks have read), is kept on the ladder for the last ``p``
+    searched (:meth:`_BathLadder.hulls`): a search that repeats ``p`` forms
+    no joint input and tabulates nothing for the baths it skips, and a
+    search with a new ``p`` replaces those hulls. What depends on the
+    target is built per call: each bath's distance, and the accepted bath's
+    saturation, walk, joint input, greedy permutations and unitary.
 
     Every bath is decided from its :class:`ClassicalHull`'s ``F`` table
     alone, with no vertex list and no LP: one whose exact max-norm
@@ -937,9 +988,11 @@ def realize_interior(
     the pre-check, every bath's hull and the witness read the validated
     arrays. The unitary is :func:`synthesize_unitary`'s for the orders'
     beta-ordering permutations, which are energy-preserving bijections by
-    construction and are not checked again; each block's rotation is. The
-    setup returned is the caller's own: it shares the ladder's blocks, not
-    what the ladder's setup caches (its hull frame included).
+    construction and are not checked again; each block's rotation is. A
+    dense unitary that cannot be allocated is refused
+    (``unitary-too-large``). The setup returned is the caller's own: it
+    shares the ladder's blocks, not what the ladder's setup caches (its
+    hull frame included).
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
@@ -952,9 +1005,7 @@ def realize_interior(
             "not-thermomajorized",
             "target is not reachable by any Gibbs-preserving stochastic map",
         )
-    for setup in _ladder(ham_a, bath_family).upto(budget):
-        v = setup._joint(p)
-        hull = ClassicalHull._of_joint(setup, v)
+    for setup, hull in _ladder(ham_a, bath_family).hulls(p, budget):
         d = hull.distance(p_prime)
         if d > tol:
             continue
@@ -964,6 +1015,7 @@ def realize_interior(
         # Each greedy permutation is an energy-preserving bijection by
         # construction; the mixture is summed from 0 in term order, as
         # ProductConvexCombination.mixed_joint_output sums it.
+        v = setup._joint(p)
         mixed = np.zeros(v.size)
         for weight, order in zip(weights, orders):
             mixed[hull.permutation(order)] += weight * v

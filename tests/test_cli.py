@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from thermohorn import alpha_max_oscillator, d_alpha, qubit_gibbs
-from thermohorn import cli
+from thermohorn import cli, thermal
 from thermohorn.cli import main
 from thermohorn.config import DECOMPOSITION_TOL, MARGINAL_TOL, MEMBERSHIP_TOL, THERMO_WITNESS_TOL
 from thermohorn.geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
@@ -325,6 +325,28 @@ def test_realize_rejects_non_thermomajorized_target(capsys):
     )
     assert code == 2
     assert json.loads(out)["error"] == "not-thermomajorized"
+
+
+def test_realize_reports_an_unallocatable_unitary_as_a_refusal(capsys, monkeypatch):
+    # The dense unitary's allocation is made to fail, as it does for a bath
+    # of 177,147 joint dimensions: exit 2 with a named error, not exit 1.
+    class Refusing:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def zeros(shape, dtype=float):
+            if np.ndim(shape) and np.dtype(dtype) == np.complex128:
+                raise MemoryError(f"Unable to allocate a complex array with shape {shape}")
+            return np.zeros(shape, dtype)
+
+    monkeypatch.setattr(thermal, "np", Refusing())
+    code, out = _run(
+        capsys, "realize", "--ham-a", QUBIT, "--p", "1,0", "--target", "0.7,0.3"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "unitary-too-large" and "4x4" in payload["detail"]
 
 
 def test_qubit_alpha_oscillator_route(capsys):

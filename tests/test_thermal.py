@@ -939,25 +939,32 @@ def test_realize_search_solves_no_lp_and_finds_the_reference_bath():
 
 
 def test_realize_builds_vertices_only_for_the_bath_it_returns():
-    # Every bath is built as a ClassicalHull (each tabulates its F table),
-    # and none lists its greedy vertices, goes to classify_membership or
-    # builds a ReachableSet: the bath returned walks to its witness from F,
-    # after up to five baths decided from F alone.
+    # On a cleared ladder every bath is built as a ClassicalHull (each
+    # tabulates its F table), and none lists its greedy vertices, goes to
+    # classify_membership or builds a ReachableSet: the bath returned walks
+    # to its witness from F, after up to five baths decided from F alone.
+    # Searched again with the same p, the ladder's hulls are read back: no
+    # bath is tabulated, listed or solved for.
     tried = []
     for p, ham_a, target, family, budget in _realize_search_cases():
-        with (
-            mock.patch.object(ClassicalHull, "_tabulate", autospec=True,
-                              side_effect=ClassicalHull._tabulate) as built,
-            mock.patch.object(ClassicalHull, "_pick_vertices", autospec=True,
-                              side_effect=ClassicalHull._pick_vertices) as listed,
-            mock.patch.object(thermal, "classify_membership",
-                              side_effect=thermal.classify_membership) as classified,
-            mock.patch.object(thermal, "ReachableSet", side_effect=thermal.ReachableSet) as sets,
-            _counting_lps() as lp,
-        ):
-            assert realize_interior(p, ham_a, target, family, budget) is not None
-        assert listed.call_count == classified.call_count == sets.call_count == lp.call_count == 0
-        tried.append(built.call_count)
+        thermal._ladder.cache_clear()
+        for cold in (True, False):
+            with (
+                mock.patch.object(ClassicalHull, "_tabulate", autospec=True,
+                                  side_effect=ClassicalHull._tabulate) as built,
+                mock.patch.object(ClassicalHull, "_pick_vertices", autospec=True,
+                                  side_effect=ClassicalHull._pick_vertices) as listed,
+                mock.patch.object(thermal, "classify_membership",
+                                  side_effect=thermal.classify_membership) as classified,
+                mock.patch.object(thermal, "ReachableSet", side_effect=thermal.ReachableSet) as sets,
+                _counting_lps() as lp,
+            ):
+                assert realize_interior(p, ham_a, target, family, budget) is not None
+            assert listed.call_count == classified.call_count == sets.call_count == lp.call_count == 0
+            if cold:
+                tried.append(built.call_count)
+            else:
+                assert built.call_count == 0
     assert max(tried) >= 6
 
 
@@ -1242,6 +1249,66 @@ def test_threads_sharing_a_ladder_build_each_bath_once():
             assert walks == [dims] * len(threads)
             assert hulls == [tables] * len(threads)
             assert [s.dim_b for s in ladder.upto(64)] == dims
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _held_hulls_match(ladder, p):
+    """The ladder holds hulls for ``p`` alone: each bath's F table is the per-call reference's."""
+    key, hulls = ladder._hulls
+    setups = ladder._setups[: len(hulls)]
+    return key == p.tobytes() and hulls and all(
+        bit_equal(hull.table, subset_table(s, s.joint_input(p))) and hull.setup is s
+        for hull, s in zip(hulls, setups, strict=True)
+    )
+
+
+def test_a_ladder_reuses_its_hulls_for_one_p_and_replaces_them_for_another():
+    # Searches with p1, p2, p1 on one ladder, then two threads searching it
+    # at once with different p, switching every microsecond. Every unitary
+    # has the bytes it has on a cleared ladder, and the ladder holds the
+    # hulls of one p only: that of the last search to build any.
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    gamma = gibbs_vector(qubit)
+    p1, p2 = np.array([1.0, 0.0]), np.array([0.8, 0.2])
+    cases = [
+        (p1, np.array([0.7, 0.3])),
+        (p2, 0.5 * p2 + 0.5 * gamma),
+        (p1, np.array([0.6, 0.4])),
+    ]
+    cold = []
+    for p, target in cases:
+        thermal._ladder.cache_clear()
+        setup, u, _ = realize_interior(p, qubit, target, "copies", 64)
+        cold.append((setup.dim_b, u.tobytes()))
+    thermal._ladder.cache_clear()
+    ladder = thermal._ladder(qubit, "copies")
+    for (p, target), (dim_b, u_bytes) in zip(cases, cold):
+        setup, u, _ = realize_interior(p, qubit, target, "copies", 64)
+        assert (setup.dim_b, u.tobytes()) == (dim_b, u_bytes)
+        assert _held_hulls_match(ladder, p)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            results = {0: [], 1: []}
+            start = threading.Barrier(2, timeout=60)
+
+            def search(k):
+                start.wait()
+                for _ in range(4):
+                    p, target = cases[k]
+                    setup, u, _ = realize_interior(p, qubit, target, "copies", 64)
+                    results[k].append((setup.dim_b, u.tobytes()))
+
+            threads = [threading.Thread(target=search, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == {k: [cold[k]] * 4 for k in (0, 1)}
+            assert _held_hulls_match(ladder, p1) or _held_hulls_match(ladder, p2)
     finally:
         sys.setswitchinterval(interval)
 
