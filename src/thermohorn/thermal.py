@@ -880,11 +880,12 @@ class _BathLadder:
         """Yield ``(setup, hull)`` for :meth:`upto`'s baths, each hull that of the validated ``p``.
 
         The hulls of the last ``p`` searched are kept, one per bath, keyed on
-        ``p``'s bytes. A search with another ``p`` swaps in an empty set for
-        its own, under the ladder's lock, and appends each hull it builds
-        there while that set is the ladder's; a search whose set has been
-        swapped out builds the rest for itself. Hulls are built outside the
-        lock, and each set only grows, one bath at a time and in order.
+        ``p``'s bytes. A search with another ``p`` swaps in an empty list
+        under the ladder's lock. A search reads its list without the lock
+        and appends each hull it builds under it, so a list only grows, one
+        bath at a time and in order, and holds hulls of its own ``p`` alone;
+        a list that a later search has swapped out stays the first search's
+        own. Hulls are built outside the lock.
         """
         key = p.tobytes()
         with self._lock:

@@ -1267,7 +1267,7 @@ def test_a_ladder_reuses_its_hulls_for_one_p_and_replaces_them_for_another():
     # Searches with p1, p2, p1 on one ladder, then two threads searching it
     # at once with different p, switching every microsecond. Every unitary
     # has the bytes it has on a cleared ladder, and the ladder holds the
-    # hulls of one p only: that of the last search to build any.
+    # hulls of one p only: that of the last search to swap in a new set.
     qubit = qubit_hamiltonian(beta=math.log(2.0))
     gamma = gibbs_vector(qubit)
     p1, p2 = np.array([1.0, 0.0]), np.array([0.8, 0.2])
