@@ -618,8 +618,8 @@ def _schur_horn_blocks(pairs, blocks=None) -> list[ComplexMatrix]:
         by_size.setdefault(len(v), []).append(k)
     defects, misses = np.empty(len(rotations)), np.empty(len(rotations))
     for members in by_size.values():
-        v = np.stack([rotations[k] for k in members])
-        lam, mu = (np.stack([pairs[k][side] for k in members]) for side in (0, 1))
+        v = np.array([rotations[k] for k in members])
+        lam, mu = (np.array([pairs[k][side] for k in members]) for side in (0, 1))
         defects[members] = unitarity_defect(v)
         achieved = np.matmul(v.real**2 + v.imag**2, lam[..., None])[..., 0]
         misses[members] = np.abs(achieved - mu).max(axis=1)
@@ -674,8 +674,8 @@ def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexM
     every zero entry; the result is complex.
     """
     n = lam.size
-    idx_l = np.argsort(-lam, kind="stable")
-    idx_m = np.argsort(-mu, kind="stable")
+    idx_l = (-lam).argsort(kind="stable")
+    idx_m = (-mu).argsort(kind="stable")
     x = lam[idx_l].tolist()
     target = mu[idx_m].tolist()
     core = np.eye(n)
