@@ -91,16 +91,16 @@ def probability_vector(entries, *, tol: float = PROBABILITY_TOL) -> ProbabilityV
     vec = np.asarray(entries, dtype=np.float64)
     if vec.ndim != 1:
         raise PreconditionError("not-a-vector", f"expected 1-d array, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    # ndarray methods and np.maximum: the results of np.all, np.min and
+    # np.clip without their wrappers' dispatch (a few µs per call).
+    if not np.isfinite(vec).all():
         raise PreconditionError("non-finite", "vector contains NaN or Inf entries")
-    if np.min(vec, initial=0.0) < -tol:
-        raise PreconditionError(
-            "negative-probability", f"entry {np.min(vec)} below -{tol}"
-        )
+    if vec.min(initial=0.0) < -tol:
+        raise PreconditionError("negative-probability", f"entry {vec.min()} below -{tol}")
     total = float(vec.sum())
     if abs(total - 1.0) > max(tol, PROBABILITY_SUM_TOL_PER_ENTRY * vec.size):
         raise PreconditionError("not-normalized", f"entries sum to {total}, expected 1")
-    return np.clip(vec, 0.0, None)
+    return np.maximum(vec, 0.0)
 
 
 def density_matrix(

@@ -27,7 +27,10 @@ block unitaries fills in exactly the convex hull:
   scipy. The states are validated once, on entry; the baths' hulls and the
   witness read the validated arrays. Each family's baths are built once per
   system and kept for later searches, each with the frame its hulls read,
-  and with its hull for the last ``p`` searched.
+  and with its hull for the last ``p`` searched; a search decides the baths
+  held for its ``p`` in one pass over their stacked ``F`` tables, and a
+  bath's hull keeps the block data of its rotations once a search accepts
+  the bath.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .energy import (
     Hamiltonian,
     ThermalSetup,
     _IntegerLabels,
+    _LevelSets,
     _joint_labels,
     _level_sets,
     _read_only,
@@ -309,7 +313,11 @@ class ClassicalHull:
     plus ``rank`` orthonormal ``basis`` rows orthogonal to every separator's
     indicator (``F(S) + F(N∖S) = F(N)``); and the facets ``normals @ (y -
     origin) <= offsets``, one per ``S`` whose indicator keeps a projection
-    onto the span, scaled to unit length.
+    onto the span, scaled to unit length. The hull keeps the joint input
+    it was tabulated from, and, once :func:`realize_interior` accepts its
+    bath, that input's block data for the rotations (``_blocks``, a
+    :class:`_BlockData`: each rotated block's indices, mass and normalized
+    input, and the identity slots), O(joint dims) like ``_heaviest``.
     """
 
     def __init__(self, p, setup: ThermalSetup, points: np.ndarray | None = None):
@@ -332,6 +340,7 @@ class ClassicalHull:
             )
         self.setup = setup
         self._points = points
+        self._v = v
         frame = setup._hull_frame
         self._sets = _level_sets(n)
         self._members = self._sets.members
@@ -359,6 +368,11 @@ class ClassicalHull:
         below = gap[1:] / self._sets.below
         above = (gap[:-1] - gap[-1]) / self._sets.above
         return max(0.0, float(below.max()), float(above.max()))
+
+    @cached_property
+    def _blocks(self) -> _BlockData:
+        """The joint input's blocks as :func:`_rotate_blocks` reads them, built on first use."""
+        return _block_data(self._v, self.setup)
 
     def _pick_vertices(self, points: np.ndarray | None) -> _GreedyVertices:
         """The distinct greedy vectors of all orders, and which order gives which."""
@@ -531,6 +545,21 @@ class ClassicalHull:
         return images
 
 
+def _worst_gaps(sets: _LevelSets, tables: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """For each row of ``tables``, a stack of ``F`` tables over ``sets``, the larger of
+    :meth:`ClassicalHull.distance`'s two maxima, by the same arithmetic.
+
+    One product ``members @ target`` serves every row. A row's distance is
+    its value clipped at 0, as ``max(0.0, ...)`` clips it: bit-equal to the
+    hull's own. The hull keeps its one-table form, which costs about 1.5 µs
+    less per call on the baths a search builds.
+    """
+    gap = sets.members @ target - tables
+    below = (gap[:, 1:] / sets.below).max(axis=1)
+    above = ((gap[:, :-1] - gap[:, -1:]) / sets.above).max(axis=1)
+    return np.maximum(below, above)
+
+
 @functools.lru_cache(maxsize=64)
 def _span_basis(n: int, separators: bytes) -> np.ndarray:
     """Orthonormal rows orthogonal to the indicators of the ``separators`` (a mask per subset).
@@ -663,17 +692,53 @@ def synthesize_unitary(
         # The mixture as a product combination with one block, the whole joint space.
         terms = tuple(zip(target.weights, target.items))
         target = _prechecked(ProductConvexCombination, (tuple(range(n)),), (terms,), None)
-    return _rotate_blocks(v, target.mixed_joint_output(v), setup)
+    return _rotate_blocks(_block_data(v, setup), target.mixed_joint_output(v), setup)
+
+
+class _BlockData(NamedTuple):
+    """A joint input's energy blocks as :func:`_rotate_blocks` reads them.
+
+    The rotated blocks are those with mass above ``EMPTY_BLOCK_MASS`` and
+    at least two slots; every other slot gets the identity. O(joint dims)
+    in all: no per-block matrix is kept. Nothing writes to these arrays.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]  # the rotated blocks
+    indices: tuple[np.ndarray, ...]  # each rotated block's joint indices
+    masses: tuple[float, ...]  # each rotated block's input mass
+    lams: tuple[np.ndarray, ...]  # each rotated block's input over its mass
+    identity: np.ndarray  # the joint index of every slot not rotated
+
+
+def _block_data(v: np.ndarray, setup: ThermalSetup) -> _BlockData:
+    """:class:`_BlockData` of the joint diagonal ``v`` on ``setup``'s blocks."""
+    blocks, indices, masses, lams, identity = [], [], [], [], []
+    for block in setup.blocks:
+        idx = np.asarray(block)
+        lam = v[idx]
+        mass = float(lam.sum())
+        if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
+            identity += block
+        else:
+            blocks.append(block)
+            indices.append(idx)
+            masses.append(mass)
+            lams.append(lam / mass)
+    identity = np.array(identity, dtype=np.intp)
+    return _BlockData(tuple(blocks), tuple(indices), tuple(masses), tuple(lams), identity)
 
 
 def _rotate_blocks(
-    v: np.ndarray, mixed: np.ndarray, setup: ThermalSetup
+    data: _BlockData, mixed: np.ndarray, setup: ThermalSetup
 ) -> tuple[ComplexMatrix, NoisyRealization | None]:
-    """:func:`synthesize_unitary`'s rotations from the joint diagonal ``v`` to ``mixed``.
+    """:func:`synthesize_unitary`'s rotations from the joint diagonal of ``data`` to ``mixed``.
 
-    Nothing about the caller's mixture is checked here: each block of
-    ``mixed`` is taken to be a mixture of permutations of that block of
-    ``v``. Every block's rotation is still checked by
+    Per call only each rotated block's ``mixed[idx] / mass`` is formed; the
+    input side (indices, masses, normalized inputs, the identity slots) is
+    ``data``, which :class:`ClassicalHull` keeps for the bath it was built
+    on. Nothing about the caller's mixture is checked here: each block of
+    ``mixed`` is taken to be a mixture of permutations of that block of the
+    input. Every block's rotation is still checked by
     :func:`~thermohorn.majorization._schur_horn_blocks`. A dense unitary
     that cannot be allocated (``MemoryError``) is refused as
     ``unitary-too-large``.
@@ -686,18 +751,11 @@ def _rotate_blocks(
             "unitary-too-large",
             f"cannot allocate the dense {n}x{n} complex unitary ({n * n * 16 / 2**30:.3g} GiB)",
         ) from exc
-    blocks, pairs = [], []  # every block that is rotated, and its (lam, mu)
-    for block in setup.blocks:
-        idx = np.asarray(block)
-        lam = v[idx]
-        mass = float(lam.sum())
-        if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
-            u[idx, idx] = 1.0  # the identity on the block
-        else:
-            blocks.append(block)
-            pairs.append((lam / mass, mixed[idx] / mass))
-    for block, rotation in zip(blocks, _schur_horn_blocks(pairs, blocks)):
-        idx = np.asarray(block)
+    u[data.identity, data.identity] = 1.0
+    pairs = [
+        (lam, mixed[idx] / mass) for lam, idx, mass in zip(data.lams, data.indices, data.masses)
+    ]
+    for idx, rotation in zip(data.indices, _schur_horn_blocks(pairs, data.blocks)):
         u[idx[:, None], idx] = rotation
 
     gadget = None
@@ -814,6 +872,24 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) ->
     return MembershipResult(status, dist, comb, tuple(verts[k] for k in keep))
 
 
+class _HeldHulls:
+    """The hulls of one validated ``p`` on a ladder, keyed on ``p``'s bytes.
+
+    ``hulls[k]`` is the hull of the ladder's ``k``-th bath. ``tables``
+    stacks their ``F`` tables, one row each, ``(len(tables), 2^n)``: a
+    search that finds the list longer than the stack restacks it. Both
+    change under the ladder's lock only; the list grows one bath at a time
+    and in order, and the stack is replaced, never written.
+    """
+
+    __slots__ = ("key", "hulls", "tables")
+
+    def __init__(self, key: bytes):
+        self.key = key
+        self.hulls: list[ClassicalHull] = []
+        self.tables = np.empty(0)
+
+
 class _BathLadder:
     """One bath family's setups for one system, built bath by bath as far as asked.
 
@@ -833,14 +909,19 @@ class _BathLadder:
     Gibbs vector and, once a search has built a hull on it, its block
     lookup and hull frame (``ThermalSetup._hull_frame``).
 
-    The ladder also keeps the hulls of the last validated ``p`` it was
-    searched with, keyed on ``p``'s bytes: one :class:`ClassicalHull` per
-    bath that a search with that ``p`` reached (:meth:`hulls`), each with
-    its heaviest-first joint order, its ``F`` table and what it caches as
-    walks read it (separators, span basis, the greedy vector of each order
-    walked). A search with another ``p`` replaces the whole set, so the
-    ladder holds the hulls of one ``p``. Nothing joint-sized per order,
-    such as :meth:`ClassicalHull.permutation`, is kept.
+    The ladder also keeps a record of the last validated ``p`` it was
+    searched with, keyed on ``p``'s bytes (:class:`_HeldHulls`): one
+    :class:`ClassicalHull` per bath that a search with that ``p`` reached
+    (:meth:`hulls`), and their ``F`` tables stacked, one row per bath, so
+    that a search decides every held bath in one pass. Each hull keeps its
+    joint input, its heaviest-first joint order, its ``F`` table and what
+    it caches as walks read it (separators, span basis, the greedy vector
+    of each order walked), and, for a bath a search accepted, the block
+    data its rotations read (:class:`_BlockData`). A search with another
+    ``p`` replaces the whole record, so the ladder holds the hulls of one
+    ``p``. All of it is O(joint dims) per bath; nothing joint-sized per
+    order, such as :meth:`ClassicalHull.permutation`, and no matrix per
+    block is kept.
     """
 
     def __init__(self, ham_a: Hamiltonian, family: str):
@@ -860,12 +941,15 @@ class _BathLadder:
             raise PreconditionError("bad-bath-family", f"unknown bath family {family!r}")
         self.ham_a, self.family = ham_a, family
         self._setups: list[ThermalSetup] = []
-        self._hulls: tuple[bytes, list[ClassicalHull]] = (b"", [])  # p's bytes, a hull per bath
+        self._held = _HeldHulls(b"")
         self._lock = threading.Lock()
 
-    def upto(self, budget: int):
-        """Yield the setups of the baths of dimension at most ``budget``, smallest first."""
-        for k in itertools.count():
+    def upto(self, budget: int, start: int = 0):
+        """Yield the setups of the baths of dimension at most ``budget``, smallest first.
+
+        ``start`` skips the first baths, which the ladder must hold already.
+        """
+        for k in itertools.count(start):
             with self._lock:
                 if k == len(self._setups):
                     if self._next_dim() > budget:
@@ -876,23 +960,41 @@ class _BathLadder:
                 return
             yield setup
 
-    def hulls(self, p: ProbabilityVector, budget: int):
-        """Yield ``(setup, hull)`` for :meth:`upto`'s baths, each hull that of the validated ``p``.
+    def hulls(self, p: ProbabilityVector, target: np.ndarray, tol: float, budget: int):
+        """Yield ``(setup, hull, d)`` for :meth:`upto`'s baths within ``tol`` of ``target``.
 
-        The hulls of the last ``p`` searched are kept, one per bath, keyed on
-        ``p``'s bytes. A search with another ``p`` swaps in an empty list
-        under the ladder's lock. A search reads its list without the lock
-        and appends each hull it builds under it, so a list only grows, one
-        bath at a time and in order, and holds hulls of its own ``p`` alone;
-        a list that a later search has swapped out stays the first search's
-        own. Hulls are built outside the lock.
+        Each hull is that of the validated ``p``, and ``d`` its
+        :meth:`~ClassicalHull.distance` from ``target``. The hulls of the last
+        ``p`` searched are kept, one per bath, keyed on ``p``'s bytes, with
+        their ``F`` tables stacked (:class:`_HeldHulls`). The baths held
+        when the search starts are decided in one pass over that stack
+        (:func:`_worst_gaps`, each distance bit-equal to the hull's own); the
+        search goes straight to each one within ``tol``. Past them it builds
+        and decides one hull per bath, as far as the caller reads. A search
+        with another ``p`` swaps in an empty record under the ladder's lock.
+        A search reads its record without the lock and appends each hull it
+        builds under it, so a record only grows, one bath at a time and in
+        order, and holds hulls of its own ``p`` alone; a record that a later
+        search has swapped out stays the first search's own. Hulls are built
+        outside the lock.
         """
         key = p.tobytes()
         with self._lock:
-            if self._hulls[0] != key:
-                self._hulls = (key, [])
-            hulls = self._hulls[1]
-        for k, setup in enumerate(self.upto(budget)):
+            if self._held.key != key:
+                self._held = _HeldHulls(key)
+            held = self._held
+            hulls = held.hulls
+            if len(held.tables) < len(hulls):
+                held.tables = np.array([hull.table for hull in hulls])
+            tables = held.tables
+        if len(tables):
+            worst = _worst_gaps(hulls[0]._sets, tables, target)
+            for k in np.flatnonzero(~(np.maximum(worst, 0.0) > tol)).tolist():
+                setup = hulls[k].setup
+                if setup.dim_b > budget:
+                    return
+                yield setup, hulls[k], max(0.0, float(worst[k]))
+        for k, setup in enumerate(self.upto(budget, len(tables)), len(tables)):
             if k < len(hulls):
                 hull = hulls[k]
             else:
@@ -900,7 +1002,9 @@ class _BathLadder:
                 with self._lock:
                     if k == len(hulls):
                         hulls.append(hull)
-            yield setup, hull
+            d = hull.distance(target)
+            if not d > tol:
+                yield setup, hull, d
 
     def _next_dim(self) -> int:
         if not self._setups:
@@ -928,9 +1032,11 @@ class _BathLadder:
 # The ladders of the last 8 (system, family) pairs searched, each holding
 # every setup some search has reached with its Gibbs vector, block lookup
 # and hull frame (two joint-sized index arrays more), and the hulls of one p
-# (one joint-sized index array more): 115 kB after a qutrit's copies walk
-# to 729 joint dimensions, 21 MB after one to 177,147 (tracemalloc;
-# about 100 kB and 19 MB without the hulls, 69 kB and 15 MB without the frames).
+# (a joint-sized index array and the joint input each, their F tables
+# stacked, and the block data of each bath accepted): 137 kB after a
+# qutrit's copies search to 729 joint dimensions, 26 MB after one decides
+# the bath of 177,147 (tracemalloc; 110 kB and 21 MB without the joint
+# inputs, the block data and the stack).
 _ladder = functools.lru_cache(maxsize=8)(_BathLadder)
 
 
@@ -965,14 +1071,19 @@ def realize_interior(
     search to reach it warns. The subset tables of the system's ``n``
     levels are kept once per ``n`` and the span basis once per separator
     pattern (the last 64); the system Hamiltonian keeps its hash, Gibbs
-    vector and degenerate levels. What depends on ``p`` alone, each bath's
-    hull (its sort, ``F`` table, separators and span basis, and the greedy
-    vectors its walks have read), is kept on the ladder for the last ``p``
-    searched (:meth:`_BathLadder.hulls`): a search that repeats ``p`` forms
-    no joint input and tabulates nothing for the baths it skips, and a
-    search with a new ``p`` replaces those hulls. What depends on the
-    target is built per call: each bath's distance, and the accepted bath's
-    saturation, walk, joint input, greedy permutations and unitary.
+    vector and degenerate levels. What depends on ``p`` alone is kept on
+    the ladder for the last ``p`` searched (:meth:`_BathLadder.hulls`):
+    each bath's hull (its joint input, sort, ``F`` table, separators and
+    span basis, and the greedy vectors its walks have read), the held
+    hulls' ``F`` tables stacked, and, on the hull of each bath a search
+    accepted, the block data its rotations read (:class:`_BlockData`). A
+    search that repeats ``p`` decides every held bath in one pass over the
+    stack and goes straight to the first within ``tol``; it forms no joint
+    input, tabulates nothing, and rebuilds no block data for a bath
+    accepted before. A search with a new ``p`` replaces the record. What
+    depends on the target is built per call: the distances, and the
+    accepted bath's saturation, walk, mixed diagonal, greedy permutations,
+    each rotated block's ``mixed[idx] / mass`` and the unitary.
 
     Every bath is decided from its :class:`ClassicalHull`'s ``F`` table
     alone, with no vertex list and no LP: one whose exact max-norm
@@ -980,10 +1091,10 @@ def realize_interior(
     the rest, :meth:`~ClassicalHull._saturate` moves the target into the
     hull within ``d`` and :meth:`~ClassicalHull._walk` mixes at most rank+1
     greedy orders there. A witness that misses the target by more than
-    ``tol`` (rounding) skips the bath too. Returns ``(setup, unitary,
-    gadget)`` for the first bath whose hull holds the target, and None
-    when no bath of the family up to ``budget`` does — which proves nothing
-    about larger baths.
+    ``tol`` (rounding) moves the search on to the next bath within ``tol``.
+    Returns ``(setup, unitary, gadget)`` for the first bath whose hull
+    holds the target, and None when no bath of the family up to ``budget``
+    does — which proves nothing about larger baths.
 
     ``p`` and ``p_prime`` are validated once, on entry, with their sizes;
     the pre-check, every bath's hull and the witness read the validated
@@ -1006,23 +1117,20 @@ def realize_interior(
             "not-thermomajorized",
             "target is not reachable by any Gibbs-preserving stochastic map",
         )
-    for setup, hull in _ladder(ham_a, bath_family).hulls(p, budget):
-        d = hull.distance(p_prime)
-        if d > tol:
-            continue
+    for setup, hull, d in _ladder(ham_a, bath_family).hulls(p, p_prime, tol, budget):
         weights, orders, vertices = zip(*hull._walk(hull._saturate(p_prime, d)))
         if np.abs(np.array(weights) @ np.array(vertices) - p_prime).max() > tol:
             continue  # rounding carried the witness past tol
         # Each greedy permutation is an energy-preserving bijection by
         # construction; the mixture is summed from 0 in term order, as
         # ProductConvexCombination.mixed_joint_output sums it.
-        v = setup._joint(p)
+        v = hull._v
         mixed = np.zeros(v.size)
         for weight, order in zip(weights, orders):
             mixed[hull.permutation(order)] += weight * v
         # A setup of the caller's own, so that what it caches stays out of the ladder.
         found = ThermalSetup(ham_a, setup.ham_b, setup.blocks)
-        return (found, *_rotate_blocks(v, mixed, found))
+        return (found, *_rotate_blocks(hull._blocks, mixed, found))
     return None
 
 

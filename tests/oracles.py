@@ -23,11 +23,13 @@ checked against grouping joint states on their summed ``EnergyLabel``, and
 Gibbs vectors read off integer labels against the ``Fraction`` formula. The
 Schur-Horn chain and the unitaries ``synthesize_unitary`` assembles from it
 are checked, bit for bit, against the chain that rescans the whole
-diagonal at every step. ``decompose_channel_to_classical``, which checks
+diagonal at every step, and the block data a hull keeps for the rotations
+against a loop over the blocks. ``decompose_channel_to_classical``, which checks
 all blocks at once, is checked against ``birkhoff_decompose`` called block
 by block, and a product mixture's joint output against the block-by-block,
 term-by-term sum and against its expansion into joint permutations, which
-lives here only.
+lives here only. ``probability_vector`` is checked against its body as first
+written, through numpy's function wrappers.
 """
 
 import itertools
@@ -57,6 +59,8 @@ from thermohorn.config import (
     BISTOCHASTIC_SUM_TOL,
     DECOMPOSITION_TOL,
     DEDUP_TOL,
+    PROBABILITY_SUM_TOL_PER_ENTRY,
+    PROBABILITY_TOL,
     SEPARATOR_TOL,
     WALK_DIRECTION_TOL,
 )
@@ -464,6 +468,21 @@ def shares_one_support_column(d, zero_tol=1e-12):
     )
 
 
+def probability_vector_reference(entries, *, tol=PROBABILITY_TOL):
+    """``probability_vector`` as first written, with ``np.all``, ``np.min`` and ``np.clip``."""
+    vec = np.asarray(entries, dtype=np.float64)
+    if vec.ndim != 1:
+        raise PreconditionError("not-a-vector", f"expected 1-d array, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise PreconditionError("non-finite", "vector contains NaN or Inf entries")
+    if np.min(vec, initial=0.0) < -tol:
+        raise PreconditionError("negative-probability", f"entry {np.min(vec)} below -{tol}")
+    total = float(vec.sum())
+    if abs(total - 1.0) > max(tol, PROBABILITY_SUM_TOL_PER_ENTRY * vec.size):
+        raise PreconditionError("not-normalized", f"entries sum to {total}, expected 1")
+    return np.clip(vec, 0.0, None)
+
+
 def bit_equal(a, b):
     """Equal entries and equal sign bits of the real and imaginary parts (-0.0 != 0.0)."""
     a, b = np.asarray(a), np.asarray(b)
@@ -687,6 +706,23 @@ def synthesize_reference(p, target, setup):
         else:
             u[np.ix_(idx, idx)] = schur_horn_reference(v[idx] / mass, mixed[idx] / mass)
     return u
+
+
+def block_data_reference(setup, v):
+    """Each rotated block's ``(block, mass, v[block] / mass)``, and the identity slots.
+
+    A block is rotated when its mass exceeds 1e-300 and it has two slots or
+    more; every slot of every other block is an identity slot.
+    """
+    rotated, identity = [], []
+    for block in setup.blocks:
+        lam = v[np.asarray(block)]
+        mass = float(lam.sum())
+        if mass <= 1e-300 or len(block) == 1:
+            identity += block
+        else:
+            rotated.append((block, mass, lam / mass))
+    return rotated, identity
 
 
 def gibbs_reference(ham):

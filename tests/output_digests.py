@@ -124,10 +124,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cycles", type=int, default=20, help="whole cycles per in-process workload")
-    parser.add_argument("--workload", action="append", choices=[*OUTPUTS, "cli-cold"],
-                        help="one workload (repeatable); default: all four")
+    parser.add_argument("--workload", action="extend", nargs="+", choices=[*OUTPUTS, "cli-cold"],
+                        metavar="NAME", help="workloads to digest (repeatable); default: all four")
     args = parser.parse_args(argv)
-    for name in args.workload or [*OUTPUTS, "cli-cold"]:
+    for name in dict.fromkeys(args.workload or [*OUTPUTS, "cli-cold"]):
         if name == "cli-cold":
             count, hexdigest, differ = cli_digest()
             print(f"cli-cold argv={count} differ_from_goldens={differ} sha256={hexdigest}")

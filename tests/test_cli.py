@@ -445,10 +445,19 @@ def test_realize_matches_its_goldens(capsys):
     # oscillator (4 levels), the (5, 7, 8) system against its two-copy bath,
     # and a target no oscillator within budget reaches: stdout byte for byte,
     # as recorded when every bath was still classified by its facets, plus
-    # the residual and tol keys. A found realization misses by at most tol.
+    # the residual and tol keys. qubit-copies-32 (recorded before the block
+    # data moved onto the hull) reaches the 32-level copies bath, whose
+    # rotated blocks have three sizes (6, 15, 20). A found realization misses
+    # by at most tol.
     with open(REALIZE_GOLDENS, encoding="utf-8") as handle:
         goldens = json.load(handle)
-    assert sorted(goldens) == ["not-found", "qubit-copies", "qubit-oscillator", "w578-copies"]
+    assert sorted(goldens) == [
+        "not-found",
+        "qubit-copies",
+        "qubit-copies-32",
+        "qubit-oscillator",
+        "w578-copies",
+    ]
     for key, golden in goldens.items():
         code, out = _run(capsys, *golden["argv"])
         assert code == 0

@@ -21,6 +21,8 @@ from thermohorn import (
 )
 from thermohorn.linalg import first_non_permutation, require_unitary
 
+from oracles import bit_equal, probability_vector_reference
+
 
 def _haar(dim, rng):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -39,6 +41,44 @@ def test_probability_vector_rejects_bad_sum_and_large_negative():
         probability_vector([0.5, 0.6])
     with pytest.raises(PreconditionError):
         probability_vector([1.1, -0.1])
+
+
+def _outcome(validate, entries):
+    """The validated array, or the error's code and message."""
+    try:
+        return validate(entries)
+    except PreconditionError as exc:
+        return exc.code, str(exc)
+
+
+_EDGES = [0.0, -0.0, -1e-10, -1e-11, -5e-324, 1e-300]
+_ENTRY = st.one_of(
+    st.sampled_from([*_EDGES, np.nan, np.inf, -np.inf]),
+    st.floats(-2e-10, 0.0),
+    st.floats(-1.0, 1.0),
+)
+# Entries of a state: what the check clamps to zero, or a small weight.
+_STATE_ENTRY = st.one_of(st.sampled_from(_EDGES), st.floats(-1e-10, 0.0), st.floats(0.0, 0.2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_probability_vector_matches_its_first_form_bit_for_bit(data):
+    # Arrays bit-equal (-0.0 and entries in [-tol, 0) included) to the body
+    # as first written; NaN, inf, 2-D, negative and off-sum inputs raise the
+    # same error with the same message.
+    shape = data.draw(st.sampled_from(["state", "state", "as-drawn", "2-d"]))
+    entries = data.draw(st.lists(_STATE_ENTRY if shape == "state" else _ENTRY, max_size=8))
+    vec = np.array(entries, dtype=np.float64)
+    if shape == "state" and vec.size:
+        vec[-1] = 1.0 - vec[:-1].sum()  # the other entries, -0.0 included, stay as drawn
+    elif shape == "2-d":
+        vec = vec.reshape(1, -1)
+    got, want = _outcome(probability_vector, vec), _outcome(probability_vector_reference, vec)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert bit_equal(got, want) and got is not vec
 
 
 def test_density_matrix_rejects_non_hermitian_and_non_psd():

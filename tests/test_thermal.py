@@ -69,6 +69,7 @@ from oracles import (
     Polytope,
     bit_equal,
     block_class_targets,
+    block_data_reference,
     conditional_shift,
     decompose_reference,
     expand_product,
@@ -1253,21 +1254,52 @@ def test_threads_sharing_a_ladder_build_each_bath_once():
         sys.setswitchinterval(interval)
 
 
+def _block_data_matches(data, setup, v):
+    """``data`` is the block-by-block reference's for the joint input ``v``."""
+    rotated, identity = block_data_reference(setup, v)
+    return (
+        list(data.blocks) == [block for block, _, _ in rotated]
+        and [idx.tolist() for idx in data.indices] == [list(block) for block in data.blocks]
+        and list(data.masses) == [mass for _, mass, _ in rotated]
+        and all(bit_equal(lam, ref) for lam, (*_, ref) in zip(data.lams, rotated, strict=True))
+        and data.identity.tolist() == identity
+    )
+
+
 def _held_hulls_match(ladder, p):
-    """The ladder holds hulls for ``p`` alone: each bath's F table is the per-call reference's."""
-    key, hulls = ladder._hulls
-    setups = ladder._setups[: len(hulls)]
-    return key == p.tobytes() and hulls and all(
-        bit_equal(hull.table, subset_table(s, s.joint_input(p))) and hull.setup is s
-        for hull, s in zip(hulls, setups, strict=True)
+    """The ladder holds hulls for ``p`` alone.
+
+    Each bath's F table is the per-call reference's, the stacked tables are
+    those of the first baths in bath order, and every accepted bath's block
+    data is that of ``p``'s joint input.
+    """
+    held = ladder._held
+    setups = ladder._setups[: len(held.hulls)]
+    references = [subset_table(s, s.joint_input(p)) for s in setups]
+    return (
+        held.key == p.tobytes()
+        and bool(held.hulls)
+        and bit_equal(held.tables, np.array(references[: len(held.tables)]))
+        and all(
+            hull.setup is s
+            and bit_equal(hull.table, table)
+            and (
+                "_blocks" not in hull.__dict__
+                or _block_data_matches(hull._blocks, s, s.joint_input(p))
+            )
+            for hull, s, table in zip(held.hulls, setups, references, strict=True)
+        )
     )
 
 
 def test_a_ladder_reuses_its_hulls_for_one_p_and_replaces_them_for_another():
-    # Searches with p1, p2, p1 on one ladder, then two threads searching it
-    # at once with different p, switching every microsecond. Every unitary
-    # has the bytes it has on a cleared ladder, and the ladder holds the
-    # hulls of one p only: that of the last search to swap in a new set.
+    # Searches with p1, p2, p1 on one ladder, each made twice so that the
+    # second decides the held baths off their stacked tables, then two
+    # threads searching it at once with different p, switching every
+    # microsecond. Every unitary has the bytes it has on a cleared ladder,
+    # and the ladder holds the hulls of one p only, with their stacked
+    # tables and the block data of the baths it accepted: those of the last
+    # search to swap in a new set.
     qubit = qubit_hamiltonian(beta=math.log(2.0))
     gamma = gibbs_vector(qubit)
     p1, p2 = np.array([1.0, 0.0]), np.array([0.8, 0.2])
@@ -1284,9 +1316,14 @@ def test_a_ladder_reuses_its_hulls_for_one_p_and_replaces_them_for_another():
     thermal._ladder.cache_clear()
     ladder = thermal._ladder(qubit, "copies")
     for (p, target), (dim_b, u_bytes) in zip(cases, cold):
-        setup, u, _ = realize_interior(p, qubit, target, "copies", 64)
-        assert (setup.dim_b, u.tobytes()) == (dim_b, u_bytes)
-        assert _held_hulls_match(ladder, p)
+        for _ in range(2):
+            setup, u, _ = realize_interior(p, qubit, target, "copies", 64)
+            assert (setup.dim_b, u.tobytes()) == (dim_b, u_bytes)
+            assert _held_hulls_match(ladder, p)
+        held = ladder._held
+        dims = [h.setup.dim_b for h in held.hulls]
+        assert len(held.tables) == len(held.hulls) == dims.index(dim_b) + 1
+        assert [h.setup.dim_b for h in held.hulls if "_blocks" in h.__dict__] == [dim_b]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1311,6 +1348,62 @@ def test_a_ladder_reuses_its_hulls_for_one_p_and_replaces_them_for_another():
             assert _held_hulls_match(ladder, p1) or _held_hulls_match(ladder, p2)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_stacked_distances_of_the_held_baths_match_each_hull_bit_for_bit():
+    # A ladder holding every bath up to its budget decides them in one pass
+    # over its stacked tables. For random states, hull points, band targets
+    # and points pushed off the hulls, every distance it yields equals the
+    # held hull's own and the per-call reference's, bit for bit.
+    rng = np.random.default_rng(23)
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    setup, p578 = _two_copy_preset()
+    cases = [
+        (np.array([1.0, 0.0]), qubit, "copies", 64),
+        (np.array([0.7, 0.3]), qubit, "oscillator", 12),
+        (p578, setup.ham_a, "copies", 27),
+    ]
+    thermal._ladder.cache_clear()
+    for p, ham_a, family, budget in cases:
+        ladder = thermal._ladder(ham_a, family)
+        far = np.full(p.size, 10.0)
+        assert list(ladder.hulls(p, far, 1e-8, budget)) == []  # holds every bath
+        held = ladder._held.hulls
+        assert [h.setup for h in held] == list(ladder.upto(budget))
+        references = [PerCallHull(p, hull.setup) for hull in held]
+        targets = list(rng.dirichlet(np.ones(p.size), size=6))
+        for hull in held[-3:]:
+            inside = _hull_targets(hull.vertices, rng)[-3:]
+            band = [q for q, _ in _band_targets(hull, rng, 1e-8)][:3]
+            targets += [*inside, *band, *(q + 1e-4 * rng.normal(size=q.size) for q in inside)]
+        for q in targets:
+            decided = list(ladder.hulls(p, q, np.inf, budget))
+            assert [h for _, h, _ in decided] == held
+            for (_, hull, d), reference in zip(decided, references, strict=True):
+                assert bit_equal(d, hull.distance(q)) and bit_equal(d, reference.distance(q))
+
+
+def test_a_target_beyond_the_held_baths_finds_the_bath_of_a_cleared_ladder():
+    # A first search holds the copies baths up to 8. A target of the same p
+    # that only the 32-dimensional bath holds is decided on the held baths in
+    # one pass, then the search builds the two baths after them: the same
+    # bath and unitary bytes as on a cleared ladder, and no bath beyond it.
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    ground = np.array([1.0, 0.0])
+    top = {k: alpha_max_achievable(_qubit_copies(k, math.log(2.0))[1], 1) for k in (2, 3, 4, 5)}
+    a_near, a_far = np.mean([top[2], top[3]]), np.mean([top[4], top[5]])
+    near, far = np.array([1 - a_near, a_near]), np.array([1 - a_far, a_far])
+    thermal._ladder.cache_clear()
+    cold = realize_interior(ground, qubit, far, "copies", 64)
+    thermal._ladder.cache_clear()
+    ladder = thermal._ladder(qubit, "copies")
+    assert realize_interior(ground, qubit, near, "copies", 64)[0].dim_b == 8
+    assert [h.setup.dim_b for h in ladder._held.hulls] == [1, 2, 4, 8]
+    warm = realize_interior(ground, qubit, far, "copies", 64)
+    assert warm[0].dim_b == cold[0].dim_b == 32
+    assert warm[1].tobytes() == cold[1].tobytes()
+    assert [h.setup.dim_b for h in ladder._held.hulls] == [1, 2, 4, 8, 16, 32]
+    assert [s.dim_b for s in ladder._setups] == [1, 2, 4, 8, 16, 32]
 
 
 def test_first_realize_on_a_near_tie_system_warns_as_its_bath_is_built():
