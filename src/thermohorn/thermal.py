@@ -546,13 +546,13 @@ class ClassicalHull:
 
 
 def _worst_gaps(sets: _LevelSets, tables: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """For each row of ``tables``, a stack of ``F`` tables over ``sets``, the larger of
-    :meth:`ClassicalHull.distance`'s two maxima, by the same arithmetic.
+    """Per row of ``tables``, ``F`` tables over ``sets``, the larger of the distance's two maxima.
 
-    One product ``members @ target`` serves every row. A row's distance is
-    its value clipped at 0, as ``max(0.0, ...)`` clips it: bit-equal to the
-    hull's own. The hull keeps its one-table form, which costs about 1.5 µs
-    less per call on the baths a search builds.
+    The arithmetic is :meth:`ClassicalHull.distance`'s, with one product
+    ``members @ target`` for every row. A row's distance is its value
+    clipped at 0, as ``max(0.0, ...)`` clips it: bit-equal to the hull's
+    own. The hull keeps its one-table form, which costs about 1.5 µs less
+    per call on the baths a search builds.
     """
     gap = sets.members @ target - tables
     below = (gap[:, 1:] / sets.below).max(axis=1)
