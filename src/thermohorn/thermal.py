@@ -364,10 +364,8 @@ class ClassicalHull:
         ``max_S (q(S) - F(S) - e) / (n - |S|)`` over ``S ≠ N``; for one level
         that is ``|e|``. No vertex, span or LP is needed.
         """
-        gap = self._members @ np.asarray(target, dtype=np.float64) - self.table
-        below = gap[1:] / self._sets.below
-        above = (gap[:-1] - gap[-1]) / self._sets.above
-        return max(0.0, float(below.max()), float(above.max()))
+        target = np.asarray(target, dtype=np.float64)
+        return max(0.0, float(_worst_gaps(self._sets, self.table, target)))
 
     @cached_property
     def _blocks(self) -> _BlockData:
@@ -546,17 +544,14 @@ class ClassicalHull:
 
 
 def _worst_gaps(sets: _LevelSets, tables: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per row of ``tables``, ``F`` tables over ``sets``, the larger of the distance's two maxima.
+    """:meth:`ClassicalHull.distance` before its clip at 0, per ``F`` table over ``sets``.
 
-    The arithmetic is :meth:`ClassicalHull.distance`'s, with one product
-    ``members @ target`` for every row. A row's distance is its value
-    clipped at 0, as ``max(0.0, ...)`` clips it: bit-equal to the hull's
-    own. The hull keeps its one-table form, which costs about 1.5 µs less
-    per call on the baths a search builds.
+    ``tables`` is one table or a stack of them, one per row; one product
+    ``members @ target`` serves every row.
     """
     gap = sets.members @ target - tables
-    below = (gap[:, 1:] / sets.below).max(axis=1)
-    above = ((gap[:, :-1] - gap[:, -1:]) / sets.above).max(axis=1)
+    below = (gap[..., 1:] / sets.below).max(axis=-1)
+    above = ((gap[..., :-1] - gap[..., -1:]) / sets.above).max(axis=-1)
     return np.maximum(below, above)
 
 
@@ -703,7 +698,6 @@ class _BlockData(NamedTuple):
     in all: no per-block matrix is kept. Nothing writes to these arrays.
     """
 
-    blocks: tuple[tuple[int, ...], ...]  # the rotated blocks
     indices: tuple[np.ndarray, ...]  # each rotated block's joint indices
     masses: tuple[float, ...]  # each rotated block's input mass
     lams: tuple[np.ndarray, ...]  # each rotated block's input over its mass
@@ -712,7 +706,7 @@ class _BlockData(NamedTuple):
 
 def _block_data(v: np.ndarray, setup: ThermalSetup) -> _BlockData:
     """:class:`_BlockData` of the joint diagonal ``v`` on ``setup``'s blocks."""
-    blocks, indices, masses, lams, identity = [], [], [], [], []
+    indices, masses, lams, identity = [], [], [], []
     for block in setup.blocks:
         idx = np.asarray(block)
         lam = v[idx]
@@ -720,12 +714,11 @@ def _block_data(v: np.ndarray, setup: ThermalSetup) -> _BlockData:
         if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
             identity += block
         else:
-            blocks.append(block)
             indices.append(idx)
             masses.append(mass)
             lams.append(lam / mass)
     identity = np.array(identity, dtype=np.intp)
-    return _BlockData(tuple(blocks), tuple(indices), tuple(masses), tuple(lams), identity)
+    return _BlockData(tuple(indices), tuple(masses), tuple(lams), identity)
 
 
 def _rotate_blocks(
@@ -755,7 +748,8 @@ def _rotate_blocks(
     pairs = [
         (lam, mixed[idx] / mass) for lam, idx, mass in zip(data.lams, data.indices, data.masses)
     ]
-    for idx, rotation in zip(data.indices, _schur_horn_blocks(pairs, data.blocks)):
+    names = [tuple(idx.tolist()) for idx in data.indices]
+    for idx, rotation in zip(data.indices, _schur_horn_blocks(pairs, names)):
         u[idx[:, None], idx] = rotation
 
     gadget = None
@@ -968,7 +962,7 @@ class _BathLadder:
         ``p`` searched are kept, one per bath, keyed on ``p``'s bytes, with
         their ``F`` tables stacked (:class:`_HeldHulls`). The baths held
         when the search starts are decided in one pass over that stack
-        (:func:`_worst_gaps`, each distance bit-equal to the hull's own); the
+        (:func:`_worst_gaps`, which each hull's own distance reads too); the
         search goes straight to each one within ``tol``. Past them it builds
         and decides one hull per bath, as far as the caller reads. A search
         with another ``p`` swaps in an empty record under the ladder's lock.

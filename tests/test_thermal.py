@@ -1258,8 +1258,7 @@ def _block_data_matches(data, setup, v):
     """``data`` is the block-by-block reference's for the joint input ``v``."""
     rotated, identity = block_data_reference(setup, v)
     return (
-        list(data.blocks) == [block for block, _, _ in rotated]
-        and [idx.tolist() for idx in data.indices] == [list(block) for block in data.blocks]
+        [tuple(idx.tolist()) for idx in data.indices] == [block for block, _, _ in rotated]
         and list(data.masses) == [mass for _, mass, _ in rotated]
         and all(bit_equal(lam, ref) for lam, (*_, ref) in zip(data.lams, rotated, strict=True))
         and data.identity.tolist() == identity
