@@ -547,12 +547,13 @@ def _worst_gaps(sets: _LevelSets, tables: np.ndarray, target: np.ndarray) -> np.
     """:meth:`ClassicalHull.distance` before its clip at 0, per ``F`` table over ``sets``.
 
     ``tables`` is one table or a stack of them, one per row; one product
-    ``members @ target`` serves every row.
+    ``members @ target`` serves every row. The larger of the two maxima is one
+    reduction over the terms' elementwise maximum.
     """
     gap = sets.members @ target - tables
-    below = (gap[..., 1:] / sets.below).max(axis=-1)
-    above = ((gap[..., :-1] - gap[..., -1:]) / sets.above).max(axis=-1)
-    return np.maximum(below, above)
+    below = gap[..., 1:] / sets.below
+    above = (gap[..., :-1] - gap[..., -1:]) / sets.above
+    return np.maximum(below, above).max(axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
