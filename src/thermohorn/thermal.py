@@ -22,8 +22,9 @@ block unitaries fills in exactly the convex hull:
   only for a target they do not place inside), and a search over growing
   bath families for a finite-bath realization of a thermomajorized target
   that builds every bath from ``F`` alone: its exact max-norm distance
-  (:meth:`ClassicalHull.distance`) decides the bath, and a greedy walk over
-  orders builds the witness. realize never lists vertices and never loads
+  (:meth:`ClassicalHull.distance`) decides the bath, and one step, the
+  ``synthesize`` subcommand's too, mixes the permutations of the greedy
+  orders walked to the witness (``_greedy_unitary``), with no listing and no
   scipy. The states are validated once, on entry; the baths' hulls and the
   witness read the validated arrays. Each family's baths are built once per
   system and kept for later searches, each with the frame its hulls read,
@@ -314,8 +315,8 @@ class ClassicalHull:
     indicator (``F(S) + F(N∖S) = F(N)``); and the facets ``normals @ (y -
     origin) <= offsets``, one per ``S`` whose indicator keeps a projection
     onto the span, scaled to unit length. The hull keeps the joint input
-    it was tabulated from, and, once :func:`realize_interior` accepts its
-    bath, that input's block data for the rotations (``_blocks``, a
+    it was tabulated from, and, once :func:`_greedy_unitary` builds on it,
+    that input's block data for the rotations (``_blocks``, a
     :class:`_BlockData`: each rotated block's indices, mass and normalized
     input, and the identity slots), O(joint dims) like ``_heaviest``.
     """
@@ -659,7 +660,7 @@ def synthesize_unitary(
     beforehand; a mixture that breaks it (weights that do not sum to 1,
     say) fails the rotation or its check with ``RuntimeError``. A dense
     unitary that cannot be allocated is refused (``unitary-too-large``).
-    :func:`realize_interior`, whose greedy permutations need none of these
+    :func:`_greedy_unitary`, whose greedy permutations need none of these
     input checks, goes straight to the rotations (``_rotate_blocks``).
     """
     v = setup.joint_input(p)
@@ -844,8 +845,8 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) ->
     min-slack LP for every other target, whose max-norm residual is the
     ``distance`` of an exterior one. Witness terms below
     ``geometry.WITNESS_PRUNE_TOL`` go when the rest still rebuilds the target.
-    :func:`realize_interior` does not come here: it decides its baths from
-    ``F`` and walks to its witness, with no vertex list and no LP.
+    :func:`realize_interior` and ``synthesize`` do not come here: they decide
+    a bath from ``F`` and walk to its witness (:func:`_greedy_unitary`).
     """
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
@@ -1056,50 +1057,32 @@ def realize_interior(
     gcd of the system gaps as spacing; both start at the trivial
     one-dimensional bath and stop at dimension ``budget``.
 
-    Baths are built once per (system, family) and reused across calls: each
-    bath's Hamiltonian, block grouping, Gibbs vector and hull frame (block
-    lookup, joint labels, the cells its ``F`` table is scattered into and
-    read from) live on a ladder cached for the last 8 ``(ham_a,
-    bath_family)`` pairs searched, which grows bath by bath only as far as
-    some call's ``budget`` has walked. ``build_setup``'s near-tie warning
-    therefore fires when the ladder first builds that bath: only the first
-    search to reach it warns. The subset tables of the system's ``n``
-    levels are kept once per ``n`` and the span basis once per separator
-    pattern (the last 64); the system Hamiltonian keeps its hash, Gibbs
-    vector and degenerate levels. What depends on ``p`` alone is kept on
-    the ladder for the last ``p`` searched (:meth:`_BathLadder.hulls`):
-    each bath's hull (its joint input, sort, ``F`` table, separators and
-    span basis, and the greedy vectors its walks have read), the held
-    hulls' ``F`` tables stacked, and, on the hull of each bath a search
-    accepted, the block data its rotations read (:class:`_BlockData`). A
-    search that repeats ``p`` decides every held bath in one pass over the
-    stack and goes straight to the first within ``tol``; it forms no joint
-    input, tabulates nothing, and rebuilds no block data for a bath
-    accepted before. A search with a new ``p`` replaces the record. What
+    Baths are built once per (system, family) on a ladder cached for the
+    last 8 ``(ham_a, bath_family)`` pairs searched (:class:`_BathLadder`),
+    which grows bath by bath only as far as some call's ``budget`` has
+    walked, so ``build_setup``'s near-tie warning fires only for the first
+    search to reach a bath. The ladder keeps each bath's hull for the last
+    ``p`` searched (:meth:`_BathLadder.hulls`): a search that repeats ``p``
+    decides every held bath in one pass over their ``F`` tables, forms no
+    joint input, and rebuilds no block data for a bath accepted before. What
     depends on the target is built per call: the distances, and the
-    accepted bath's saturation, walk, mixed diagonal, greedy permutations,
-    each rotated block's ``mixed[idx] / mass`` and the unitary.
+    accepted bath's step (:func:`_greedy_unitary`).
 
     Every bath is decided from its :class:`ClassicalHull`'s ``F`` table
     alone, with no vertex list and no LP: one whose exact max-norm
-    :meth:`~ClassicalHull.distance` ``d`` exceeds ``tol`` is skipped; for
-    the rest, :meth:`~ClassicalHull._saturate` moves the target into the
-    hull within ``d`` and :meth:`~ClassicalHull._walk` mixes at most rank+1
-    greedy orders there. A witness that misses the target by more than
-    ``tol`` (rounding) moves the search on to the next bath within ``tol``.
-    Returns ``(setup, unitary, gadget)`` for the first bath whose hull
-    holds the target, and None when no bath of the family up to ``budget``
-    does — which proves nothing about larger baths.
+    :meth:`~ClassicalHull.distance` exceeds ``tol`` is skipped, and each of
+    the rest in turn is tried by :func:`_greedy_unitary`, which builds
+    nothing for a witness that rounding carries past ``tol``; the search
+    then moves on to the next bath within ``tol``. Returns ``(setup,
+    unitary, gadget)`` for the first bath that step builds on, and None
+    when no bath of the family up to ``budget`` holds the target — which
+    proves nothing about larger baths.
 
     ``p`` and ``p_prime`` are validated once, on entry, with their sizes;
     the pre-check, every bath's hull and the witness read the validated
-    arrays. The unitary is :func:`synthesize_unitary`'s for the orders'
-    beta-ordering permutations, which are energy-preserving bijections by
-    construction and are not checked again; each block's rotation is. A
-    dense unitary that cannot be allocated is refused
-    (``unitary-too-large``). The setup returned is the caller's own: it
-    shares the ladder's blocks, not what the ladder's setup caches (its
-    hull frame included).
+    arrays. The setup returned is the caller's own: it holds the caller's
+    ``ham_a`` and shares the ladder's blocks, not what the ladder's setup
+    caches (its hull frame included).
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)
@@ -1113,20 +1096,39 @@ def realize_interior(
             "target is not reachable by any Gibbs-preserving stochastic map",
         )
     for setup, hull, d in _ladder(ham_a, bath_family).hulls(p, p_prime, tol, budget):
-        weights, orders, vertices = zip(*hull._walk(hull._saturate(p_prime, d)))
-        if np.abs(np.array(weights) @ np.array(vertices) - p_prime).max() > tol:
-            continue  # rounding carried the witness past tol
-        # Each greedy permutation is an energy-preserving bijection by
-        # construction; the mixture is summed from 0 in term order, as
-        # ProductConvexCombination.mixed_joint_output sums it.
-        v = hull._v
-        mixed = np.zeros(v.size)
-        for weight, order in zip(weights, orders):
-            mixed[hull.permutation(order)] += weight * v
-        # A setup of the caller's own, so that what it caches stays out of the ladder.
-        found = ThermalSetup(ham_a, setup.ham_b, setup.blocks)
-        return (found, *_rotate_blocks(hull._blocks, mixed, found))
+        _, built = _greedy_unitary(hull, p_prime, d, tol)
+        if built is not None:
+            # A setup of the caller's own, so that what it caches stays out of the ladder.
+            return (ThermalSetup(ham_a, setup.ham_b, setup.blocks), *built)
     return None
+
+
+def _greedy_unitary(
+    hull: ClassicalHull, target: ProbabilityVector, d: float, tol: float
+) -> tuple[float, tuple[ComplexMatrix, NoisyRealization | None] | None]:
+    """The witness's max-norm miss of ``target`` and, within ``tol``, ``(unitary, gadget)``.
+
+    The one step from a hull target to a unitary, for :func:`realize_interior`
+    and the ``synthesize`` subcommand; ``d <= tol`` is the validated
+    target's :meth:`~ClassicalHull.distance`. :meth:`~ClassicalHull._saturate`
+    and :meth:`~ClassicalHull._walk` give at most rank+1 greedy orders; a
+    witness that rounding carries past ``tol`` builds nothing (None).
+    Otherwise the orders' permutations (:meth:`~ClassicalHull.permutation`),
+    energy-preserving bijections by construction and not checked again, mix
+    the hull's joint input, and :func:`_rotate_blocks` rotates each block of
+    the input to the mixture and checks the rotation.
+    """
+    weights, orders, vertices = zip(*hull._walk(hull._saturate(target, d)))
+    miss = float(np.abs(np.array(weights) @ np.array(vertices) - target).max())
+    if miss > tol:
+        return miss, None
+    # The mixture is summed from 0 in term order, as
+    # ProductConvexCombination.mixed_joint_output sums it.
+    v = hull._v
+    mixed = np.zeros(v.size)
+    for weight, order in zip(weights, orders):
+        mixed[hull.permutation(order)] += weight * v
+    return miss, _rotate_blocks(hull._blocks, mixed, hull.setup)
 
 
 def random_block_unitary(setup: ThermalSetup, rng: np.random.Generator) -> ComplexMatrix:

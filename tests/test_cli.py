@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -223,6 +224,7 @@ def test_removed_enumeration_flags_exit_2(capsys):
         ("reachable", "--ham-b", OSC3, *base, "--mode", "exhaustive"),
         ("membership", "--ham-b", OSC3, *base, "--target", "0.7,0.3", "--samples", "10"),
         ("synthesize", "--ham-b", OSC3, *base, "--target", "0.7,0.3", "--seed", "1"),
+        ("synthesize", "--ham-b", OSC3, *base, "--target", "0.7,0.3", "--cap", "10"),
         ("realize", *base, "--target", "0.7,0.3", "--seed", "1"),
     ):
         code, out = _run(capsys, *argv)
@@ -231,12 +233,91 @@ def test_removed_enumeration_flags_exit_2(capsys):
 
 
 def test_synthesize_rejects_exterior_target(capsys):
+    # The detail carries the target's exact max-norm distance to the hull:
+    # (0, 1) from the qubit's one-copy hull, whose nearest point is the
+    # vertex (2/3, 1/3).
     code, out = _run(
         capsys, "synthesize", "--ham-a", QUBIT, "--ham-b", OSC2,
         "--p", "1,0", "--target", "0,1",
     )
     assert code == 2
-    assert json.loads(out)["error"] == "not-reachable"
+    refused = json.loads(out)
+    assert refused["error"] == "not-reachable"
+    sits, distance, rest = refused["detail"].split(" ", 3)[1:]
+    assert (sits, rest) == ("sits", "outside the classical hull")
+    assert float(distance) == pytest.approx(2 / 3, abs=1e-15)
+
+
+QUTRIT_013 = json.dumps({"beta": 0.7, "quantum": 1.0, "levels": [{"a": a} for a in (0, 1, 3)]})
+
+
+@pytest.mark.parametrize(
+    "ham_a, p, target, family",
+    [
+        (None, None, None, None),  # the w578-copies golden
+        (QUTRIT_013, "0.2,0.3,0.5", "0.35,0.3,0.35", "copies"),
+        (OSC3, "1,0,0", "0.7,0.2,0.1", "oscillator"),
+    ],
+    ids=["w578-copies", "qutrit-013-copies", "osc3-oscillator"],
+)
+def test_synthesize_matches_realize_on_the_bath_realize_found(capsys, ham_a, p, target, family):
+    # realize and synthesize build their unitary by one step, so on the bath
+    # realize found synthesize prints the same U, gadget, achieved, residual
+    # and tol. The printed bath rounds beta to 12 digits: it is given the
+    # system's own beta, which ln 2 needs.
+    if ham_a is None:
+        with open(REALIZE_GOLDENS, encoding="utf-8") as handle:
+            argv = json.load(handle)["w578-copies"]["argv"]
+    else:
+        argv = ["realize", "--ham-a", ham_a, "--p", p, "--target", target, "--bath-family", family]
+    options = dict(zip(argv[1::2], argv[2::2]))
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    realized = json.loads(out)
+    assert realized["found"]
+    bath = realized["bath"] | {"beta": json.loads(options["--ham-a"])["beta"]}
+    code, out = _run(
+        capsys, "synthesize", "--ham-a", options["--ham-a"], "--ham-b", json.dumps(bath),
+        "--p", options["--p"], "--target", options["--target"],
+    )
+    assert code == 0
+    synthesized = json.loads(out)
+    keys = ["U", "gadget", "achieved", "residual", "tol"]
+    assert {k: synthesized[k] for k in keys} == {k: realized[k] for k in keys}
+    assert synthesized["residual"] <= synthesized["tol"] == MEMBERSHIP_TOL
+    assert set(synthesized) == {*keys, "classification"}
+
+
+def test_synthesize_prints_no_unitary_for_a_witness_that_misses(capsys, monkeypatch):
+    # A witness that rounding carries past tol builds no unitary: synthesize
+    # names the miss as an internal fault (exit 1).
+    monkeypatch.setattr(cli, "_greedy_unitary", lambda hull, target, d, tol: (2.5e-8, None))
+    code, out = _run(
+        capsys, "synthesize", "--ham-a", QUBIT, "--ham-b", OSC2,
+        "--p", "1,0", "--target", "2/3,1/3",
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "internal",
+        "detail": "RuntimeError: greedy witness misses the target by 2.5e-08 (tolerance 1e-08)",
+    }
+
+
+def test_synthesize_builds_on_a_bath_the_listing_refuses(capsys):
+    # Three copies of the (0, 1, 3) qutrit give 81 joint dims, where one
+    # energy block alone would list 8,168,160 candidate outputs. synthesize
+    # lists nothing: it decides the bath from F and mixes greedy orders.
+    bath = [sum(levels) for levels in itertools.product((0, 1, 3), repeat=3)]
+    code, out = _run(
+        capsys, "synthesize", "--ham-a", QUTRIT_013,
+        "--ham-b", json.dumps({"beta": 0.7, "quantum": 1.0, "levels": [{"a": a} for a in bath]}),
+        "--p", "0.2,0.3,0.5", "--target", "0.35,0.3,0.35",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["U"]["rows"] == 81
+    assert payload["residual"] <= payload["tol"] == MEMBERSHIP_TOL
+    assert payload["classification"] == "interior"
 
 
 def test_decompose_swap_permutation(capsys):
@@ -497,13 +578,15 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
     # One interpreter runs the commands in turn and lists, after each, the
     # deferred scipy packages loaded so far. Every hull comes in closed form,
     # so no subcommand loads scipy.spatial. A thermomajorize, whether it
-    # prints false or a witness, a realize, and a synthesize or membership
+    # prints false or a witness, a realize, a synthesize, and a membership
     # target the facets place inside solve no LP; the exterior membership
     # target, last, does, and scipy.optimize imports scipy.spatial itself.
-    # realize-band's target lies 5e-9 (max-norm) outside the one-copy hull,
-    # within tol: it is realized on that two-level bath by saturation and
-    # the walk, no LP.
+    # realize-band's and synthesize-band's target lies 5e-9 (max-norm)
+    # outside the one-copy hull, within tol: it is realized on that
+    # two-level bath by saturation and the walk, no LP. synthesize-exterior
+    # is refused (exit 2) on F's distance, with no LP either.
     qutrit = ("--ham-a", OSC3, "--ham-b", OSC3, "--p", "0.5,0.3,0.2")
+    band = f"{2 / 3 - 5e-9!r},{1 / 3 + 5e-9!r}"
     steps = [
         ("import", None),
         ("help", ["--help"]),
@@ -516,21 +599,26 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
         ("thermomajorize", ["thermomajorize", "--p", "0,1", "--q", "1/2,1/2", "--gamma", "2/3,1/3"]),
         ("realize-qubit", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", "0.6,0.4"]),
         ("realize-qutrit", ["realize", "--ham-a", OSC3, "--p", "1,0,0", "--target", "0.7,0.2,0.1"]),
-        ("realize-band", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", f"{2 / 3 - 5e-9!r},{1 / 3 + 5e-9!r}"]),
+        ("realize-band", ["realize", "--ham-a", QUBIT, "--p", "1,0", "--target", band]),
         ("fig4", ["fig4", "--preset", "paper", "--format", "csv"]),
         ("reachable-qutrit", ["reachable", *qutrit]),
         ("synthesize-qutrit", ["synthesize", *qutrit, "--target", "0.53,0.3,0.17"]),
+        ("synthesize-band", ["synthesize", "--ham-a", QUBIT, "--ham-b", QUBIT, "--p", "1,0", "--target", band]),
+        ("synthesize-exterior", ["synthesize", "--ham-a", QUBIT, "--ham-b", QUBIT, "--p", "1,0", "--target", "0,1"]),
         ("membership-inside", ["membership", *qutrit, "--target", "0.53,0.3,0.17"]),
         ("membership-exterior", ["membership", *qutrit, "--target", "1,0,0"]),
     ]
+    codes = {"synthesize-exterior": 2}
     probe = (
         "import sys, contextlib, io, json\n"
         "import thermohorn\n"
         "from thermohorn.cli import main\n"
         f"for name, argv in {steps!r}:\n"
         "    if argv is not None:\n"
-        "        with contextlib.redirect_stdout(io.StringIO()):\n"
-        "            assert main(argv) == 0, name\n"
+        "        with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"            assert main(argv) == {codes!r}.get(name, 0), name\n"
+        "        if name == 'synthesize-exterior':\n"
+        "            assert json.loads(out.getvalue())['error'] == 'not-reachable'\n"
         "    print(json.dumps([name, sorted(m for m in ('scipy.optimize', 'scipy.spatial')"
         " if m in sys.modules)]))"
     )

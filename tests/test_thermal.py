@@ -1123,6 +1123,21 @@ def test_realize_returns_a_setup_of_its_own_and_leaves_the_ladder_lean():
     assert "_hull_frame" not in first[0].__dict__ and "_hull_frame" not in again[0].__dict__
 
 
+def test_realize_returns_a_setup_holding_the_callers_own_system_hamiltonian():
+    # The ladder is cached on the Hamiltonian's value, so a search with a
+    # second, equal Hamiltonian reads the ladder the first one built; the
+    # setup returned still holds the Hamiltonian each caller passed.
+    first_ham, second_ham = (qubit_hamiltonian(beta=math.log(2.0)) for _ in range(2))
+    assert first_ham == second_ham and first_ham is not second_ham
+    ground, target = np.array([1.0, 0.0]), np.array([0.8, 0.2])
+    thermal._ladder.cache_clear()
+    first = realize_interior(ground, first_ham, target, "copies", 64)
+    second = realize_interior(ground, second_ham, target, "copies", 64)
+    assert thermal._ladder(second_ham, "copies").ham_a is first_ham
+    assert first[0].ham_a is first_ham
+    assert second[0].ham_a is second_ham
+
+
 def test_realize_is_bit_identical_on_a_cold_and_a_warm_ladder():
     # Seeded targets for a ground-state qubit (both families) and the
     # (5, 7, 8) system (copies), with budgets interleaved 4 -> 64 -> 8: the
