@@ -15,10 +15,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DECOMPOSITION_TOL, ENUMERATION_CAP, MARGINAL_TOL, MEMBERSHIP_TOL, THERMO_WITNESS_TOL
+from .config import (
+    DECOMPOSITION_TOL,
+    ENUMERATION_CAP,
+    INTERIOR_MARGIN,
+    MARGINAL_TOL,
+    MEMBERSHIP_TOL,
+    THERMO_WITNESS_TOL,
+    WITNESS_PRUNE_TOL,
+)
 from .energy import Hamiltonian, ThermalSetup, build_setup, weight_hamiltonian
 from .errors import PreconditionError
-from .geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
 from .linalg import partial_trace_b
 from .majorization import majorizes, thermomajorizes
 from .noisy import (

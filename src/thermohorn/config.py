@@ -2,7 +2,7 @@
 
 These constants encode how the package separates genuine structure from
 floating-point noise; changing them ad hoc would silently change which
-states count as reachable. The membership rule's own tolerances live in
+states count as reachable. The membership LP's own tolerances live in
 ``geometry``.
 """
 
@@ -142,6 +142,13 @@ HULL_LEVEL_CAP = 8
 #: a separator (``F(S) + F(N∖S) = F(N)`` within it) is tight everywhere and
 #: cuts down the hull's affine span.
 SEPARATOR_TOL = 1e-12
+
+#: Margin below which an inside point counts as boundary.
+INTERIOR_MARGIN = 1e-9
+
+#: Witness weights below this are dropped when the renormalized witness
+#: still rebuilds the target within the caller's tolerance.
+WITNESS_PRUNE_TOL = 1e-9
 
 #: A subset whose indicator, projected onto the span, is shorter than this
 #: gives no facet (its inequality is one of the span's equations).

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import MEMBERSHIP_TOL
+from .config import INTERIOR_MARGIN, MEMBERSHIP_TOL, WITNESS_PRUNE_TOL
 
 __all__ = [
     "affine_rank",
@@ -27,18 +27,11 @@ __all__ = [
     "classify_membership",
 ]
 
-#: Margin below which an inside point counts as boundary.
-INTERIOR_MARGIN = 1e-9
-
 #: A target's projection onto the hull's affine span is inside the facets
 #: when it lies within this of the inner side of every facet; a flat span
 #: may drop a direction for Qhull only if every point lies within this of
 #: the rest.
 FACET_TOL = 1e-12
-
-#: Witness weights below this are dropped when the renormalized witness
-#: still rebuilds the target within the caller's tolerance.
-WITNESS_PRUNE_TOL = 1e-9
 
 #: HiGHS's primal and dual feasibility tolerances for the re-solve of a
 #: min-slack LP whose witness missed (its defaults are 1e-7, ten times the

@@ -8,8 +8,8 @@ block unitaries fills in exactly the convex hull:
 * *reach*: the classical outputs of ``p ⊗ gamma_B`` are a Minkowski sum
   over energy blocks; ``classical_reachable_set`` lists every distinct one.
   :class:`ClassicalHull` gives their hull in closed form, with no listing
-  and no Qhull: facets, span and vertices, the greedy beta-orderings
-  (Lostaglio, Alhambra & Perry, Quantum 2, 52 (2018));
+  and no Qhull: span off ``F``'s separators, facets, and the vertices (all
+  ``n!`` greedy beta-orderings; Lostaglio, Alhambra & Perry, Quantum 2, 52 (2018));
 * *synthesize*: for a convex mixture of classical outcomes, build per-block
   Schur-Horn rotations carrying the joint diagonal to the mixed one — a
   single exactly energy-preserving unitary, plus (for degenerate system
@@ -304,21 +304,22 @@ class ClassicalHull:
     prefix sum and one gather, through the setup's cached frame
     (``ThermalSetup._hull_frame``: block lookup, joint labels, table cells).
     The subset masks, their sizes and the walk's mask order are shared by
-    every hull with ``n`` levels (``energy._level_sets``), and the span basis
-    by every hull with the same separators (``_span_basis``); all of these
-    are read-only. The rest is built on first use: ``vertices``, the
-    distinct greedy vectors of all ``n!`` orders (given ``points``, a
-    listing of every output, each vertex is the listed point within
-    ``DEDUP_TOL`` of its greedy vector, at ``vertex_indices``), and which
-    vertex each order gives; the affine span, ``origin`` (the first vertex)
-    plus ``rank`` orthonormal ``basis`` rows orthogonal to every separator's
-    indicator (``F(S) + F(N∖S) = F(N)``); and the facets ``normals @ (y -
-    origin) <= offsets``, one per ``S`` whose indicator keeps a projection
-    onto the span, scaled to unit length. The hull keeps the joint input
-    it was tabulated from, and, once :func:`_greedy_unitary` builds on it,
-    that input's block data for the rotations (``_blocks``, a
-    :class:`_BlockData`: each rotated block's indices, mass and normalized
-    input, and the identity slots), O(joint dims) like ``_heaviest``.
+    every hull with ``n`` levels (``energy._level_sets``), read-only. The
+    rest is built on first use. The affine span is ``{y : y(c) = F(c)}``
+    over the atoms ``c``, the least separators (``F(S) + F(N∖S) = F(N)``)
+    holding each level (Fujishige, *Submodular Functions and Optimization*,
+    2nd ed., 2005, §3): ``rank`` is ``n`` less their number, ``origin``
+    their centre ``F(c) / |c|``, and ``_projector`` is ``I`` less the
+    per-atom averaging. The facets are ``normals @ (y - origin) <=
+    offsets``, one per ``S`` whose indicator keeps a projection onto the
+    span, scaled to unit length. Only ``vertices`` (the distinct greedy
+    vectors; given ``points``, a listing of every output, each vertex is the
+    listed point within ``DEDUP_TOL`` of it, at ``vertex_indices``) and the
+    vertex of each order, which :meth:`witness` weighs its walk by, walk all
+    ``n!`` orders. The hull keeps its joint input, and, once
+    :func:`_greedy_unitary` builds on it, that input's block data for the
+    rotations (``_blocks``, a :class:`_BlockData`), O(joint dims) like
+    ``_heaviest``.
     """
 
     def __init__(self, p, setup: ThermalSetup, points: np.ndarray | None = None):
@@ -412,24 +413,28 @@ class ClassicalHull:
         return self._greedy.vertex_indices
 
     @cached_property
-    def origin(self) -> np.ndarray:
-        return self.vertices[0]
-
-    @cached_property
     def _separators(self) -> np.ndarray:
         return np.abs(self.table + self.table[::-1] - self.table[-1]) <= SEPARATOR_TOL
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        return _span_basis(self.setup.dim_a, self._separators.tobytes())
+    def _atoms(self) -> np.ndarray:
+        """Each level's atom, the AND of the separator masks holding it; they partition the levels."""
+        separators = np.flatnonzero(self._separators)
+        holding = self._members[separators].T  # [a, k]: the k-th separator holds level a
+        return _read_only(np.bitwise_and.reduce(np.where(holding, separators, -1), axis=1))
 
     @cached_property
     def rank(self) -> int:
-        return self.basis.shape[0]
+        return self.setup.dim_a - len(set(self._atoms.tolist()))
+
+    @cached_property
+    def origin(self) -> np.ndarray:
+        return self.table[self._atoms] / self._members[self._atoms].sum(axis=1)
 
     @cached_property
     def _projector(self) -> np.ndarray:
-        return self.basis.T @ self.basis
+        same = self._atoms[:, None] == self._atoms
+        return np.eye(len(same)) - same / same.sum(axis=1)
 
     @cached_property
     def _facets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -555,19 +560,6 @@ def _worst_gaps(sets: _LevelSets, tables: np.ndarray, target: np.ndarray) -> np.
     below = gap[..., 1:] / sets.below
     above = (gap[..., :-1] - gap[..., -1:]) / sets.above
     return np.maximum(below, above).max(axis=-1)
-
-
-@functools.lru_cache(maxsize=64)
-def _span_basis(n: int, separators: bytes) -> np.ndarray:
-    """Orthonormal rows orthogonal to the indicators of the ``separators`` (a mask per subset).
-
-    One SVD per separator pattern, read-only; the last 64 patterns are kept.
-    """
-    rows_in = _level_sets(n).members[np.frombuffer(separators, dtype=bool)]
-    _, values, rows = np.linalg.svd(rows_in)
-    # The rank at np.linalg.matrix_rank's default threshold, from the same SVD.
-    cut = values.max() * (max(rows_in.shape) * np.finfo(values.dtype).eps)
-    return _read_only(rows[int(np.count_nonzero(values > cut)) :])
 
 
 def classical_reachable_set(
@@ -844,7 +836,7 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) ->
     affine span), the greedy walk as witness inside the facets, and one
     min-slack LP for every other target, whose max-norm residual is the
     ``distance`` of an exterior one. Witness terms below
-    ``geometry.WITNESS_PRUNE_TOL`` go when the rest still rebuilds the target.
+    ``WITNESS_PRUNE_TOL`` go when the rest still rebuilds the target.
     :func:`realize_interior` and ``synthesize`` do not come here: they decide
     a bath from ``F`` and walk to its witness (:func:`_greedy_unitary`).
     """
@@ -911,8 +903,8 @@ class _BathLadder:
     (:meth:`hulls`), and their ``F`` tables stacked, one row per bath, so
     that a search decides every held bath in one pass. Each hull keeps its
     joint input, its heaviest-first joint order, its ``F`` table and what
-    it caches as walks read it (separators, span basis, the greedy vector
-    of each order walked), and, for a bath a search accepted, the block
+    it caches as walks read it (separators, atoms, the greedy vector of
+    each order walked), and, for a bath a search accepted, the block
     data its rotations read (:class:`_BlockData`). A search with another
     ``p`` replaces the whole record, so the ladder holds the hulls of one
     ``p``. All of it is O(joint dims) per bath; nothing joint-sized per

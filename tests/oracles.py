@@ -12,8 +12,9 @@ images, against dense sums of Kronecker products. The closed-form
 classical hull is checked against :class:`Polytope`, the hull of its
 vertices as Qhull's facet equations with a Delaunay witness, and
 membership verdicts against a positivity-margin LP; its ``F`` reads
-through cached frames, level sets and span bases against
-:class:`PerCallHull`, which builds every table for the one hull. The bath search is
+through cached frames and level sets against :class:`PerCallHull`, which
+builds every table for the one hull, and its span, read off the atoms of
+``F``'s separators, against that class's SVD of their indicators. The bath search is
 checked against a walk that asks ``hull_membership`` about every bath's
 greedy sum, pruned to its Qhull vertices after every block; the iterative
 and vectorized internals against the plain recursive and looped forms they

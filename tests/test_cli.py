@@ -8,13 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermohorn import alpha_max_oscillator, d_alpha, qubit_gibbs
+from thermohorn import alpha_max_oscillator, build_setup, d_alpha, oscillator_hamiltonian, qubit_gibbs
 from thermohorn import cli, thermal
 from thermohorn.cli import main
-from thermohorn.config import DECOMPOSITION_TOL, MARGINAL_TOL, MEMBERSHIP_TOL, THERMO_WITNESS_TOL
-from thermohorn.geometry import INTERIOR_MARGIN, WITNESS_PRUNE_TOL
+from thermohorn.config import (
+    DECOMPOSITION_TOL,
+    INTERIOR_MARGIN,
+    MARGINAL_TOL,
+    MEMBERSHIP_TOL,
+    THERMO_WITNESS_TOL,
+    WITNESS_PRUNE_TOL,
+)
 from thermohorn.linalg import partial_trace_b
 from thermohorn.serialize import format_float, matrix_from_json, matrix_to_json, realization_from_json
+from thermohorn.thermal import ClassicalHull
 
 LN2 = math.log(2.0)
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
@@ -318,6 +325,37 @@ def test_synthesize_builds_on_a_bath_the_listing_refuses(capsys):
     assert payload["U"]["rows"] == 81
     assert payload["residual"] <= payload["tol"] == MEMBERSHIP_TOL
     assert payload["classification"] == "interior"
+
+
+def test_synthesize_classifies_an_eight_level_target_without_listing_orders(capsys, monkeypatch):
+    # The facet margin reads the hull's span off F's separators, so
+    # classifying a target of an 8-level system lists none of its 8! orders.
+    # The target mixes the greedy vectors of twelve random orders.
+    p = np.random.default_rng(8).dirichlet(np.ones(8))
+    hull = ClassicalHull(p, build_setup(oscillator_hamiltonian(8, 0.5), oscillator_hamiltonian(2, 0.5)))
+    rng = np.random.default_rng(9)
+    vectors = []
+    for _ in range(12):
+        vector, prefix = np.empty(8), 0
+        for a in rng.permutation(8):
+            vector[a] = hull.table[prefix | 1 << a] - hull.table[prefix]
+            prefix |= 1 << a
+        vectors.append(vector)
+    target = rng.dirichlet(np.ones(12)) @ vectors
+
+    def refuse(*args):
+        raise AssertionError("the n! walk")
+
+    monkeypatch.setattr(ClassicalHull, "_pick_vertices", refuse)
+    code, out = _run(
+        capsys, "synthesize", "--ham-a", _osc_json(8, 0.5), "--ham-b", _osc_json(2, 0.5),
+        "--p", ",".join(map(repr, p.tolist())), "--target", ",".join(map(repr, target.tolist())),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["classification"] == "interior"
+    assert payload["U"]["rows"] == 16
+    assert payload["residual"] <= payload["tol"] == MEMBERSHIP_TOL
 
 
 def test_decompose_swap_permutation(capsys):

@@ -1,9 +1,11 @@
 import contextlib
+import functools
 import itertools
 import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -247,6 +249,51 @@ def test_classical_hull_walk_mixes_at_most_rank_plus_one_greedy_permutations(cas
             assert np.abs(output - hull.vertices[hull._greedy.vertex_of[order]]).max() < 1e-12
 
 
+@functools.cache
+def _ladder_setups():
+    """Every bath of the ladders the realize search cases walk, on their systems."""
+    qubit = qubit_hamiltonian(beta=math.log(2.0))
+    w578 = _two_copy_preset()[0].ham_a
+    return (
+        *_BathLadder(qubit, "copies").upto(32),
+        *_BathLadder(qubit, "oscillator").upto(6),
+        *_BathLadder(w578, "copies").upto(27),
+    )
+
+
+@st.composite
+def _ladder_cases(draw):
+    setups = _ladder_setups()
+    setup = setups[draw(st.integers(0, len(setups) - 1))]
+    weights = np.array(draw(st.lists(st.integers(0, 9), min_size=setup.dim_a, max_size=setup.dim_a)), dtype=float)
+    assume(weights.sum() > 0)
+    return setup, weights / weights.sum()
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(_hull_cases, _ladder_cases()), seed=st.integers(0, 2**32 - 1))
+def test_hull_span_is_read_off_the_atoms_of_the_separators(case, seed):
+    # The atoms give the span an SVD of every separator's indicator gives:
+    # the same rank, the same projector onto its directions, and a centre
+    # on every separator's equation. rank, the facets, excess and the
+    # witness's projection and walk never list the n! greedy orders.
+    setup, p = case
+    hull, reference = ClassicalHull(p, setup), PerCallHull(p, setup)
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(ClassicalHull, "_pick_vertices", side_effect=AssertionError("n! walk")):
+        assert hull.rank == reference.basis.shape[0]
+        assert np.abs(hull._projector - reference.basis.T @ reference.basis).max() <= 1e-14
+        separators = hull._separators
+        assert np.abs(hull._members[separators] @ hull.origin - hull.table[separators]).max() <= 1e-15
+        for q in rng.dirichlet(np.ones(setup.dim_a), size=3):
+            y = hull._saturate(q, hull.distance(q))
+            assert hull.excess(y) <= 1e-9
+            x = hull.origin + hull._projector @ (y - hull.origin)
+            terms = hull._walk(x)
+            assert len(terms) <= hull.rank + 1
+            assert np.abs(sum(w * vector for w, _, vector in terms) - y).max() <= 1e-8
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_small_setups())
 def test_every_greedy_permutation_is_a_block_respecting_bijection(case):
@@ -308,6 +355,26 @@ def test_classical_hull_refuses_more_levels_than_its_cap():
         assert err.value.code == "hull-level-cap"
     at_cap = build_setup(zero_hamiltonian(HULL_LEVEL_CAP), zero_hamiltonian(1))
     assert ClassicalHull(np.full(HULL_LEVEL_CAP, 1.0 / HULL_LEVEL_CAP), at_cap).rank == 0
+
+
+def test_a_rank_zero_hull_past_the_cap_reads_its_rank_in_little_memory(monkeypatch):
+    # On the trivial bath every one of the 4,096 sets of 12 levels
+    # separates: the atoms are the levels, the rank is 0 and the centre is
+    # p. An SVD of the separators' indicators with full matrices peaked at
+    # 128 MB here.
+    monkeypatch.setattr(thermal, "HULL_LEVEL_CAP", 12)
+    monkeypatch.setattr(ClassicalHull, "_pick_vertices", mock.Mock(side_effect=AssertionError("n! walk")))
+    setup = build_setup(oscillator_hamiltonian(12, 0.5), oscillator_hamiltonian(1, 0.5))
+    p = np.random.default_rng(25).dirichlet(np.ones(12))
+    hull = ClassicalHull(p, setup)
+    tracemalloc.start()
+    try:
+        assert hull.rank == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert hull._separators.all() and np.array_equal(hull.origin, p)
 
 
 def test_reachable_points_match_extraction_closed_form():
@@ -661,23 +728,6 @@ def test_mixed_joint_output_is_the_term_by_term_sum_to_the_bit(which, decomposed
     assert bit_equal(product.mixed_joint_output(v), mixed_joint_reference(product, v))
 
 
-def test_hull_basis_reads_its_rank_off_its_one_svd(monkeypatch):
-    # The rows past the rank that np.linalg.matrix_rank (a second SVD) gives.
-    setups = [*_synthesis_setups()[:3], build_setup(zero_hamiltonian(3), zero_hamiltonian(2))]
-    hulls = [ClassicalHull(np.random.default_rng(k).dirichlet(np.ones(s.dim_a)), s) for k, s in enumerate(setups)]
-    expected = []
-    for hull in hulls:
-        separators = hull._members[hull._separators]
-        expected.append(np.linalg.svd(separators)[2][np.linalg.matrix_rank(separators) :])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a second SVD")
-
-    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
-    for hull, basis in zip(hulls, expected):
-        assert bit_equal(hull.basis, basis)
-
-
 def test_product_combination_expand_matches_factored_action():
     setup = _qubit_oscillator(3)
     rng = np.random.default_rng(40)
@@ -784,10 +834,10 @@ def test_hull_vertices_moved_off_the_span_stay_on_the_boundary():
     rng = np.random.default_rng(3)
     verdicts = []
     for _ in range(40):
-        rset = classical_reachable_set(rng.dirichlet(np.ones(4)), setup)
-        poly = rset.polytope
-        assert poly.rank == 2
-        off_span = np.linalg.svd(np.vstack([poly.basis, np.ones(4)]))[2][-1]
+        p = rng.dirichlet(np.ones(4))
+        rset = classical_reachable_set(p, setup)
+        assert rset.polytope.rank == 2
+        off_span = np.linalg.svd(np.vstack([PerCallHull(p, setup).basis, np.ones(4)]))[2][-1]
         for vertex in rset.hull_vertices():
             for push in (2e-9, 5e-9):
                 verdicts.append(hull_membership(vertex + push * off_span, rset).classification)
@@ -1022,16 +1072,15 @@ def test_band_targets_saturate_into_the_hull_and_realize_within_tol(case, seed):
 @settings(max_examples=80, deadline=None)
 @given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
 def test_hull_reads_from_its_cached_frame_match_the_per_call_reference_bit_for_bit(case, seed):
-    # The hull reads its setup's frame, the level sets of its n and the span
-    # basis of its separator pattern from caches; a hull that rebuilds every
-    # table for itself gives the same F table, distances, saturations, walk
-    # terms and span basis to the bit, on hull points, band targets and
-    # targets pushed off the hull.
+    # The hull reads its setup's frame and the level sets of its n from
+    # caches; a hull that rebuilds every table for itself gives the same F
+    # table, distances, saturations and walk terms to the bit, and the same
+    # rank, on hull points, band targets and targets pushed off the hull.
     setup, p = case
     rng = np.random.default_rng(seed)
     hull, reference = ClassicalHull(p, setup), PerCallHull(p, setup)
     assert bit_equal(hull.table, reference.table)
-    assert bit_equal(hull.basis, reference.basis)
+    assert hull.rank == reference.basis.shape[0]
     band = [q for q, _ in _band_targets(hull, rng, 1e-8)]
     inside = _hull_targets(hull.vertices, rng)
     pushed = [q + 1e-4 * rng.normal(size=q.size) for q in inside[:4]]
@@ -1193,8 +1242,8 @@ def test_a_warm_ladder_builds_each_bath_frame_once():
 
 
 def test_every_cached_hull_table_is_read_only():
-    # What hulls share (the frame, the level sets, the span basis) and what
-    # a Hamiltonian keeps (its Gibbs vector) refuses writes; gibbs_vector
+    # What hulls share (the frame, the level sets), a hull's atoms and what
+    # a Hamiltonian keeps (its Gibbs vector) refuse writes; gibbs_vector
     # hands out a copy of its own.
     setup, p = _two_copy_preset()
     hull = ClassicalHull(p, setup)
@@ -1202,7 +1251,7 @@ def test_every_cached_hull_table_is_read_only():
     arrays = [
         sets.members, sets.below, sets.above, *sets.holding,
         frame.block_of, frame.labels, frame.slots, frame.taken,
-        hull.basis, setup.ham_a._gibbs, setup.gibbs_b(),
+        hull._atoms, setup.ham_a._gibbs, setup.gibbs_b(),
     ]
     for array in arrays:
         with pytest.raises(ValueError):
@@ -1210,24 +1259,6 @@ def test_every_cached_hull_table_is_read_only():
     copy = gibbs_vector(setup.ham_a)
     copy[0] = 0.0
     assert setup.ham_a._gibbs[0] > 0.0 and gibbs_vector(setup.ham_a)[0] > 0.0
-
-
-def test_span_basis_cache_keeps_a_fixed_number_of_patterns():
-    # More separator patterns than the cache holds: it never grows past its
-    # size, and every basis it hands out is a fresh SVD's to the bit.
-    rng = np.random.default_rng(18)
-    size = thermal._span_basis.cache_info().maxsize
-    assert size == 64
-    thermal._span_basis.cache_clear()
-    for _ in range(3 * size):
-        n = int(rng.integers(1, 5))
-        pattern = rng.random(1 << n) < 0.5
-        pattern[[0, -1]] = True  # the empty and the full set always separate
-        rows = _level_sets(n).members[pattern]
-        fresh = np.linalg.svd(rows)[2][np.linalg.matrix_rank(rows) :]
-        assert bit_equal(thermal._span_basis(n, pattern.tobytes()), fresh)
-        assert thermal._span_basis.cache_info().currsize <= size
-    assert thermal._span_basis.cache_info().currsize == size
 
 
 def test_threads_sharing_a_ladder_build_each_bath_once():
