@@ -186,7 +186,9 @@ def classify_membership(
     ``distance``, otherwise the LP supplies the witness. If that witness
     misses the target by more than ``tol``, the LP is solved again with
     HiGHS's feasibility tolerances at ``TIGHT_LP_TOL`` and the re-solve
-    decides; a witness that still misses raises ``RuntimeError``. A hull of
+    decides. A re-solve witness that still misses (a target whose distance
+    lies within the solver's noise of ``tol``) makes the target exterior,
+    with that witness's max-norm miss, above ``tol``, as ``distance``. A hull of
     rank 0 is a point, inside which a target within ``tol`` (max-norm) is
     interior, with that gap as ``distance``.
     """
@@ -215,4 +217,4 @@ def classify_membership(
         weights, err = _pruned(weights, gens, tgt, tol)
         if err <= tol:
             return status, margin, weights
-    raise RuntimeError(f"membership LP witness misses the target by {err} (tolerance {tol})")
+    return "exterior", err, None

@@ -70,7 +70,7 @@ def unitarity_defect(mat: ComplexMatrix) -> float | np.ndarray:
     members' defects, computed in one stacked product.
     """
     eye = np.eye(mat.shape[-1])
-    defect = np.abs(np.swapaxes(mat.conj(), -1, -2) @ mat - eye).max(axis=(-2, -1))
+    defect = np.abs(mat.conj().swapaxes(-1, -2) @ mat - eye).max(axis=(-2, -1))
     return float(defect) if np.ndim(mat) == 2 else defect
 
 

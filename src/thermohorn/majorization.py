@@ -15,9 +15,13 @@ conjugation carries one diagonal to another prescribed majorized diagonal
 combination of permutations along a greedy chain of perfect matchings: one
 matching, repaired by an augmenting path for each entry a step zeroes. Each
 construction has one blockwise runner, :func:`_birkhoff_blocks` and
-:func:`_schur_horn_blocks`, that checks every fact once for a list of
+:func:`_schur_horn_stacks`, that checks every fact once for a list of
 blocks: the two public functions are its one-block case, and
 :mod:`~thermohorn.thermal`'s decompose and synthesize its every-block case.
+The Schur-Horn runner takes the blocks grouped by size: each chain's
+Givens steps run on Python floats, one block at a time, and each group's
+sorting products and checks run once, on its ``(B, n, n)`` stack, so its
+numpy calls scale with the number of block sizes, not of blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -585,56 +590,146 @@ def schur_horn_unitary(lam, mu) -> ComplexMatrix:
     and checks its result once: unitary to ``UNITARITY_TOL``
     (``not-unitary``) and carrying ``lam`` to ``mu`` within
     ``SCHUR_HORN_TOL`` (max-norm; a miss raises ``RuntimeError``).
-    :func:`~thermohorn.noisy.horn_transition_unitary` runs the chain itself
-    and leaves both checks to :class:`~thermohorn.noisy.NoisyRealization`.
+    :func:`~thermohorn.noisy.horn_transition_unitary` builds the same
+    rotation unchecked (:func:`_schur_horn_chain`) and leaves both checks
+    to :class:`~thermohorn.noisy.NoisyRealization`.
     """
     return _schur_horn_blocks([_majorized_pair(lam, mu)])[0]
 
 
-def _schur_horn_blocks(pairs, blocks=None) -> list[ComplexMatrix]:
-    """The Schur-Horn rotation of each validated ``(lam, mu)`` pair, checked once.
+class _ChainInputs(NamedTuple):
+    """The input side of the Schur-Horn chains of one size, stacked in pair order.
 
-    Each pair runs :func:`_schur_horn_chain`; then the rotations of one
-    size are checked in one stacked pass, per member: unitary to
-    ``UNITARITY_TOL`` and carrying ``lam`` to ``mu`` within
-    ``SCHUR_HORN_TOL`` (max-norm), each comparison failing on NaN. The
-    first pair to fail is reported as :func:`schur_horn_unitary` reports
-    it alone (``not-unitary``, or ``RuntimeError`` for a missed target); a
-    chain that raises is reported after any failing rotation before it, and
-    the pairs after it are not rotated. ``blocks``, when given, names each
-    pair's energy block: a rotation that is not unitary is then an internal
-    fault, a ``RuntimeError`` naming its block.
+    Nothing writes to these arrays; :class:`~thermohorn.thermal.ClassicalHull`
+    keeps them for the bath it was built on.
     """
-    rotations = []
-    failure = None
-    for lam, mu in pairs:
-        try:
-            rotations.append(_schur_horn_chain(lam, mu))
-        except RuntimeError as exc:
-            failure = exc  # raised once the rotations before it are checked
-            break
+
+    lams: np.ndarray  # (B, n): each input
+    order: np.ndarray  # (B, n): each input's stable descending order
+    descending: np.ndarray  # (B, n): each input's values in that order
+    positions: tuple[int, ...]  # each member's place among all the pairs rotated, ascending
+
+
+def _chain_groups(lams) -> list[_ChainInputs]:
+    """The inputs ``lams`` grouped by size, each group's :class:`_ChainInputs` in input order."""
     by_size: dict[int, list[int]] = {}
-    for k, v in enumerate(rotations):
-        by_size.setdefault(len(v), []).append(k)
-    defects, misses = np.empty(len(rotations)), np.empty(len(rotations))
-    for members in by_size.values():
-        v = np.array([rotations[k] for k in members])
-        lam, mu = (np.array([pairs[k][side] for k in members]) for side in (0, 1))
-        defects[members] = unitarity_defect(v)
-        achieved = np.matmul(v.real**2 + v.imag**2, lam[..., None])[..., 0]
-        misses[members] = np.abs(achieved - mu).max(axis=1)
-    bad = np.flatnonzero(~((defects <= UNITARITY_TOL) & (misses <= SCHUR_HORN_TOL)))
-    if bad.size:
-        k = int(bad[0])
-        if not defects[k] <= UNITARITY_TOL:
-            exc = PreconditionError("not-unitary", f"max-norm of U†U − I is {float(defects[k])}")
+    for k, lam in enumerate(lams):
+        by_size.setdefault(len(lam), []).append(k)
+    groups = []
+    for positions in by_size.values():
+        stack = np.array([lams[k] for k in positions])
+        order = (-stack).argsort(axis=1, kind="stable")
+        descending = np.take_along_axis(stack, order, axis=1)
+        groups.append(_ChainInputs(stack, order, descending, tuple(positions)))
+    return groups
+
+
+def _schur_horn_blocks(pairs, blocks=None) -> list[ComplexMatrix]:
+    """The Schur-Horn rotation of each validated ``(lam, mu)`` pair, checked once, in pair order.
+
+    The pairs are grouped by size, each group stacked, and handed to
+    :func:`_schur_horn_stacks`, which rotates each group as one stack and
+    checks every member: unitary to ``UNITARITY_TOL`` and on target within
+    ``SCHUR_HORN_TOL``. The first pair to fail in pair order is the one
+    reported; a chain that raises is reported after any failing rotation
+    before it, and the pairs after it are not rotated. ``blocks``, when
+    given, names each pair's energy block in its errors.
+    """
+    chains = _chain_groups([lam for lam, _ in pairs])
+    mus = [np.array([pairs[k][1] for k in chain.positions]) for chain in chains]
+    rotations = [None] * len(pairs)
+    for chain, stack in zip(chains, _schur_horn_stacks(chains, mus, blocks)):
+        for k, v in zip(chain.positions, stack):
+            rotations[k] = v
+    return rotations
+
+
+def _schur_horn_stacks(chains, mus, blocks=None) -> list[np.ndarray]:
+    """The Schur-Horn rotations of every group of one size, one ``(B, n, n)`` stack each, checked.
+
+    ``chains[g]`` is a group's :class:`_ChainInputs` and ``mus[g]`` its
+    ``(B, n)`` targets, each majorized by its input. :func:`_rotation_stacks`
+    builds the rotations; then each stack is checked in one pass, per
+    member: unitary to ``UNITARITY_TOL`` and carrying ``lam`` to ``mu``
+    within ``SCHUR_HORN_TOL`` (max-norm), each comparison failing on NaN.
+    The first pair to fail, in pair order, is reported as
+    :func:`schur_horn_unitary` reports it alone (``not-unitary``, or
+    ``RuntimeError`` for a missed target); a chain that raises is reported
+    after any failing rotation before it, and the pairs after it are not
+    rotated. ``blocks``, when given, names each pair's energy block, in
+    pair order: a rotation that is not unitary is then an internal fault, a
+    ``RuntimeError`` naming its block.
+    """
+    stacks, failure = _rotation_stacks(chains, mus)
+    first = None  # (position, defect, miss) of the first pair to fail
+    for v, chain, mu in zip(stacks, chains, mus):
+        if not len(v):
+            continue
+        defects = unitarity_defect(v)
+        achieved = np.matmul(v.real**2 + v.imag**2, chain.lams[: len(v), :, None])[..., 0]
+        misses = np.abs(achieved - mu[: len(v)]).max(axis=1)
+        passed = (defects <= UNITARITY_TOL) & (misses <= SCHUR_HORN_TOL)
+        if not passed.all():
+            r = int(passed.argmin())
+            if first is None or chain.positions[r] < first[0]:
+                first = (chain.positions[r], float(defects[r]), float(misses[r]))
+    if first is not None:
+        k, defect, miss = first
+        if not defect <= UNITARITY_TOL:
+            exc = PreconditionError("not-unitary", f"max-norm of U†U − I is {defect}")
             if blocks is None:
                 raise exc
             raise RuntimeError(f"rotation for block {blocks[k]} failed its check: {exc}") from exc
-        raise RuntimeError(f"rotation chain missed its target by {float(misses[k])}")
+        raise RuntimeError(f"rotation chain missed its target by {miss}")
     if failure is not None:
         raise failure
-    return rotations
+    return stacks
+
+
+def _rotation_stacks(chains, mus) -> tuple[list[np.ndarray], RuntimeError | None]:
+    """Each group's rotations, unchecked, and the error of a chain that raised (or None).
+
+    The chains run one pair at a time in pair order (:func:`_givens_core`),
+    so one that raises stops the pairs after it: each stack then holds the
+    rotations of its members before that pair. Sorting permutations on both
+    sides restore the original orderings, so for equal multisets a rotation
+    degenerates to the permutation aligning ``lam`` with ``mu``. They are
+    rows gathered from one complex identity and applied as one stacked
+    complex matrix product per group, ``P_mᵀ · core · P_l``, whose sums fix
+    the sign of every zero entry, member by member as a product of each
+    block alone would; the result is complex.
+    """
+    orders, targets = [], []
+    for mu in mus:
+        order = (-mu).argsort(axis=1, kind="stable")
+        orders.append(order)
+        targets.append([[row[k] for k in ks] for row, ks in zip(mu.tolist(), order.tolist())])
+    inputs = [chain.descending.tolist() for chain in chains]
+    cores = [[] for _ in chains]
+    sequence = sorted((p, g, r) for g, chain in enumerate(chains) for r, p in enumerate(chain.positions))
+    failure = None
+    for _, g, r in sequence:
+        try:
+            cores[g].append(_givens_core(inputs[g][r], targets[g][r]))
+        except RuntimeError as exc:
+            failure = exc  # raised once the rotations before it are checked
+            break
+    stacks = []
+    for chain, order, core in zip(chains, orders, cores):
+        m, n = len(core), chain.order.shape[1]
+        eye, eye_conj = _complex_eye(n)
+        # Complex from the start, as the product would cast it: +0.0 imaginary parts.
+        core = np.array(core, dtype=np.complex128).reshape(m, n, n)
+        stacks.append(eye_conj[order[:m]].swapaxes(-1, -2) @ core @ eye[chain.order[:m]])
+    return stacks, failure
+
+
+def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexMatrix:
+    """One validated pair's rotation, unchecked: the one-pair case of :func:`_rotation_stacks`."""
+    stacks, failure = _rotation_stacks(_chain_groups([lam]), [mu[None]])
+    if failure is not None:
+        raise failure
+    return stacks[0][0]
 
 
 def _majorized_pair(lam, mu) -> tuple[ProbabilityVector, ProbabilityVector]:
@@ -655,30 +750,40 @@ def _majorized_pair(lam, mu) -> tuple[ProbabilityVector, ProbabilityVector]:
     return lam, mu
 
 
-def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexMatrix:
-    """The Schur-Horn rotation chain, unchecked: its caller validates the inputs and checks the result.
+# The identities of the last 8 block sizes rotated: for blocks of up to n
+# slots, 40 n² bytes each.
+@functools.lru_cache(maxsize=8)
+def _unit_rows(n: int) -> tuple[tuple[float, ...], ...]:
+    """The rows of the ``n x n`` identity, as Python floats."""
+    zero, one = 0.0, 1.0
+    return tuple(tuple(one if k == m else zero for m in range(n)) for k in range(n))
 
-    The construction works on the descending-sorted copies: repeatedly pick
-    the first index ``i`` still above its target and the first later index
-    ``j`` below its target, and rotate in the ``(i, j)`` plane so one of
-    them lands exactly on target (entries within ``SCHUR_HORN_SETTLE_TOL``
-    count as on target). Indices already on target are never revisited, so
-    off-diagonal elements generated along the way never re-enter the
-    diagonal bookkeeping and at most ``n - 1`` rotations are needed.
-    Every rotation is a real Givens rotation (Chan & Li, J. Math. Anal.
-    Appl. 91, 1983), so the chain runs on a float64 ``core``. Sorting
-    permutations on both sides then restore the original orderings, so for
-    equal multisets the result degenerates to the permutation aligning
-    ``lam`` with ``mu``. They are rows gathered from one complex identity
-    and applied as complex matrix products, whose sums fix the sign of
-    every zero entry; the result is complex.
+
+@functools.lru_cache(maxsize=8)
+def _complex_eye(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complex ``n x n`` identity and its conjugate (``-0.0`` imaginary parts), read-only."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye_conj = eye.conj()
+    eye.flags.writeable = eye_conj.flags.writeable = False
+    return eye, eye_conj
+
+
+def _givens_core(x: list[float], target: list[float]) -> list[list[float]]:
+    """The real rotation chain carrying descending ``x`` to descending ``target``, as rows.
+
+    Repeatedly pick the first index ``i`` still above its target and the
+    first later index ``j`` below its target, and rotate in the ``(i, j)``
+    plane so one of them lands exactly on target (entries within
+    ``SCHUR_HORN_SETTLE_TOL`` count as on target). Indices already on
+    target are never revisited, so off-diagonal elements generated along
+    the way never re-enter the diagonal bookkeeping and at most ``n - 1``
+    rotations are needed. Every rotation is a real Givens rotation (Chan &
+    Li, J. Math. Anal. Appl. 91, 1983), applied to two rows of Python
+    floats: the same IEEE products and sums, zero signs included, as the
+    float64 row updates of a numpy matrix. ``x`` is consumed.
     """
-    n = lam.size
-    idx_l = (-lam).argsort(kind="stable")
-    idx_m = (-mu).argsort(kind="stable")
-    x = lam[idx_l].tolist()
-    target = mu[idx_m].tolist()
-    core = np.eye(n)
+    n = len(x)
+    core = list(_unit_rows(n))  # a rotation replaces its two rows, never writes one
     # An entry is over, settled or under its target. A rotation settles i or
     # j and moves the other toward its target, so no entry ever becomes over
     # or under again: the first over entry i and the first under entry j
@@ -702,14 +807,12 @@ def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexM
         c2 = (x[i] - delta - x[j]) / (x[i] - x[j])
         c = math.sqrt(c2)
         s = math.sqrt(max(0.0, 1.0 - c2))
-        row_i, row_j = core[i].copy(), core[j]
-        core[i] = c * row_i - s * row_j
-        core[j] = s * row_i + c * row_j
+        row_i, row_j = core[i], core[j]
+        core[i] = [c * a - s * b for a, b in zip(row_i, row_j)]
+        core[j] = [s * a + c * b for a, b in zip(row_i, row_j)]
         x[i] -= delta
         x[j] += delta
-
-    eye = np.eye(n, dtype=np.complex128)
-    return eye[idx_m].conj().T @ core @ eye[idx_l]
+    return core
 
 
 def random_bistochastic(n: int, rng: np.random.Generator, terms: int | None = None) -> RealMatrix:

@@ -86,8 +86,10 @@ from .linalg import (
 from .majorization import (
     _birkhoff_blocks,
     _check_thermo_shapes,
+    _ChainInputs,
+    _chain_groups,
     _lorenz_dominates,
-    _schur_horn_blocks,
+    _schur_horn_stacks,
     _term_entries,
 )
 from .noisy import NoisyRealization, haar_unitary
@@ -318,7 +320,9 @@ class ClassicalHull:
     vertex of each order, which :meth:`witness` weighs its walk by, walk all
     ``n!`` orders. The hull keeps its joint input, and, once
     :func:`_greedy_unitary` builds on it, that input's block data for the
-    rotations (``_blocks``, a :class:`_BlockData`), O(joint dims) like
+    rotations (``_blocks``, a :class:`_BlockData`: the rotated blocks
+    grouped by size, with each group's indices, masses, normalized inputs
+    and the input side of their chains stacked), O(joint dims) like
     ``_heaviest``.
     """
 
@@ -644,7 +648,7 @@ def synthesize_unitary(
     :class:`ConvexCombination`'s items as permutations of the joint basis
     (``not-a-permutation``) that respect the blocks
     (``not-block-respecting``); and every block's rotation by
-    :func:`~thermohorn.majorization._schur_horn_blocks`, which reports a
+    :func:`~thermohorn.majorization._schur_horn_stacks`, which reports a
     rotation that is not unitary as a ``RuntimeError`` naming its block.
     The mixed diagonal is :meth:`ProductConvexCombination.mixed_joint_output`,
     a :class:`ConvexCombination` being its one-block case. The
@@ -684,35 +688,55 @@ def synthesize_unitary(
     return _rotate_blocks(_block_data(v, setup), target.mixed_joint_output(v), setup)
 
 
+class _BlockGroup(NamedTuple):
+    """The rotated blocks of one size, stacked in block order."""
+
+    indices: np.ndarray  # (B, n): each block's joint indices
+    masses: np.ndarray  # (B, 1): each block's input mass
+    chains: _ChainInputs  # each block's input over its mass, its order and sorted values
+
+
 class _BlockData(NamedTuple):
     """A joint input's energy blocks as :func:`_rotate_blocks` reads them.
 
     The rotated blocks are those with mass above ``EMPTY_BLOCK_MASS`` and
-    at least two slots; every other slot gets the identity. O(joint dims)
-    in all: no per-block matrix is kept. Nothing writes to these arrays.
+    at least two slots; every other slot gets the identity. They are
+    grouped by size (:class:`_BlockGroup`), each group holding the stacks
+    its rotations read: joint indices, masses, and the input side of every
+    chain (each normalized input, its stable descending order and its
+    values in that order; :class:`~thermohorn.majorization._ChainInputs`).
+    ``names`` are the rotated blocks in block order, as errors name them.
+    O(joint dims) in all: no per-block matrix is kept. Nothing writes to
+    these arrays.
     """
 
-    indices: tuple[np.ndarray, ...]  # each rotated block's joint indices
-    masses: tuple[float, ...]  # each rotated block's input mass
-    lams: tuple[np.ndarray, ...]  # each rotated block's input over its mass
+    groups: tuple[_BlockGroup, ...]
+    names: tuple[tuple[int, ...], ...]  # each rotated block, in block order
     identity: np.ndarray  # the joint index of every slot not rotated
 
 
 def _block_data(v: np.ndarray, setup: ThermalSetup) -> _BlockData:
     """:class:`_BlockData` of the joint diagonal ``v`` on ``setup``'s blocks."""
-    indices, masses, lams, identity = [], [], [], []
+    names, masses, lams, identity = [], [], [], []
     for block in setup.blocks:
-        idx = np.asarray(block)
-        lam = v[idx]
+        lam = v[np.asarray(block)]
         mass = float(lam.sum())
         if mass <= EMPTY_BLOCK_MASS or len(block) == 1:
             identity += block
         else:
-            indices.append(idx)
+            names.append(block)
             masses.append(mass)
             lams.append(lam / mass)
+    groups = tuple(
+        _BlockGroup(
+            np.array([names[k] for k in chains.positions], dtype=np.intp),
+            np.array([[masses[k]] for k in chains.positions]),
+            chains,
+        )
+        for chains in _chain_groups(lams)
+    )
     identity = np.array(identity, dtype=np.intp)
-    return _BlockData(tuple(indices), tuple(masses), tuple(lams), identity)
+    return _BlockData(groups, tuple(names), identity)
 
 
 def _rotate_blocks(
@@ -720,15 +744,16 @@ def _rotate_blocks(
 ) -> tuple[ComplexMatrix, NoisyRealization | None]:
     """:func:`synthesize_unitary`'s rotations from the joint diagonal of ``data`` to ``mixed``.
 
-    Per call only each rotated block's ``mixed[idx] / mass`` is formed; the
-    input side (indices, masses, normalized inputs, the identity slots) is
-    ``data``, which :class:`ClassicalHull` keeps for the bath it was built
-    on. Nothing about the caller's mixture is checked here: each block of
-    ``mixed`` is taken to be a mixture of permutations of that block of the
-    input. Every block's rotation is still checked by
-    :func:`~thermohorn.majorization._schur_horn_blocks`. A dense unitary
-    that cannot be allocated (``MemoryError``) is refused as
-    ``unitary-too-large``.
+    Per call, each group of blocks of one size forms its targets in one
+    gather, ``mixed[indices] / masses``; the input side is ``data``, which
+    :class:`ClassicalHull` keeps for the bath it was built on.
+    :func:`~thermohorn.majorization._schur_horn_stacks` rotates the group
+    as one stack and checks every member, and the stack is scattered into
+    the unitary at once, so the numpy calls scale with the number of block
+    sizes, not of blocks. Nothing about the caller's mixture is checked
+    here: each block of ``mixed`` is taken to be a mixture of permutations
+    of that block of the input. A dense unitary that cannot be allocated
+    (``MemoryError``) is refused as ``unitary-too-large``.
     """
     n = setup.dim_joint
     try:
@@ -739,12 +764,11 @@ def _rotate_blocks(
             f"cannot allocate the dense {n}x{n} complex unitary ({n * n * 16 / 2**30:.3g} GiB)",
         ) from exc
     u[data.identity, data.identity] = 1.0
-    pairs = [
-        (lam, mixed[idx] / mass) for lam, idx, mass in zip(data.lams, data.indices, data.masses)
-    ]
-    names = [tuple(idx.tolist()) for idx in data.indices]
-    for idx, rotation in zip(data.indices, _schur_horn_blocks(pairs, names)):
-        u[idx[:, None], idx] = rotation
+    groups = data.groups
+    mus = [mixed[group.indices] / group.masses for group in groups]
+    stacks = _schur_horn_stacks([group.chains for group in groups], mus, data.names)
+    for group, stack in zip(groups, stacks):
+        u[group.indices[:, :, None], group.indices[:, None, :]] = stack
 
     gadget = None
     degenerate = setup.ham_a._degenerate_indices
@@ -905,7 +929,9 @@ class _BathLadder:
     joint input, its heaviest-first joint order, its ``F`` table and what
     it caches as walks read it (separators, atoms, the greedy vector of
     each order walked), and, for a bath a search accepted, the block
-    data its rotations read (:class:`_BlockData`). A search with another
+    data its rotations read (:class:`_BlockData`: per block size, the
+    stacked indices, masses and normalized inputs, and each input's
+    descending order and sorted values). A search with another
     ``p`` replaces the whole record, so the ladder holds the hulls of one
     ``p``. All of it is O(joint dims) per bath; nothing joint-sized per
     order, such as :meth:`ClassicalHull.permutation`, and no matrix per
@@ -1021,10 +1047,10 @@ class _BathLadder:
 # every setup some search has reached with its Gibbs vector, block lookup
 # and hull frame (two joint-sized index arrays more), and the hulls of one p
 # (a joint-sized index array and the joint input each, their F tables
-# stacked, and the block data of each bath accepted): 137 kB after a
-# qutrit's copies search to 729 joint dimensions, 26 MB after one decides
-# the bath of 177,147 (tracemalloc; 110 kB and 21 MB without the joint
-# inputs, the block data and the stack).
+# stacked, and the block data of each bath accepted, four joint-sized
+# arrays grouped by block size): 149 kB after a qutrit's copies search to
+# 729 joint dimensions, 29 MB after one decides the bath of 177,147
+# (tracemalloc; the block data 35 kB and 5.7 MB of it).
 _ladder = functools.lru_cache(maxsize=8)(_BathLadder)
 
 

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import Polytope, positivity_margin
 from scipy.optimize import linprog
@@ -157,15 +157,23 @@ def _check_against_lp(poly, target, expected, on_span):
     positive representation. None marks a target outside a facet, which
     must solve one LP, or a second one at ``TIGHT_LP_TOL`` when the first
     one's witness misses; it is exterior exactly when the oracle at the
-    same solver tolerance says so, and otherwise boundary with a witness
-    that rebuilds it within ``TOL``.
+    same solver tolerance says so, or after two LPs whose witnesses both
+    miss when the oracle's own ``TIGHT_LP_TOL`` witness misses too, and
+    otherwise boundary with a witness that rebuilds it within ``TOL``.
     """
     gens = poly.vertices
-    (status, _, weights), calls = _classify_counting_lps(target, poly)
+    (status, distance, weights), calls = _classify_counting_lps(target, poly)
     if expected is None:
         assert calls in (1, 2)
         lp_status, _ = _lp_verdict(on_span, gens, feasibility_tol=TIGHT_LP_TOL if calls == 2 else None)
-        assert status == ("exterior" if lp_status == "exterior" else "boundary")
+        if status == "exterior" and lp_status != "exterior":
+            # The re-solve's witness missed: a target within the solver's
+            # noise of TOL, which the oracle's own tight witness misses too.
+            assert calls == 2 and distance > TOL
+            _, oracle_weights = min_slack_combination(on_span, gens, feasibility_tol=TIGHT_LP_TOL)
+            assert np.abs(oracle_weights @ gens - target).max() > TOL
+        else:
+            assert status == ("exterior" if lp_status == "exterior" else "boundary")
         if status != "exterior":
             assert np.abs(weights @ gens - target).max() <= TOL
         return
@@ -186,6 +194,9 @@ def _check_against_lp(poly, target, expected, on_span):
     extra=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
+# A facet point pushed 2 TOL outward whose LP witnesses, default and tight,
+# both miss by just over TOL: exterior, not an error.
+@example(kind="gaussian", dim=5, rank=2, extra=5, seed=2152)
 def test_facet_route_agrees_with_lp_oracle(kind, dim, rank, extra, seed):
     assume(rank <= dim)
     rng = np.random.default_rng(seed)

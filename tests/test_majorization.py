@@ -530,6 +530,31 @@ def test_schur_horn_matches_the_reference_chain_bit_for_bit(n, kind, seed):
     assert bit_equal(schur_horn_unitary(lam, mu), schur_horn_reference(lam, mu))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=30),
+            st.sampled_from(["generic", "degenerate", "zeros", "permuted", "uniform"]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_stacked_schur_horn_blocks_match_the_reference_chain_bit_for_bit(shapes, seed):
+    # Pairs of mixed sizes in a shuffled order: each size is rotated as one
+    # stack, yet every rotation has the bits, zero signs included, of the
+    # reference chain run on its pair alone.
+    rng = np.random.default_rng(seed)
+    pairs = [majorization._majorized_pair(*_schur_horn_pair(n, kind, rng)) for n, kind in shapes]
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    rotations = majorization._schur_horn_blocks(pairs)
+    assert len(rotations) == len(pairs)
+    for (lam, mu), v in zip(pairs, rotations):
+        assert bit_equal(v, schur_horn_reference(lam, mu))
+
+
 def test_schur_horn_checks_its_inputs_and_result_once(monkeypatch):
     calls = []
     # The result is checked by the blockwise runner in majorization, which
@@ -596,7 +621,7 @@ def test_birkhoff_refuses_a_nan_entry_as_non_finite(require_bistochastic):
 
 def test_schur_horn_refuses_a_nan_rotation(monkeypatch):
     lam, mu = [0.6, 0.3, 0.1], [0.4, 0.35, 0.25]
-    monkeypatch.setattr(majorization, "_schur_horn_chain", lambda a, b: np.full((3, 3), np.nan + 0j))
+    monkeypatch.setattr(majorization, "_givens_core", lambda x, target: [[np.nan] * 3] * 3)
     with pytest.raises(PreconditionError) as err:
         schur_horn_unitary(lam, mu)
     assert err.value.code == "not-unitary"
@@ -615,15 +640,19 @@ def test_schur_horn_blocks_report_the_first_pair_to_fail(monkeypatch):
     rotations = majorization._schur_horn_blocks(pairs)
     for (lam, mu), v in zip(pairs, rotations):
         assert bit_equal(v, chain(lam, mu))
+    core = majorization._givens_core
 
     def faulty(faults):
-        def run(lam, mu):
-            k = next(k for k, pair in enumerate(pairs) if pair[0] is lam)
-            fault = faults.get(k)
+        calls = iter(range(len(pairs)))  # the chains run one pair at a time, in pair order
+
+        def run(x, target):
+            fault = faults.get(next(calls))
             if fault == "raise":
                 raise RuntimeError("rotation chain lost its pairing invariant")
-            v = chain(lam, mu)
-            return v * (1 + 1e-6) if fault == "scaled" else v[::-1] if fault == "flipped" else v
+            rows = core(x, target)
+            if fault == "scaled":
+                return [[entry * (1 + 1e-6) for entry in row] for row in rows]
+            return rows[::-1] if fault == "flipped" else rows
         return run
 
     for faults, blocks, error, message in (
@@ -634,6 +663,6 @@ def test_schur_horn_blocks_report_the_first_pair_to_fail(monkeypatch):
         ({2: "raise", 1: "scaled"}, "abcd", RuntimeError, "rotation for block b"),
         ({2: "raise", 3: "scaled"}, "abcd", RuntimeError, "pairing invariant"),
     ):
-        monkeypatch.setattr(majorization, "_schur_horn_chain", faulty(faults))
+        monkeypatch.setattr(majorization, "_givens_core", faulty(faults))
         with pytest.raises(error, match=message):
             majorization._schur_horn_blocks(pairs, blocks)

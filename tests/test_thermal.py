@@ -445,18 +445,45 @@ def test_synthesize_names_the_block_whose_rotation_is_not_unitary(monkeypatch):
     setup, p = _two_copy_preset()
     product = decompose_channel_to_classical(random_block_unitary(setup, np.random.default_rng(5)), setup)
     rotated = [b for b in setup.blocks if len(b) > 1]
-    chain = majorization._schur_horn_chain
+    core = majorization._givens_core
     calls = []
 
-    def nan_in_second(lam, mu):
+    def nan_in_second(x, target):  # the chains run one block at a time, in block order
         calls.append(1)
-        v = chain(lam, mu)
-        return v * np.nan if len(calls) == 2 else v
+        rows = core(x, target)
+        return [[entry * np.nan for entry in row] for row in rows] if len(calls) == 2 else rows
 
-    monkeypatch.setattr(majorization, "_schur_horn_chain", nan_in_second)
+    monkeypatch.setattr(majorization, "_givens_core", nan_in_second)
     with pytest.raises(RuntimeError) as err:
         synthesize_unitary(p, product, setup)
     assert str(err.value).startswith(f"rotation for block {rotated[1]} failed its check: not-unitary")
+
+
+def test_synthesize_rotates_and_checks_each_block_size_once_on_the_two_copy_setup(monkeypatch):
+    # The fig4 two-copy setup: the blocks of one size are rotated as one
+    # stack, one product for all of them, and checked in one call.
+    setup, p = _two_copy_preset()
+    product = decompose_channel_to_classical(random_block_unitary(setup, np.random.default_rng(5)), setup)
+    checked, built = [], []
+    check, build = majorization.unitarity_defect, majorization._rotation_stacks
+
+    def counting_check(mat):
+        checked.append(np.shape(mat))
+        return check(mat)
+
+    def counting_build(chains, mus):
+        stacks, failure = build(chains, mus)
+        built.append([stack.shape for stack in stacks])
+        return stacks, failure
+
+    monkeypatch.setattr(majorization, "unitarity_defect", counting_check)
+    monkeypatch.setattr(majorization, "_rotation_stacks", counting_build)
+    u, _ = synthesize_unitary(p, product, setup)
+    rotated = [len(b) for b in setup.blocks if len(b) > 1]
+    stacks = sorted((rotated.count(n), n, n) for n in set(rotated))
+    assert len(rotated) > len(stacks) > 1
+    assert len(built) == 1 and sorted(built[0]) == sorted(checked) == stacks
+    assert bit_equal(u, synthesize_reference(p, product, setup))
 
 
 def test_synthesize_adds_gadget_for_degenerate_system():
@@ -1301,12 +1328,31 @@ def test_threads_sharing_a_ladder_build_each_bath_once():
 
 
 def _block_data_matches(data, setup, v):
-    """``data`` is the block-by-block reference's for the joint input ``v``."""
+    """``data`` is the block-by-block reference's for the joint input ``v``.
+
+    Its groups, read back in block order, hold each rotated block's
+    indices, mass and normalized input, with that input's stable descending
+    order and its values in that order.
+    """
     rotated, identity = block_data_reference(setup, v)
+    members = sorted(
+        (position, group, r)
+        for group in data.groups
+        for r, position in enumerate(group.chains.positions)
+    )
+    indices = [tuple(group.indices[r].tolist()) for _, group, r in members]
+    masses = [float(group.masses[r, 0]) for _, group, r in members]
+    chains = [(group.chains, r) for _, group, r in members]
     return (
-        [tuple(idx.tolist()) for idx in data.indices] == [block for block, _, _ in rotated]
-        and list(data.masses) == [mass for _, mass, _ in rotated]
-        and all(bit_equal(lam, ref) for lam, (*_, ref) in zip(data.lams, rotated, strict=True))
+        [position for position, _, _ in members] == list(range(len(rotated)))
+        and indices == list(data.names) == [block for block, _, _ in rotated]
+        and masses == [mass for _, mass, _ in rotated]
+        and all(
+            bit_equal(chain.lams[r], ref)
+            and np.array_equal(chain.order[r], np.argsort(-ref, kind="stable"))
+            and bit_equal(chain.descending[r], ref[np.argsort(-ref, kind="stable")])
+            for (chain, r), (*_, ref) in zip(chains, rotated, strict=True)
+        )
         and data.identity.tolist() == identity
     )
 
