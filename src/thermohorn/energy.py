@@ -36,6 +36,7 @@ import numpy as np
 from .config import ENSEMBLE_MATCH_TOL, GIBBS_LOG_SPREAD_CAP, HULL_LEVEL_CAP, NEAR_TIE_ENERGY_TOL
 from .errors import PreconditionError
 from .linalg import ProbabilityVector, _prechecked, probability_vector
+from .majorization import _padded_lorenz_curve
 
 __all__ = [
     "EnergyLabel",
@@ -90,6 +91,14 @@ class EnergyLabel:
         return -beta * float(self.quantum_mult) * base_quantum + math.log(self.weight_factor)
 
 
+class _HeldCurve(NamedTuple):
+    """One state's padded thermo-Lorenz curve, keyed on the state's bytes."""
+
+    key: bytes
+    x: np.ndarray  # (0, cumsum gamma[order])
+    y: np.ndarray  # (0, cumsum p[order])
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """Diagonal Hamiltonian: one exact label per basis state, plus beta and the quantum.
@@ -97,7 +106,9 @@ class Hamiltonian:
     Equal and hashed on its fields, as a frozen dataclass is. What is read
     off the levels on every search is computed once per Hamiltonian, on
     first use: the hash, the integer labels, the Gibbs vector (read-only)
-    and the degenerate index set.
+    and the degenerate index set. Next to the Gibbs vector it keeps the
+    thermo-Lorenz curve of the last state that a search measured against
+    it (:meth:`_lorenz_curve`).
     """
 
     levels: tuple[EnergyLabel, ...]
@@ -155,6 +166,22 @@ class Hamiltonian:
     def _gibbs(self) -> ProbabilityVector:
         """:func:`gibbs_vector`, computed once and read-only."""
         return _read_only(_gibbs_weights(self))
+
+    def _lorenz_curve(self, p: ProbabilityVector) -> _HeldCurve:
+        """The validated ``p``'s thermo-Lorenz curve against :attr:`_gibbs`, from the origin.
+
+        :func:`~thermohorn.majorization._padded_lorenz_curve`'s arrays,
+        read-only, kept for the last ``p`` asked for in one record keyed on
+        ``p``'s bytes; another ``p`` swaps in a new record whole, so a
+        reader holding the old one still reads one ``p``'s curve.
+        """
+        key = p.tobytes()
+        held = self.__dict__.get("_held_curve")
+        if held is None or held.key != key:
+            x, y = _padded_lorenz_curve(p, self._gibbs)
+            held = _HeldCurve(key, _read_only(x), _read_only(y))
+            self.__dict__["_held_curve"] = held
+        return held
 
     @cached_property
     def _degenerate_indices(self) -> tuple[int, ...]:

@@ -207,10 +207,24 @@ def thermo_lorenz_dominates(p, q, gamma, *, slack: float = MAJORIZATION_SLACK) -
 
 
 def _lorenz_dominates(p, q, gamma, slack: float) -> bool:
-    xp, yp = _thermo_lorenz_curve(p, gamma)
+    return _curve_dominates(*_padded_lorenz_curve(p, gamma), q, gamma, slack)
+
+
+def _padded_lorenz_curve(vec: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The curve's elbows from the origin: ``(0, cumsum gamma[order])`` and ``(0, cumsum vec[order])``."""
+    x, y = _thermo_lorenz_curve(vec, gamma)
+    return np.concatenate([[0.0], x]), np.concatenate([[0.0], y])
+
+
+def _curve_dominates(x: np.ndarray, y: np.ndarray, q, gamma, slack: float) -> bool:
+    """Whether the padded curve ``(x, y)`` lies above ``q``'s, less ``slack``, at ``q``'s elbows.
+
+    Only ``q``'s curve is built, so a caller holding ``p``'s padded curve
+    (:meth:`~thermohorn.energy.Hamiltonian._lorenz_curve`) gets
+    :func:`_lorenz_dominates`'s verdict from the same arrays.
+    """
     xq, yq = _thermo_lorenz_curve(q, gamma)
-    above = np.interp(xq, np.concatenate([[0.0], xp]), np.concatenate([[0.0], yp]))
-    return bool(np.all(above >= yq - slack))
+    return bool(np.all(np.interp(xq, x, y) >= yq - slack))
 
 
 def thermomajorizes(p, q, gamma) -> StochasticMatrix | None:

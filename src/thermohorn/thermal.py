@@ -30,8 +30,10 @@ block unitaries fills in exactly the convex hull:
   system and kept for later searches, each with the frame its hulls read,
   and with its hull for the last ``p`` searched; a search decides the baths
   held for its ``p`` in one pass over their stacked ``F`` tables, and a
-  bath's hull keeps the block data of its rotations once a search accepts
-  the bath.
+  bath's hull keeps the block data of its rotations, and the input placed
+  by each order of its latest walk, once a search accepts the bath. The
+  system Hamiltonian keeps the last ``p``'s thermo-Lorenz curve for the
+  pre-check.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from .majorization import (
     _check_thermo_shapes,
     _ChainInputs,
     _chain_groups,
-    _lorenz_dominates,
+    _curve_dominates,
     _schur_horn_stacks,
     _term_entries,
 )
@@ -323,7 +325,10 @@ class ClassicalHull:
     rotations (``_blocks``, a :class:`_BlockData`: the rotated blocks
     grouped by size, with each group's indices, masses, normalized inputs
     and the input side of their chains stacked), O(joint dims) like
-    ``_heaviest``.
+    ``_heaviest``, and the input placed by each order of the latest walk
+    that reached a new order (:meth:`_placed_inputs`): at most ``rank + 1``
+    joint vectors, so no greedy permutation is sorted again for an order
+    held.
     """
 
     def __init__(self, p, setup: ThermalSetup, points: np.ndarray | None = None):
@@ -357,6 +362,7 @@ class ClassicalHull:
         top = np.cumsum(top.reshape(frame.shape), axis=1)  # top[b, k]: the k largest entries of block b
         self.table = np.take(top, frame.taken).sum(axis=1)  # F of every subset
         self._vectors: dict[tuple[int, ...], np.ndarray] = {}  # greedy vector of each order walked
+        self._placed: dict[tuple[int, ...], np.ndarray] = {}  # the latest walk's placed inputs
 
     def distance(self, target) -> float:
         """Max-norm distance from ``target`` to the hull, read off ``F`` alone.
@@ -541,6 +547,24 @@ class ClassicalHull:
             y[a] += rise
             slack[holding] -= rise
         return y
+
+    def _placed_inputs(self, orders) -> dict[tuple[int, ...], np.ndarray]:
+        """The joint input placed by each order's permutation: ``placed[permutation(order)] = v``.
+
+        Held for the orders of the latest walk that reached an order not
+        held, so at most ``rank + 1`` joint vectors, read-only. Such a walk
+        swaps in a new dict, keeping the vectors of the orders it shares.
+        """
+        held = self._placed
+        if any(order not in held for order in orders):
+            held = {o: held[o] if o in held else self._place(o) for o in dict.fromkeys(orders)}
+            self._placed = held
+        return held
+
+    def _place(self, order: tuple[int, ...]) -> np.ndarray:
+        placed = np.empty(self._v.size)
+        placed[self.permutation(order)] = self._v
+        return _read_only(placed)
 
     def permutation(self, order) -> np.ndarray:
         """Joint images of the greedy beta-ordering permutation for ``order`` of the levels."""
@@ -931,11 +955,12 @@ class _BathLadder:
     each order walked), and, for a bath a search accepted, the block
     data its rotations read (:class:`_BlockData`: per block size, the
     stacked indices, masses and normalized inputs, and each input's
-    descending order and sorted values). A search with another
-    ``p`` replaces the whole record, so the ladder holds the hulls of one
-    ``p``. All of it is O(joint dims) per bath; nothing joint-sized per
-    order, such as :meth:`ClassicalHull.permutation`, and no matrix per
-    block is kept.
+    descending order and sorted values) and the joint input placed by each
+    order of its latest walk (:meth:`ClassicalHull._placed_inputs`, at most
+    ``rank + 1``). A search with another ``p`` replaces the whole record,
+    so the ladder holds the hulls of one ``p``. All of it is O(joint dims)
+    per bath, the placed inputs ``rank + 1`` joint vectors at most; no
+    permutation per order and no matrix or index stack per block is kept.
     """
 
     def __init__(self, ham_a: Hamiltonian, family: str):
@@ -1047,10 +1072,11 @@ class _BathLadder:
 # every setup some search has reached with its Gibbs vector, block lookup
 # and hull frame (two joint-sized index arrays more), and the hulls of one p
 # (a joint-sized index array and the joint input each, their F tables
-# stacked, and the block data of each bath accepted, four joint-sized
-# arrays grouped by block size): 149 kB after a qutrit's copies search to
-# 729 joint dimensions, 29 MB after one decides the bath of 177,147
-# (tracemalloc; the block data 35 kB and 5.7 MB of it).
+# stacked, and for each bath accepted its block data, four joint-sized
+# arrays grouped by block size, and its walk's placed inputs, at most
+# rank + 1 joint vectors): 167 kB after a qutrit's copies search to 729
+# joint dimensions, 33 MB after one decides the bath of 177,147
+# (tracemalloc; the three placed inputs 17 kB and 4.3 MB of it).
 _ladder = functools.lru_cache(maxsize=8)(_BathLadder)
 
 
@@ -1069,7 +1095,10 @@ def realize_interior(
     by ``p``, or no bath's hull (a set of such states) holds it within
     ``tol``; this is checked up front on the thermo-Lorenz curves at slack
     ``dim * tol`` (:func:`~thermohorn.majorization.thermo_lorenz_dominates`),
-    with no LP.
+    with no LP, before any ladder is made, so an unreachable target is
+    refused as such whatever the family or the system. ``ham_a`` keeps the
+    last ``p``'s curve (:meth:`~thermohorn.energy.Hamiltonian._lorenz_curve`),
+    so a repeated ``p`` builds only the target's.
     Bath families: ``copies`` walks k-fold tensor powers of the system
     Hamiltonian, ``oscillator`` walks equally spaced truncations with the
     gcd of the system gaps as spacing; both start at the trivial
@@ -1082,9 +1111,10 @@ def realize_interior(
     search to reach a bath. The ladder keeps each bath's hull for the last
     ``p`` searched (:meth:`_BathLadder.hulls`): a search that repeats ``p``
     decides every held bath in one pass over their ``F`` tables, forms no
-    joint input, and rebuilds no block data for a bath accepted before. What
-    depends on the target is built per call: the distances, and the
-    accepted bath's step (:func:`_greedy_unitary`).
+    joint input, and rebuilds no block data for a bath accepted before, nor
+    the placed input of an order its last walk there reached. What depends
+    on the target is built per call: the distances, and the accepted bath's
+    step (:func:`_greedy_unitary`).
 
     Every bath is decided from its :class:`ClassicalHull`'s ``F`` table
     alone, with no vertex list and no LP: one whose exact max-norm
@@ -1108,7 +1138,8 @@ def realize_interior(
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
     gamma = ham_a._gibbs
     _check_thermo_shapes(p, p_prime, gamma)
-    if not _lorenz_dominates(p, p_prime, gamma, p_prime.size * tol):
+    curve = ham_a._lorenz_curve(p)
+    if not _curve_dominates(curve.x, curve.y, p_prime, gamma, p_prime.size * tol):
         raise PreconditionError(
             "not-thermomajorized",
             "target is not reachable by any Gibbs-preserving stochastic map",
@@ -1133,19 +1164,21 @@ def _greedy_unitary(
     witness that rounding carries past ``tol`` builds nothing (None).
     Otherwise the orders' permutations (:meth:`~ClassicalHull.permutation`),
     energy-preserving bijections by construction and not checked again, mix
-    the hull's joint input, and :func:`_rotate_blocks` rotates each block of
-    the input to the mixture and checks the rotation.
+    the hull's joint input: the hull keeps the input each order places
+    (:meth:`~ClassicalHull._placed_inputs`), and the mixture is their
+    weighted sum. :func:`_rotate_blocks` rotates each block of the input to
+    the mixture and checks the rotation.
     """
     weights, orders, vertices = zip(*hull._walk(hull._saturate(target, d)))
     miss = float(np.abs(np.array(weights) @ np.array(vertices) - target).max())
     if miss > tol:
         return miss, None
-    # The mixture is summed from 0 in term order, as
-    # ProductConvexCombination.mixed_joint_output sums it.
-    v = hull._v
-    mixed = np.zeros(v.size)
+    # Summed from 0 in term order, as ProductConvexCombination.mixed_joint_output
+    # sums it: each entry gets the sums that mixed[permutation(order)] += weight * v gives.
+    placed = hull._placed_inputs(orders)
+    mixed = np.zeros(hull._v.size)
     for weight, order in zip(weights, orders):
-        mixed[hull.permutation(order)] += weight * v
+        mixed += weight * placed[order]
     return miss, _rotate_blocks(hull._blocks, mixed, hull.setup)
 
 

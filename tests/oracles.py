@@ -29,7 +29,9 @@ against a loop over the blocks. ``decompose_channel_to_classical``, which checks
 all blocks at once, is checked against ``birkhoff_decompose`` called block
 by block, and a product mixture's joint output against the block-by-block,
 term-by-term sum and against its expansion into joint permutations, which
-lives here only. ``probability_vector`` is checked against its body as first
+lives here only. The greedy step's mixture, summed over the inputs a hull
+keeps placed by each order, is checked against scattering the joint input
+by each order's permutation and adding it in. ``probability_vector`` is checked against its body as first
 written, through numpy's function wrappers.
 """
 
@@ -756,6 +758,21 @@ def decompose_reference(u, setup, block_tol):
     except RuntimeError:
         return "term-bound"
     return tuple(groups), worst
+
+
+def greedy_mixture_reference(v, images, weights):
+    """``sum_k weights[k] * v`` moved by ``images[k]``, as ``mixed[images[k]] += weights[k] * v`` from 0."""
+    mixed = np.zeros(v.size)
+    for weight, image in zip(weights, images):
+        mixed[image] += weight * v
+    return mixed
+
+
+def scattered(v, image):
+    """``v`` moved by the joint permutation ``image``: ``out[image] = v``."""
+    out = np.empty(v.size)
+    out[image] = v
+    return out
 
 
 def mixed_joint_reference(product, v):

@@ -41,7 +41,7 @@ from thermohorn import (
     weight_hamiltonian,
     zero_hamiltonian,
 )
-from thermohorn import linalg, majorization, thermal
+from thermohorn import energy, linalg, majorization, thermal
 from thermohorn.config import (
     BIRKHOFF_ZERO_TOL,
     BLOCK_LEAK_TOL,
@@ -74,10 +74,13 @@ from oracles import (
     block_data_reference,
     conditional_shift,
     decompose_reference,
+    dominance_curve,
     expand_product,
+    greedy_mixture_reference,
     mixed_joint_reference,
     reachable_listing,
     realize_reference,
+    scattered,
     subset_table,
     synthesize_reference,
 )
@@ -292,6 +295,46 @@ def test_hull_span_is_read_off_the_atoms_of_the_separators(case, seed):
             terms = hull._walk(x)
             assert len(terms) <= hull.rank + 1
             assert np.abs(sum(w * vector for w, _, vector in terms) - y).max() <= 1e-8
+
+
+def _placed_inputs_match(hull, v):
+    """The hull holds at most rank+1 placed inputs, each ``v`` scattered by its order's permutation."""
+    return len(hull._placed) <= hull.rank + 1 and all(
+        not placed.flags.writeable and bit_equal(placed, scattered(v, hull.permutation(order)))
+        for order, placed in hull._placed.items()
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(_hull_cases, _ladder_cases()), seed=st.integers(0, 2**32 - 1))
+def test_greedy_step_mixes_its_placed_inputs_as_the_scatter_add_does_to_the_bit(case, seed):
+    # For hull points and band targets, the greedy step's mixture equals
+    # scattering the joint input by each walked order's permutation and
+    # adding it in, term by term, to the bit. The hull then keeps the input
+    # placed by every order of that walk, read-only, and no more than
+    # rank+1 of them.
+    setup, p = case
+    tol = 1e-8
+    hull = ClassicalHull(p, setup)
+    v = setup.joint_input(p)
+    rng = np.random.default_rng(seed)
+    targets = [*_hull_targets(hull.vertices, rng), *(q for q, _ in _band_targets(hull, rng, tol))]
+    mixed = []
+    with mock.patch.object(thermal, "_rotate_blocks", side_effect=lambda _, m, __: mixed.append(m) or (None, None)):
+        for q in targets:
+            d = hull.distance(q)
+            assert d <= tol
+            weights, orders, _ = zip(*hull._walk(hull._saturate(q, d)))
+            count = len(mixed)
+            _, built = thermal._greedy_unitary(hull, q, d, tol)
+            if built is None:
+                assert len(mixed) == count
+                continue
+            images = [hull.permutation(order) for order in orders]
+            assert bit_equal(mixed[-1], greedy_mixture_reference(v, images, weights))
+            assert set(orders) <= set(hull._placed)
+            assert _placed_inputs_match(hull, v)
+    assert mixed
 
 
 @settings(max_examples=80, deadline=None)
@@ -1159,6 +1202,67 @@ def test_realize_searches_a_target_within_tol_of_a_thermomajorized_state():
         assert err.value.code == "not-thermomajorized"
 
 
+def test_realize_refuses_an_unreachable_target_before_its_bath_family_or_system():
+    # The thermo-Lorenz check runs before any ladder is made or walked: a
+    # target no Gibbs-preserving map reaches is refused as such, where the
+    # family or the system would be refused too, and a reachable target on
+    # the same system meets that refusal.
+    pure2, half = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+    pure9, uniform9 = np.eye(9)[0], np.full(9, 1.0 / 9)
+    assert 9 > HULL_LEVEL_CAP
+    cases = [
+        (zero_hamiltonian(2), "oscillator", half, pure2, "not-thermomajorized"),
+        (zero_hamiltonian(2), "oscillator", pure2, half, "bad-bath-family"),
+        (zero_hamiltonian(9), "copies", uniform9, pure9, "not-thermomajorized"),
+        (zero_hamiltonian(9), "copies", pure9, uniform9, "hull-level-cap"),
+    ]
+    for ham_a, family, p, target, code in cases:
+        for _ in range(2):
+            with pytest.raises(PreconditionError) as err:
+                realize_interior(p, ham_a, target, family, budget=4)
+            assert err.value.code == code
+
+
+def test_the_precheck_holds_one_curve_per_p_on_the_system_hamiltonian(monkeypatch):
+    # Searches with p1 twice, then p2, then p2 on a fresh equal Hamiltonian.
+    # Each decides its targets as thermo_lorenz_dominates does at slack
+    # n * tol. p's padded curve is built once per Hamiltonian and p, and
+    # held on the Hamiltonian read-only, keyed on p's bytes; a new p
+    # replaces the record whole, and the fresh Hamiltonian builds its own.
+    original = energy._padded_lorenz_curve
+    built = []
+    monkeypatch.setattr(energy, "_padded_lorenz_curve", lambda *args: built.append(1) or original(*args))
+    tol = 1e-8
+    ham, fresh = (weight_hamiltonian((5, 7, 8), beta=0.7) for _ in range(2))
+    gamma = gibbs_vector(ham)
+    p1, p2 = np.array([0.6, 0.3, 0.1]), np.array([0.2, 0.3, 0.5])
+    rng = np.random.default_rng(27)
+    targets = [*rng.dirichlet(np.ones(3), size=8), *(0.5 * p + 0.5 * gamma for p in (p1, p2)), p1[::-1], p2[::-1]]
+    verdicts, records = set(), []
+    for ham_a, p, builds in ((ham, p1, 1), (ham, p1, 0), (ham, p2, 1), (fresh, p2, 1)):
+        built.clear()
+        for q in targets:
+            expected = thermo_lorenz_dominates(p, q, gamma, slack=q.size * tol)
+            try:
+                realize_interior(p, ham_a, q, "copies", budget=1, tol=tol)
+            except PreconditionError as err:
+                assert err.code == "not-thermomajorized" and not expected
+            else:
+                assert expected
+            verdicts.add(expected)
+        assert len(built) == builds
+        held = ham_a.__dict__["_held_curve"]
+        x, y = dominance_curve(p, gamma)
+        assert held.key == p.tobytes() and bit_equal(held.x, x) and bit_equal(held.y, y)
+        for array in (held.x, held.y):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        records.append(held)
+    assert verdicts == {True, False}
+    assert records[0] is records[1] and records[2] is not records[1]
+    assert ham.__dict__["_held_curve"] is records[2] and records[3] is not records[2]
+
+
 def test_realize_refuses_a_bad_family_or_system_on_every_call():
     # The ladder checks its family when it is made and caches only what was
     # built, so a refusal repeats on every call rather than only the first.
@@ -1325,6 +1429,73 @@ def test_threads_sharing_a_ladder_build_each_bath_once():
             assert [s.dim_b for s in ladder.upto(64)] == dims
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_realizing_on_one_ladder_return_the_cold_unitaries():
+    # Six threads realize on the (5, 7, 8) system's copies ladder at once,
+    # switching every microsecond: first all with one p, then each
+    # alternating between two. Every call returns the bath and unitary bytes
+    # of a cold single-threaded call, and no hull a step built on holds more
+    # than rank+1 placed inputs, each its order's scattered joint input.
+    setup, p1 = _two_copy_preset()
+    ham_a = setup.ham_a
+    p2 = np.array([0.2, 0.3, 0.5])
+    cases = {0: [], 1: []}
+    for k, p in enumerate((p1, p2)):
+        # Near the edge of the two vertices lowest in each level: the walks
+        # reach a different set of orders on the same bath's hull.
+        vertices = ClassicalHull(p, setup).vertices
+        for a, mu in ((0, 0.3), (1, 0.5), (2, 0.7)):
+            low = vertices[np.argsort(vertices[:, a])[:2]]
+            target = 0.97 * (mu * low[0] + (1 - mu) * low[1]) + 0.03 * vertices.mean(axis=0)
+            cases[k].append((p, target / target.sum()))
+
+    def outcome(result):
+        return None if result is None else (result[0].dim_b, result[1].tobytes())
+
+    cold = {}
+    for p, target in cases[0] + cases[1]:
+        thermal._ladder.cache_clear()
+        cold[p.tobytes(), target.tobytes()] = outcome(realize_interior(p, ham_a, target, "copies", 27))
+    assert sum(result is not None for result in cold.values()) >= 4
+    original, stepped = thermal._greedy_unitary, []
+
+    def step(hull, *args):
+        stepped.append(hull)
+        return original(hull, *args)
+
+    thermal._ladder.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(thermal, "_greedy_unitary", side_effect=step):
+            for alternating in (False, True):
+                results, failures = [], []
+                start = threading.Barrier(6, timeout=60)
+
+                def search(k):
+                    start.wait()
+                    calls = [cases[(k + i) % 2 if alternating else 0][i % 3] for i in range(6)]
+                    try:
+                        for p, target in calls:
+                            result = realize_interior(p, ham_a, target, "copies", 27)
+                            results.append((outcome(result), cold[p.tobytes(), target.tobytes()]))
+                    except Exception as exc:  # reported below, not lost in the thread
+                        failures.append(exc)
+
+                threads = [threading.Thread(target=search, args=(k,)) for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == [] and len(results) == 36
+                assert all(warm == expected for warm, expected in results)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stepped
+    for hull in {id(hull): hull for hull in stepped}.values():
+        assert _placed_inputs_match(hull, hull._v)
 
 
 def _block_data_matches(data, setup, v):
