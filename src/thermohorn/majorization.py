@@ -20,8 +20,10 @@ blocks: the two public functions are its one-block case, and
 :mod:`~thermohorn.thermal`'s decompose and synthesize its every-block case.
 The Schur-Horn runner takes the blocks grouped by size: each chain's
 Givens steps run on Python floats, one block at a time, and each group's
-sorting products and checks run once, on its ``(B, n, n)`` stack, so its
-numpy calls scale with the number of block sizes, not of blocks.
+checks run once, on its real ``(B, n, n)`` stack of cores, so its numpy
+calls scale with the number of block sizes, not of blocks. A checked core
+is placed by index, never by a product, so every entry of a rotation is the
+chain's own float64 value, whichever BLAS kernel is loaded.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .linalg import (
     permutation_matrix,
     _prechecked,
     probability_vector,
-    unitarity_defect,
 )
 
 __all__ = [
@@ -618,7 +619,6 @@ class _ChainInputs(NamedTuple):
     keeps them for the bath it was built on.
     """
 
-    lams: np.ndarray  # (B, n): each input
     order: np.ndarray  # (B, n): each input's stable descending order
     descending: np.ndarray  # (B, n): each input's values in that order
     positions: tuple[int, ...]  # each member's place among all the pairs rotated, ascending
@@ -634,8 +634,14 @@ def _chain_groups(lams) -> list[_ChainInputs]:
         stack = np.array([lams[k] for k in positions])
         order = (-stack).argsort(axis=1, kind="stable")
         descending = np.take_along_axis(stack, order, axis=1)
-        groups.append(_ChainInputs(stack, order, descending, tuple(positions)))
+        groups.append(_ChainInputs(order, descending, tuple(positions)))
     return groups
+
+
+def _pair_order(chains) -> tuple[tuple[int, int], ...]:
+    """``(group, member)`` of every pair of ``chains``, in pair order: the order the chains run in."""
+    located = {p: (g, r) for g, chain in enumerate(chains) for r, p in enumerate(chain.positions)}
+    return tuple(located[p] for p in sorted(located))
 
 
 def _schur_horn_blocks(pairs, blocks=None) -> list[ComplexMatrix]:
@@ -647,26 +653,40 @@ def _schur_horn_blocks(pairs, blocks=None) -> list[ComplexMatrix]:
     ``SCHUR_HORN_TOL``. The first pair to fail in pair order is the one
     reported; a chain that raises is reported after any failing rotation
     before it, and the pairs after it are not rotated. ``blocks``, when
-    given, names each pair's energy block in its errors.
+    given, names each pair's energy block in its errors. Each checked
+    core is placed by :func:`_placed`.
     """
     chains = _chain_groups([lam for lam, _ in pairs])
     mus = [np.array([pairs[k][1] for k in chain.positions]) for chain in chains]
     rotations = [None] * len(pairs)
-    for chain, stack in zip(chains, _schur_horn_stacks(chains, mus, blocks)):
-        for k, v in zip(chain.positions, stack):
+    stacks = _schur_horn_stacks(chains, mus, _pair_order(chains), blocks)
+    for chain, (cores, order) in zip(chains, stacks):
+        for k, v in zip(chain.positions, _placed(cores, order, chain.order)):
             rotations[k] = v
     return rotations
 
 
-def _schur_horn_stacks(chains, mus, blocks=None) -> list[np.ndarray]:
-    """The Schur-Horn rotations of every group of one size, one ``(B, n, n)`` stack each, checked.
+def _schur_horn_stacks(chains, mus, pairs, blocks=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every group's real Schur-Horn cores and target orders, checked.
 
-    ``chains[g]`` is a group's :class:`_ChainInputs` and ``mus[g]`` its
-    ``(B, n)`` targets, each majorized by its input. :func:`_rotation_stacks`
-    builds the rotations; then each stack is checked in one pass, per
-    member: unitary to ``UNITARITY_TOL`` and carrying ``lam`` to ``mu``
-    within ``SCHUR_HORN_TOL`` (max-norm), each comparison failing on NaN.
-    The first pair to fail, in pair order, is reported as
+    ``chains[g]`` is a group's :class:`_ChainInputs`, ``mus[g]`` its
+    ``(B, n)`` targets, each majorized by its input, and ``pairs`` the
+    ``(group, member)`` of every pair in pair order (:func:`_pair_order`).
+    :func:`_rotation_stacks` builds the cores. A group's core ``C`` is its
+    rotation with rows in the target's descending order and columns in the
+    input's: the rotation's entry at ``(order[a], chain.order[k])`` is
+    ``C[a, k]``; for equal multisets ``C`` is the identity and the rotation
+    the permutation aligning ``lam`` with ``mu``. Each group returns
+    ``(C, order)``, a float64 ``(B, n, n)`` stack and the ``(B, n)`` stable
+    descending orders of its targets.
+
+    Each stack is checked in one pass, per member, on exactly the entries
+    that will be placed: orthogonal to ``UNITARITY_TOL``
+    (:func:`_orthogonality_defects`; a permutation of the rows and columns
+    leaves ``max|CᵀC − I|`` as it is), and carrying ``lam`` to ``mu``
+    within ``SCHUR_HORN_TOL`` (max-norm of ``(C∘C) @ descending`` less the
+    targets gathered by ``order``), each comparison failing on NaN. The
+    first pair to fail, in pair order, is reported as
     :func:`schur_horn_unitary` reports it alone (``not-unitary``, or
     ``RuntimeError`` for a missed target); a chain that raises is reported
     after any failing rotation before it, and the pairs after it are not
@@ -674,14 +694,15 @@ def _schur_horn_stacks(chains, mus, blocks=None) -> list[np.ndarray]:
     pair order: a rotation that is not unitary is then an internal fault, a
     ``RuntimeError`` naming its block.
     """
-    stacks, failure = _rotation_stacks(chains, mus)
+    stacks, failure = _rotation_stacks(chains, mus, pairs)
     first = None  # (position, defect, miss) of the first pair to fail
-    for v, chain, mu in zip(stacks, chains, mus):
-        if not len(v):
+    for (cores, _, targets), chain in zip(stacks, chains):
+        m = len(cores)
+        if not m:
             continue
-        defects = unitarity_defect(v)
-        achieved = np.matmul(v.real**2 + v.imag**2, chain.lams[: len(v), :, None])[..., 0]
-        misses = np.abs(achieved - mu[: len(v)]).max(axis=1)
+        defects = _orthogonality_defects(cores)
+        achieved = np.matmul(cores * cores, chain.descending[:m, :, None])[..., 0]
+        misses = np.abs(achieved - targets[:m]).max(axis=1)
         passed = (defects <= UNITARITY_TOL) & (misses <= SCHUR_HORN_TOL)
         if not passed.all():
             r = int(passed.argmin())
@@ -697,53 +718,63 @@ def _schur_horn_stacks(chains, mus, blocks=None) -> list[np.ndarray]:
         raise RuntimeError(f"rotation chain missed its target by {miss}")
     if failure is not None:
         raise failure
-    return stacks
+    return [(cores, order) for cores, order, _ in stacks]
 
 
-def _rotation_stacks(chains, mus) -> tuple[list[np.ndarray], RuntimeError | None]:
-    """Each group's rotations, unchecked, and the error of a chain that raised (or None).
+def _orthogonality_defects(cores: np.ndarray) -> np.ndarray:
+    """Max-norm of ``Cᵀ C − I`` of each member of a real ``(B, n, n)`` stack; NaN stays NaN."""
+    gram = cores.swapaxes(-1, -2) @ cores
+    return np.abs(gram - _real_eye(cores.shape[-1])).max(axis=(-2, -1))
 
-    The chains run one pair at a time in pair order (:func:`_givens_core`),
-    so one that raises stops the pairs after it: each stack then holds the
-    rotations of its members before that pair. Sorting permutations on both
-    sides restore the original orderings, so for equal multisets a rotation
-    degenerates to the permutation aligning ``lam`` with ``mu``. They are
-    rows gathered from one complex identity and applied as one stacked
-    complex matrix product per group, ``P_mᵀ · core · P_l``, whose sums fix
-    the sign of every zero entry, member by member as a product of each
-    block alone would; the result is complex.
+
+def _rotation_stacks(chains, mus, pairs) -> tuple[list[tuple[np.ndarray, ...]], RuntimeError | None]:
+    """Each group's ``(cores, order, targets)``, unchecked, and the error of a chain that raised (or None).
+
+    ``order`` is each target's stable descending order and ``targets`` its
+    values in that order. The chains run one pair at a time in pair order
+    (:func:`_givens_core`), so one that raises stops the pairs after it:
+    each stack of cores then holds its members before that pair. The cores
+    are the chains' rows of Python floats as one float64 stack: no product,
+    so every entry, zero signs included, is the chain's own IEEE value.
     """
-    orders, targets = [], []
-    for mu in mus:
-        order = (-mu).argsort(axis=1, kind="stable")
-        orders.append(order)
-        targets.append([[row[k] for k in ks] for row, ks in zip(mu.tolist(), order.tolist())])
+    orders = [(-mu).argsort(axis=1, kind="stable") for mu in mus]
+    targets = [mu[np.arange(len(mu))[:, None], order] for mu, order in zip(mus, orders)]
+    rows = [target.tolist() for target in targets]
     inputs = [chain.descending.tolist() for chain in chains]
     cores = [[] for _ in chains]
-    sequence = sorted((p, g, r) for g, chain in enumerate(chains) for r, p in enumerate(chain.positions))
     failure = None
-    for _, g, r in sequence:
+    for g, r in pairs:
         try:
-            cores[g].append(_givens_core(inputs[g][r], targets[g][r]))
+            cores[g].append(_givens_core(inputs[g][r], rows[g][r]))
         except RuntimeError as exc:
             failure = exc  # raised once the rotations before it are checked
             break
     stacks = []
-    for chain, order, core in zip(chains, orders, cores):
-        m, n = len(core), chain.order.shape[1]
-        eye, eye_conj = _complex_eye(n)
-        # Complex from the start, as the product would cast it: +0.0 imaginary parts.
-        core = np.array(core, dtype=np.complex128).reshape(m, n, n)
-        stacks.append(eye_conj[order[:m]].swapaxes(-1, -2) @ core @ eye[chain.order[:m]])
+    for chain, core, order, target in zip(chains, cores, orders, targets):
+        n = chain.order.shape[1]
+        stacks.append((np.array(core, dtype=np.float64).reshape(-1, n, n), order, target))
     return stacks, failure
 
 
+def _placed(cores: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The complex ``(B, n, n)`` stack with ``cores[b, a, k]`` at ``(rows[b, a], columns[b, k])``.
+
+    A scatter, not a product: each entry is the core's own float64 value,
+    with a ``+0.0`` imaginary part.
+    """
+    out = np.zeros(cores.shape, dtype=np.complex128)
+    out[np.arange(len(cores))[:, None, None], rows[:, :, None], columns[:, None, :]] = cores
+    return out
+
+
 def _schur_horn_chain(lam: ProbabilityVector, mu: ProbabilityVector) -> ComplexMatrix:
-    """One validated pair's rotation, unchecked: the one-pair case of :func:`_rotation_stacks`."""
-    stacks, failure = _rotation_stacks(_chain_groups([lam]), [mu[None]])
+    """One validated pair's rotation, unchecked: the one-pair case of :func:`_rotation_stacks`, placed."""
+    chains = _chain_groups([lam])
+    stacks, failure = _rotation_stacks(chains, [mu[None]], ((0, 0),))
     if failure is not None:
         raise failure
-    return stacks[0][0]
+    cores, order, _ = stacks[0]
+    return _placed(cores, order, chains[0].order)[0]
 
 
 def _majorized_pair(lam, mu) -> tuple[ProbabilityVector, ProbabilityVector]:
@@ -765,7 +796,7 @@ def _majorized_pair(lam, mu) -> tuple[ProbabilityVector, ProbabilityVector]:
 
 
 # The identities of the last 8 block sizes rotated: for blocks of up to n
-# slots, 40 n² bytes each.
+# slots, 16 n² bytes each.
 @functools.lru_cache(maxsize=8)
 def _unit_rows(n: int) -> tuple[tuple[float, ...], ...]:
     """The rows of the ``n x n`` identity, as Python floats."""
@@ -774,12 +805,11 @@ def _unit_rows(n: int) -> tuple[tuple[float, ...], ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def _complex_eye(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The complex ``n x n`` identity and its conjugate (``-0.0`` imaginary parts), read-only."""
-    eye = np.eye(n, dtype=np.complex128)
-    eye_conj = eye.conj()
-    eye.flags.writeable = eye_conj.flags.writeable = False
-    return eye, eye_conj
+def _real_eye(n: int) -> np.ndarray:
+    """The float64 ``n x n`` identity, read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _givens_core(x: list[float], target: list[float]) -> list[list[float]]:

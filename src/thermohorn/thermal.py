@@ -91,6 +91,7 @@ from .majorization import (
     _ChainInputs,
     _chain_groups,
     _curve_dominates,
+    _pair_order,
     _schur_horn_stacks,
     _term_entries,
 )
@@ -716,8 +717,9 @@ class _BlockGroup(NamedTuple):
     """The rotated blocks of one size, stacked in block order."""
 
     indices: np.ndarray  # (B, n): each block's joint indices
+    columns: np.ndarray  # (B, n): those indices in the input's descending order, the cores' columns
     masses: np.ndarray  # (B, 1): each block's input mass
-    chains: _ChainInputs  # each block's input over its mass, its order and sorted values
+    chains: _ChainInputs  # each block's input over its mass: its stable descending order and sorted values
 
 
 class _BlockData(NamedTuple):
@@ -726,15 +728,18 @@ class _BlockData(NamedTuple):
     The rotated blocks are those with mass above ``EMPTY_BLOCK_MASS`` and
     at least two slots; every other slot gets the identity. They are
     grouped by size (:class:`_BlockGroup`), each group holding the stacks
-    its rotations read: joint indices, masses, and the input side of every
-    chain (each normalized input, its stable descending order and its
-    values in that order; :class:`~thermohorn.majorization._ChainInputs`).
-    ``names`` are the rotated blocks in block order, as errors name them.
-    O(joint dims) in all: no per-block matrix is kept. Nothing writes to
-    these arrays.
+    its rotations read: joint indices, the joint index of each core column
+    (``indices`` in the input's descending order), masses, and the input
+    side of every chain (each normalized input's stable descending order
+    and its values in that order; :class:`~thermohorn.majorization._ChainInputs`).
+    ``pairs`` is the order the chains run in, ``(group, member)`` in block
+    order, and ``names`` the rotated blocks in that order, as errors name
+    them. O(joint dims) in all: no per-block matrix is kept. Nothing writes
+    to these arrays.
     """
 
     groups: tuple[_BlockGroup, ...]
+    pairs: tuple[tuple[int, int], ...]  # (group, member) of each rotated block, in block order
     names: tuple[tuple[int, ...], ...]  # each rotated block, in block order
     identity: np.ndarray  # the joint index of every slot not rotated
 
@@ -751,16 +756,16 @@ def _block_data(v: np.ndarray, setup: ThermalSetup) -> _BlockData:
             names.append(block)
             masses.append(mass)
             lams.append(lam / mass)
-    groups = tuple(
-        _BlockGroup(
-            np.array([names[k] for k in chains.positions], dtype=np.intp),
-            np.array([[masses[k]] for k in chains.positions]),
-            chains,
+    chains = _chain_groups(lams)
+    groups = []
+    for chain in chains:
+        indices = np.array([names[k] for k in chain.positions], dtype=np.intp)
+        columns = np.take_along_axis(indices, chain.order, axis=1)
+        groups.append(
+            _BlockGroup(indices, columns, np.array([[masses[k]] for k in chain.positions]), chain)
         )
-        for chains in _chain_groups(lams)
-    )
     identity = np.array(identity, dtype=np.intp)
-    return _BlockData(groups, tuple(names), identity)
+    return _BlockData(tuple(groups), _pair_order(chains), tuple(names), identity)
 
 
 def _rotate_blocks(
@@ -771,13 +776,16 @@ def _rotate_blocks(
     Per call, each group of blocks of one size forms its targets in one
     gather, ``mixed[indices] / masses``; the input side is ``data``, which
     :class:`ClassicalHull` keeps for the bath it was built on.
-    :func:`~thermohorn.majorization._schur_horn_stacks` rotates the group
-    as one stack and checks every member, and the stack is scattered into
-    the unitary at once, so the numpy calls scale with the number of block
-    sizes, not of blocks. Nothing about the caller's mixture is checked
-    here: each block of ``mixed`` is taken to be a mixture of permutations
-    of that block of the input. A dense unitary that cannot be allocated
-    (``MemoryError``) is refused as ``unitary-too-large``.
+    :func:`~thermohorn.majorization._schur_horn_stacks` builds the group's
+    real cores as one stack and checks every member; the checked stack is
+    then scattered straight into the unitary, rows at ``indices`` in each
+    target's descending order and columns at ``columns``. No product
+    places it, so every entry is a chain's own float64 value with a
+    ``+0.0`` imaginary part, and the numpy calls scale with the number of
+    block sizes, not of blocks. Nothing about the caller's mixture is
+    checked here: each block of ``mixed`` is taken to be a mixture of
+    permutations of that block of the input. A dense unitary that cannot be
+    allocated (``MemoryError``) is refused as ``unitary-too-large``.
     """
     n = setup.dim_joint
     try:
@@ -790,9 +798,10 @@ def _rotate_blocks(
     u[data.identity, data.identity] = 1.0
     groups = data.groups
     mus = [mixed[group.indices] / group.masses for group in groups]
-    stacks = _schur_horn_stacks([group.chains for group in groups], mus, data.names)
-    for group, stack in zip(groups, stacks):
-        u[group.indices[:, :, None], group.indices[:, None, :]] = stack
+    stacks = _schur_horn_stacks([group.chains for group in groups], mus, data.pairs, data.names)
+    for group, (cores, order) in zip(groups, stacks):
+        rows = group.indices[np.arange(len(order))[:, None], order]
+        u[rows[:, :, None], group.columns[:, None, :]] = cores
 
     gadget = None
     degenerate = setup.ham_a._degenerate_indices

@@ -642,11 +642,13 @@ def label_blocks(ham_a, ham_b):
     return tuple(sorted((tuple(sorted(idx)) for idx in groups.values()), key=lambda b: b[0]))
 
 
-def schur_horn_reference(lam, mu):
+def _reference_chain(lam, mu):
     """The Schur-Horn rotation chain as first written: every step rescans the whole diagonal.
 
     Inputs are probability vectors of one size, ``lam`` majorizing ``mu``,
     settled at 1e-13 and accepted at 1e-9; the result is not checked.
+    Returns the complex core, rows in ``mu``'s stable descending order and
+    columns in ``lam``'s, and those two orders.
     """
     lam = np.asarray(lam, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -678,6 +680,30 @@ def schur_horn_reference(lam, mu):
         core[j, :] = s * rows[0] + c * rows[1]
         x[i] -= delta
         x[j] += delta
+    return core, idx_l, idx_m
+
+
+def schur_horn_reference(lam, mu):
+    """:func:`_reference_chain`'s core placed by index: its entry ``(a, k)`` at ``(idx_m[a], idx_l[k])``.
+
+    No product is formed, so each entry is the chain's own value, zero
+    signs included, whichever BLAS kernel is loaded.
+    """
+    core, idx_l, idx_m = _reference_chain(lam, mu)
+    out = np.zeros_like(core)
+    out[np.ix_(idx_m, idx_l)] = core
+    return out
+
+
+def schur_horn_product_reference(lam, mu):
+    """:func:`_reference_chain`'s core placed as first written, ``P_mᵀ · core · P_l``.
+
+    A value oracle: every product entry is one core entry plus exact zeros,
+    so the values equal :func:`schur_horn_reference`'s, but the signs of its
+    zero entries come from the loaded BLAS kernel.
+    """
+    core, idx_l, idx_m = _reference_chain(lam, mu)
+    n = len(idx_l)
     sort_l = np.zeros((n, n), dtype=np.complex128)
     sort_l[np.arange(n), idx_l] = 1.0
     sort_m = np.zeros((n, n), dtype=np.complex128)

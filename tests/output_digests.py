@@ -11,8 +11,12 @@ a duration, and hashes what a change of algorithm could move:
 * cli-cold: the stdout of every argv that ``perfbench/goldens.json`` pins,
   each in a fresh interpreter, and how many of them differ from the golden.
 
-An operation that raises is hashed as its exception. Run it on two trees
-and compare the lines; it changes no file::
+An operation that raises is hashed as its exception. Each line carries two
+digests of the same outputs: ``sha256`` as returned, and
+``zero_canonical_sha256`` with every float zero made ``+0.0`` (``a + 0.0``;
+in cli-cold's stdout, every ``-0``/``-0.0`` number read unsigned). A change
+that moves only the signs of zeros moves the first and keeps the second. Run
+it on two trees and compare the lines; it changes no file::
 
     python tests/output_digests.py [--seed 1] [--cycles 20] [--workload NAME ...]
 """
@@ -23,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -37,41 +42,66 @@ import thermohorn  # noqa: E402
 import workloads  # noqa: E402
 
 
-def _feed(digest, *parts):
-    """Hash arrays by dtype, shape and bytes, everything else by ``repr``."""
+# The minus sign of a printed zero: ``-0``, ``-0.0``, ``-0.000e+00``, not ``-0.5``.
+_SIGNED_ZERO = re.compile(rb"(?<![\w.])-(?=0(?:\.0*)?(?:[eE][-+]?\d+)?(?![\w.]))")
+
+
+class _Digests:
+    """Two SHA-256 digests of the same parts: as given, and with every zero unsigned."""
+
+    def __init__(self):
+        self.raw = hashlib.sha256()
+        self.zero_canonical = hashlib.sha256()
+
+    def line(self):
+        return f"sha256={self.raw.hexdigest()} zero_canonical_sha256={self.zero_canonical.hexdigest()}"
+
+
+def _feed(digests, *parts):
+    """Hash arrays by dtype, shape and bytes, everything else by ``repr``.
+
+    The zero-canonical digest hashes a float or complex array plus ``0.0``
+    (``-0.0 + 0.0`` is ``+0.0``; no other value moves) and printed bytes
+    without the minus sign of a zero.
+    """
     for part in parts:
         if isinstance(part, np.ndarray):
-            digest.update(repr((part.dtype.str, part.shape)).encode())
-            digest.update(np.ascontiguousarray(part).tobytes())
+            header = repr((part.dtype.str, part.shape)).encode()
+            unsigned = part + 0.0 if part.dtype.kind in "fc" else part
+            for digest, array in ((digests.raw, part), (digests.zero_canonical, unsigned)):
+                digest.update(header)
+                digest.update(np.ascontiguousarray(array).tobytes())
         else:
-            digest.update(repr(part).encode())
+            unsigned = _SIGNED_ZERO.sub(b"", part) if isinstance(part, bytes) else part
+            digests.raw.update(repr(part).encode())
+            digests.zero_canonical.update(repr(unsigned).encode())
 
 
-def _membership(op, result, digest):
+def _membership(op, result, digests):
     comb = result.combination
-    _feed(digest, result.classification)
+    _feed(digests, result.classification)
     if comb is not None:
-        _feed(digest, np.asarray(comb.weights), np.asarray(comb.items))
+        _feed(digests, np.asarray(comb.weights), np.asarray(comb.items))
 
 
-def _realize(op, result, digest):
+def _realize(op, result, digests):
     if result is None:
-        _feed(digest, None)
+        _feed(digests, None)
     else:
         setup, unitary, _ = result
-        _feed(digest, setup.dim_b, unitary)
+        _feed(digests, setup.dim_b, unitary)
 
 
-def _synth(op, result, digest):
+def _synth(op, result, digests):
     kind = op[0]
     if kind == "horn":
-        _feed(digest, result.bath_dim, result.unitary)
+        _feed(digests, result.bath_dim, result.unitary)
     elif kind == "birkhoff":
-        _feed(digest, result.terms)
+        _feed(digests, result.terms)
     elif kind == "roundtrip":
-        _feed(digest, result[0], result[1] is None)
+        _feed(digests, result[0], result[1] is None)
     else:
-        _feed(digest, result)
+        _feed(digests, result)
 
 
 OUTPUTS = {
@@ -82,32 +112,32 @@ OUTPUTS = {
 
 
 def operation_digest(name, seed, cycles):
-    """(operation count, hex digest) of one in-process workload's seeded operations."""
+    """(operation count, :class:`_Digests`) of one in-process workload's seeded operations."""
     workload = workloads.WORKLOADS[name](thermohorn)
     workload.setup()
     workload.prepare(np.random.default_rng([seed, 1]))
     rng = np.random.default_rng([seed, 2])
-    digest = hashlib.sha256()
+    digests = _Digests()
     count = 0
     for _ in range(cycles):
         for slot in workload.slots():
             op = workload.make(slot, rng)
-            _feed(digest, slot)
+            _feed(digests, slot)
             try:
                 result = workload.run(op)
             except Exception as exc:  # a failed operation is an output too
-                _feed(digest, type(exc).__name__, str(exc))
+                _feed(digests, type(exc).__name__, str(exc))
             else:
-                OUTPUTS[name](op, result, digest)
+                OUTPUTS[name](op, result, digests)
             count += 1
-    return count, digest.hexdigest()
+    return count, digests
 
 
 def cli_digest():
-    """(argv count, hex digest, count differing from the goldens) over every golden argv."""
+    """(argv count, :class:`_Digests`, count differing from the goldens) over every golden argv."""
     with open(workloads.GOLDENS, encoding="utf-8") as handle:
         goldens = json.load(handle)
-    digest = hashlib.sha256()
+    digests = _Digests()
     differ = 0
     for key in sorted(goldens):
         argv = goldens[key]["argv"]
@@ -115,9 +145,9 @@ def cli_digest():
             workloads.cli_command(argv), env=workloads.child_env(), cwd=ROOT,
             capture_output=True, timeout=120,
         )
-        _feed(digest, key, done.returncode, done.stdout)
+        _feed(digests, key, done.returncode, done.stdout)
         differ += done.stdout.decode("utf-8", "replace") != goldens[key]["stdout"]
-    return len(goldens), digest.hexdigest(), differ
+    return len(goldens), digests, differ
 
 
 def main(argv=None):
@@ -129,11 +159,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     for name in dict.fromkeys(args.workload or [*OUTPUTS, "cli-cold"]):
         if name == "cli-cold":
-            count, hexdigest, differ = cli_digest()
-            print(f"cli-cold argv={count} differ_from_goldens={differ} sha256={hexdigest}")
+            count, digests, differ = cli_digest()
+            print(f"cli-cold argv={count} differ_from_goldens={differ} {digests.line()}")
         else:
-            count, hexdigest = operation_digest(name, args.seed, args.cycles)
-            print(f"{name} seed={args.seed} ops={count} sha256={hexdigest}")
+            count, digests = operation_digest(name, args.seed, args.cycles)
+            print(f"{name} seed={args.seed} ops={count} {digests.line()}")
 
 
 if __name__ == "__main__":

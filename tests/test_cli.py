@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thermohorn
 from thermohorn import alpha_max_oscillator, build_setup, d_alpha, oscillator_hamiltonian, qubit_gibbs
 from thermohorn import cli, thermal
 from thermohorn.cli import main
@@ -584,6 +587,44 @@ def test_realize_matches_its_goldens(capsys):
         found = json.loads(out)
         if found["found"]:
             assert found["residual"] <= found["tol"] == MEMBERSHIP_TOL, key
+
+
+def _openblas_picks_its_kernel_at_run_time():
+    """numpy's BLAS is an x86-64 OpenBLAS built with ``DYNAMIC_ARCH``, so ``OPENBLAS_CORETYPE`` picks its kernel."""
+    if platform.machine() != "x86_64":
+        return False
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower() and "DYNAMIC_ARCH" in str(
+        blas.get("openblas configuration", "")
+    )
+
+
+@pytest.mark.skipif(
+    not _openblas_picks_its_kernel_at_run_time(), reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH"
+)
+def test_realize_stdout_is_the_same_bytes_under_the_baseline_openblas_kernel():
+    # Each rotation is placed into the unitary by index, not by a BLAS
+    # product, so no kernel's zero signs reach stdout: the default kernel
+    # and Prescott, the baseline x86-64 kernel, print the same bytes for
+    # every golden argv.
+    with open(REALIZE_GOLDENS, encoding="utf-8") as handle:
+        goldens = json.load(handle)
+    src = str(Path(thermohorn.__file__).resolve().parents[1])
+    for key, golden in goldens.items():
+        stdouts = []
+        for kernel in (None, "Prescott"):
+            env = dict(os.environ)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel is not None:
+                env["OPENBLAS_CORETYPE"] = kernel
+            env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+            done = subprocess.run(
+                [sys.executable, "-m", "thermohorn.cli", *golden["argv"]],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, (key, kernel, done.stderr)
+            stdouts.append(done.stdout)
+        assert stdouts[0] == stdouts[1], key
 
 
 def test_membership_help_prints_its_tolerances_from_their_names(capsys, monkeypatch):

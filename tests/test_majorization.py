@@ -12,6 +12,7 @@ from oracles import (
     bit_equal,
     lorenz_margin,
     majorizes_oracle,
+    schur_horn_product_reference,
     schur_horn_reference,
     thermomajorization_residual,
     thermomajorizes_oracle,
@@ -555,11 +556,36 @@ def test_stacked_schur_horn_blocks_match_the_reference_chain_bit_for_bit(shapes,
         assert bit_equal(v, schur_horn_reference(lam, mu))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=30),
+            st.sampled_from(["generic", "degenerate", "zeros", "permuted", "uniform"]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_rotations_placed_by_index_equal_the_product_form(shapes, seed):
+    # Each core is scattered into place, not multiplied by two sorting
+    # permutations: every product entry is one core entry plus exact zeros,
+    # so the values are the product's, and every imaginary part is +0.0.
+    rng = np.random.default_rng(seed)
+    pairs = [majorization._majorized_pair(*_schur_horn_pair(n, kind, rng)) for n, kind in shapes]
+    rotations = majorization._schur_horn_blocks(pairs)
+    for (lam, mu), v in zip(pairs, rotations):
+        for rotation in (v, schur_horn_unitary(lam, mu), majorization._schur_horn_chain(lam, mu)):
+            assert np.array_equal(rotation, schur_horn_product_reference(lam, mu))
+            assert not np.signbit(rotation.imag).any()
+
+
 def test_schur_horn_checks_its_inputs_and_result_once(monkeypatch):
     calls = []
     # The result is checked by the blockwise runner in majorization, which
-    # calls unitarity_defect once, on a stack of one rotation.
-    for module, name in ((majorization, "probability_vector"), (majorization, "unitarity_defect")):
+    # reads the orthogonality defects once, on a stack of one core.
+    for module, name in ((majorization, "probability_vector"), (majorization, "_orthogonality_defects")):
         original = getattr(module, name)
 
         def counting(*args, original=original, name=name, **kwargs):
@@ -568,7 +594,7 @@ def test_schur_horn_checks_its_inputs_and_result_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     schur_horn_unitary([0.6, 0.3, 0.1], [0.4, 0.35, 0.25])
-    assert sorted(calls) == ["probability_vector", "probability_vector", "unitarity_defect"]
+    assert sorted(calls) == ["_orthogonality_defects", "probability_vector", "probability_vector"]
 
 
 def test_birkhoff_chain_and_its_blocks_skip_the_permutation_check(monkeypatch):

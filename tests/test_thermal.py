@@ -504,22 +504,22 @@ def test_synthesize_names_the_block_whose_rotation_is_not_unitary(monkeypatch):
 
 def test_synthesize_rotates_and_checks_each_block_size_once_on_the_two_copy_setup(monkeypatch):
     # The fig4 two-copy setup: the blocks of one size are rotated as one
-    # stack, one product for all of them, and checked in one call.
+    # stack of cores, built in one call for all of them, and checked in one.
     setup, p = _two_copy_preset()
     product = decompose_channel_to_classical(random_block_unitary(setup, np.random.default_rng(5)), setup)
     checked, built = [], []
-    check, build = majorization.unitarity_defect, majorization._rotation_stacks
+    check, build = majorization._orthogonality_defects, majorization._rotation_stacks
 
-    def counting_check(mat):
-        checked.append(np.shape(mat))
-        return check(mat)
+    def counting_check(cores):
+        checked.append(np.shape(cores))
+        return check(cores)
 
-    def counting_build(chains, mus):
-        stacks, failure = build(chains, mus)
-        built.append([stack.shape for stack in stacks])
+    def counting_build(chains, mus, pairs):
+        stacks, failure = build(chains, mus, pairs)
+        built.append([cores.shape for cores, _, _ in stacks])
         return stacks, failure
 
-    monkeypatch.setattr(majorization, "unitarity_defect", counting_check)
+    monkeypatch.setattr(majorization, "_orthogonality_defects", counting_check)
     monkeypatch.setattr(majorization, "_rotation_stacks", counting_build)
     u, _ = synthesize_unitary(p, product, setup)
     rotated = [len(b) for b in setup.blocks if len(b) > 1]
@@ -746,6 +746,13 @@ def test_round_trip_checks_once_per_call_whatever_the_block_count(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "thermohorn" and getattr(module, "unitarity_defect", None) is original:
             monkeypatch.setattr(module, "unitarity_defect", counting)
+    orthogonality = majorization._orthogonality_defects
+
+    def counting_cores(cores):  # the rotations' stacked check, on the real cores
+        shapes.append(np.shape(cores))
+        return orthogonality(cores)
+
+    monkeypatch.setattr(majorization, "_orthogonality_defects", counting_cores)
     rebuilt = []
     reconstruction = majorization._reconstruction_errors
 
@@ -1502,27 +1509,29 @@ def _block_data_matches(data, setup, v):
     """``data`` is the block-by-block reference's for the joint input ``v``.
 
     Its groups, read back in block order, hold each rotated block's
-    indices, mass and normalized input, with that input's stable descending
-    order and its values in that order.
+    indices, mass, and its normalized input's stable descending order, with
+    the input's values and the block's indices in that order (together,
+    the input itself); its pair order is block order.
     """
     rotated, identity = block_data_reference(setup, v)
     members = sorted(
-        (position, group, r)
-        for group in data.groups
+        (position, g, r)
+        for g, group in enumerate(data.groups)
         for r, position in enumerate(group.chains.positions)
     )
-    indices = [tuple(group.indices[r].tolist()) for _, group, r in members]
-    masses = [float(group.masses[r, 0]) for _, group, r in members]
-    chains = [(group.chains, r) for _, group, r in members]
+    groups = [data.groups[g] for _, g, _ in members]
+    indices = [tuple(group.indices[r].tolist()) for group, (*_, r) in zip(groups, members)]
+    masses = [float(group.masses[r, 0]) for group, (*_, r) in zip(groups, members)]
     return (
         [position for position, _, _ in members] == list(range(len(rotated)))
+        and list(data.pairs) == [(g, r) for _, g, r in members]
         and indices == list(data.names) == [block for block, _, _ in rotated]
         and masses == [mass for _, mass, _ in rotated]
         and all(
-            bit_equal(chain.lams[r], ref)
-            and np.array_equal(chain.order[r], np.argsort(-ref, kind="stable"))
-            and bit_equal(chain.descending[r], ref[np.argsort(-ref, kind="stable")])
-            for (chain, r), (*_, ref) in zip(chains, rotated, strict=True)
+            np.array_equal(group.chains.order[r], np.argsort(-ref, kind="stable"))
+            and bit_equal(group.chains.descending[r], ref[np.argsort(-ref, kind="stable")])
+            and group.columns[r].tolist() == [block[k] for k in np.argsort(-ref, kind="stable")]
+            for group, (*_, r), (block, _, ref) in zip(groups, members, rotated, strict=True)
         )
         and data.identity.tolist() == identity
     )
