@@ -13,7 +13,8 @@ conjugation carries one diagonal to another prescribed majorized diagonal
 (a chain of at most ``n - 1`` planar rotations), and
 :func:`birkhoff_decompose` peels a bistochastic matrix into a convex
 combination of permutations along a greedy chain of perfect matchings: one
-matching, repaired by an augmenting path for each entry a step zeroes. Each
+matching, repaired by an augmenting path for each entry a step zeroes, whose
+search takes a free row as soon as a column reaches one. Each
 construction has one blockwise runner, :func:`_birkhoff_blocks` and
 :func:`_schur_horn_stacks`, that checks every fact once for a list of
 blocks: the two public functions are its one-block case, and
@@ -325,41 +326,48 @@ def _cell_transport(width, have, want) -> np.ndarray:
     return mixing
 
 
-def _augment(masks: list[int], row_match: list[int], start: int) -> list[int]:
+def _augment(masks: list[int], row_match: list[int], start: int, free_rows: int) -> list[int]:
     """Match the free column ``start`` along an augmenting path; return the path's rows.
 
     ``masks[j]`` holds column ``j``'s support rows as bits, ``row_match``
-    the column each row is matched to (-1 when free); a found path is
-    flipped into ``row_match`` in place, and its rows, which are exactly the
-    rows whose column changed, are returned (an empty list when there is no
-    path). Kuhn's depth-first search with an explicit stack: each column
-    takes the lowest support row this search has not yet seen, and a row
-    already matched hands the search on to its column. By Berge's theorem a
-    failure means the support admits no perfect matching.
+    the column each row is matched to (-1 when free) and ``free_rows`` the
+    free rows as bits; a found path is flipped into ``row_match`` in place,
+    and its rows, which are exactly the rows whose column changed, are
+    returned, the free row it ends on last (an empty list when there is no
+    path). ``free_rows`` is left to the caller. Kuhn's depth-first search
+    with an explicit stack and MC21's look-ahead (Duff, ACM TOMS 7, 1981):
+    a column that reaches a free row takes the lowest one and ends the
+    search; any other column takes the lowest support row this search has
+    not yet seen, which is matched and hands the search on to its column.
+    A row the search has seen is never free, so the look-ahead needs no
+    ``unseen`` mask. By Berge's theorem a failure means the support admits
+    no perfect matching.
     """
     unseen = -1  # every row, as bits; a row's bit is cleared when the search sees it
     cols = [start]  # the columns on the search path
     path: list[int] = []  # the row taken from each column but the last
     col = start
-    while True:
-        free = masks[col] & unseen
-        if free:
-            bit = free & -free
+    ends = masks[col] & free_rows
+    while not ends:
+        rows = masks[col] & unseen
+        if rows:
+            bit = rows & -rows
             unseen ^= bit
             i = bit.bit_length() - 1
             path.append(i)
             col = row_match[i]
-            if col == -1:
-                for row, col in zip(path, cols):
-                    row_match[row] = col
-                return path
             cols.append(col)
+            ends = masks[col] & free_rows
         else:
             cols.pop()
             if not cols:
                 return []
             path.pop()
             col = cols[-1]
+    path.append((ends & -ends).bit_length() - 1)
+    for row, col in zip(path, cols):
+        row_match[row] = col
+    return path
 
 
 def _term_entries(groups, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -417,7 +425,9 @@ def birkhoff_decompose(
     chain: a step changes only the entries of the permutation it used, so
     every other matched edge stays in the support, and only the columns whose
     matched entry fell to ``zero_tol`` or below are matched again, each by
-    one augmenting path from the previous matching. The cut can leave a
+    one augmenting path from the previous matching. The path is found by a
+    depth-first search over lowest rows first that stops at the first
+    column reaching a free row (the lowest such row). The cut can leave a
     residual of a few ``zero_tol`` whose support admits no perfect matching:
     it is dropped when no entry exceeds ``DECOMPOSITION_TOL``, which also
     bounds the reconstruction error checked at the end (and kept as
@@ -527,14 +537,16 @@ def _birkhoff_chain(mat: np.ndarray, zero_tol: float) -> tuple[tuple[float, tupl
     """The normalized terms of :func:`birkhoff_decompose`'s greedy chain on a checked square matrix.
 
     The matching is kept both ways, column -> row (``perm``) and row ->
-    column (``row_match``), and the matched entries as ``cur``: a step
-    takes ``min(cur)``, subtracts it from ``cur`` and frees the columns at
-    or below ``zero_tol``. A residual entry is written back to ``columns``
-    only when its column leaves the support or an augmenting path moves the
-    column to another row, and all of them before the left-behind residual
-    is read. Raises ``matching-failure``, ``empty-matrix``, or
-    ``RuntimeError`` above the Marcus-Ree bound. A single entry above
-    ``zero_tol`` is its own one term, with no chain.
+    column (``row_match``), its free rows as the bits of ``free_rows``, and
+    the matched entries as ``cur``: a step takes ``min(cur)``, subtracts it
+    from ``cur`` and frees the columns at or below ``zero_tol`` and their
+    rows, and each augmenting path takes the free row it ends on. A
+    residual entry is written back to ``columns`` only when its column
+    leaves the support or an augmenting path moves the column to another
+    row, and all of them before the left-behind residual is read. Raises
+    ``matching-failure``, ``empty-matrix``, or ``RuntimeError`` above the
+    Marcus-Ree bound. A single entry above ``zero_tol`` is its own one
+    term, with no chain.
     """
     n = mat.shape[0]
     if n == 1 and mat[0, 0] > zero_tol:
@@ -547,6 +559,7 @@ def _birkhoff_chain(mat: np.ndarray, zero_tol: float) -> tuple[tuple[float, tupl
     masks = [int.from_bytes(col.tobytes(), "little") for col in packed]
     columns = residual.T.tolist()  # columns[j][i] is entry (i, j), unless (i, j) is matched
     row_match = [-1] * n
+    free_rows = (1 << n) - 1  # the rows row_match leaves free, as bits
     perm = [-1] * n
     cur = [0.0] * n  # cur[j] is entry (perm[j], j)
     free_cols: list[int] | range = range(n)
@@ -554,10 +567,11 @@ def _birkhoff_chain(mat: np.ndarray, zero_tol: float) -> tuple[tuple[float, tupl
     while in_support:
         stuck = False
         for start in free_cols:
-            path = _augment(masks, row_match, start)
+            path = _augment(masks, row_match, start, free_rows)
             if not path:
                 stuck = True
                 break
+            free_rows ^= 1 << path[-1]
             for i in path:  # each row's new column; that column's old row gets its entry back
                 j = row_match[i]
                 if perm[j] != -1:
@@ -581,6 +595,7 @@ def _birkhoff_chain(mat: np.ndarray, zero_tol: float) -> tuple[tuple[float, tupl
         for j in free_cols:  # leaves the support
             i = perm[j]
             masks[j] &= ~(1 << i)
+            free_rows |= 1 << i
             row_match[i] = perm[j] = -1
             columns[j][i] = 0.0 if cur[j] < zero_tol else cur[j]
         in_support -= len(free_cols)

@@ -541,26 +541,34 @@ def positivity_margin(target, generators, feas_tol):
     return float(res.x[-1]), res.x[:k]
 
 
-def augment_recursive(masks, row_match, start):
+def augment_recursive(masks, row_match, start, _free_rows=None):
     """``majorization._augment`` as Kuhn's recursive search; bit ``i`` of ``masks[j]`` is edge (i, j).
 
-    Returns the rows it matched to a new column ([] when there is no
+    Each column takes the lowest unseen support row that is free, if it has
+    one; otherwise it tries its unseen support rows in ascending order,
+    each handing the search on to the column it is matched to. Free rows
+    are read off ``row_match`` alone: the fourth argument, ``_augment``'s
+    free-row bits, is accepted and ignored. Returns the rows matched to a
+    new column in path order, the free row last ([] when there is no
     augmenting path), as ``_augment`` does.
     """
-    flipped = []
+    n = len(row_match)
+    seen = [False] * n
+    path = []
 
-    def try_column(j, seen):
-        for i in range(len(row_match)):
+    def try_column(j):
+        free = [i for i in range(n) if masks[j] >> i & 1 and not seen[i] and row_match[i] == -1]
+        for i in free[:1] or range(n):
             if masks[j] >> i & 1 and not seen[i]:
                 seen[i] = True
-                if row_match[i] == -1 or try_column(row_match[i], seen):
+                if row_match[i] == -1 or try_column(row_match[i]):
                     row_match[i] = j
-                    flipped.append(i)
+                    path.append(i)
                     return True
         return False
 
-    try_column(start, [False] * len(row_match))
-    return flipped
+    try_column(start)
+    return path[::-1]
 
 
 def birkhoff_chain_reference(d, zero_tol=BIRKHOFF_ZERO_TOL, require_bistochastic=True):
@@ -569,7 +577,8 @@ def birkhoff_chain_reference(d, zero_tol=BIRKHOFF_ZERO_TOL, require_bistochastic
     The same greedy chain, with the support recomputed as ``residual >
     zero_tol`` over the whole residual at every step: matched edges that
     left it are dropped, and every free column is matched again, in
-    ascending order, by the recursive augmenting search. A chain longer
+    ascending order, by the recursive augmenting search, which takes a
+    column's lowest free support row when it has one. A chain longer
     than the Marcus-Ree bound gives ``"term-bound"``.
     """
     mat = np.asarray(d, dtype=np.float64)

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import thermohorn
-from thermohorn import alpha_max_oscillator, build_setup, d_alpha, oscillator_hamiltonian, qubit_gibbs
+from thermohorn import (
+    alpha_max_oscillator,
+    build_setup,
+    d_alpha,
+    oscillator_hamiltonian,
+    qubit_gibbs,
+    random_block_unitary,
+)
 from thermohorn import cli, thermal
 from thermohorn.cli import main
 from thermohorn.config import (
@@ -361,20 +368,41 @@ def test_synthesize_classifies_an_eight_level_target_without_listing_orders(caps
     assert payload["residual"] <= payload["tol"] == MEMBERSHIP_TOL
 
 
+#: The swap of a qubit and a two-level oscillator, as ``--u`` JSON.
+SWAP_U = json.dumps({
+    "rows": 4,
+    "cols": 4,
+    "entries": [
+        [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+        [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0],
+        [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+        [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0],
+    ],
+})
+
+
+def _u_json(u):
+    """``u`` as ``--u`` JSON, every entry written in full."""
+    rows, cols = u.shape
+    entries = [[z.real, z.imag] for z in u.ravel().tolist()]
+    return json.dumps({"rows": rows, "cols": cols, "entries": entries})
+
+
+def _qutrit_pair_unitary():
+    """Qutrit against qutrit: a rotation on the first pair, the 3x3 Fourier matrix on the middle block.
+
+    The blocks have sizes 1, 2, 3, 2 and 1.
+    """
+    u = np.eye(9, dtype=np.complex128)
+    c, s = math.cos(0.3), math.sin(0.3)
+    u[np.ix_([1, 3], [1, 3])] = [[c, -s], [s, c]]
+    middle = [2, 4, 6]
+    u[np.ix_(middle, middle)] = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3)
+    return u
+
+
 def test_decompose_swap_permutation(capsys):
-    swap = {
-        "rows": 4,
-        "cols": 4,
-        "entries": [
-            [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
-            [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0],
-            [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
-            [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0],
-        ],
-    }
-    code, out = _run(
-        capsys, "decompose", "--ham-a", QUBIT, "--ham-b", OSC2, "--u", json.dumps(swap)
-    )
+    code, out = _run(capsys, "decompose", "--ham-a", QUBIT, "--ham-b", OSC2, "--u", SWAP_U)
     assert code == 0
     payload = json.loads(out)
     assert payload["blocks"] == [[0], [1, 2], [3]]
@@ -388,16 +416,9 @@ def test_decompose_swap_permutation(capsys):
 
 
 def test_decompose_reports_the_worst_block_reconstruction_error(capsys):
-    # Qutrit against qutrit: blocks of sizes 1, 2, 3, 2, 1. A rotation on the
-    # first pair and the 3x3 Fourier matrix on the middle block give blocks
-    # of two and three terms.
-    u = np.eye(9, dtype=np.complex128)
-    c, s = math.cos(0.3), math.sin(0.3)
-    u[np.ix_([1, 3], [1, 3])] = [[c, -s], [s, c]]
-    middle = [2, 4, 6]
-    u[np.ix_(middle, middle)] = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3)
-    matrix = {"rows": 9, "cols": 9, "entries": [[z.real, z.imag] for z in u.ravel().tolist()]}
-    code, out = _run(capsys, "decompose", "--ham-a", OSC3, "--ham-b", OSC3, "--u", json.dumps(matrix))
+    # The rotation and the Fourier matrix give blocks of two and three terms.
+    u = _qutrit_pair_unitary()
+    code, out = _run(capsys, "decompose", "--ham-a", OSC3, "--ham-b", OSC3, "--u", _u_json(u))
     assert code == 0
     payload = json.loads(out)
     assert payload["blocks"] == [[0], [1, 3], [2, 4, 6], [5, 7], [8]]
@@ -599,6 +620,24 @@ def _openblas_picks_its_kernel_at_run_time():
     )
 
 
+def _stdout_under_each_kernel(argv, key):
+    """``thermo-horn argv``'s stdout under the default OpenBLAS kernel, then under Prescott."""
+    src = str(Path(thermohorn.__file__).resolve().parents[1])
+    stdouts = []
+    for kernel in (None, "Prescott"):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        done = subprocess.run(
+            [sys.executable, "-m", "thermohorn.cli", *argv], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, (key, kernel, done.stderr)
+        stdouts.append(done.stdout)
+    return stdouts
+
+
 @pytest.mark.skipif(
     not _openblas_picks_its_kernel_at_run_time(), reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH"
 )
@@ -609,22 +648,30 @@ def test_realize_stdout_is_the_same_bytes_under_the_baseline_openblas_kernel():
     # every golden argv.
     with open(REALIZE_GOLDENS, encoding="utf-8") as handle:
         goldens = json.load(handle)
-    src = str(Path(thermohorn.__file__).resolve().parents[1])
     for key, golden in goldens.items():
-        stdouts = []
-        for kernel in (None, "Prescott"):
-            env = dict(os.environ)
-            env.pop("OPENBLAS_CORETYPE", None)
-            if kernel is not None:
-                env["OPENBLAS_CORETYPE"] = kernel
-            env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-            done = subprocess.run(
-                [sys.executable, "-m", "thermohorn.cli", *golden["argv"]],
-                env=env, capture_output=True, timeout=120,
-            )
-            assert done.returncode == 0, (key, kernel, done.stderr)
-            stdouts.append(done.stdout)
-        assert stdouts[0] == stdouts[1], key
+        default, prescott = _stdout_under_each_kernel(golden["argv"], key)
+        assert default == prescott, key
+
+
+@pytest.mark.skipif(
+    not _openblas_picks_its_kernel_at_run_time(), reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH"
+)
+def test_decompose_stdout_is_the_same_bytes_under_the_baseline_openblas_kernel():
+    # The Birkhoff chain runs on Python floats and its check on one
+    # bincount sum, so no BLAS kernel reaches decompose's stdout: the two
+    # matrices above and a seeded Haar block unitary on two 4-level
+    # oscillators print the same bytes under the default kernel and Prescott.
+    osc4 = _osc_json(4, LN2)
+    setup = build_setup(oscillator_hamiltonian(4, LN2), oscillator_hamiltonian(4, LN2))
+    haar = random_block_unitary(setup, np.random.default_rng(7))
+    argvs = {
+        "swap": ["--ham-a", QUBIT, "--ham-b", OSC2, "--u", SWAP_U],
+        "qutrit-pair": ["--ham-a", OSC3, "--ham-b", OSC3, "--u", _u_json(_qutrit_pair_unitary())],
+        "haar-osc4": ["--ham-a", osc4, "--ham-b", osc4, "--u", _u_json(haar)],
+    }
+    for key, argv in argvs.items():
+        default, prescott = _stdout_under_each_kernel(["decompose", *argv], key)
+        assert default == prescott, key
 
 
 def test_membership_help_prints_its_tolerances_from_their_names(capsys, monkeypatch):

@@ -432,6 +432,41 @@ def test_birkhoff_chain_equals_a_chain_that_recomputes_its_support(family, n, se
     assert deco.reconstruction_error == np.abs(deco.to_matrix() - d).max() <= 1e-7
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=70),
+    seed=st.integers(min_value=0, max_value=10**6),
+    degree=st.floats(min_value=0.0, max_value=4.0),
+    unmatched=st.integers(min_value=0, max_value=69),
+)
+def test_augment_equals_the_recursive_search(n, seed, degree, unmatched):
+    # Random supports up to 70 rows (masks past 64 bits), about ``degree``
+    # rows a column, and a random matching inside them that leaves
+    # 1 + unmatched % n columns free: few free rows make long searches.
+    rng = np.random.default_rng(seed)
+    support = rng.random((n, n)) < degree / n
+    k = n - 1 - unmatched % n
+    rows, cols = rng.permutation(n)[:k], rng.permutation(n)[: k + 1]
+    support[rows, cols[:k]] = True
+    masks = [int(sum(1 << int(i) for i in np.flatnonzero(support[:, j]))) for j in range(n)]
+    before = [-1] * n
+    for i, j in zip(rows.tolist(), cols[:k].tolist()):
+        before[i] = j
+    free_rows = sum(1 << i for i, j in enumerate(before) if j == -1)
+    start = int(cols[k])
+    row_match, oracle_match = list(before), list(before)
+    path = majorization._augment(masks, row_match, start, free_rows)
+    expected = augment_recursive(masks, oracle_match, start)
+    assert path == expected
+    assert row_match == oracle_match
+    if not expected:
+        assert row_match == before
+        return
+    assert sorted(path) == [i for i in range(n) if row_match[i] != before[i]]
+    assert all(masks[row_match[i]] >> i & 1 for i in path)
+    assert before[path[-1]] == -1
+
+
 def test_birkhoff_matching_depth_is_not_bounded_by_the_recursion_limit():
     # Matching the shifted identity walks one augmenting path through
     # every column: past 1000 levels for a recursive search.
