@@ -417,10 +417,11 @@ def _cmd_membership(argv) -> str:
         "combination (LP); for the rest the Euclidean margin of the target's "
         "projection onto the hull's affine span to the nearest hull facet, "
         f"interior when above {INTERIOR_MARGIN:g}, else boundary with distance 0. "
-        "weights: a convex witness over hull vertices; when the projection lies "
-        "inside the facets, a greedy walk mixing at most rank+1 of them, and only "
-        f"otherwise the LP's; terms below {WITNESS_PRUNE_TOL:g} are dropped when "
-        "the rest still rebuilds the target within --tol.",
+        "weights: a convex witness over hull vertices, from a greedy walk mixing "
+        "at most rank+1 of them: to the projection when it lies inside the "
+        "facets, otherwise from the target's saturation into the hull; terms "
+        f"below {WITNESS_PRUNE_TOL:g} are dropped when the rest still rebuilds "
+        "the target within --tol.",
     )
     parser.add_argument("--ham-a", required=True)
     parser.add_argument("--ham-b", required=True)

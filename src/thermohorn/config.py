@@ -2,8 +2,8 @@
 
 These constants encode how the package separates genuine structure from
 floating-point noise; changing them ad hoc would silently change which
-states count as reachable. The membership LP's own tolerances live in
-``geometry``.
+states count as reachable. The membership LP runs at HiGHS's own
+tolerances.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ EIGEN_TIE_TOL = 1e-10
 SPECTRUM_TOL = 1e-8
 
 #: Default max-norm tolerance of hull membership: a target within this of
-#: the hull counts as reached (``hull_membership``, ``realize_interior``,
-#: ``geometry.classify_membership`` and the CLI's ``--tol``).
+#: the hull counts as reached (``hull_membership``, ``realize_interior``
+#: and the CLI's ``--tol``).
 MEMBERSHIP_TOL = 1e-8
 
 #: A Gibbs vector refuses a spectrum whose log-weights span more than this:

@@ -1,12 +1,12 @@
-"""Convex geometry for finite point clouds in the probability simplex.
+"""Membership in the classical hull, and the Qhull vertex reference.
 
-:func:`classify_membership` holds the package's one membership rule over a
-hull object offering ``vertices`` (one generator per row), ``rank`` (of
-their affine span), ``excess(target)`` (the largest Euclidean distance by
-which the target's projection onto that span crosses a facet; negative
-inside) and ``witness(target)`` (convex weights over ``vertices``, at most
-rank+1 nonzero, for a projection inside the facets; or None). The package's
-hull is :class:`~thermohorn.thermal.ClassicalHull`, in closed form.
+:func:`classify_membership` holds the package's one membership rule, over a
+:class:`~thermohorn.thermal.ClassicalHull`: facet margins read off ``F``,
+the hull's projection witness inside the facets, and one min-slack LP
+(:func:`min_slack_combination`) for any other target, which only decides
+whether the target is exterior and prices its distance. A target the LP
+places within ``tol`` takes its witness from ``F`` as the bath search does:
+the walk from the target's saturation into the hull.
 
 :func:`hull_vertex_indices` finds the extreme points of a point cloud with
 Qhull: the reference the closed form is checked against, called by no route
@@ -32,25 +32,6 @@ __all__ = [
 #: may drop a direction for Qhull only if every point lies within this of
 #: the rest.
 FACET_TOL = 1e-12
-
-#: HiGHS's primal and dual feasibility tolerances for the re-solve of a
-#: min-slack LP whose witness missed (its defaults are 1e-7, ten times the
-#: default membership ``tol``).
-TIGHT_LP_TOL = 1e-10
-
-#: HiGHS's feasibility tolerance for the first solve of an LP (None: its own,
-#: 1e-7) and for its one re-solve when the first witness fails its check.
-FEASIBILITY_TOLS = (None, TIGHT_LP_TOL)
-
-
-def highs_options(feasibility_tol: float | None) -> dict:
-    """HiGHS options setting its primal and dual feasibility tolerances (None: its own)."""
-    if feasibility_tol is None:
-        return {}
-    return {
-        "primal_feasibility_tolerance": feasibility_tol,
-        "dual_feasibility_tolerance": feasibility_tol,
-    }
 
 
 def linprog(*args, **kwargs):
@@ -109,14 +90,12 @@ def hull_vertex_indices(points: np.ndarray, tol: float = 1e-10) -> tuple[int, ..
     return tuple(sorted({int(np.argmin(coord)), int(np.argmax(coord))}))
 
 
-def min_slack_combination(
-    target: np.ndarray, generators: np.ndarray, *, feasibility_tol: float | None = None
-) -> tuple[float, np.ndarray]:
-    """Best convex combination of ``generators`` approximating ``target``.
+def min_slack_combination(target: np.ndarray, generators: np.ndarray) -> float:
+    """Max-norm residual of the best convex combination of ``generators`` approximating ``target``.
 
-    Minimizes the max-norm residual ``s`` over weights ``lam >= 0`` with
-    ``sum(lam) = 1``; returns ``(s*, lam*)``. ``feasibility_tol`` sets
-    HiGHS's primal and dual feasibility tolerances (default: HiGHS's own).
+    Minimizes ``s`` over weights ``lam >= 0`` with ``sum(lam) = 1`` and
+    ``|lam @ generators - target| <= s``, by HiGHS at its own tolerances,
+    and returns ``s*``.
     """
     gens = np.asarray(generators, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
@@ -134,13 +113,10 @@ def min_slack_combination(
     a_eq[0, :k] = 1.0
     cost = np.zeros(nvar)
     cost[-1] = 1.0
-    res = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs",
-        options=highs_options(feasibility_tol),
-    )
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"membership LP did not solve cleanly: {res.message}")
-    return float(res.fun), res.x[:k]
+    return float(res.fun)
 
 
 def _rebuild_error(weights: np.ndarray, gens: np.ndarray, tgt: np.ndarray) -> float:
@@ -168,29 +144,29 @@ def _pruned(
 def classify_membership(
     target: np.ndarray, hull, tol: float = MEMBERSHIP_TOL
 ) -> tuple[str, float, np.ndarray | None]:
-    """Classify ``target`` against a hull object (see the module docstring).
+    """Classify ``target`` against a :class:`~thermohorn.thermal.ClassicalHull`.
 
     Returns ``(status, distance, weights)``: status is ``"interior"``
     (relative to the hull's affine span: a segment has an open interior),
     ``"boundary"`` or ``"exterior"``, and ``weights`` a convex witness over
-    ``hull.vertices`` rebuilding the target within ``tol`` (None if exterior).
+    ``hull.vertices``, mixing at most rank+1 of them, that rebuilds the
+    target within ``tol`` (None if exterior).
 
     A target that is not exterior is interior exactly when its projection
     onto the hull's affine span clears every facet by more than
     ``INTERIOR_MARGIN``; ``distance`` is that Euclidean margin, clipped at
     0. When the projection lies inside the facets, the witness is the
-    hull's own, mixing at most rank+1 vertices, and no LP runs. Every other
-    target -- outside a facet, or with a witness that fails its rebuild --
-    solves the min-slack LP over ``hull.vertices`` in their order: above
-    ``tol`` the target is exterior with the max-norm residual as
-    ``distance``, otherwise the LP supplies the witness. If that witness
-    misses the target by more than ``tol``, the LP is solved again with
-    HiGHS's feasibility tolerances at ``TIGHT_LP_TOL`` and the re-solve
-    decides. A re-solve witness that still misses (a target whose distance
-    lies within the solver's noise of ``tol``) makes the target exterior,
-    with that witness's max-norm miss, above ``tol``, as ``distance``. A hull of
-    rank 0 is a point, inside which a target within ``tol`` (max-norm) is
-    interior, with that gap as ``distance``.
+    hull's walk to that projection (:meth:`~ClassicalHull.witness`), and no
+    LP runs. Every other target -- outside a facet, or with a witness that
+    fails its rebuild -- solves one min-slack LP over ``hull.vertices`` in
+    their order: above ``tol`` the target is exterior with the max-norm
+    residual as ``distance``. Otherwise it is a band target, within ``tol``
+    of the hull, and its witness is the walk from its saturation into the
+    hull (:meth:`~ClassicalHull.band_witness`), the step
+    ``thermal._greedy_unitary`` takes; a band witness that rounding leaves
+    more than ``tol`` from the target makes it exterior at that miss. A
+    hull of rank 0 is a point, inside which a target within ``tol``
+    (max-norm) is interior, with that gap as ``distance``.
     """
     gens = hull.vertices
     tgt = np.asarray(target, dtype=np.float64)
@@ -205,16 +181,13 @@ def classify_membership(
     margin = max(0.0, -slack)
     status = "interior" if margin > INTERIOR_MARGIN else "boundary"
     if slack <= FACET_TOL:
-        weights = hull.witness(tgt)
-        if weights is not None:
-            weights, err = _pruned(weights, gens, tgt, tol)
-            if err <= tol:
-                return status, margin, weights
-    for feasibility_tol in FEASIBILITY_TOLS:
-        residual, weights = min_slack_combination(tgt, gens, feasibility_tol=feasibility_tol)
-        if residual > tol:
-            return "exterior", residual, None
-        weights, err = _pruned(weights, gens, tgt, tol)
+        weights, err = _pruned(hull.witness(tgt), gens, tgt, tol)
         if err <= tol:
             return status, margin, weights
+    residual = min_slack_combination(tgt, gens)
+    if residual > tol:
+        return "exterior", residual, None
+    weights, err = _pruned(hull.band_witness(tgt), gens, tgt, tol)
+    if err <= tol:
+        return status, margin, weights
     return "exterior", err, None

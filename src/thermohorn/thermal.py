@@ -19,10 +19,11 @@ block unitaries fills in exactly the convex hull:
   bistochastic matrices, Birkhoff-decompose each block, and keep the product
   form (expanding the product is exponential);
 * *membership / realize*: classification against the hull's facets (an LP
-  only for a target they do not place inside), and a search over growing
-  bath families for a finite-bath realization of a thermomajorized target
-  that builds every bath from ``F`` alone: its exact max-norm distance
-  (:meth:`ClassicalHull.distance`) decides the bath, and one step, the
+  only to decide whether a target they do not place inside is exterior),
+  and a search over growing bath families for a finite-bath realization of
+  a thermomajorized target that builds every bath from ``F`` alone: its
+  exact max-norm distance (:meth:`ClassicalHull.distance`) decides the
+  bath, and one step, the
   ``synthesize`` subcommand's too, mixes the permutations of the greedy
   orders walked to the witness (``_greedy_unitary``), with no listing and no
   scipy. The states are validated once, on entry; the baths' hulls and the
@@ -471,6 +472,20 @@ class ClassicalHull:
     def witness(self, target: np.ndarray) -> np.ndarray:
         """Weights over ``vertices``, at most ``rank + 1`` nonzero, rebuilding the projected target."""
         x = self.origin + self._projector @ (np.asarray(target, dtype=np.float64) - self.origin)
+        return self._vertex_weights(x)
+
+    def band_witness(self, target: np.ndarray) -> np.ndarray:
+        """Weights over ``vertices``, at most ``rank + 1`` nonzero, for a target near the hull.
+
+        The walk from the target's saturation into the hull
+        (:meth:`_saturate`), the step :func:`_greedy_unitary` takes: it
+        mixes to within ``distance(target)`` of the target, up to rounding.
+        """
+        target = np.asarray(target, dtype=np.float64)
+        return self._vertex_weights(self._saturate(target, self.distance(target)))
+
+    def _vertex_weights(self, x: np.ndarray) -> np.ndarray:
+        """The walk to ``x``, its terms summed per vertex they land on."""
         weights = np.zeros(len(self.vertices))
         for weight, order, _ in self._walk(x):
             weights[self._greedy.vertex_of[order]] += weight
@@ -890,12 +905,15 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) ->
 
     Decided by :func:`~thermohorn.geometry.classify_membership` on the set's
     hull: interior/boundary from the facet margin (relative to the hull's
-    affine span), the greedy walk as witness inside the facets, and one
-    min-slack LP for every other target, whose max-norm residual is the
-    ``distance`` of an exterior one. Witness terms below
-    ``WITNESS_PRUNE_TOL`` go when the rest still rebuilds the target.
-    :func:`realize_interior` and ``synthesize`` do not come here: they decide
-    a bath from ``F`` and walk to its witness (:func:`_greedy_unitary`).
+    affine span), and a greedy walk as witness. Inside the facets the walk
+    goes to the target's projection and no LP runs. Every other target
+    solves one min-slack LP, whose max-norm residual above ``tol`` is the
+    ``distance`` of an exterior one; a target within ``tol`` walks from its
+    saturation into the hull, as :func:`_greedy_unitary` does, and is
+    exterior at that witness's miss if rounding leaves it more than ``tol``
+    away. Witness terms below ``WITNESS_PRUNE_TOL`` go when the rest still
+    rebuilds the target. :func:`realize_interior` and ``synthesize`` do not
+    come here: they decide a bath from ``F`` alone.
     """
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
@@ -941,9 +959,10 @@ class _BathLadder:
     The baths grow from the trivial one-dimensional bath. Each is built on
     integer labels over the system's denominators and keeps them (the keys
     ``build_setup`` groups on), so neither its blocks nor its Gibbs vector
-    form a ``Fraction`` per level. Each copies bath is the previous one
-    times one more copy of the system: its labels are the previous bath's
-    joined with the system's (:func:`~thermohorn.energy._joint_labels`).
+    form a ``Fraction`` per level; that Gibbs vector is the one the
+    ``Fraction`` labels give, to the bit. Each copies bath is the previous
+    one times one more copy of the system: its labels are the previous
+    bath's joined with the system's (:func:`~thermohorn.energy._joint_labels`).
     Each oscillator bath is the previous one plus one level, spaced by the
     gcd of the system's integer quanta differences.
 
@@ -1136,10 +1155,11 @@ def realize_interior(
     proves nothing about larger baths.
 
     ``p`` and ``p_prime`` are validated once, on entry, with their sizes;
-    the pre-check, every bath's hull and the witness read the validated
-    arrays. The setup returned is the caller's own: it holds the caller's
-    ``ham_a`` and shares the ladder's blocks, not what the ladder's setup
-    caches (its hull frame included).
+    the pre-check, every bath's hull, the witness and the unitary read the
+    validated arrays, so a search makes two ``probability_vector`` calls
+    however many baths it walks. The setup returned is the caller's own: it
+    holds the caller's ``ham_a`` and shares the ladder's blocks, not what
+    the ladder's setup caches (its hull frame included).
     """
     p = probability_vector(p)
     p_prime = probability_vector(p_prime)

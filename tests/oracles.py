@@ -11,12 +11,15 @@ energy-preserving permutation, and the gadget unitaries, built from index
 images, against dense sums of Kronecker products. The closed-form
 classical hull is checked against :class:`Polytope`, the hull of its
 vertices as Qhull's facet equations with a Delaunay witness, and
-membership verdicts against a positivity-margin LP; its ``F`` reads
+membership verdicts against a positivity-margin LP and against
+:func:`classify_membership_reference`, the rule for a hull with no ``F``:
+a min-slack LP whose weights are the witness, re-solved at tight solver
+tolerances when that witness misses. Its ``F`` reads
 through cached frames and level sets against :class:`PerCallHull`, which
 builds every table for the one hull, and its span, read off the atoms of
 ``F``'s separators, against that class's SVD of their indicators. The bath search is
-checked against a walk that asks ``hull_membership`` about every bath's
-greedy sum, pruned to its Qhull vertices after every block; the iterative
+checked against a walk that asks that rule about every bath's greedy
+sum, pruned to its Qhull vertices after every block; the iterative
 and vectorized internals against the plain recursive and looped forms they
 replace, and the Birkhoff chain's repaired matching against a chain that
 recomputes its support at every step. ``build_setup``'s integer keys are
@@ -54,7 +57,7 @@ from thermohorn import (
     cyclic_shift,
     energy_preservation_defect,
     enumerate_classical,
-    hull_membership,
+    probability_vector,
 )
 from thermohorn.config import (
     BIRKHOFF_ZERO_TOL,
@@ -62,6 +65,8 @@ from thermohorn.config import (
     BISTOCHASTIC_SUM_TOL,
     DECOMPOSITION_TOL,
     DEDUP_TOL,
+    INTERIOR_MARGIN,
+    MEMBERSHIP_TOL,
     PROBABILITY_SUM_TOL_PER_ENTRY,
     PROBABILITY_TOL,
     SEPARATOR_TOL,
@@ -69,7 +74,7 @@ from thermohorn.config import (
 )
 from thermohorn.energy import _multiset_permutations
 from thermohorn.linalg import require_unitary
-from thermohorn.geometry import FACET_TOL, _affine_frame, hull_vertex_indices
+from thermohorn.geometry import FACET_TOL, _affine_frame, _pruned, hull_vertex_indices
 from thermohorn.thermal import ReachableSet, _BathLadder, _first_distinct, _marginal_outputs
 
 
@@ -164,8 +169,8 @@ class Polytope:
     None when the span is a single point. A flat span that Qhull refuses
     loses its weakest direction (see :func:`_hull_frame`), so ``rank`` is
     the dimension the facets live in. It offers what
-    ``geometry.classify_membership`` reads: ``excess`` from the facets and,
-    as ``witness``, the Delaunay simplex holding the target.
+    :func:`classify_membership_reference` reads: ``excess`` from the facets
+    and, as ``witness``, the Delaunay simplex holding the target.
 
     :meth:`separation` bounds a target's distance to the hull from below
     with no LP. Such a bound needs the room the vertices themselves take
@@ -252,6 +257,85 @@ class Polytope:
             return None
         weights[tri.simplices[best]] = np.clip(bary[best], 0.0, None)
         return weights / weights.sum()
+
+
+#: HiGHS's primal and dual feasibility tolerances for the re-solve of a
+#: min-slack LP whose witness missed (its defaults are 1e-7, ten times the
+#: default membership ``tol``).
+TIGHT_LP_TOL = 1e-10
+
+
+def min_slack_lp(target, generators, feasibility_tol=None):
+    """``(s*, lam*)``: the best convex combination of ``generators`` approximating ``target``.
+
+    Minimizes the max-norm residual ``s`` over weights ``lam >= 0`` with
+    ``sum(lam) = 1``. ``feasibility_tol`` sets HiGHS's primal and dual
+    feasibility tolerances (None: HiGHS's own, 1e-7).
+    """
+    gens = np.asarray(generators, dtype=np.float64)
+    tgt = np.asarray(target, dtype=np.float64)
+    k, d = gens.shape
+    nvar = k + 1
+    a_ub = np.zeros((2 * d, nvar))
+    a_ub[:d, :k] = gens.T
+    a_ub[d:, :k] = -gens.T
+    a_ub[:, -1] = -1.0
+    a_eq = np.zeros((1, nvar))
+    a_eq[0, :k] = 1.0
+    cost = np.zeros(nvar)
+    cost[-1] = 1.0
+    options = {}
+    if feasibility_tol is not None:
+        options = {"primal_feasibility_tolerance": feasibility_tol,
+                   "dual_feasibility_tolerance": feasibility_tol}
+    res = linprog(
+        cost, A_ub=a_ub, b_ub=np.concatenate([tgt, -tgt]), A_eq=a_eq, b_eq=[1.0],
+        bounds=(0, None), method="highs", options=options,
+    )
+    if not res.success:
+        raise RuntimeError(f"membership LP did not solve cleanly: {res.message}")
+    return float(res.fun), res.x[:k]
+
+
+def classify_membership_reference(target, hull, tol=MEMBERSHIP_TOL):
+    """The membership rule over any hull object with no ``F``, such as :class:`Polytope`.
+
+    The hull offers ``vertices``, ``rank``, ``excess`` and ``witness`` (a
+    projection witness, or None); the return is
+    ``geometry.classify_membership``'s. Inside the facets the hull's
+    witness decides with no LP, as there. Every other target solves the
+    min-slack LP, whose residual above ``tol`` makes it exterior and whose
+    weights are otherwise the witness. A witness that misses by more than
+    ``tol`` is solved for again at ``TIGHT_LP_TOL``, and a re-solve witness
+    that still misses (a target within the solver's noise of ``tol``)
+    makes the target exterior at that miss.
+    """
+    gens = hull.vertices
+    tgt = np.asarray(target, dtype=np.float64)
+    if hull.rank == 0:
+        gap = float(np.max(np.abs(gens[0] - tgt)))
+        if gap > tol:
+            return "exterior", gap, None
+        weights = np.zeros(gens.shape[0])
+        weights[0] = 1.0
+        return "interior", gap, weights
+    slack = hull.excess(tgt)
+    margin = max(0.0, -slack)
+    status = "interior" if margin > INTERIOR_MARGIN else "boundary"
+    if slack <= FACET_TOL:
+        weights = hull.witness(tgt)
+        if weights is not None:
+            weights, err = _pruned(weights, gens, tgt, tol)
+            if err <= tol:
+                return status, margin, weights
+    for feasibility_tol in (None, TIGHT_LP_TOL):
+        residual, weights = min_slack_lp(tgt, gens, feasibility_tol)
+        if residual > tol:
+            return "exterior", residual, None
+        weights, err = _pruned(weights, gens, tgt, tol)
+        if err <= tol:
+            return status, margin, weights
+    return "exterior", err, None
 
 
 def greedy_block_targets(block, v, dim_b):
@@ -411,13 +495,15 @@ class PerCallHull:
 def realize_reference(p, ham_a, p_prime, bath_family, budget, tol=1e-8):
     """The first bath of the family whose greedy hull holds the target, or None.
 
-    Asks ``hull_membership`` about every bath's Qhull-pruned greedy sum,
-    with no shortcut. The baths come from a fresh ladder, not the cached one.
+    Asks :func:`classify_membership_reference` about every bath's
+    Qhull-pruned greedy sum, with no shortcut. The baths come from a fresh
+    ladder, not the cached one.
     """
+    target = probability_vector(p_prime)
     for ladder_setup in _BathLadder(ham_a, bath_family).upto(budget):
         ham_b = ladder_setup.ham_b
         rset = greedy_reachable_set(p, build_setup(ham_a, ham_b))
-        if hull_membership(p_prime, rset, tol).classification != "exterior":
+        if classify_membership_reference(target, rset.polytope, tol)[0] != "exterior":
             return ham_b
     return None
 

@@ -1,8 +1,11 @@
-"""The membership rule and the Qhull reference, on generic point clouds.
+"""The min-slack LP, the Qhull reference and the generic membership rule, on point clouds.
 
-``classify_membership`` reads any hull object; here it reads the oracle
-:class:`Polytope` (Qhull facets, Delaunay witness), so the rule is checked
-apart from the closed-form classical hull that the package builds.
+The package decides membership on its closed-form classical hull, which
+reads ``F``. The oracle :class:`Polytope` (Qhull facets, Delaunay witness)
+has no ``F``; the tests that place targets against it use
+:func:`classify_membership_reference`, whose witness off the facets comes
+from the LP, re-solved at ``TIGHT_LP_TOL`` when it misses. The tests here
+check that reference, since the classical hull's tests lean on it.
 """
 
 import itertools
@@ -13,16 +16,20 @@ import pytest
 import scipy.spatial
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import Polytope, positivity_margin
+import oracles
+from oracles import (
+    TIGHT_LP_TOL,
+    Polytope,
+    classify_membership_reference,
+    min_slack_lp,
+    positivity_margin,
+)
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from thermohorn import geometry
 from thermohorn.geometry import (
     INTERIOR_MARGIN,
-    TIGHT_LP_TOL,
     affine_rank,
-    classify_membership,
     hull_vertex_indices,
     min_slack_combination,
 )
@@ -55,22 +62,26 @@ def test_hull_vertices_single_point():
 
 
 def test_min_slack_combination_exact_for_member():
+    # The package's LP returns its residual alone; the oracle's, the same
+    # LP, also its weights.
     gens = np.array([[1.0, 0.0], [0.0, 1.0]])
-    slack, weights = min_slack_combination(np.array([0.3, 0.7]), gens)
+    assert min_slack_combination(np.array([0.3, 0.7]), gens) < 1e-10
+    assert abs(min_slack_combination(np.array([0.3, 0.8]), gens) - 0.05) < 1e-10
+    slack, weights = min_slack_lp(np.array([0.3, 0.7]), gens)
     assert slack < 1e-10
     assert np.abs(weights - np.array([0.3, 0.7])).max() < 1e-8
 
 
 def _classify_counting_lps(target, hull):
-    """``classify_membership`` at ``TOL``, and the number of LPs it solved."""
-    with mock.patch.object(geometry, "linprog", wraps=linprog) as lp:
-        found = classify_membership(target, hull, TOL)
+    """``classify_membership_reference`` at ``TOL``, and the number of LPs it solved."""
+    with mock.patch.object(oracles, "linprog", wraps=linprog) as lp:
+        found = classify_membership_reference(target, hull, TOL)
     return found, lp.call_count
 
 
 def _classify(target, gens, tol=1e-8):
-    """``classify_membership`` against the oracle polytope of ``gens``."""
-    return classify_membership(target, Polytope(gens), tol)
+    """``classify_membership_reference`` against the oracle polytope of ``gens``."""
+    return classify_membership_reference(target, Polytope(gens), tol)
 
 
 def test_classify_membership_triangle():
@@ -124,7 +135,7 @@ def test_near_vertex_point_is_not_promoted_to_interior():
 
 def _lp_verdict(target, gens, tol=TOL, feasibility_tol=None):
     """Reference (classification, margin): the min-slack LP, then the positivity LP."""
-    slack, _ = min_slack_combination(target, gens, feasibility_tol=feasibility_tol)
+    slack, _ = min_slack_lp(target, gens, feasibility_tol)
     if slack > tol:
         return "exterior", slack
     found = positivity_margin(target, gens, max(1.01 * slack, 1e-12))
@@ -170,7 +181,7 @@ def _check_against_lp(poly, target, expected, on_span):
             # The re-solve's witness missed: a target within the solver's
             # noise of TOL, which the oracle's own tight witness misses too.
             assert calls == 2 and distance > TOL
-            _, oracle_weights = min_slack_combination(on_span, gens, feasibility_tol=TIGHT_LP_TOL)
+            _, oracle_weights = min_slack_lp(on_span, gens, TIGHT_LP_TOL)
             assert np.abs(oracle_weights @ gens - target).max() > TOL
         else:
             assert status == ("exterior" if lp_status == "exterior" else "boundary")
@@ -259,7 +270,7 @@ def test_hull_qhull_refusal_drops_only_a_flat_direction():
         ([0.5, 0.1], "exterior"),
     ):
         target = np.array(target)
-        status, _, weights = classify_membership(target, poly, TOL)
+        status, _, weights = classify_membership_reference(target, poly, TOL)
         assert status == verdict == _lp_verdict(target, gens)[0]
         if weights is not None:
             assert np.abs(weights @ gens - target).max() <= TOL
@@ -368,5 +379,5 @@ def test_separation_is_a_lower_bound_that_certifies_exterior(kind, dim, rank, ex
         assert 0.0 <= bound <= distance + 1e-13
         if bound > reach:
             certified += 1
-            assert classify_membership(target, poly, TOL)[0] == "exterior"
+            assert classify_membership_reference(target, poly, TOL)[0] == "exterior"
     assert certified > 0

@@ -41,7 +41,7 @@ from thermohorn import (
     weight_hamiltonian,
     zero_hamiltonian,
 )
-from thermohorn import energy, linalg, majorization, thermal
+from thermohorn import energy, geometry, linalg, majorization, thermal
 from thermohorn.config import (
     BIRKHOFF_ZERO_TOL,
     BLOCK_LEAK_TOL,
@@ -57,26 +57,23 @@ from thermohorn.energy import (
     _level_sets,
     _multiset_permutations,
 )
-from thermohorn.geometry import (
-    TIGHT_LP_TOL,
-    classify_membership,
-    hull_vertex_indices,
-    linprog,
-    min_slack_combination,
-)
+from thermohorn.geometry import classify_membership, hull_vertex_indices, linprog
 from thermohorn.thermal import ClassicalHull, _BathLadder
 
 from oracles import (
+    TIGHT_LP_TOL,
     PerCallHull,
     Polytope,
     bit_equal,
     block_class_targets,
     block_data_reference,
+    classify_membership_reference,
     conditional_shift,
     decompose_reference,
     dominance_curve,
     expand_product,
     greedy_mixture_reference,
+    min_slack_lp,
     mixed_joint_reference,
     reachable_listing,
     realize_reference,
@@ -228,7 +225,7 @@ def test_classical_hull_margins_match_the_qhull_oracle(case, seed):
     assert hull.rank == oracle.rank
     for target in _hull_targets(hull.vertices, np.random.default_rng(seed)):
         status, margin, weights = classify_membership(target, hull)
-        expected, oracle_margin, _ = classify_membership(target, oracle)
+        expected, oracle_margin, _ = classify_membership_reference(target, oracle)
         assert status == expected != "exterior"
         assert abs(margin - oracle_margin) <= 1e-12
         assert np.abs(weights @ hull.vertices - target).max() <= 1e-8
@@ -377,7 +374,7 @@ def test_classical_hull_distance_is_the_lp_residual_and_decides_exterior(case, s
         targets.append(hull.vertices[np.argmax(hull.vertices @ normal)] + 1e-6 * normal)
     for target in targets:
         distance = hull.distance(target)
-        residual, weights = min_slack_combination(target, hull.vertices, feasibility_tol=TIGHT_LP_TOL)
+        residual, weights = min_slack_lp(target, hull.vertices, TIGHT_LP_TOL)
         weights = weights.clip(0.0) / weights.clip(0.0).sum()
         achieved = np.abs(weights @ hull.vertices - target).max()
         assert residual - 1e-12 <= distance <= achieved + 1e-12
@@ -1144,6 +1141,44 @@ def test_band_targets_saturate_into_the_hull_and_realize_within_tol(case, seed):
         found, u, _ = realize_interior(p, ham_a, q, "copies", ham_a.dim, tol=tol)
         achieved = (np.abs(u) ** 2 @ found.joint_input(p)).reshape(found.dim_a, -1).sum(axis=1)
         assert np.abs(achieved - q).max() <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_hull_cases, seed=st.integers(0, 2**32 - 1))
+def test_band_targets_are_members_by_one_lp_and_the_walk_witness(case, seed):
+    # Targets outside the hull but within tol of it, and others pushed up
+    # to 3 tol out. One whose projection onto the span crosses a facet
+    # solves one min-slack LP, which only rules out exterior: at HiGHS's own
+    # tolerances it often reads 0 for a target 1-3 tol out. A target the LP
+    # passes takes F's walk from its saturation as witness, and is exterior
+    # at that witness's miss if it misses, else boundary at distance 0. A
+    # target moved off the span whose projection the facets hold keeps the
+    # projection's witness, and a hull of rank 0 decides by its gap, both
+    # with no LP. The verdict is F's: exterior exactly when the distance
+    # exceeds tol. Every witness mixes at most rank+1 listed vertices and
+    # rebuilds the target within tol.
+    setup, p = case
+    rset = classical_reachable_set(p, setup)
+    hull = rset.polytope
+    rng = np.random.default_rng(seed)
+    tol = 1e-8
+    for q, _ in [*_band_targets(hull, rng, tol), *_band_targets(hull, rng, 3 * tol)]:
+        with mock.patch.object(geometry, "min_slack_combination",
+                               side_effect=geometry.min_slack_combination) as lp:
+            found = hull_membership(q, rset, tol)
+        assert (found.classification == "exterior") == (hull.distance(q) > tol)
+        assert lp.call_count <= 1
+        if found.classification == "exterior":
+            assert found.distance > tol and found.combination is None
+            continue
+        if hull.rank > 0 and hull.excess(q) > geometry.FACET_TOL:
+            assert lp.call_count == 1
+            assert found.classification == "boundary" and found.distance == 0.0
+        weights = np.array(found.combination.weights)
+        assert weights.min() > 0.0 and abs(weights.sum() - 1.0) < 1e-12
+        assert len(weights) <= hull.rank + 1
+        assert set(found.vertex_indices) <= set(rset.hull_vertex_indices)
+        assert np.abs(weights @ rset.points[list(found.vertex_indices)] - q).max() <= tol
 
 
 @settings(max_examples=80, deadline=None)
