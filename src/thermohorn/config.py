@@ -146,6 +146,11 @@ SEPARATOR_TOL = 1e-12
 #: Margin below which an inside point counts as boundary.
 INTERIOR_MARGIN = 1e-9
 
+#: A target's projection onto the hull's affine span is inside the facets
+#: when it lies within this of the inner side of every facet. The tests'
+#: Qhull reference drops a flat span direction only within this, too.
+FACET_TOL = 1e-12
+
 #: Witness weights below this are dropped when the renormalized witness
 #: still rebuilds the target within the caller's tolerance.
 WITNESS_PRUNE_TOL = 1e-9

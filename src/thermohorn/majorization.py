@@ -53,13 +53,11 @@ from .config import (
     UNITARITY_TOL,
 )
 from .errors import PreconditionError
-from .geometry import linprog  # noqa: F401  (unused; perfbench's tracer wraps majorization.linprog)
 from .linalg import (
     ComplexMatrix,
     ProbabilityVector,
     RealMatrix,
     first_non_permutation,
-    permutation_matrix,
     _prechecked,
     probability_vector,
 )
@@ -76,6 +74,18 @@ __all__ = [
 ]
 
 StochasticMatrix = RealMatrix
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    The solver of the package's one LP, the exterior test of
+    :func:`~thermohorn.thermal.hull_membership`; perfbench's tracer looks
+    it up here.
+    """
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def stochastic_matrix(
@@ -873,12 +883,3 @@ def _givens_core(x: list[float], target: list[float]) -> list[list[float]]:
         x[j] += delta
     return core
 
-
-def random_bistochastic(n: int, rng: np.random.Generator, terms: int | None = None) -> RealMatrix:
-    """Seeded random bistochastic matrix as a convex mix of random permutations."""
-    k = terms if terms is not None else max(2, n)
-    weights = rng.dirichlet(np.ones(k))
-    out = np.zeros((n, n))
-    for w in weights:
-        out += w * permutation_matrix(rng.permutation(n)).real
-    return out

@@ -18,23 +18,23 @@ block unitaries fills in exactly the convex hull:
 * *decompose*: conversely, read any energy-preserving unitary as per-block
   bistochastic matrices, Birkhoff-decompose each block, and keep the product
   form (expanding the product is exponential);
-* *membership / realize*: classification against the hull's facets (an LP
-  only to decide whether a target they do not place inside is exterior),
-  and a search over growing bath families for a finite-bath realization of
-  a thermomajorized target that builds every bath from ``F`` alone: its
-  exact max-norm distance (:meth:`ClassicalHull.distance`) decides the
-  bath, and one step, the
-  ``synthesize`` subcommand's too, mixes the permutations of the greedy
-  orders walked to the witness (``_greedy_unitary``), with no listing and no
-  scipy. The states are validated once, on entry; the baths' hulls and the
-  witness read the validated arrays. Each family's baths are built once per
-  system and kept for later searches, each with the frame its hulls read,
-  and with its hull for the last ``p`` searched; a search decides the baths
-  held for its ``p`` in one pass over their stacked ``F`` tables, and a
-  bath's hull keeps the block data of its rotations, and the input placed
-  by each order of its latest walk, once a search accepts the bath. The
-  system Hamiltonian keeps the last ``p``'s thermo-Lorenz curve for the
-  pre-check.
+* *membership / realize*: :func:`hull_membership`, the package's one
+  membership rule, classifies against the hull's facets (an LP only to
+  decide whether a target they do not place inside is exterior), and a
+  search over growing bath families for a finite-bath realization of a
+  thermomajorized target builds every bath from ``F`` alone: its exact
+  max-norm distance (:meth:`ClassicalHull.distance`) decides the bath, and
+  one step, the ``synthesize`` subcommand's too, mixes the permutations of
+  the greedy orders walked to the witness (``_greedy_unitary``), with no
+  listing and no scipy. The states are validated once, on entry; the
+  baths' hulls and the witness read the validated arrays. Each family's
+  baths are built once per system and kept for later searches, each with
+  the frame its hulls read, and with its hull for the last ``p`` searched;
+  a search decides the baths held for its ``p`` in one pass over their
+  stacked ``F`` tables, and a bath's hull keeps the block data of its
+  rotations, and the input placed by each order of its latest walk, once a
+  search accepts the bath. The system Hamiltonian keeps the last ``p``'s
+  thermo-Lorenz curve for the pre-check.
 """
 
 from __future__ import annotations
@@ -57,13 +57,16 @@ from .config import (
     DEDUP_TOL,
     EMPTY_BLOCK_MASS,
     ENUMERATION_CAP,
+    FACET_TOL,
     HULL_LEVEL_CAP,
+    INTERIOR_MARGIN,
     MEMBERSHIP_TOL,
     MIXTURE_NORM_TOL,
     MIXTURE_WEIGHT_FLOOR,
     SEPARATOR_TOL,
     VANISHING_NORMAL_TOL,
     WALK_DIRECTION_TOL,
+    WITNESS_PRUNE_TOL,
 )
 from .energy import (
     EnergyLabel,
@@ -77,7 +80,6 @@ from .energy import (
     build_setup,
 )
 from .errors import PreconditionError
-from .geometry import classify_membership
 from .linalg import (
     ComplexMatrix,
     ProbabilityVector,
@@ -95,8 +97,9 @@ from .majorization import (
     _pair_order,
     _schur_horn_stacks,
     _term_entries,
+    linprog,
 )
-from .noisy import NoisyRealization, haar_unitary
+from .noisy import NoisyRealization
 
 __all__ = [
     "ConvexCombination",
@@ -112,7 +115,6 @@ __all__ = [
     "thermal_decoherence_gadget",
     "hull_membership",
     "realize_interior",
-    "random_block_unitary",
     "energy_preservation_defect",
 ]
 
@@ -900,20 +902,77 @@ class MembershipResult:
     vertex_indices: tuple[int, ...]  # indices into the reachable set's points
 
 
-def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) -> MembershipResult:
-    """Membership of a state in the hull of the classical reachable set.
+def _min_slack_combination(target: np.ndarray, generators: np.ndarray) -> float:
+    """Max-norm residual of the best convex combination of ``generators`` approximating ``target``.
 
-    Decided by :func:`~thermohorn.geometry.classify_membership` on the set's
-    hull: interior/boundary from the facet margin (relative to the hull's
-    affine span), and a greedy walk as witness. Inside the facets the walk
-    goes to the target's projection and no LP runs. Every other target
-    solves one min-slack LP, whose max-norm residual above ``tol`` is the
-    ``distance`` of an exterior one; a target within ``tol`` walks from its
-    saturation into the hull, as :func:`_greedy_unitary` does, and is
-    exterior at that witness's miss if rounding leaves it more than ``tol``
-    away. Witness terms below ``WITNESS_PRUNE_TOL`` go when the rest still
-    rebuilds the target. :func:`realize_interior` and ``synthesize`` do not
-    come here: they decide a bath from ``F`` alone.
+    Minimizes ``s`` over weights ``lam >= 0`` with ``sum(lam) = 1`` and
+    ``|lam @ generators - target| <= s``, by HiGHS at its own tolerances,
+    and returns ``s*``.
+    """
+    k, d = generators.shape
+    nvar = k + 1
+    a_ub = np.zeros((2 * d, nvar))
+    b_ub = np.zeros(2 * d)
+    a_ub[:d, :k] = generators.T
+    a_ub[:d, -1] = -1.0
+    b_ub[:d] = target
+    a_ub[d:, :k] = -generators.T
+    a_ub[d:, -1] = -1.0
+    b_ub[d:] = -target
+    a_eq = np.zeros((1, nvar))
+    a_eq[0, :k] = 1.0
+    cost = np.zeros(nvar)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"membership LP did not solve cleanly: {res.message}")
+    return float(res.fun)
+
+
+def _rebuild_error(weights: np.ndarray, gens: np.ndarray, tgt: np.ndarray) -> float:
+    return float(np.max(np.abs(weights @ gens - tgt)))
+
+
+def _pruned(
+    weights: np.ndarray, gens: np.ndarray, tgt: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """Witness without its terms below ``WITNESS_PRUNE_TOL``, and its rebuild error.
+
+    The terms are dropped only if the renormalized rest still rebuilds
+    ``tgt`` within ``tol``; otherwise every positive term is kept.
+    """
+    weights = np.clip(weights, 0.0, None)
+    kept = np.where(weights >= WITNESS_PRUNE_TOL, weights, 0.0)
+    kept /= kept.sum()
+    err = _rebuild_error(kept, gens, tgt)
+    if err <= tol:
+        return kept, err
+    weights = weights / weights.sum()
+    return weights, _rebuild_error(weights, gens, tgt)
+
+
+def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) -> MembershipResult:
+    """Membership of a state in the hull of the classical reachable set, with a witness.
+
+    The package's one membership rule, on the set's closed-form hull
+    ``rset.polytope``. A hull of rank 0 is a point: a target within ``tol``
+    of it (max-norm) is interior, with that gap as ``distance``. Otherwise a
+    target that is not exterior is interior exactly when its projection onto
+    the hull's affine span (a segment has an open interior) clears every
+    facet by more than ``INTERIOR_MARGIN``, else boundary; ``distance`` is
+    that Euclidean margin, clipped at 0. A projection within ``FACET_TOL`` of
+    the facets takes the hull's walk to it as witness
+    (:meth:`ClassicalHull.witness`), and no LP runs. Every other target --
+    outside a facet, or with a witness that misses -- solves one min-slack
+    LP over the hull's vertices, which only decides exterior: a max-norm
+    residual above ``tol`` is an exterior target's ``distance``. A target
+    within ``tol`` walks from its saturation into the hull, as
+    :func:`_greedy_unitary` does (:meth:`ClassicalHull.band_witness`), and
+    is exterior at that witness's miss if rounding leaves it more than
+    ``tol`` away. A witness mixes at most rank+1 hull vertices; its terms
+    below ``WITNESS_PRUNE_TOL`` go when the rest still rebuilds the target
+    within ``tol``. :func:`realize_interior` and ``synthesize`` do not come
+    here: they decide a bath from ``F`` alone.
     """
     if not tol > 0:
         raise PreconditionError("bad-tolerance", f"need tol > 0, got {tol}")
@@ -923,10 +982,29 @@ def hull_membership(p_prime, rset: ReachableSet, tol: float = MEMBERSHIP_TOL) ->
             "dimension-mismatch",
             f"target dim {p_prime.size} does not match system dim {rset.setup.dim_a}",
         )
-    verts = rset.hull_vertex_indices
-    status, dist, weights = classify_membership(p_prime, rset.polytope, tol)
+    hull = rset.polytope
+    gens = hull.vertices
+    weights = None
+    if hull.rank == 0:
+        status, dist = "interior", float(np.max(np.abs(gens[0] - p_prime)))
+        if dist <= tol:
+            weights = np.zeros(gens.shape[0])
+            weights[0] = 1.0
+    else:
+        slack = hull.excess(p_prime)
+        dist = max(0.0, -slack)
+        status = "interior" if dist > INTERIOR_MARGIN else "boundary"
+        if slack <= FACET_TOL:
+            weights, err = _pruned(hull.witness(p_prime), gens, p_prime, tol)
+        if weights is None or err > tol:
+            err = _min_slack_combination(p_prime, gens)
+            if err <= tol:
+                weights, err = _pruned(hull.band_witness(p_prime), gens, p_prime, tol)
+            if err > tol:  # the LP's residual, or the band witness's miss
+                weights, dist = None, err
     if weights is None:
-        return MembershipResult(status, dist, None, ())
+        return MembershipResult("exterior", dist, None, ())
+    verts = rset.hull_vertex_indices
     keep = [k for k, w in enumerate(weights) if w > 0]
     comb = ConvexCombination(
         tuple(float(weights[k]) for k in keep),
@@ -1210,11 +1288,3 @@ def _greedy_unitary(
         mixed += weight * placed[order]
     return miss, _rotate_blocks(hull._blocks, mixed, hull.setup)
 
-
-def random_block_unitary(setup: ThermalSetup, rng: np.random.Generator) -> ComplexMatrix:
-    """Haar-random unitary on each energy block (energy-preserving by construction)."""
-    u = np.zeros((setup.dim_joint, setup.dim_joint), dtype=np.complex128)
-    for block in setup.blocks:
-        idx = np.asarray(block)
-        u[np.ix_(idx, idx)] = haar_unitary(len(block), rng)
-    return u

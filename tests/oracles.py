@@ -10,7 +10,8 @@ as a Minkowski sum, is checked against the marginals of every
 energy-preserving permutation, and the gadget unitaries, built from index
 images, against dense sums of Kronecker products. The closed-form
 classical hull is checked against :class:`Polytope`, the hull of its
-vertices as Qhull's facet equations with a Delaunay witness, and
+vertices as Qhull's facet equations with a Delaunay witness, its vertices
+against :func:`hull_vertex_indices`, Qhull's extreme points of the listing, and
 membership verdicts against a positivity-margin LP and against
 :func:`classify_membership_reference`, the rule for a hull with no ``F``:
 a min-slack LP whose weights are the witness, re-solved at tight solver
@@ -35,7 +36,8 @@ term-by-term sum and against its expansion into joint permutations, which
 lives here only. The greedy step's mixture, summed over the inputs a hull
 keeps placed by each order, is checked against scattering the joint input
 by each order's permutation and adding it in. ``probability_vector`` is checked against its body as first
-written, through numpy's function wrappers.
+written, through numpy's function wrappers. The seeded random bistochastic
+matrices and block unitaries the tests feed in are drawn here too.
 """
 
 import itertools
@@ -65,6 +67,7 @@ from thermohorn.config import (
     BISTOCHASTIC_SUM_TOL,
     DECOMPOSITION_TOL,
     DEDUP_TOL,
+    FACET_TOL,
     INTERIOR_MARGIN,
     MEMBERSHIP_TOL,
     PROBABILITY_SUM_TOL_PER_ENTRY,
@@ -73,9 +76,9 @@ from thermohorn.config import (
     WALK_DIRECTION_TOL,
 )
 from thermohorn.energy import _multiset_permutations
-from thermohorn.linalg import require_unitary
-from thermohorn.geometry import FACET_TOL, _affine_frame, _pruned, hull_vertex_indices
-from thermohorn.thermal import ReachableSet, _BathLadder, _first_distinct, _marginal_outputs
+from thermohorn.linalg import permutation_matrix, require_unitary
+from thermohorn.noisy import haar_unitary
+from thermohorn.thermal import ReachableSet, _BathLadder, _first_distinct, _marginal_outputs, _pruned
 
 
 def dominance_curve(p, gamma):
@@ -140,6 +143,26 @@ def thermomajorization_residual(p, q, gamma):
     return float(res.fun)
 
 
+def _affine_frame(points, tol):
+    """Points centred on the first one, and an orthonormal basis of their span.
+
+    The basis rows are the right singular vectors whose singular values
+    exceed ``tol`` times the largest one (times 1 if the largest is smaller).
+    """
+    centered = points - points[0]
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    scale = max(1.0, float(svals[0]) if svals.size else 0.0)
+    return centered, vt[: int(np.sum(svals > tol * scale))]
+
+
+def affine_rank(points, tol=1e-10):
+    """Dimension of the affine span of a point cloud (rows are points)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[0] <= 1:
+        return 0
+    return _affine_frame(pts, tol)[1].shape[0]
+
+
 def _hull_frame(points, tol):
     """Centred points, a basis of their span, and Qhull's hull of their projection.
 
@@ -159,6 +182,24 @@ def _hull_frame(points, tol):
                 raise
             basis = reduced
     return centered, basis, None
+
+
+def hull_vertex_indices(points, tol=1e-10):
+    """Ascending indices of the extreme points of a (deduplicated) point cloud, by Qhull.
+
+    Qhull runs in the cloud's affine span (:func:`_hull_frame`); rank 0 and
+    1 clouds give their first point and their two extremes.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[0] == 1:
+        return (0,)
+    centered, basis, hull = _hull_frame(pts, tol)
+    if hull is not None:
+        return tuple(sorted(int(v) for v in hull.vertices))
+    if basis.shape[0] == 0:
+        return (0,)
+    coord = centered @ basis[0]
+    return tuple(sorted({int(np.argmin(coord)), int(np.argmax(coord))}))
 
 
 class Polytope:
@@ -301,11 +342,12 @@ def classify_membership_reference(target, hull, tol=MEMBERSHIP_TOL):
     """The membership rule over any hull object with no ``F``, such as :class:`Polytope`.
 
     The hull offers ``vertices``, ``rank``, ``excess`` and ``witness`` (a
-    projection witness, or None); the return is
-    ``geometry.classify_membership``'s. Inside the facets the hull's
-    witness decides with no LP, as there. Every other target solves the
-    min-slack LP, whose residual above ``tol`` makes it exterior and whose
-    weights are otherwise the witness. A witness that misses by more than
+    projection witness, or None); the return is ``(status, distance,
+    weights)``: the verdict and distance as ``thermohorn.hull_membership``
+    defines them, and a witness over ``hull.vertices`` (None if exterior).
+    Inside the facets the hull's witness decides with no LP, as there. Every
+    other target solves the min-slack LP, whose residual above ``tol`` makes
+    it exterior and whose weights are otherwise the witness. A witness that misses by more than
     ``tol`` is solved for again at ``TIGHT_LP_TOL``, and a re-solve witness
     that still misses (a target within the solver's noise of ``tol``)
     makes the target exterior at that miss.
@@ -949,3 +991,22 @@ def oscillator_bath_reference(ham_a, m):
         )
     levels = tuple(EnergyLabel(spacing * k) for k in range(m))
     return Hamiltonian(levels, ham_a.beta, ham_a.base_quantum)
+
+
+def random_bistochastic(n, rng, terms=None):
+    """Seeded random bistochastic matrix as a convex mix of random permutations."""
+    k = terms if terms is not None else max(2, n)
+    weights = rng.dirichlet(np.ones(k))
+    out = np.zeros((n, n))
+    for w in weights:
+        out += w * permutation_matrix(rng.permutation(n)).real
+    return out
+
+
+def random_block_unitary(setup, rng):
+    """Haar-random unitary on each energy block (energy-preserving by construction)."""
+    u = np.zeros((setup.dim_joint, setup.dim_joint), dtype=np.complex128)
+    for block in setup.blocks:
+        idx = np.asarray(block)
+        u[np.ix_(idx, idx)] = haar_unitary(len(block), rng)
+    return u

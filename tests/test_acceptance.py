@@ -35,8 +35,6 @@ from thermohorn import (
     partial_trace_b,
     qubit_gibbs,
     qubit_hamiltonian,
-    random_bistochastic,
-    random_block_unitary,
     support_pattern_obstructs_unistochasticity,
     synthesize_unitary,
     thermal_decoherence_gadget,
@@ -45,6 +43,8 @@ from thermohorn import (
     zero_hamiltonian,
 )
 from thermohorn.energy import EnergyLabel
+
+from oracles import random_bistochastic, random_block_unitary
 
 LN2 = math.log(2.0)
 

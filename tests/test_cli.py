@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -17,7 +18,6 @@ from thermohorn import (
     d_alpha,
     oscillator_hamiltonian,
     qubit_gibbs,
-    random_block_unitary,
 )
 from thermohorn import cli, thermal
 from thermohorn.cli import main
@@ -32,6 +32,8 @@ from thermohorn.config import (
 from thermohorn.linalg import partial_trace_b
 from thermohorn.serialize import format_float, matrix_from_json, matrix_to_json, realization_from_json
 from thermohorn.thermal import ClassicalHull
+
+from oracles import random_block_unitary
 
 LN2 = math.log(2.0)
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
@@ -698,6 +700,23 @@ def test_import_and_help_load_neither_sympy_nor_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_every_traced_layer_of_a_loaded_module_resolves():
+    # perfbench's tracer looks each layer up by module and attribute in every
+    # thermohorn module already imported, and raises on a name that is gone.
+    # After importing the package and its CLI, every layer whose module is
+    # loaded must resolve; perfbench/spans.py is read, not changed.
+    import thermohorn.cli  # noqa: F401
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    loaded = [(module, attr) for _, module, attr, _ in spans.LAYERS if module in sys.modules]
+    assert ("thermohorn.majorization", "linprog") in loaded
+    assert ("thermohorn.thermal", "enumerate_classical") in loaded
+    assert [(m, a) for m, a in loaded if not hasattr(sys.modules[m], a)] == []
 
 
 def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):

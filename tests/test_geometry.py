@@ -1,5 +1,9 @@
 """The min-slack LP, the Qhull reference and the generic membership rule, on point clouds.
 
+The Qhull reference (:func:`oracles.hull_vertex_indices`) and the generic
+rule live with the other oracles; the package's own min-slack LP is
+``thermal._min_slack_combination``.
+
 The package decides membership on its closed-form classical hull, which
 reads ``F``. The oracle :class:`Polytope` (Qhull facets, Delaunay witness)
 has no ``F``; the tests that place targets against it use
@@ -20,19 +24,17 @@ import oracles
 from oracles import (
     TIGHT_LP_TOL,
     Polytope,
+    affine_rank,
     classify_membership_reference,
+    hull_vertex_indices,
     min_slack_lp,
     positivity_margin,
 )
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from thermohorn.geometry import (
-    INTERIOR_MARGIN,
-    affine_rank,
-    hull_vertex_indices,
-    min_slack_combination,
-)
+from thermohorn.config import INTERIOR_MARGIN
+from thermohorn.thermal import _min_slack_combination
 
 TOL = 1e-8
 #: HiGHS solves to a primal feasibility tolerance of 1e-7, so an LP
@@ -65,8 +67,8 @@ def test_min_slack_combination_exact_for_member():
     # The package's LP returns its residual alone; the oracle's, the same
     # LP, also its weights.
     gens = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert min_slack_combination(np.array([0.3, 0.7]), gens) < 1e-10
-    assert abs(min_slack_combination(np.array([0.3, 0.8]), gens) - 0.05) < 1e-10
+    assert _min_slack_combination(np.array([0.3, 0.7]), gens) < 1e-10
+    assert abs(_min_slack_combination(np.array([0.3, 0.8]), gens) - 0.05) < 1e-10
     slack, weights = min_slack_lp(np.array([0.3, 0.7]), gens)
     assert slack < 1e-10
     assert np.abs(weights - np.array([0.3, 0.7])).max() < 1e-8

@@ -12,6 +12,8 @@ from oracles import (
     bit_equal,
     lorenz_margin,
     majorizes_oracle,
+    random_bistochastic,
+    random_block_unitary,
     schur_horn_product_reference,
     schur_horn_reference,
     thermomajorization_residual,
@@ -31,8 +33,6 @@ from thermohorn import (
     hadamard_square,
     majorizes,
     permutation_matrix,
-    random_bistochastic,
-    random_block_unitary,
     schur_horn_unitary,
     stochastic_matrix,
     thermo_lorenz_dominates,

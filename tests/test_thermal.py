@@ -33,7 +33,6 @@ from thermohorn import (
     p_star,
     qubit_gibbs,
     qubit_hamiltonian,
-    random_block_unitary,
     realize_interior,
     synthesize_unitary,
     thermo_lorenz_dominates,
@@ -41,11 +40,12 @@ from thermohorn import (
     weight_hamiltonian,
     zero_hamiltonian,
 )
-from thermohorn import energy, geometry, linalg, majorization, thermal
+from thermohorn import energy, linalg, majorization, thermal
 from thermohorn.config import (
     BIRKHOFF_ZERO_TOL,
     BLOCK_LEAK_TOL,
     DEDUP_TOL,
+    FACET_TOL,
     HULL_LEVEL_CAP,
     SEPARATOR_TOL,
 )
@@ -57,8 +57,8 @@ from thermohorn.energy import (
     _level_sets,
     _multiset_permutations,
 )
-from thermohorn.geometry import classify_membership, hull_vertex_indices, linprog
-from thermohorn.thermal import ClassicalHull, _BathLadder
+from thermohorn.majorization import linprog
+from thermohorn.thermal import ClassicalHull, ReachableSet, _BathLadder
 
 from oracles import (
     TIGHT_LP_TOL,
@@ -73,8 +73,10 @@ from oracles import (
     dominance_curve,
     expand_product,
     greedy_mixture_reference,
+    hull_vertex_indices,
     min_slack_lp,
     mixed_joint_reference,
+    random_block_unitary,
     reachable_listing,
     realize_reference,
     scattered,
@@ -224,11 +226,12 @@ def test_classical_hull_margins_match_the_qhull_oracle(case, seed):
     oracle = Polytope(rset.hull_vertices(), DEDUP_TOL)
     assert hull.rank == oracle.rank
     for target in _hull_targets(hull.vertices, np.random.default_rng(seed)):
-        status, margin, weights = classify_membership(target, hull)
+        found = hull_membership(target, rset)
         expected, oracle_margin, _ = classify_membership_reference(target, oracle)
-        assert status == expected != "exterior"
-        assert abs(margin - oracle_margin) <= 1e-12
-        assert np.abs(weights @ hull.vertices - target).max() <= 1e-8
+        assert found.classification == expected != "exterior"
+        assert abs(found.distance - oracle_margin) <= 1e-12
+        weights, items = np.array(found.combination.weights), np.array(found.combination.items)
+        assert np.abs(weights @ items - target).max() <= 1e-8
 
 
 @settings(max_examples=80, deadline=None)
@@ -358,10 +361,14 @@ def test_classical_hull_distance_is_the_lp_residual_and_decides_exterior(case, s
     # so the min-slack LP brackets the max-norm distance: its objective may
     # fall short of it, and its witness's true residual may exceed it. F's
     # distance lies in that bracket to 1e-12, and exceeds tol exactly where
-    # classify_membership says exterior; a target within the LP's own
+    # hull_membership says exterior; a target within the LP's own
     # tolerance of that cut is one the LP cannot place, and is left out.
+    # hull_membership reads the hull through a set whose points are its
+    # vertices, and its state check is stubbed out: most targets here are
+    # off the simplex, which it refuses on entry, but its rule takes any.
     setup, p = case
     hull = ClassicalHull(p, setup)
+    rset = ReachableSet(hull.vertices, hull.vertex_indices, setup, p, None, hull)
     rng = np.random.default_rng(seed)
     n, tol = setup.dim_a, 1e-8
     targets = []
@@ -379,7 +386,8 @@ def test_classical_hull_distance_is_the_lp_residual_and_decides_exterior(case, s
         achieved = np.abs(weights @ hull.vertices - target).max()
         assert residual - 1e-12 <= distance <= achieved + 1e-12
         if abs(distance - tol) > TIGHT_LP_TOL:
-            exterior = classify_membership(target, hull, tol)[0] == "exterior"
+            with mock.patch.object(thermal, "probability_vector", np.asarray):
+                exterior = hull_membership(target, rset, tol).classification == "exterior"
             assert (distance > tol) == exterior
 
 
@@ -1004,7 +1012,7 @@ def _counting_lps():
         module for name, module in list(sys.modules.items())
         if name.split(".")[0] == "thermohorn" and getattr(module, "linprog", None) is linprog
     ]
-    assert {m.__name__ for m in holders} >= {"thermohorn.geometry", "thermohorn.majorization"}
+    assert {m.__name__ for m in holders} >= {"thermohorn.majorization", "thermohorn.thermal"}
     with contextlib.ExitStack() as stack:
         for module in holders:
             stack.enter_context(mock.patch.object(module, "linprog", counter))
@@ -1066,7 +1074,7 @@ def test_realize_search_solves_no_lp_and_finds_the_reference_bath():
 def test_realize_builds_vertices_only_for_the_bath_it_returns():
     # On a cleared ladder every bath is built as a ClassicalHull (each
     # tabulates its F table), and none lists its greedy vertices, goes to
-    # classify_membership or builds a ReachableSet: the bath returned walks
+    # hull_membership or builds a ReachableSet: the bath returned walks
     # to its witness from F, after up to five baths decided from F alone.
     # Searched again with the same p, the ladder's hulls are read back: no
     # bath is tabulated, listed or solved for.
@@ -1079,8 +1087,8 @@ def test_realize_builds_vertices_only_for_the_bath_it_returns():
                                   side_effect=ClassicalHull._tabulate) as built,
                 mock.patch.object(ClassicalHull, "_pick_vertices", autospec=True,
                                   side_effect=ClassicalHull._pick_vertices) as listed,
-                mock.patch.object(thermal, "classify_membership",
-                                  side_effect=thermal.classify_membership) as classified,
+                mock.patch.object(thermal, "hull_membership",
+                                  side_effect=thermal.hull_membership) as classified,
                 mock.patch.object(thermal, "ReachableSet", side_effect=thermal.ReachableSet) as sets,
                 _counting_lps() as lp,
             ):
@@ -1163,15 +1171,15 @@ def test_band_targets_are_members_by_one_lp_and_the_walk_witness(case, seed):
     rng = np.random.default_rng(seed)
     tol = 1e-8
     for q, _ in [*_band_targets(hull, rng, tol), *_band_targets(hull, rng, 3 * tol)]:
-        with mock.patch.object(geometry, "min_slack_combination",
-                               side_effect=geometry.min_slack_combination) as lp:
+        with mock.patch.object(thermal, "_min_slack_combination",
+                               side_effect=thermal._min_slack_combination) as lp:
             found = hull_membership(q, rset, tol)
         assert (found.classification == "exterior") == (hull.distance(q) > tol)
         assert lp.call_count <= 1
         if found.classification == "exterior":
             assert found.distance > tol and found.combination is None
             continue
-        if hull.rank > 0 and hull.excess(q) > geometry.FACET_TOL:
+        if hull.rank > 0 and hull.excess(q) > FACET_TOL:
             assert lp.call_count == 1
             assert found.classification == "boundary" and found.distance == 0.0
         weights = np.array(found.combination.weights)
