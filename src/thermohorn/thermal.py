@@ -472,9 +472,13 @@ class ClassicalHull:
         return float((self.normals @ (target - self.origin) - self.offsets).max(initial=-np.inf))
 
     def witness(self, target: np.ndarray) -> np.ndarray:
-        """Weights over ``vertices``, at most ``rank + 1`` nonzero, rebuilding the projected target."""
-        x = self.origin + self._projector @ (np.asarray(target, dtype=np.float64) - self.origin)
-        return self._vertex_weights(x)
+        """Weights over ``vertices``, at most ``rank + 1`` nonzero, rebuilding the projected target.
+
+        The projection is a row sum, not a BLAS product, so its bits do not
+        depend on the BLAS kernel loaded.
+        """
+        offset = np.asarray(target, dtype=np.float64) - self.origin
+        return self._vertex_weights(self.origin + (self._projector * offset).sum(axis=1))
 
     def band_witness(self, target: np.ndarray) -> np.ndarray:
         """Weights over ``vertices``, at most ``rank + 1`` nonzero, for a target near the hull.

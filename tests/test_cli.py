@@ -30,7 +30,13 @@ from thermohorn.config import (
     WITNESS_PRUNE_TOL,
 )
 from thermohorn.linalg import partial_trace_b
-from thermohorn.serialize import format_float, matrix_from_json, matrix_to_json, realization_from_json
+from thermohorn.serialize import (
+    format_float,
+    hamiltonian_to_json,
+    matrix_from_json,
+    matrix_to_json,
+    realization_from_json,
+)
 from thermohorn.thermal import ClassicalHull
 
 from oracles import random_block_unitary
@@ -622,8 +628,11 @@ def _openblas_picks_its_kernel_at_run_time():
     )
 
 
-def _stdout_under_each_kernel(argv, key):
-    """``thermo-horn argv``'s stdout under the default OpenBLAS kernel, then under Prescott."""
+def _stdout_under_each_kernel(argv, key, module=True):
+    """``thermo-horn argv``'s stdout under the default OpenBLAS kernel, then under Prescott.
+
+    With ``module`` false, ``argv`` goes to the interpreter itself.
+    """
     src = str(Path(thermohorn.__file__).resolve().parents[1])
     stdouts = []
     for kernel in (None, "Prescott"):
@@ -633,7 +642,8 @@ def _stdout_under_each_kernel(argv, key):
             env["OPENBLAS_CORETYPE"] = kernel
         env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         done = subprocess.run(
-            [sys.executable, "-m", "thermohorn.cli", *argv], env=env, capture_output=True, timeout=120
+            [sys.executable, *(["-m", "thermohorn.cli"] if module else []), *argv],
+            env=env, capture_output=True, timeout=120,
         )
         assert done.returncode == 0, (key, kernel, done.stderr)
         stdouts.append(done.stdout)
@@ -674,6 +684,46 @@ def test_decompose_stdout_is_the_same_bytes_under_the_baseline_openblas_kernel()
     for key, argv in argvs.items():
         default, prescott = _stdout_under_each_kernel(["decompose", *argv], key)
         assert default == prescott, key
+
+
+@pytest.mark.skipif(
+    not _openblas_picks_its_kernel_at_run_time(), reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH"
+)
+def test_membership_stdout_is_the_same_bytes_under_the_baseline_openblas_kernel():
+    # The projection witness is a row sum, not a BLAS product: on the fig4
+    # preset and a zero-Hamiltonian qutrit, an interior target, a band
+    # target 5e-9 outside a facet (one LP, then the walk from its
+    # saturation) and an exterior one print the same bytes under the
+    # default kernel and Prescott. The witness weights of grid targets
+    # whose projection product differed in its last bits between the two
+    # kernels are compared bit for bit too, as printed stdout rounds them.
+    setup, _ = cli._fig4_setup()
+    fig4 = ["--ham-a", json.dumps(hamiltonian_to_json(setup.ham_a)),
+            "--ham-b", json.dumps(hamiltonian_to_json(setup.ham_b)), "--p", "0.65,0.22,0.13"]
+    zero = json.dumps({"beta": 1.0, "quantum": 1.0, "levels": [{"a": 0}] * 3})
+    qutrit = ["--ham-a", zero, "--ham-b", zero, "--p", "0.6,0.3,0.1"]
+    targets = {
+        "fig4": ("0.4,0.35,0.25", "0.23937499774599807,0.29162499725400187,0.469000005", "1,0,0"),
+        "qutrit": ("0.4,0.4,0.2", "0.600000005,0.299999995,0.1", "1,0,0"),
+    }
+    for name, base in (("fig4", fig4), ("qutrit", qutrit)):
+        for kind, target in zip(("interior", "band", "exterior"), targets[name]):
+            key = f"{name}-{kind}"
+            default, prescott = _stdout_under_each_kernel(["membership", *base, "--target", target], key)
+            assert json.loads(default)["classification"] == {"band": "boundary"}.get(kind, kind), key
+            assert default == prescott, key
+    pairs = [((12, 6, 2), (8, 8, 4)), ((12, 7, 1), (9, 2, 9)), ((18, 1, 1), (2, 16, 2)), ((12, 7, 1), (4, 6, 10))]
+    probe = (
+        "import numpy as np\n"
+        "from thermohorn import build_setup, classical_reachable_set, hull_membership, zero_hamiltonian\n"
+        "setup = build_setup(zero_hamiltonian(3), zero_hamiltonian(3))\n"
+        f"for p, q in {pairs!r}:\n"
+        "    found = hull_membership(np.array(q) / 20, classical_reachable_set(np.array(p) / 20, setup))\n"
+        "    print(found.classification, np.array(found.combination.weights).tobytes().hex())\n"
+    )
+    default, prescott = _stdout_under_each_kernel(["-c", probe], "grid-witness-bits", module=False)
+    assert len(default.splitlines()) == len(pairs)
+    assert default == prescott
 
 
 def test_membership_help_prints_its_tolerances_from_their_names(capsys, monkeypatch):
