@@ -755,10 +755,9 @@ def test_import_and_help_load_neither_sympy_nor_scipy_stats():
 def test_every_traced_layer_of_a_loaded_module_resolves():
     # perfbench's tracer looks each layer up by module and attribute in every
     # thermohorn module already imported, and raises on a name that is gone.
-    # After importing the package and its CLI, every layer whose module is
-    # loaded must resolve; perfbench/spans.py is read, not changed.
-    import thermohorn.cli  # noqa: F401
-
+    # With the package and its CLI imported (this module's imports), every
+    # layer whose module is loaded must resolve; perfbench/spans.py is read,
+    # not changed.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
