@@ -370,7 +370,7 @@ def _block_class_targets(block: tuple[int, ...], dim_b: int) -> np.ndarray:
     arrangements = np.array(list(_multiset_permutations(labels.tolist())), dtype=np.int64)
     slots = np.asarray(block, dtype=np.int64)
     images = np.empty_like(arrangements)
-    for lab in np.unique(labels):
+    for lab in sorted(set(labels.tolist())):
         claims = arrangements == lab
         nth = np.cumsum(claims, axis=1) - 1
         images[claims] = slots[labels == lab][nth[claims]]

@@ -282,10 +282,28 @@ def _marginal_outputs(
     return out
 
 
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, group)`` for the rows of ``points`` rounded to the dedup grid.
+
+    ``first`` holds each distinct rounded row's first index, the rows in
+    lexicographic order; row ``i`` is the rounded row of ``first[group[i]]``.
+    One stable ``lexsort`` and a flag where any value changes: float
+    equality, so ``-0.0`` and ``+0.0`` are one value, and the same first
+    indices, order and groups as ``np.unique(..., axis=0)``.
+    """
+    rounded = np.round(points, DEDUP_DECIMALS)
+    order = np.lexsort(rounded.T[::-1])
+    ranked = rounded[order]
+    new = np.ones(len(order), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
 def _first_distinct(points: np.ndarray) -> np.ndarray:
-    """Ascending indices of each point's first occurrence on the dedup grid."""
-    _, keep = np.unique(np.round(points, DEDUP_DECIMALS), axis=0, return_index=True)
-    return np.sort(keep)
+    """Ascending indices of each point's first occurrence on the dedup grid (:func:`_distinct_rows`)."""
+    return np.sort(_distinct_rows(points)[0])
 
 
 class _GreedyVertices(NamedTuple):
@@ -320,19 +338,20 @@ class ClassicalHull:
     their centre ``F(c) / |c|``, and ``_projector`` is ``I`` less the
     per-atom averaging. The facets are ``normals @ (y - origin) <=
     offsets``, one per ``S`` whose indicator keeps a projection onto the
-    span, scaled to unit length. Only ``vertices`` (the distinct greedy
-    vectors; given ``points``, a listing of every output, each vertex is the
-    listed point within ``DEDUP_TOL`` of it, at ``vertex_indices``) and the
-    vertex of each order, which :meth:`witness` weighs its walk by, walk all
-    ``n!`` orders. The hull keeps its joint input, and, once
-    :func:`_greedy_unitary` builds on it, that input's block data for the
-    rotations (``_blocks``, a :class:`_BlockData`: the rotated blocks
-    grouped by size, with each group's indices, masses, normalized inputs
-    and the input side of their chains stacked), O(joint dims) like
-    ``_heaviest``, and the input placed by each order of the latest walk
-    that reached a new order (:meth:`_placed_inputs`): at most ``rank + 1``
-    joint vectors, so no greedy permutation is sorted again for an order
-    held.
+    span, scaled to unit length. Only ``vertices`` (the greedy vectors
+    distinct on the dedup grid, picked by :func:`_distinct_rows` in order of
+    first occurrence; given ``points``, a listing of every output, each
+    vertex is the listed point within ``DEDUP_TOL`` of it, at
+    ``vertex_indices``) and the vertex of each order, which :meth:`witness`
+    weighs its walk by, walk all ``n!`` orders. The hull keeps its joint
+    input, and, once :func:`_greedy_unitary` builds on it, that input's
+    block data for the rotations (``_blocks``, a :class:`_BlockData`: the
+    rotated blocks grouped by size, with each group's indices, masses,
+    normalized inputs and the input side of their chains stacked), O(joint
+    dims) like ``_heaviest``, and the input placed by each order of the
+    latest walk that reached a new order (:meth:`_placed_inputs`): at most
+    ``rank + 1`` joint vectors, so no greedy permutation is sorted again for
+    an order held.
     """
 
     def __init__(self, p, setup: ThermalSetup, points: np.ndarray | None = None):
@@ -395,11 +414,10 @@ class ClassicalHull:
         gains = np.diff(self.table[prefixes], axis=1, prepend=0.0)
         greedy = np.zeros(all_orders.shape)
         np.put_along_axis(greedy, all_orders, gains, axis=1)
-        rounded = np.round(greedy, DEDUP_DECIMALS)
-        _, first, inverse = np.unique(rounded, axis=0, return_index=True, return_inverse=True)
+        first, group = _distinct_rows(greedy)
         if points is None:
             by_first = np.argsort(first)
-            vertex_of_order = np.argsort(by_first)[inverse.ravel()]
+            vertex_of_order = np.argsort(by_first)[group]
             vertices = greedy[first[by_first]]
             vertex_indices = tuple(range(len(first)))
         else:
@@ -408,7 +426,7 @@ class ClassicalHull:
             if miss >= DEDUP_TOL:
                 raise RuntimeError(f"a greedy vertex lies {miss} from every listed point")
             listed, position = np.unique(nearest, return_inverse=True)
-            vertex_of_order = position.ravel()[inverse.ravel()]
+            vertex_of_order = position.ravel()[group]
             vertices = points[listed]
             vertex_indices = tuple(int(k) for k in listed)
         vertex_of = dict(zip(map(tuple, all_orders.tolist()), vertex_of_order.tolist()))
@@ -622,9 +640,11 @@ def classical_reachable_set(
     deduplicated, each keeping its first (partial output, arrangement) pair,
     so ``representatives[k]`` is the lexicographically first
     energy-preserving permutation producing ``points[k]``; only
-    back-pointers are kept until the end. The hull is the
-    :class:`ClassicalHull` on these points. ``cap`` bounds the rows formed in
-    any one block step; ``mode`` accepts only ``"reduced"``.
+    back-pointers are kept until the end. Every dedup is one
+    :func:`_distinct_rows` lexsort; the last one's first indices, in
+    lexicographic order of the rounded outputs, are the listing's order. The
+    hull is the :class:`ClassicalHull` on these points. ``cap`` bounds the
+    rows formed in any one block step; ``mode`` accepts only ``"reduced"``.
     """
     if mode != "reduced":
         raise PreconditionError("bad-mode", f"unknown enumeration mode {mode!r}")
@@ -655,8 +675,7 @@ def classical_reachable_set(
         reps[:, list(block)] = targets[row[state]]
         state = parent[state]
     raw = _marginal_outputs(reps, v, dim_a, dim_b)
-    keep = _first_distinct(raw)
-    order = keep[np.lexsort(np.round(raw[keep], DEDUP_DECIMALS).T[::-1])]
+    order, _ = _distinct_rows(raw)
     points = raw[order]
     hull = ClassicalHull._of_joint(setup, v, points)
     return ReachableSet(points, hull.vertex_indices, setup, p, reps[order], hull)

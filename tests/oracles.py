@@ -66,6 +66,7 @@ from thermohorn.config import (
     BISTOCHASTIC_ENTRY_TOL,
     BISTOCHASTIC_SUM_TOL,
     DECOMPOSITION_TOL,
+    DEDUP_DECIMALS,
     DEDUP_TOL,
     FACET_TOL,
     INTERIOR_MARGIN,
@@ -554,6 +555,18 @@ def majorizes_oracle(p, q, slack=1e-11):
     """Majorization as thermomajorization with the uniform fixed point."""
     n = len(np.asarray(p))
     return thermomajorizes_oracle(p, q, np.full(n, 1.0 / n), slack)
+
+
+def distinct_rows_reference(points):
+    """``(first, group)`` of the rows of ``points`` on the dedup grid, by ``np.unique(..., axis=0)``.
+
+    The form the listing's dedups and the vertex pick used before
+    ``thermal._distinct_rows``: a sort of a structured view of the rows.
+    """
+    _, first, group = np.unique(
+        np.round(points, DEDUP_DECIMALS), axis=0, return_index=True, return_inverse=True
+    )
+    return first, group.ravel()
 
 
 def reachable_listing(p, setup):

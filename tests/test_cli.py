@@ -726,6 +726,40 @@ def test_membership_stdout_is_the_same_bytes_under_the_baseline_openblas_kernel(
     assert default == prescott
 
 
+@pytest.mark.skipif(
+    not _openblas_picks_its_kernel_at_run_time(), reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH"
+)
+def test_reachable_stdout_is_the_same_bytes_under_the_baseline_openblas_kernel():
+    # The listing dedups and orders its rows with one lexsort over the
+    # rounded rows: on the fig4 preset and a zero-Hamiltonian qutrit,
+    # reachable prints the same bytes under the default kernel and
+    # Prescott, and the points and representatives are the same bits.
+    setup, _ = cli._fig4_setup()
+    zero = json.dumps({"beta": 1.0, "quantum": 1.0, "levels": [{"a": 0}] * 3})
+    argvs = {
+        "fig4": ["--ham-a", json.dumps(hamiltonian_to_json(setup.ham_a)),
+                 "--ham-b", json.dumps(hamiltonian_to_json(setup.ham_b)), "--p", "0.65,0.22,0.13"],
+        "qutrit": ["--ham-a", zero, "--ham-b", zero, "--p", "0.6,0.3,0.1"],
+    }
+    for key, argv in argvs.items():
+        default, prescott = _stdout_under_each_kernel(["reachable", *argv, "--format", "json"], key)
+        assert len(json.loads(default)["points"]) > 1, key
+        assert default == prescott, key
+    probe = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from thermohorn import build_setup, classical_reachable_set, zero_hamiltonian\n"
+        "from thermohorn.cli import _fig4_setup\n"
+        "setup, p = _fig4_setup()\n"
+        "zero = build_setup(zero_hamiltonian(3), zero_hamiltonian(3))\n"
+        "for rset in (classical_reachable_set(p, setup), classical_reachable_set(np.array([0.6, 0.3, 0.1]), zero)):\n"
+        "    print(hashlib.sha256(rset.points.tobytes() + rset.representatives.tobytes()).hexdigest())\n"
+    )
+    default, prescott = _stdout_under_each_kernel(["-c", probe], "listing-bits", module=False)
+    assert len(default.splitlines()) == 2
+    assert default == prescott
+
+
 def test_membership_help_prints_its_tolerances_from_their_names(capsys, monkeypatch):
     for margin, prune in ((INTERIOR_MARGIN, WITNESS_PRUNE_TOL), (3.5e-7, 2.5e-6)):
         monkeypatch.setattr(cli, "INTERIOR_MARGIN", margin)
@@ -778,7 +812,9 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
     # realize-band's and synthesize-band's target lies 5e-9 (max-norm)
     # outside the one-copy hull, within tol: it is realized on that
     # two-level bath by saturation and the walk, no LP. synthesize-exterior
-    # is refused (exit 2) on F's distance, with no LP either.
+    # is refused (exit 2) on F's distance, with no LP either. numpy.ma is
+    # listed too: no listing or hull loads it (1-D np.unique without index
+    # outputs would), so only scipy.optimize brings it in, at the LP.
     qutrit = ("--ham-a", OSC3, "--ham-b", OSC3, "--p", "0.5,0.3,0.2")
     band = f"{2 / 3 - 5e-9!r},{1 / 3 + 5e-9!r}"
     steps = [
@@ -813,13 +849,13 @@ def test_scipy_optimize_and_spatial_load_only_on_first_lp_or_hull(capsys):
         f"            assert main(argv) == {codes!r}.get(name, 0), name\n"
         "        if name == 'synthesize-exterior':\n"
         "            assert json.loads(out.getvalue())['error'] == 'not-reachable'\n"
-        "    print(json.dumps([name, sorted(m for m in ('scipy.optimize', 'scipy.spatial')"
+        "    print(json.dumps([name, sorted(m for m in ('numpy.ma', 'scipy.optimize', 'scipy.spatial')"
         " if m in sys.modules)]))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     loaded = dict(json.loads(line) for line in out.stdout.splitlines())
-    lp = ["scipy.optimize", "scipy.spatial"]
+    lp = ["numpy.ma", "scipy.optimize", "scipy.spatial"]
     assert loaded == {name: [] for name, _ in steps[:-1]} | {"membership-exterior": lp}
     code, out = _run(capsys, *dict(steps)["realize-band"])
     assert code == 0 and len(json.loads(out)["bath"]["levels"]) == 2

@@ -44,6 +44,7 @@ from thermohorn import energy, linalg, majorization, thermal
 from thermohorn.config import (
     BIRKHOFF_ZERO_TOL,
     BLOCK_LEAK_TOL,
+    DEDUP_DECIMALS,
     DEDUP_TOL,
     FACET_TOL,
     HULL_LEVEL_CAP,
@@ -70,6 +71,7 @@ from oracles import (
     classify_membership_reference,
     conditional_shift,
     decompose_reference,
+    distinct_rows_reference,
     dominance_curve,
     expand_product,
     greedy_mixture_reference,
@@ -177,6 +179,64 @@ def test_listing_matches_exhaustive_reference(case):
     assert np.array_equal(rset.points, points)
     assert np.array_equal(rset.representatives, representatives)
     assert rset.hull_vertex_indices == hull_vertex_indices(points, tol=1e-10)
+
+
+_GRID = 10.0 ** -DEDUP_DECIMALS
+
+
+@st.composite
+def _rows_to_dedup(draw):
+    """Rows drawn from a few, with signed zeros and values equal only on the dedup grid.
+
+    ``±_GRID / 4`` rounds to a signed zero, and ``±_GRID / 8`` added to a
+    row's entries leaves them on its grid point.
+    """
+    width = draw(st.integers(1, 5))
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 1e-3, _GRID / 4, -_GRID / 4, 3 * _GRID])
+    pool = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    rows = np.array([pool[k] for k in picks])
+    jitter = draw(st.lists(st.sampled_from([0.0, _GRID / 8, -_GRID / 8]), min_size=rows.size, max_size=rows.size))
+    jitter = np.reshape(jitter, rows.shape)
+    return np.where(jitter != 0.0, rows + jitter, rows)
+
+
+def _assert_distinct_rows_match_np_unique(rows):
+    first, group = thermal._distinct_rows(rows)
+    expected_first, expected_group = distinct_rows_reference(rows)
+    assert bit_equal(first, expected_first)
+    assert bit_equal(group, expected_group)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_rows_to_dedup())
+def test_distinct_rows_match_np_unique_bit_for_bit(rows):
+    # The lexsort kernel the listing and the vertex pick share returns the
+    # first indices, their lexicographic order and every row's group that
+    # np.unique(axis=0) returns on the rounded rows: float equality, so
+    # -0.0 and +0.0 are one value.
+    _assert_distinct_rows_match_np_unique(rows)
+
+
+def test_distinct_rows_match_np_unique_on_one_row_equal_rows_and_eight_level_greedy_tables():
+    _assert_distinct_rows_match_np_unique(np.array([[0.25, -0.0, 1.0]]))
+    _assert_distinct_rows_match_np_unique(np.full((7, 3), 0.5))
+    _assert_distinct_rows_match_np_unique(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0 + _GRID / 8]]))
+    # Every order's greedy vector at n = 8, as the vertex pick forms them:
+    # all 40,320 distinct with one energy block, 128 and 96 distinct on an
+    # oscillator and on a degenerate system.
+    rng = np.random.default_rng(8)
+    for ham_a, ham_b in (
+        (zero_hamiltonian(8), zero_hamiltonian(2)),
+        (oscillator_hamiltonian(8, 0.7), oscillator_hamiltonian(2, 0.7)),
+        (weight_hamiltonian((1, 1, 1, 1, 2, 2, 3, 3), beta=1.0), zero_hamiltonian(2)),
+    ):
+        hull = ClassicalHull(rng.dirichlet(np.ones(8)), build_setup(ham_a, ham_b))
+        orders = np.array(list(itertools.permutations(range(8))))
+        gains = np.diff(hull.table[np.cumsum(1 << orders, axis=1)], axis=1, prepend=0.0)
+        greedy = np.zeros(orders.shape)
+        np.put_along_axis(greedy, orders, gains, axis=1)
+        _assert_distinct_rows_match_np_unique(greedy)
 
 
 @settings(max_examples=80, deadline=None)
