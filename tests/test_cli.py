@@ -752,7 +752,8 @@ def test_reachable_stdout_is_the_same_bytes_under_the_baseline_openblas_kernel()
         "from thermohorn.cli import _fig4_setup\n"
         "setup, p = _fig4_setup()\n"
         "zero = build_setup(zero_hamiltonian(3), zero_hamiltonian(3))\n"
-        "for rset in (classical_reachable_set(p, setup), classical_reachable_set(np.array([0.6, 0.3, 0.1]), zero)):\n"
+        "for p, setup in ((p, setup), (np.array([0.6, 0.3, 0.1]), zero)):\n"
+        "    rset = classical_reachable_set(p, setup)\n"
         "    print(hashlib.sha256(rset.points.tobytes() + rset.representatives.tobytes()).hexdigest())\n"
     )
     default, prescott = _stdout_under_each_kernel(["-c", probe], "listing-bits", module=False)

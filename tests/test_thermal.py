@@ -196,8 +196,8 @@ def _rows_to_dedup(draw):
     pool = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
     rows = np.array([pool[k] for k in picks])
-    jitter = draw(st.lists(st.sampled_from([0.0, _GRID / 8, -_GRID / 8]), min_size=rows.size, max_size=rows.size))
-    jitter = np.reshape(jitter, rows.shape)
+    steps = st.sampled_from([0.0, _GRID / 8, -_GRID / 8])
+    jitter = np.reshape(draw(st.lists(steps, min_size=rows.size, max_size=rows.size)), rows.shape)
     return np.where(jitter != 0.0, rows + jitter, rows)
 
 
